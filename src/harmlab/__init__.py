@@ -22,7 +22,6 @@ from .errors import (
     CheckpointError,
     ConfigError,
     DatasetError,
-    DegenerateAttentionError,
     GenerationError,
     HarmlabError,
     OptimizerError,
@@ -69,7 +68,6 @@ __all__ = [
     "CheckpointError",
     "ConfigError",
     "DatasetError",
-    "DegenerateAttentionError",
     "EPS_DEFAULT",
     "EvalReport",
     "GenConfig",

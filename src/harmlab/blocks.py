@@ -9,9 +9,10 @@ feature resolution:
   region's global statistics and passes background sites through untouched.
 * ``srin_forward`` derives spatially varying scale/shift modulation from
   cross-attention: queries come from a color-coded semantic map, keys from the
-  normalized features, and attention is restricted to background key sites, so
-  each foreground site aggregates background features from semantically
-  related regions.
+  normalized features, and each foreground query attends over background key
+  sites only, so it aggregates background features from semantically related
+  regions. Only the [foreground, background] block of attention is computed;
+  the full [N, N] matrix is built only when ``SrinResult.attention`` is read.
 
 All blocks are pure, reentrant, and differentiable end to end.
 """
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import tensor as tc
 from .errors import ShapeError
-from .tensor import LARGE, Tensor
+from .tensor import Tensor
 
 EPS_DEFAULT = 1e-5  # added to variances before the square root
 
@@ -84,9 +85,28 @@ class Modulation:
 @dataclass
 class SrinResult:
     output: Tensor
-    attention: Optional[Tensor]  # [N, N] row-stochastic, N = H*W
     modulation: Optional[Modulation]
     degenerate: bool
+    # [C, N] query and key projections and the [N] foreground selector, kept
+    # so that ``attention`` can be rebuilt; None when the block is degenerate
+    query: Optional[np.ndarray] = None
+    key: Optional[np.ndarray] = None
+    fg: Optional[np.ndarray] = None
+
+    @property
+    def attention(self) -> Optional[Tensor]:
+        """[N, N] attention over flattened sites (N = H*W), built on each read.
+
+        Every row, background query sites included, is a softmax over the
+        background key columns; foreground key columns are exactly 0. The
+        forward pass only computes the foreground rows. None when degenerate.
+        """
+        if self.query is None:
+            return None
+        n = self.fg.size
+        full = np.zeros((n, n), dtype=np.float64)
+        full[:, ~self.fg] = tc.softmax_rows(Tensor(self.query.T @ self.key[:, ~self.fg])).data
+        return Tensor(full)
 
 
 def region_instance_norm(
@@ -121,14 +141,6 @@ def rain_forward(feat: Tensor, mask_f, eps: float = EPS_DEFAULT) -> Tensor:
     return tc.blend(dressed, feat, m)
 
 
-def attention_bias(mask_flat: np.ndarray) -> np.ndarray:
-    """Additive [N, N] logit mask that suppresses foreground key columns."""
-    n = mask_flat.size
-    bias = np.zeros((n, n), dtype=np.float64)
-    bias[:, mask_flat.astype(bool)] = -LARGE
-    return bias
-
-
 def srin_forward(
     feat: Tensor,
     mask_f,
@@ -138,21 +150,21 @@ def srin_forward(
 ) -> SrinResult:
     """Semantic-guided modulation of region-normalized features.
 
-    Pipeline over flattened sites (N = H*W): normalize by foreground stats;
-    project the semantic map to queries, the normalized map to keys, the raw
-    map to values; row-softmax the query/key products with foreground key
-    columns suppressed; aggregate values per query site; pass the aggregate
-    through gated 1x1 heads to get nonnegative gamma/beta restricted to the
-    foreground; blend ``gamma * normed + beta`` into the foreground and pass
-    the background through exactly. Degenerate (empty) regions return the
-    input unchanged.
+    Pipeline over sites: normalize by foreground stats; project the semantic
+    map to queries, the normalized map to keys, the raw map to values; for
+    each foreground query site, softmax its products with the background keys
+    and aggregate the background values (``tensor.region_attention``, which
+    never forms the [N, N] matrix); pass the aggregate through gated 1x1 heads
+    to get nonnegative gamma/beta restricted to the foreground; blend
+    ``gamma * normed + beta`` into the foreground and pass the background
+    through exactly. Degenerate (empty) regions return the input unchanged.
     """
     c, h, w = feat.shape
     m = tc.as_site_mask(mask_f, h, w)
     n = h * w
     fg_count = int(m.sum())
     if fg_count == 0 or fg_count == n:
-        return SrinResult(feat, None, None, True)
+        return SrinResult(feat, None, True)
 
     sem_t = sem_f if isinstance(sem_f, Tensor) else Tensor(np.asarray(sem_f, dtype=np.float64))
     if sem_t.shape != (3, h, w):
@@ -160,20 +172,18 @@ def srin_forward(
 
     normed, _, _, _ = region_instance_norm(feat, m, eps)
 
-    query = tc.reshape(tc.conv1x1(sem_t, params.w_query, params.b_query), (c, n))
-    key = tc.reshape(tc.conv1x1(normed, params.w_key, params.b_key), (c, n))
-    value = tc.reshape(tc.conv1x1(feat, params.w_value, params.b_value), (c, n))
-
-    logits = tc.matmul(tc.transpose(query), key)
-    attn = tc.softmax_rows(logits, attention_bias(m.reshape(-1)))
-
-    # attended[:, i] aggregates background values for query site i
-    attended = tc.matmul(value, tc.transpose(attn))
-    attended_map = tc.reshape(attended, (c, h, w))
+    query = tc.conv1x1(sem_t, params.w_query, params.b_query)
+    key = tc.conv1x1(normed, params.w_key, params.b_key)
+    value = tc.conv1x1(feat, params.w_value, params.b_value)
+    # attended_map[:, i] aggregates background values for foreground site i
+    attended_map = tc.region_attention(query, key, value, m)
 
     gamma = tc.mask_sites(tc.relu(tc.conv1x1(attended_map, params.w_gamma, params.b_gamma)), m)
     beta = tc.mask_sites(tc.relu(tc.conv1x1(attended_map, params.w_beta, params.b_beta)), m)
 
     modulated = tc.add(tc.mul(gamma, normed), beta)
     out = tc.blend(modulated, feat, m)
-    return SrinResult(out, attn, Modulation(gamma=gamma, beta=beta), False)
+    return SrinResult(
+        out, Modulation(gamma=gamma, beta=beta), False,
+        query=query.data.reshape(c, n), key=key.data.reshape(c, n), fg=m.reshape(n).astype(bool),
+    )

@@ -9,10 +9,6 @@ class ShapeError(HarmlabError, ValueError):
     """Operand shapes violate an operation's contract."""
 
 
-class DegenerateAttentionError(HarmlabError, ValueError):
-    """A softmax row had every entry masked out; the caller decides the fallback."""
-
-
 class OptimizerError(HarmlabError, ValueError):
     """An optimizer update was aborted (e.g. non-finite gradient)."""
 

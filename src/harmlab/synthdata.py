@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DatasetError, GenerationError
+from .errors import ConfigError, DatasetError, GenerationError
 from .imaging import Image, Mask, PathLike, read_pgm, read_ppm, write_pgm, write_ppm
 
 _MAX_SHAPE_RETRIES = 20
@@ -55,14 +55,14 @@ class GenConfig:
 
     def __post_init__(self):
         if self.size < 16:
-            raise ValueError(f"image size must be >= 16, got {self.size}")
+            raise ConfigError(f"image size must be >= 16, got {self.size}")
         if not (1 <= self.min_objects <= self.max_objects):
-            raise ValueError("object count range must satisfy 1 <= min <= max")
+            raise ConfigError("object count range must satisfy 1 <= min <= max")
         if not self.shapes or any(s not in ("rectangle", "ellipse") for s in self.shapes):
-            raise ValueError(f"unsupported shape kinds {self.shapes}")
+            raise ConfigError(f"unsupported shape kinds {self.shapes}")
         for name, (lo, hi) in (("gain", self.gain), ("bias", self.bias), ("gamma", self.gamma)):
             if not lo <= hi:
-                raise ValueError(f"{name} range ({lo}, {hi}) is empty")
+                raise ConfigError(f"{name} range ({lo}, {hi}) is empty")
 
 
 def _quantize(px: np.ndarray) -> np.ndarray:

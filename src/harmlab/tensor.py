@@ -17,11 +17,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DegenerateAttentionError, ShapeError
-
-# Additive-mask magnitude: after row-max subtraction, exp(-LARGE + O(1e3))
-# underflows to exactly 0.0 in double precision.
-LARGE = 1e9
+from .errors import ShapeError
 
 
 class Tensor:
@@ -508,38 +504,83 @@ def conv3x3(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# softmax and masked statistics
+# softmax, region attention and masked statistics
 
 
-def softmax_rows(logits: Tensor, additive_mask=None) -> Tensor:
-    """Row-wise softmax with per-row max subtraction.
+def _softmax_rows(z: np.ndarray) -> np.ndarray:
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
-    ``additive_mask`` entries must be 0 (keep) or -LARGE (suppress); suppressed
-    entries come out exactly 0. A row whose every entry is suppressed raises
-    ``DegenerateAttentionError``.
-    """
+
+def _softmax_rows_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient at the logits of ``y = softmax_rows(z)`` given ``g`` at ``y``."""
+    return y * (g - (g * y).sum(axis=1, keepdims=True))
+
+
+def softmax_rows(logits: Tensor) -> Tensor:
+    """Row-wise softmax with per-row max subtraction."""
     if logits.data.ndim != 2:
         raise ShapeError(f"softmax_rows: need [N, M] logits, got {logits.shape}")
-    z = logits.data
-    if additive_mask is not None:
-        m = additive_mask.data if isinstance(additive_mask, Tensor) else np.asarray(additive_mask, dtype=np.float64)
-        if m.shape != z.shape:
-            raise ShapeError(f"softmax_rows: mask shape {m.shape} differs from logits {z.shape}")
-        dead = m <= -LARGE / 2
-        full = np.nonzero(dead.all(axis=1))[0]
-        if full.size:
-            raise DegenerateAttentionError(f"softmax_rows: row {int(full[0])} has every entry masked out")
-        z = z + m
-    zmax = z.max(axis=1, keepdims=True)
-    e = np.exp(z - zmax)
-    y = e / e.sum(axis=1, keepdims=True)
+    y = _softmax_rows(logits.data)
     out = Tensor(y)
 
     def bwd():
-        g = out.grad
-        _accum(logits, y * (g - (g * y).sum(axis=1, keepdims=True)))
+        _accum(logits, _softmax_rows_grad(y, out.grad))
 
     _maybe_record("softmax_rows", out, (logits,), bwd)
+    return out
+
+
+def region_attention(query: Tensor, key: Tensor, value: Tensor, mask) -> Tensor:
+    """Cross-attention from foreground query sites to background key sites.
+
+    ``query``, ``key`` and ``value`` are [C, H, W] maps; ``mask`` is the
+    constant binary site mask (1 = foreground). With F foreground and B
+    background sites, ``A = softmax_rows(q_fg^T k_bg)`` is [F, B], and
+    foreground site i of the output is ``v_bg A[i]^T``. Background sites of
+    the output are exactly 0, and so are the query gradient at background
+    sites and the key and value gradients at foreground sites. Both regions
+    must be non-empty.
+
+    The products run through BLAS, so their summation order is not the
+    triple-loop order that ``matmul`` keeps.
+    """
+    if query.data.ndim != 3 or key.shape != query.shape or value.shape != query.shape:
+        raise ShapeError(
+            f"region_attention: query, key and value must be equal [C, H, W] maps, "
+            f"got {query.shape}, {key.shape} and {value.shape}"
+        )
+    c, h, w = query.shape
+    n = h * w
+    fg_sel = as_site_mask(mask, h, w).reshape(n).astype(bool)
+    fg = np.flatnonzero(fg_sel)
+    bg = np.flatnonzero(~fg_sel)
+    if fg.size == 0 or bg.size == 0:
+        raise ShapeError(f"region_attention: needs both regions non-empty, got {fg.size} foreground of {n} sites")
+    q = query.data.reshape(c, n)[:, fg]  # [C, F]
+    k = key.data.reshape(c, n)[:, bg]  # [C, B]
+    v = value.data.reshape(c, n)[:, bg]  # [C, B]
+
+    def scattered(cols: np.ndarray, sites: np.ndarray) -> np.ndarray:
+        full = np.zeros((c, n), dtype=np.float64)
+        full[:, sites] = cols
+        return full.reshape(c, h, w)
+
+    attn = _softmax_rows(q.T @ k)  # [F, B]
+    out = Tensor(scattered(v @ attn.T, fg))
+
+    def bwd():
+        g = out.grad.reshape(c, n)[:, fg]  # [C, F]
+        if value.requires_grad:
+            _accum(value, scattered(g @ attn, bg))
+        if query.requires_grad or key.requires_grad:
+            d_logits = _softmax_rows_grad(attn, g.T @ v)  # [F, B]
+            if query.requires_grad:
+                _accum(query, scattered(k @ d_logits.T, fg))
+            if key.requires_grad:
+                _accum(key, scattered(q @ d_logits, bg))
+
+    _maybe_record("region_attention", out, (query, key, value), bwd)
     return out
 
 

@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import tensor as tc
-from .errors import TrainingError
+from .errors import ConfigError, TrainingError
 from .imaging import BUCKET_LABELS, MetricsRecord, compose, metrics, ratio_bucket
 from .optim import AdamState, adam_step
 from .synthdata import Sample, load_dataset
@@ -50,13 +50,13 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.steps < 1 or self.batch_size < 1:
-            raise ValueError("steps and batch_size must be positive")
+            raise ConfigError("steps and batch_size must be positive")
         if self.lr <= 0:
-            raise ValueError("learning rate must be positive")
+            raise ConfigError("learning rate must be positive")
         prev = 0.0
         for m in self.milestones:
             if not (prev < m < 1.0):
-                raise ValueError(f"milestones must be strictly increasing within (0, 1), got {self.milestones}")
+                raise ConfigError(f"milestones must be strictly increasing within (0, 1), got {self.milestones}")
             prev = m
 
     def effective_unet(self) -> UNetConfig:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import tensor as tc
 from .blocks import EPS_DEFAULT, SrinParams, rain_forward, srin_forward
-from .errors import CheckpointError, ShapeError
+from .errors import CheckpointError, ConfigError, ShapeError
 from .imaging import Image, Mask, PathLike
 from .tensor import Tensor
 
@@ -41,17 +41,17 @@ class UNetConfig:
 
     def __post_init__(self):
         if self.size < 16 or (self.size & (self.size - 1)) != 0:
-            raise ValueError(f"size must be a power of two >= 16, got {self.size}")
+            raise ConfigError(f"size must be a power of two >= 16, got {self.size}")
         if self.stages < 1:
-            raise ValueError("need at least one encoder stage")
+            raise ConfigError("need at least one encoder stage")
         if self.base_channels < 1:
-            raise ValueError("base_channels must be positive")
+            raise ConfigError("base_channels must be positive")
         if self.size >> self.stages < 4:
-            raise ValueError(
+            raise ConfigError(
                 f"bottleneck resolution {self.size >> self.stages} < 4; reduce stages or enlarge size"
             )
         if self.block not in BLOCK_KINDS:
-            raise ValueError(f"block must be one of {BLOCK_KINDS}, got {self.block!r}")
+            raise ConfigError(f"block must be one of {BLOCK_KINDS}, got {self.block!r}")
 
     def stage_channels(self) -> list[int]:
         return [self.base_channels * (1 << i) for i in range(self.stages)]

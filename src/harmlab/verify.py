@@ -228,10 +228,11 @@ def op_grad_checks(tol: float = DEFAULT_TOL, h: float = DEFAULT_H) -> list[GradC
     logits = rng.uniform(-3.0, 3.0, size=(4, 5))
     wsm = rng.normal(size=(4, 5))
     check("softmax_rows", lambda ts: _weighted_sum(tc.softmax_rows(ts[0]), wsm), [logits])
-    bias_mask = np.zeros((4, 5))
-    bias_mask[:, 1] = -tc.LARGE
-    bias_mask[:, 3] = -tc.LARGE
-    check("softmax_rows_masked", lambda ts: _weighted_sum(tc.softmax_rows(ts[0], bias_mask), wsm), [logits])
+    check(
+        "region_attention",
+        lambda ts: _weighted_sum(tc.region_attention(ts[0], ts[1], ts[2], site_mask), w233),
+        [rng.normal(size=(2, 3, 3)) for _ in range(3)],
+    )
 
     stat_mask = (rng.uniform(size=(4, 4)) < 0.5).astype(np.float64)
     stat_mask[1, 1] = 1.0

@@ -2,7 +2,7 @@ import numpy as np
 
 from harmlab import tensor as tc
 from harmlab.blocks import SrinParams, rain_forward, region_instance_norm, srin_forward
-from harmlab.tensor import Tensor
+from harmlab.tensor import Graph, Tensor
 from harmlab.verify import random_srin_instance, reference_srin
 
 
@@ -193,3 +193,23 @@ class TestSrinForward:
 
         result = grad_check(fn, tensors, name="srin")
         assert result.passed, result.line()
+
+    def test_tape_holds_no_site_by_site_buffer(self):
+        # attention is computed over foreground x background sites only; an
+        # [N, N] buffer on the tape would cost O(N^2) memory per step
+        rng = np.random.default_rng(11)
+        c, hw = 4, 32
+        n = hw * hw
+        mask = np.zeros((hw, hw))
+        mask[10:16, 12:20] = 1.0
+        params = SrinParams.create(c, rng)
+        feat = Tensor(rng.normal(size=(c, hw, hw)), requires_grad=True)
+        with Graph() as g:
+            res = srin_forward(feat, mask, rng.uniform(size=(3, hw, hw)), params)
+        assert g.records
+        assert max(out.size for rec in g.records for out in rec.outs) < n * n
+        attn = res.attention.data
+        assert attn.shape == (n, n)
+        assert np.max(np.abs(attn.sum(axis=1) - 1.0)) <= 1e-9
+        assert np.all(attn >= 0.0)
+        assert np.all(attn[:, mask.reshape(-1).astype(bool)] == 0.0)

@@ -177,6 +177,17 @@ class TestExitCodes:
         save_checkpoint(GeneratorModel.build(UNetConfig(size=32, stages=2), seed=0), ckpt)
         assert dispatch(["eval", "--data", str(tmp_path / "absent"), "--ckpt", str(ckpt)]) == 2
 
+    @pytest.mark.parametrize("flags, config, message", [
+        (["--steps", "0"], "", "steps and batch_size must be positive"),
+        ([], "unet.size = 48\n", "size must be a power of two >= 16, got 48"),
+    ])
+    def test_invalid_setting_is_one_error_line(self, tmp_path, capsys, flags, config, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        argv = ["train", "--config", str(cfg), "--data", str(tmp_path), "--out", str(tmp_path / "m.ckpt")]
+        assert dispatch(argv + flags) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
 
 class TestGradcheckCommand:
     def test_passes_and_prints_lines(self, capsys):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from harmlab import tensor as tc
-from harmlab.errors import DegenerateAttentionError, ShapeError
+from harmlab.errors import ShapeError
 from harmlab.tensor import Graph, Tensor
 
 
@@ -151,17 +151,6 @@ class TestSoftmaxRows:
         out = tc.softmax_rows(Tensor([[np.log(2.0), 0.0]]))
         assert np.allclose(out.data, [[2.0 / 3.0, 1.0 / 3.0]], atol=1e-12)
 
-    def test_masked_entry_is_exactly_zero(self):
-        out = tc.softmax_rows(Tensor([[5.0, 7.0]]), np.array([[0.0, -tc.LARGE]]))
-        assert out.data[0, 0] == 1.0
-        assert out.data[0, 1] == 0.0
-
-    def test_fully_masked_row_raises(self):
-        mask = np.full((2, 3), -tc.LARGE)
-        mask[0] = 0.0
-        with pytest.raises(DegenerateAttentionError, match="row 1"):
-            tc.softmax_rows(Tensor(np.zeros((2, 3))), mask)
-
     def test_rows_sum_to_one_for_extreme_logits(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
@@ -169,6 +158,60 @@ class TestSoftmaxRows:
             y = tc.softmax_rows(Tensor(z)).data
             assert np.all(y >= 0.0)
             assert np.max(np.abs(y.sum(axis=1) - 1.0)) <= 1e-9
+
+
+def attention_instance(seed, c=3, hw=4):
+    rng = np.random.default_rng(seed)
+    maps = [rng.normal(size=(c, hw, hw)) for _ in range(3)]
+    mask = (rng.uniform(size=(hw, hw)) < 0.4).astype(np.float64)
+    mask[0, 0], mask[-1, -1] = 1.0, 0.0
+    return maps, mask
+
+
+class TestRegionAttention:
+    def test_matches_site_loop_and_zero_on_background(self):
+        for seed in range(5):
+            (q, k, v), mask = attention_instance(seed)
+            out = tc.region_attention(Tensor(q), Tensor(k), Tensor(v), mask).data
+            fg = mask.astype(bool)
+            assert np.all(out[:, ~fg] == 0.0)
+            bg_sites = list(zip(*np.nonzero(~fg)))
+            for y, x in zip(*np.nonzero(fg)):
+                logits = np.array([q[:, y, x] @ k[:, j, i] for j, i in bg_sites])
+                e = np.exp(logits - logits.max())
+                want = sum(a * v[:, j, i] for a, (j, i) in zip(e / e.sum(), bg_sites))
+                assert np.max(np.abs(out[:, y, x] - want)) <= 1e-12
+
+    def test_gradients_vanish_outside_their_region(self):
+        (q, k, v), mask = attention_instance(11)
+        ts = [Tensor(a, requires_grad=True) for a in (q, k, v)]
+        weights = np.random.default_rng(12).normal(size=q.shape)
+        with Graph() as g:
+            out = tc.region_attention(*ts, mask)
+            g.backward(tc.sum_all(tc.mul(out, Tensor(weights))))
+        fg = mask.astype(bool)
+        dq, dk, dv = (t.grad for t in ts)
+        assert np.all(dq[:, ~fg] == 0.0) and np.any(dq[:, fg] != 0.0)
+        assert np.all(dk[:, fg] == 0.0) and np.any(dk[:, ~fg] != 0.0)
+        assert np.all(dv[:, fg] == 0.0) and np.any(dv[:, ~fg] != 0.0)
+
+    def test_one_tape_record(self):
+        (q, k, v), mask = attention_instance(13)
+        with Graph() as g:
+            tc.region_attention(Tensor(q, requires_grad=True), Tensor(k), Tensor(v), mask)
+        assert [r.op for r in g.records] == ["region_attention"]
+
+    def test_shape_errors(self):
+        (q, k, v), mask = attention_instance(14)
+        with pytest.raises(ShapeError, match=r"\(3, 4, 4\).*\(2, 4, 4\)"):
+            tc.region_attention(Tensor(q), Tensor(k[:2]), Tensor(v), mask)
+        with pytest.raises(ShapeError):
+            tc.region_attention(Tensor(q), Tensor(k), Tensor(v[:, :3]), mask)
+        with pytest.raises(ShapeError):
+            tc.region_attention(Tensor(q), Tensor(k), Tensor(v), mask[:3])
+        for degenerate in (np.zeros((4, 4)), np.ones((4, 4))):
+            with pytest.raises(ShapeError, match="both regions"):
+                tc.region_attention(Tensor(q), Tensor(k), Tensor(v), degenerate)
 
 
 class TestMaskedChannelStats:
