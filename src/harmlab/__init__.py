@@ -7,6 +7,8 @@ a small U-Net generator with bit-exact checkpoints, a deterministic trainer,
 and Bradley-Terry ranking from pairwise preferences.
 """
 
+import ctypes
+
 from . import tensor
 from .blocks import (
     EPS_DEFAULT,
@@ -57,6 +59,29 @@ from .unet import (
     unet_forward,
 )
 from .verify import reference_srin, run_suite
+
+
+def _keep_heap_resident() -> None:
+    # A training step allocates and frees tens of MB of numpy buffers of a few
+    # MB each. glibc's mmap and trim thresholds start at 128 KiB and rise only
+    # to the largest mmapped block freed so far, so with no larger block it
+    # returns each step's freed buffers to the kernel and page-faults them in
+    # again on the next step, which costs more than much of the step's
+    # arithmetic. Pinning the thresholds keeps the freed memory in the heap
+    # for reuse. Setting either one turns off the adjustment of both and
+    # leaves the other at its small default, so both are set. Where there is
+    # no mallopt (not glibc) this does nothing.
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: serve blocks under 32 MiB from the heap
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: keep up to 64 MiB free at the heap top
+
+
+_keep_heap_resident()
 
 __version__ = "0.1.0"
 

@@ -336,3 +336,7 @@ def dispatch(argv: Optional[Sequence[str]] = None) -> int:
 
 def main() -> None:
     sys.exit(dispatch())
+
+
+if __name__ == "__main__":
+    main()

@@ -223,7 +223,7 @@ def generate_sample(cfg: GenConfig, index: int) -> Sample:
 def generate_dataset(cfg: GenConfig, count: int, workers: int = 1) -> list[Sample]:
     """Generate ``count`` consecutive samples; order-independent, so parallel-safe."""
     if count < 1:
-        raise ValueError("count must be positive")
+        raise ConfigError(f"count must be positive, got {count}")
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 

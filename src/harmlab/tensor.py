@@ -310,8 +310,9 @@ def upsample2(a: Tensor) -> Tensor:
     out = Tensor(a.data.repeat(2, axis=1).repeat(2, axis=2))
 
     def bwd():
-        c, h, w = a.shape
-        _accum(a, out.grad.reshape(c, h, 2, w, 2).sum(axis=(2, 4)))
+        g = out.grad
+        rows = g[:, 0::2] + g[:, 1::2]
+        _accum(a, rows[:, :, 0::2] + rows[:, :, 1::2])
 
     _maybe_record("upsample2", out, (a,), bwd)
     return out
@@ -458,21 +459,38 @@ def conv1x1(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
 _OFFSETS_3X3 = [(ky, kx) for ky in range(3) for kx in range(3)]
 
 
-def _im2col3(x: np.ndarray, stride: int) -> tuple[np.ndarray, int, int]:
-    c, h, w = x.shape
-    ho = -(-h // stride)
-    wo = -(-w // stride)
-    xp = np.zeros((c, h + 2, w + 2), dtype=np.float64)
-    xp[:, 1 : h + 1, 1 : w + 1] = x
-    cols = np.empty((c, 9, ho, wo), dtype=np.float64)
-    for idx, (ky, kx) in enumerate(_OFFSETS_3X3):
-        cols[:, idx] = xp[:, ky : ky + (ho - 1) * stride + 1 : stride,
-                          kx : kx + (wo - 1) * stride + 1 : stride]
-    return cols.reshape(c * 9, ho * wo), ho, wo
+def _phase_slices(h: int, w: int, stride: int):
+    """Pair each phase grid of a zero-padded [C, h, w] map with the sites it holds.
+
+    The padded map puts input site (i, j) at (i + 1, j + 1), and phase grid
+    (py, px) holds padded site (stride*r + py, stride*c + px) at (r, c).
+    Yields ``(py, px, input_index, grid_index)``: indexing the input with the
+    one and the phase grid with the other selects the same sites.
+    """
+
+    def axis(phase: int, size: int) -> tuple[slice, slice]:
+        first = (phase - 1) % stride
+        start = (first + 1) // stride
+        return slice(first, size, stride), slice(start, start + len(range(first, size, stride)))
+
+    for py in range(stride):
+        rows, grid_rows = axis(py, h)
+        for px in range(stride):
+            cols, grid_cols = axis(px, w)
+            yield py, px, (slice(None), rows, cols), (slice(None), grid_rows, grid_cols)
 
 
 def conv3x3(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
-    """3x3 cross-correlation with zero padding 1 and stride 1 or 2."""
+    """3x3 cross-correlation with zero padding 1 and stride 1 or 2.
+
+    The padded input is split into stride x stride phase grids of row pitch
+    ``p = W_out + 2 // stride``, stored flat. Tap (ky, kx) of every output
+    site then reads one contiguous slice of one grid, so the forward is nine
+    [C_out, C_in] @ [C_in, H_out * p] GEMMs whose last ``2 // stride``
+    columns per row are cropped, and no im2col buffer is built. The backward
+    runs the same nine slices against the output gradient widened with zeros
+    in the cropped columns.
+    """
     if stride not in (1, 2):
         raise ShapeError(f"conv3x3: stride must be 1 or 2, got {stride}")
     if x.data.ndim != 3 or w.data.ndim != 4 or w.shape[2:] != (3, 3):
@@ -483,21 +501,47 @@ def conv3x3(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
         raise ShapeError(f"conv3x3: weight expects {w.shape[1]} input channels, map has {c_in}")
     if bias.shape != (c_out,):
         raise ShapeError(f"conv3x3: bias shape {bias.shape}, expected ({c_out},)")
-    cols, ho, wo = _im2col3(x.data, stride)
-    w2 = w.data.reshape(c_out, c_in * 9)
-    out = Tensor((w2 @ cols + bias.data[:, None]).reshape(c_out, ho, wo))
+    s = stride
+    ho, wo = -(-h // s), -(-wd // s)
+    reach = 2 // s  # rows and columns a tap reaches past an output site's grid position
+    p = wo + reach
+    n = ho * p
+    # One spare grid row: the last tap's slice runs ``reach`` elements past the grid.
+    grids = np.zeros((s, s, c_in, ho + reach + 1, p), dtype=np.float64)
+    for py, px, xs, gs in _phase_slices(h, wd, s):
+        grids[py, px][gs] = x.data[xs]
+    flat = grids.reshape(s, s, c_in, -1)
+    starts = [(ky % s, kx % s, (ky // s) * p + kx // s) for ky, kx in _OFFSETS_3X3]
+    taps = [flat[py, px, :, o : o + n] for py, px, o in starts]
+    wk = np.ascontiguousarray(w.data.transpose(2, 3, 0, 1)).reshape(9, c_out, c_in)
+
+    acc = wk[0] @ taps[0]
+    prod = np.empty_like(acc)
+    for k in range(1, 9):
+        acc += np.matmul(wk[k], taps[k], out=prod)
+    out = Tensor(acc.reshape(c_out, ho, p)[:, :, :wo] + bias.data[:, None, None])
 
     def bwd():
-        g = out.grad.reshape(c_out, ho * wo)
-        _accum(w, (g @ cols.T).reshape(w.shape))
-        _accum(bias, g.sum(axis=1))
+        g = out.grad
+        g_wide = np.zeros((c_out, ho, p), dtype=np.float64)
+        g_wide[:, :, :wo] = g
+        g_wide = g_wide.reshape(c_out, n)
+        if w.requires_grad:
+            dwk = np.empty((9, c_out, c_in), dtype=np.float64)
+            for k in range(9):
+                np.matmul(g_wide, taps[k].T, out=dwk[k])
+            _accum(w, dwk.reshape(3, 3, c_out, c_in).transpose(2, 3, 0, 1))
+        _accum(bias, g.reshape(c_out, ho * wo).sum(axis=1))
         if x.requires_grad:
-            dcols = (w2.T @ g).reshape(c_in, 9, ho, wo)
-            gxp = np.zeros((c_in, h + 2, wd + 2), dtype=np.float64)
-            for idx, (ky, kx) in enumerate(_OFFSETS_3X3):
-                gxp[:, ky : ky + (ho - 1) * stride + 1 : stride,
-                    kx : kx + (wo - 1) * stride + 1 : stride] += dcols[:, idx]
-            _accum(x, gxp[:, 1 : h + 1, 1 : wd + 1])
+            dflat = np.zeros_like(flat)
+            part = np.empty((c_in, n), dtype=np.float64)
+            for k, (py, px, o) in enumerate(starts):
+                dflat[py, px, :, o : o + n] += np.matmul(wk[k].T, g_wide, out=part)
+            dgrids = dflat.reshape(grids.shape)
+            dx = np.empty_like(x.data)
+            for py, px, xs, gs in _phase_slices(h, wd, s):
+                dx[xs] = dgrids[py, px][gs]
+            _accum(x, dx)
 
     _maybe_record("conv3x3", out, (x, w, bias), bwd)
     return out

@@ -1,8 +1,13 @@
 import filecmp
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import harmlab
 from harmlab.cli import dispatch, parse_config_file
 from harmlab.errors import ConfigError
 from harmlab.imaging import Image, Mask, write_pgm, write_ppm
@@ -187,6 +192,21 @@ class TestExitCodes:
         argv = ["train", "--config", str(cfg), "--data", str(tmp_path), "--out", str(tmp_path / "m.ckpt")]
         assert dispatch(argv + flags) == 2
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+    def test_zero_count_is_one_error_line(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        assert dispatch(["gen-data", "--seed", "1", "--count", "0", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert [l for l in err if not l.startswith("config: ")] == ["error: count must be positive, got 0"]
+        assert not out.exists()
+
+    def test_module_entry_point_dispatches(self):
+        src = Path(harmlab.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "harmlab.cli", "frobnicate"],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("usage error:")
 
 
 class TestGradcheckCommand:

@@ -3,6 +3,7 @@ import pytest
 
 from harmlab import tensor as tc
 from harmlab.errors import ShapeError
+from harmlab.gradcheck import grad_check
 from harmlab.tensor import Graph, Tensor
 
 
@@ -117,25 +118,41 @@ class TestConv3x3:
 
     def test_matches_sliding_window_oracle(self):
         rng = np.random.default_rng(2)
-        x = rng.normal(size=(2, 4, 4))
-        w = rng.normal(size=(3, 2, 3, 3))
-        b = rng.normal(size=3)
-        for stride in (1, 2):
-            got = tc.conv3x3(Tensor(x), Tensor(w), Tensor(b), stride=stride).data
-            ho = -(-4 // stride)
-            ref = np.zeros((3, ho, ho))
-            for co in range(3):
-                for oy in range(ho):
-                    for ox in range(ho):
-                        s = 0.0
-                        for ci in range(2):
-                            for ky in range(3):
-                                for kx in range(3):
-                                    iy, ix = oy * stride + ky - 1, ox * stride + kx - 1
-                                    if 0 <= iy < 4 and 0 <= ix < 4:
-                                        s += w[co, ci, ky, kx] * x[ci, iy, ix]
-                        ref[co, oy, ox] = s + b[co]
-            assert np.allclose(got, ref, atol=1e-12, rtol=0)
+        for h, w in [(4, 4), (5, 7), (6, 3)]:
+            x = rng.normal(size=(2, h, w))
+            k = rng.normal(size=(3, 2, 3, 3))
+            b = rng.normal(size=3)
+            for stride in (1, 2):
+                got = tc.conv3x3(Tensor(x), Tensor(k), Tensor(b), stride=stride).data
+                ho, wo = -(-h // stride), -(-w // stride)
+                ref = np.zeros((3, ho, wo))
+                for co in range(3):
+                    for oy in range(ho):
+                        for ox in range(wo):
+                            s = 0.0
+                            for ci in range(2):
+                                for ky in range(3):
+                                    for kx in range(3):
+                                        iy, ix = oy * stride + ky - 1, ox * stride + kx - 1
+                                        if 0 <= iy < h and 0 <= ix < w:
+                                            s += k[co, ci, ky, kx] * x[ci, iy, ix]
+                            ref[co, oy, ox] = s + b[co]
+                assert np.allclose(got, ref, atol=1e-12, rtol=0), (h, w, stride)
+
+    @pytest.mark.parametrize("h, w", [(5, 7), (6, 3)])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_gradients_match_central_differences(self, h, w, stride):
+        rng = np.random.default_rng(3)
+        ho, wo = -(-h // stride), -(-w // stride)
+        weights = rng.normal(size=(2, ho, wo))
+        inputs = [Tensor(rng.normal(size=(3, h, w))), Tensor(0.4 * rng.normal(size=(2, 3, 3, 3))),
+                  Tensor(rng.normal(size=2))]
+
+        def fn(ts):
+            return tc.sum_all(tc.mul(tc.conv3x3(ts[0], ts[1], ts[2], stride=stride), Tensor(weights)))
+
+        res = grad_check(fn, inputs, name=f"conv3x3_s{stride}_{h}x{w}")
+        assert res.passed, res.line()
 
     def test_bad_stride(self):
         with pytest.raises(ShapeError):

@@ -1,3 +1,6 @@
+import platform
+import sys
+
 import numpy as np
 import pytest
 
@@ -158,6 +161,25 @@ class TestBatchingAndValidation:
         assert vanished, "expected at least one vanishing mask in this seeded stream"
         _, history = train(tiny_config(steps=len(vanished), block="srin"), samples=vanished)
         assert all(e.block_degenerate for e in history)
+
+
+@pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                    reason="minor page-fault counts and the heap policy are glibc-on-Linux specific")
+def test_warm_training_keeps_heap_resident():
+    # Freed step buffers must stay in the process heap: when glibc returns
+    # them to the kernel, every 3-step run at 128 px faults in thousands of
+    # pages again. The second warm-up call can still grow the heap past the
+    # first call's high-water mark (up to a few MB), so the third is measured.
+    import resource
+
+    samples = generate_dataset(GenConfig(size=128, seed=5), 2)
+    cfg = TrainConfig(data_dir="", steps=3, seed=0, block="none", unet=UNetConfig(size=128, stages=2))
+    for _ in range(2):
+        train(cfg, samples)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    train(cfg, samples)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults <= 100, f"{faults} minor page faults in a warm 3-step train()"
 
 
 class TestEvaluate:
