@@ -21,6 +21,8 @@ import numpy as np
 
 from .errors import RankingError
 
+_MAX_COUNT = int(np.iinfo(np.int64).max)
+
 
 @dataclass
 class PairwiseWins:
@@ -66,6 +68,8 @@ class PairwiseWins:
                 raise RankingError(f"self-comparison for {labels[i]!r}")
             if c < 0:
                 raise RankingError(f"negative count for {labels[i]!r} vs {labels[j]!r}")
+            if c > _MAX_COUNT - int(wins[i, j]):
+                raise RankingError(f"win count for {labels[i]!r} over {labels[j]!r} exceeds {_MAX_COUNT}")
             wins[i, j] += c
         return cls(labels=labels, wins=wins)
 
@@ -158,6 +162,8 @@ def read_pairs_csv(source: Union[str, TextIO]) -> PairwiseWins:
                 raise RankingError(f"line {lineno}: bad count {cells[2]!r}") from None
             rows.append((cells[0], cells[1], count))
         return PairwiseWins.from_pairs(rows)
+    except UnicodeDecodeError as exc:
+        raise RankingError(f"pairs file is not UTF-8 text: {exc}") from None
     finally:
         if isinstance(source, str):
             fh.close()

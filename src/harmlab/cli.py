@@ -13,7 +13,6 @@ Exit codes: 0 success, 1 usage error, 2 runtime or data error.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import Callable, Optional, Sequence
 
@@ -91,7 +90,7 @@ def parse_config_file(path: str) -> dict[str, str]:
                 if key not in CONFIG_KEYS:
                     raise ConfigError(f"{path}:{lineno}: unknown configuration key {key!r}")
                 values[key] = value
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return values
 
@@ -132,15 +131,6 @@ class Resolved:
             print(f"config: {key} = {self.used[key]}", file=out)
 
 
-def _workers() -> int:
-    raw = os.environ.get("HARMLAB_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"HARMLAB_THREADS must be an integer, got {raw!r}") from None
-    return max(1, n)
-
-
 def _resolved(args: argparse.Namespace, overrides: dict[str, object]) -> Resolved:
     file_values = parse_config_file(args.config) if args.config else {}
     return Resolved(file_values, overrides)
@@ -166,7 +156,7 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
     count = res.require("gen.count")
     out_dir = res.require("gen.out")
     res.log()
-    samples = generate_dataset(cfg, count, workers=_workers())
+    samples = generate_dataset(cfg, count)
     write_dataset(samples, out_dir)
     print(f"wrote {count} samples to {out_dir}", file=sys.stderr)
     return 0
@@ -220,7 +210,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     res.log()
     model = load_checkpoint(args.ckpt)
     samples = load_dataset(args.data)
-    report = evaluate(model, samples, workers=_workers())
+    report = evaluate(model, samples)
     csv_text = "\n".join(report.csv_lines()) + "\n"
     if args.report:
         with open(args.report, "w", encoding="ascii") as fh:

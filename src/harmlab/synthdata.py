@@ -220,15 +220,10 @@ def generate_sample(cfg: GenConfig, index: int) -> Sample:
     )
 
 
-def generate_dataset(cfg: GenConfig, count: int, workers: int = 1) -> list[Sample]:
-    """Generate ``count`` consecutive samples; order-independent, so parallel-safe."""
+def generate_dataset(cfg: GenConfig, count: int) -> list[Sample]:
+    """Generate samples ``0 .. count-1``; each depends only on ``(cfg, index)``."""
     if count < 1:
         raise ConfigError(f"count must be positive, got {count}")
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda i: generate_sample(cfg, i), range(count)))
     return [generate_sample(cfg, i) for i in range(count)]
 
 

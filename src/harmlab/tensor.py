@@ -113,11 +113,12 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
     t.grad += g
 
 
-def _maybe_record(op: str, out: Tensor, inputs: Sequence[Tensor], fn: Callable[[], None]) -> None:
+def _maybe_record(op: str, outs: tuple[Tensor, ...], inputs: Sequence[Tensor], fn: Callable[[], None]) -> None:
     graph = Graph._active
     if graph is not None and any(t.requires_grad for t in inputs):
-        out.requires_grad = True
-        graph.records.append(_Record(op, tuple(inputs), (out,), fn))
+        for out in outs:
+            out.requires_grad = True
+        graph.records.append(_Record(op, tuple(inputs), outs, fn))
 
 
 def as_site_mask(mask, h: int, w: int) -> np.ndarray:
@@ -145,7 +146,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         _accum(a, g)
         _accum(b, g)
 
-    _maybe_record("add", out, (a, b), bwd)
+    _maybe_record("add", (out,), (a, b), bwd)
     return out
 
 
@@ -159,7 +160,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
         _accum(a, g)
         _accum(b, -g)
 
-    _maybe_record("sub", out, (a, b), bwd)
+    _maybe_record("sub", (out,), (a, b), bwd)
     return out
 
 
@@ -173,7 +174,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         _accum(a, g * b.data)
         _accum(b, g * a.data)
 
-    _maybe_record("mul", out, (a, b), bwd)
+    _maybe_record("mul", (out,), (a, b), bwd)
     return out
 
 
@@ -183,7 +184,7 @@ def scale(a: Tensor, s: float) -> Tensor:
     def bwd():
         _accum(a, out.grad * s)
 
-    _maybe_record("scale", out, (a,), bwd)
+    _maybe_record("scale", (out,), (a,), bwd)
     return out
 
 
@@ -193,7 +194,7 @@ def add_scalar(a: Tensor, s: float) -> Tensor:
     def bwd():
         _accum(a, out.grad)
 
-    _maybe_record("add_scalar", out, (a,), bwd)
+    _maybe_record("add_scalar", (out,), (a,), bwd)
     return out
 
 
@@ -203,7 +204,7 @@ def relu(a: Tensor) -> Tensor:
     def bwd():
         _accum(a, out.grad * (a.data > 0.0))
 
-    _maybe_record("relu", out, (a,), bwd)
+    _maybe_record("relu", (out,), (a,), bwd)
     return out
 
 
@@ -214,7 +215,7 @@ def absolute(a: Tensor) -> Tensor:
     def bwd():
         _accum(a, out.grad * np.sign(a.data))
 
-    _maybe_record("absolute", out, (a,), bwd)
+    _maybe_record("absolute", (out,), (a,), bwd)
     return out
 
 
@@ -227,7 +228,7 @@ def sqrt(a: Tensor) -> Tensor:
     def bwd():
         _accum(a, out.grad / (2.0 * root))
 
-    _maybe_record("sqrt", out, (a,), bwd)
+    _maybe_record("sqrt", (out,), (a,), bwd)
     return out
 
 
@@ -239,7 +240,7 @@ def clamp01(a: Tensor) -> Tensor:
         inside = (a.data >= 0.0) & (a.data <= 1.0)
         _accum(a, out.grad * inside)
 
-    _maybe_record("clamp01", out, (a,), bwd)
+    _maybe_record("clamp01", (out,), (a,), bwd)
     return out
 
 
@@ -249,7 +250,7 @@ def sum_all(a: Tensor) -> Tensor:
     def bwd():
         _accum(a, np.full_like(a.data, float(out.grad)))
 
-    _maybe_record("sum_all", out, (a,), bwd)
+    _maybe_record("sum_all", (out,), (a,), bwd)
     return out
 
 
@@ -260,7 +261,7 @@ def mean_all(a: Tensor) -> Tensor:
     def bwd():
         _accum(a, np.full_like(a.data, float(out.grad) / n))
 
-    _maybe_record("mean_all", out, (a,), bwd)
+    _maybe_record("mean_all", (out,), (a,), bwd)
     return out
 
 
@@ -272,7 +273,7 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     def bwd():
         _accum(a, out.grad.reshape(a.shape))
 
-    _maybe_record("reshape", out, (a,), bwd)
+    _maybe_record("reshape", (out,), (a,), bwd)
     return out
 
 
@@ -284,7 +285,7 @@ def transpose(a: Tensor) -> Tensor:
     def bwd():
         _accum(a, out.grad.T)
 
-    _maybe_record("transpose", out, (a,), bwd)
+    _maybe_record("transpose", (out,), (a,), bwd)
     return out
 
 
@@ -299,7 +300,7 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
         _accum(a, g[:ca])
         _accum(b, g[ca:])
 
-    _maybe_record("concat_channels", out, (a, b), bwd)
+    _maybe_record("concat_channels", (out,), (a, b), bwd)
     return out
 
 
@@ -314,7 +315,7 @@ def upsample2(a: Tensor) -> Tensor:
         rows = g[:, 0::2] + g[:, 1::2]
         _accum(a, rows[:, :, 0::2] + rows[:, :, 1::2])
 
-    _maybe_record("upsample2", out, (a,), bwd)
+    _maybe_record("upsample2", (out,), (a,), bwd)
     return out
 
 
@@ -335,7 +336,7 @@ def blend(fg: Tensor, bg: Tensor, mask) -> Tensor:
         _accum(fg, g * m[None])
         _accum(bg, g * (1.0 - m)[None])
 
-    _maybe_record("blend", out, (fg, bg), bwd)
+    _maybe_record("blend", (out,), (fg, bg), bwd)
     return out
 
 
@@ -349,7 +350,7 @@ def mask_sites(a: Tensor, mask) -> Tensor:
     def bwd():
         _accum(a, out.grad * m[None])
 
-    _maybe_record("mask_sites", out, (a,), bwd)
+    _maybe_record("mask_sites", (out,), (a,), bwd)
     return out
 
 
@@ -375,7 +376,7 @@ def channel_affine(x: Tensor, scale_c: Tensor, shift_c: Tensor) -> Tensor:
         _accum(scale_c, (g * x.data).sum(axis=(1, 2)))
         _accum(shift_c, g.sum(axis=(1, 2)))
 
-    _maybe_record("channel_affine", out, (x, scale_c, shift_c), bwd)
+    _maybe_record("channel_affine", (out,), (x, scale_c, shift_c), bwd)
     return out
 
 
@@ -399,7 +400,7 @@ def normalize_channels(x: Tensor, mean_c: Tensor, std_c: Tensor) -> Tensor:
         _accum(mean_c, -g.sum(axis=(1, 2)) * inv)
         _accum(std_c, -(g * out.data).sum(axis=(1, 2)) * inv)
 
-    _maybe_record("normalize_channels", out, (x, mean_c, std_c), bwd)
+    _maybe_record("normalize_channels", (out,), (x, mean_c, std_c), bwd)
     return out
 
 
@@ -429,7 +430,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         _accum(a, _mm(g, b.data.T))
         _accum(b, _mm(a.data.T, g))
 
-    _maybe_record("matmul", out, (a, b), bwd)
+    _maybe_record("matmul", (out,), (a, b), bwd)
     return out
 
 
@@ -452,7 +453,7 @@ def conv1x1(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
         _accum(w, g @ flat.T)
         _accum(bias, g.sum(axis=1))
 
-    _maybe_record("conv1x1", out, (x, w, bias), bwd)
+    _maybe_record("conv1x1", (out,), (x, w, bias), bwd)
     return out
 
 
@@ -543,7 +544,7 @@ def conv3x3(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
                 dx[xs] = dgrids[py, px][gs]
             _accum(x, dx)
 
-    _maybe_record("conv3x3", out, (x, w, bias), bwd)
+    _maybe_record("conv3x3", (out,), (x, w, bias), bwd)
     return out
 
 
@@ -571,7 +572,7 @@ def softmax_rows(logits: Tensor) -> Tensor:
     def bwd():
         _accum(logits, _softmax_rows_grad(y, out.grad))
 
-    _maybe_record("softmax_rows", out, (logits,), bwd)
+    _maybe_record("softmax_rows", (out,), (logits,), bwd)
     return out
 
 
@@ -624,7 +625,7 @@ def region_attention(query: Tensor, key: Tensor, value: Tensor, mask) -> Tensor:
             if key.requires_grad:
                 _accum(key, scattered(q @ d_logits, bg))
 
-    _maybe_record("region_attention", out, (query, key, value), bwd)
+    _maybe_record("region_attention", (out,), (query, key, value), bwd)
     return out
 
 
@@ -649,18 +650,13 @@ def masked_channel_stats(feat: Tensor, mask) -> tuple[Tensor, Tensor, int]:
     mean_t = Tensor(mean_d)
     var_t = Tensor(var_d)
 
-    graph = Graph._active
-    if graph is not None and feat.requires_grad:
-        mean_t.requires_grad = True
-        var_t.requires_grad = True
+    def bwd():
+        gx = np.zeros_like(feat.data)
+        if mean_t.grad is not None:
+            gx += mean_t.grad[:, None, None] * sel / count
+        if var_t.grad is not None:
+            gx += var_t.grad[:, None, None] * (2.0 / count) * centered * sel
+        _accum(feat, gx)
 
-        def bwd():
-            gx = np.zeros_like(feat.data)
-            if mean_t.grad is not None:
-                gx += mean_t.grad[:, None, None] * sel / count
-            if var_t.grad is not None:
-                gx += var_t.grad[:, None, None] * (2.0 / count) * centered * sel
-            _accum(feat, gx)
-
-        graph.records.append(_Record("masked_channel_stats", (feat,), (mean_t, var_t), bwd))
+    _maybe_record("masked_channel_stats", (mean_t, var_t), (feat,), bwd)
     return mean_t, var_t, count

@@ -6,8 +6,8 @@ learning rate drops by the decay factor once each milestone step has passed.
 The loss is the mean absolute difference between the composed output and the
 ground truth (background pixels match by construction and contribute zero).
 
-Evaluation may fan out over samples; the report assembler merges by sample id
-so the result is identical for any worker count.
+Evaluation runs the samples one after another and orders the report by
+sample id, so the result does not depend on the order the samples come in.
 """
 
 from __future__ import annotations
@@ -211,21 +211,13 @@ class EvalReport:
         return "\n".join(rows)
 
 
-def evaluate(model: GeneratorModel, samples: Sequence[Sample], workers: int = 1) -> EvalReport:
+def evaluate(model: GeneratorModel, samples: Sequence[Sample]) -> EvalReport:
     """Forward + compose + metrics for every sample, aggregated per ratio bucket."""
-
-    def one(sample: Sample) -> tuple[str, MetricsRecord]:
+    results: list[tuple[str, MetricsRecord]] = []
+    for sample in samples:
         out = unet_forward(model, sample.composite, sample.mask, sample.semantic)
         composed = compose(out, sample.composite, sample.mask)
-        return sample.id, metrics(composed, sample.real, sample.mask)
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, samples))
-    else:
-        results = [one(s) for s in samples]
+        results.append((sample.id, metrics(composed, sample.real, sample.mask)))
     results.sort(key=lambda pair: pair[0])
 
     buckets = [BucketStats() for _ in BUCKET_LABELS]

@@ -14,6 +14,7 @@ parameter tensor in enumeration order as (rank, dims..., float64 payload).
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from typing import Optional
@@ -101,22 +102,24 @@ class GeneratorModel:
     # -- construction -------------------------------------------------------
 
     @staticmethod
-    def _layer_plan(config: UNetConfig) -> tuple[list[tuple[int, int]], list[tuple[int, int]], tuple[int, int]]:
-        """(encoder, decoder, head) conv channel pairs (in, out)."""
-        chans = config.stage_channels()
-        enc = []
-        prev = 4
-        for c in chans:
-            enc.append((prev, c))
-            prev = c
-        dec = []
+    def param_shapes(config: UNetConfig) -> list[tuple[str, tuple[int, ...]]]:
+        """``(name, shape)`` of every parameter in enumeration order, without allocating any."""
+        chans = [4] + config.stage_channels()  # chans[0] is the RGB + mask input stack
+
+        def conv(name: str, c_in: int, c_out: int) -> list[tuple[str, tuple[int, ...]]]:
+            return [(f"{name}.w", (c_out, c_in, 3, 3)), (f"{name}.b", (c_out,))]
+
+        out = []
+        for i in range(1, config.stages + 1):
+            out += conv(f"enc{i}", chans[i - 1], chans[i])
+        if config.block == "srin":
+            c = chans[-1]
+            for part, fan_in in (("query", 3), ("key", c), ("value", c), ("gamma", c), ("beta", c)):
+                out += [(f"block.w_{part}", (c, fan_in)), (f"block.b_{part}", (c,))]
         for i in range(config.stages, 0, -1):
-            c_i = chans[i - 1]
-            skip = chans[i - 2] if i >= 2 else 4
-            out = chans[i - 2] if i >= 2 else config.base_channels
-            dec.append((c_i + skip, out))
-        head = (config.base_channels, 3)
-        return enc, dec, head
+            # upsampled features plus the skip in; the shallowest decoder outputs base_channels
+            out += conv(f"dec{i}", chans[i] + chans[i - 1], chans[max(i - 1, 1)])
+        return out + conv("head", chans[1], 3)
 
     @classmethod
     def build(cls, config: UNetConfig, seed: int = 0) -> "GeneratorModel":
@@ -126,18 +129,15 @@ class GeneratorModel:
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0])))
         rng_block = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 1])))
 
-        def conv(c_in: int, c_out: int) -> tuple[Tensor, Tensor]:
-            a = np.sqrt(1.0 / (c_in * 9))
-            w = Tensor(rng.uniform(-a, a, size=(c_out, c_in, 3, 3)), requires_grad=True)
-            b = Tensor(rng.uniform(-a, a, size=(c_out,)), requires_grad=True)
-            return w, b
+        def conv(w_shape: tuple[int, ...], b_shape: tuple[int, ...]) -> tuple[Tensor, Tensor]:
+            a = np.sqrt(1.0 / math.prod(w_shape[1:]))
+            w = Tensor(rng.uniform(-a, a, size=w_shape), requires_grad=True)
+            return w, Tensor(rng.uniform(-a, a, size=b_shape), requires_grad=True)
 
-        enc_plan, dec_plan, head_plan = cls._layer_plan(config)
-        encoder = [conv(ci, co) for ci, co in enc_plan]
+        shapes = [shape for name, shape in cls.param_shapes(config) if not name.startswith("block.")]
+        convs = [conv(*shapes[k:k + 2]) for k in range(0, len(shapes), 2)]
         block = SrinParams.create(config.stage_channels()[-1], rng_block) if config.block == "srin" else None
-        decoder = [conv(ci, co) for ci, co in dec_plan]
-        head = conv(*head_plan)
-        return cls(config, encoder, decoder, head, block)
+        return cls(config, convs[:config.stages], convs[config.stages:-1], convs[-1], block)
 
     # -- parameters ----------------------------------------------------------
 
@@ -267,10 +267,12 @@ def load_checkpoint(path: PathLike, expected_config: Optional[UNetConfig] = None
     if expected_config is not None and config != expected_config:
         raise CheckpointError(f"{path}: checkpoint config {config} does not match expected {expected_config}")
 
-    model = GeneratorModel.build(config, seed=0)
+    # Validate every record against the shapes the header implies before
+    # allocating anything, so a corrupt header cannot request more memory
+    # than the file holds.
+    arrays = []
     pos = 24
-    for idx, (name, t) in enumerate(model.named_parameters()):
-        want = t.shape
+    for idx, (name, want) in enumerate(GeneratorModel.param_shapes(config)):
         if pos + 4 > len(blob):
             raise CheckpointError(f"{path}: truncated at tensor {idx} ({name}): missing rank")
         (rank,) = struct.unpack_from("<I", blob, pos)
@@ -281,11 +283,16 @@ def load_checkpoint(path: PathLike, expected_config: Optional[UNetConfig] = None
         pos += 4 * rank
         if tuple(dims) != want:
             raise CheckpointError(f"{path}: tensor {idx} ({name}): shape {dims}, expected {want}")
-        nbytes = 8 * int(np.prod(dims))
-        if pos + nbytes > len(blob):
+        count = math.prod(dims)
+        if pos + 8 * count > len(blob):
             raise CheckpointError(f"{path}: truncated at tensor {idx} ({name}): payload short")
-        t.data = np.frombuffer(blob, dtype="<f8", count=int(np.prod(dims)), offset=pos).reshape(want).copy()
-        pos += nbytes
+        arrays.append(np.frombuffer(blob, dtype="<f8", count=count, offset=pos).reshape(want).copy())
+        if not np.all(np.isfinite(arrays[-1])):
+            raise CheckpointError(f"{path}: tensor {idx} ({name}): non-finite values")
+        pos += 8 * count
     if pos != len(blob):
         raise CheckpointError(f"{path}: {len(blob) - pos} trailing bytes after last tensor")
+    model = GeneratorModel.build(config, seed=0)
+    for (_, t), data in zip(model.named_parameters(), arrays):
+        t.data = data
     return model

@@ -114,6 +114,11 @@ class TestCsv:
         with pytest.raises(RankingError, match="bad count"):
             read_pairs_csv(io.StringIO("a,b,many\n"))
 
+    @pytest.mark.parametrize("text", ["a,b,99999999999999999999\n", "a,b,9223372036854775807\na,b,1\n"])
+    def test_count_beyond_int64_rejected(self, text):
+        with pytest.raises(RankingError, match="exceeds"):
+            read_pairs_csv(io.StringIO(text))
+
     def test_scores_csv_sorted_descending(self):
         result = bt_fit(read_pairs_csv(io.StringIO("A,B,3\nB,A,1\n")))
         text = scores_csv(result)

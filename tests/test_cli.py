@@ -1,5 +1,6 @@
 import filecmp
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -120,14 +121,6 @@ class TestTrainEvalHarmonize:
         err = capsys.readouterr().err
         assert "overall" in err
 
-    def test_eval_respects_worker_env(self, workspace, tmp_path, monkeypatch):
-        root, data, ckpt = workspace
-        r1, r2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        dispatch(["eval", "--data", str(data), "--ckpt", str(ckpt), "--report", str(r1)])
-        monkeypatch.setenv("HARMLAB_THREADS", "4")
-        dispatch(["eval", "--data", str(data), "--ckpt", str(ckpt), "--report", str(r2)])
-        assert r1.read_text() == r2.read_text()
-
     def test_harmonize_zero_mask_copies_composite(self, workspace, tmp_path):
         root, data, ckpt = workspace
         rng = np.random.default_rng(0)
@@ -199,6 +192,32 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert [l for l in err if not l.startswith("config: ")] == ["error: count must be positive, got 0"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("config, pairs", [
+        (b"# note \xff\n", b"a,b,1\nb,a,2\n"),
+        (b"", b"a,b,1\n\xfe,a,2\n"),
+    ])
+    def test_non_utf8_input_is_one_error_line(self, tmp_path, capsys, config, pairs):
+        (tmp_path / "run.cfg").write_bytes(config)
+        (tmp_path / "pairs.csv").write_bytes(pairs)
+        argv = ["bt-rank", "--config", str(tmp_path / "run.cfg"), "--pairs", str(tmp_path / "pairs.csv")]
+        assert dispatch(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+    @pytest.mark.parametrize("offset, patch", [
+        (12, (0x7FFFFFFF).to_bytes(4, "little")),  # base_channels far beyond the file's payload
+        (44, struct.pack("<d", float("nan"))),  # first value of enc1.w
+    ])
+    def test_corrupt_checkpoint_is_one_error_line(self, tmp_path, capsys, offset, patch):
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(GeneratorModel.build(UNetConfig(size=16, stages=1), seed=0), ckpt)
+        blob = bytearray(ckpt.read_bytes())
+        blob[offset:offset + len(patch)] = patch
+        ckpt.write_bytes(bytes(blob))
+        assert dispatch(["eval", "--data", str(tmp_path), "--ckpt", str(ckpt)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
 
     def test_module_entry_point_dispatches(self):
         src = Path(harmlab.__file__).resolve().parents[1]

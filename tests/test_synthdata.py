@@ -126,12 +126,3 @@ class TestDatasetIO:
         back = load_dataset(tmp_path)
         assert back[0].id == "ext0"
         assert np.array_equal(back[0].mask.values, mask.values)
-
-
-def test_parallel_generation_matches_serial():
-    cfg = GenConfig(seed=13, size=32)
-    serial = generate_dataset(cfg, 6, workers=1)
-    parallel = generate_dataset(cfg, 6, workers=4)
-    for a, b in zip(serial, parallel):
-        assert a.id == b.id
-        assert np.array_equal(a.composite.pixels, b.composite.pixels)

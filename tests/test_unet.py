@@ -136,6 +136,12 @@ class TestParamCount:
         model = GeneratorModel.build(config, seed=0)
         assert model.param_count() == formula_param_count(config)
 
+    @pytest.mark.parametrize("block", ["none", "srin"])
+    def test_param_shapes_match_built_model(self, block):
+        config = UNetConfig(size=32, stages=2, base_channels=4, block=block)
+        model = GeneratorModel.build(config, seed=0)
+        assert GeneratorModel.param_shapes(config) == [(n, t.shape) for n, t in model.named_parameters()]
+
     def test_rain_and_none_have_equal_counts(self):
         rain = GeneratorModel.build(UNetConfig(size=32, stages=2, block="rain"), seed=0)
         none = GeneratorModel.build(UNetConfig(size=32, stages=2, block="none"), seed=0)
@@ -178,6 +184,15 @@ class TestCheckpoints:
         save_checkpoint(model, path)
         with pytest.raises(CheckpointError, match="does not match"):
             load_checkpoint(path, expected_config=UNetConfig(size=32, stages=2, block="rain"))
+
+    def test_oversized_header_rejected_before_allocating(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(GeneratorModel.build(UNetConfig(size=16, stages=1), seed=14), path)
+        blob = bytearray(path.read_bytes())
+        blob[12:16] = (0x7FFFFFFF).to_bytes(4, "little")  # base_channels
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match=r"tensor 0"):
+            load_checkpoint(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
         model = GeneratorModel.build(UNetConfig(size=32, stages=2, block="none"), seed=13)
