@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 usage error, 2 runtime or data error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Callable, Optional, Sequence
 
@@ -262,7 +263,9 @@ def _cmd_bt_rank(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(prog="harmlab", description="image harmonization lab")
     sub = parser.add_subparsers(dest="command", required=True)
 

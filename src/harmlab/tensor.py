@@ -481,6 +481,62 @@ def _phase_slices(h: int, w: int, stride: int):
             yield py, px, (slice(None), rows, cols), (slice(None), grid_rows, grid_cols)
 
 
+def _phase_grids(x: np.ndarray, stride: int, rows: int, pitch: int) -> np.ndarray:
+    """Zero-pad a [C, h, w] map by 1 and split it into [stride, stride, C, rows, pitch] phase grids."""
+    grids = np.zeros((stride, stride, x.shape[0], rows, pitch), dtype=np.float64)
+    for py, px, xs, gs in _phase_slices(x.shape[1], x.shape[2], stride):
+        grids[py, px][gs] = x[xs]
+    return grids
+
+
+def _from_phase_grids(grids: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Inverse of ``_phase_grids`` for a map of ``shape``: gathers the input sites back out."""
+    x = np.empty(shape, dtype=np.float64)
+    for py, px, xs, gs in _phase_slices(shape[1], shape[2], grids.shape[0]):
+        x[xs] = grids[py, px][gs]
+    return x
+
+
+def _widen(g: np.ndarray, pitch: int) -> np.ndarray:
+    """[C, H, W] -> [C, H * pitch] with exact zeros in the columns past W."""
+    c, h, w = g.shape
+    wide = np.zeros((c, h, pitch), dtype=np.float64)
+    wide[:, :, :w] = g
+    return wide.reshape(c, h * pitch)
+
+
+def _shifted_gemms(taps, n: int) -> np.ndarray:
+    """Sum of ``w @ grid[:, o : o + n]`` over the taps ``(w, grid, o)``.
+
+    ``grid`` is a flat [C_in, L] phase grid, so each tap reads one contiguous
+    slice of it and the sum is one conv output block of ``n`` grid columns.
+    """
+    (w0, grid0, o0), *rest = taps
+    acc = w0 @ grid0[:, o0 : o0 + n]
+    prod = np.empty_like(acc)
+    for w, grid, o in rest:
+        acc += np.matmul(w, grid[:, o : o + n], out=prod)
+    return acc
+
+
+def _shifted_gemms_backward(g: np.ndarray, taps, dws, dgrids) -> None:
+    """Backward of ``_shifted_gemms`` for the gradient ``g`` [C_out, n] of its sum.
+
+    Writes tap k's weight gradient into ``dws[k]`` when ``dws`` is given, and
+    adds its input gradient into the slice of ``dgrids[k]`` (the gradient
+    buffer of tap k's grid) when that is not None.
+    """
+    n = g.shape[1]
+    part = None
+    for k, (w, grid, o) in enumerate(taps):
+        if dws is not None:
+            np.matmul(g, grid[:, o : o + n].T, out=dws[k])
+        if dgrids[k] is not None:
+            if part is None or part.shape[0] != w.shape[1]:
+                part = np.empty((w.shape[1], n), dtype=np.float64)
+            dgrids[k][:, o : o + n] += np.matmul(w.T, g, out=part)
+
+
 def conv3x3(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     """3x3 cross-correlation with zero padding 1 and stride 1 or 2.
 
@@ -508,43 +564,127 @@ def conv3x3(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     p = wo + reach
     n = ho * p
     # One spare grid row: the last tap's slice runs ``reach`` elements past the grid.
-    grids = np.zeros((s, s, c_in, ho + reach + 1, p), dtype=np.float64)
-    for py, px, xs, gs in _phase_slices(h, wd, s):
-        grids[py, px][gs] = x.data[xs]
-    flat = grids.reshape(s, s, c_in, -1)
-    starts = [(ky % s, kx % s, (ky // s) * p + kx // s) for ky, kx in _OFFSETS_3X3]
-    taps = [flat[py, px, :, o : o + n] for py, px, o in starts]
+    flat = _phase_grids(x.data, s, ho + reach + 1, p).reshape(s, s, c_in, -1)
     wk = np.ascontiguousarray(w.data.transpose(2, 3, 0, 1)).reshape(9, c_out, c_in)
-
-    acc = wk[0] @ taps[0]
-    prod = np.empty_like(acc)
-    for k in range(1, 9):
-        acc += np.matmul(wk[k], taps[k], out=prod)
+    grid_of = [(ky % s, kx % s) for ky, kx in _OFFSETS_3X3]
+    taps = [(wk[k], flat[grid_of[k]], (ky // s) * p + kx // s) for k, (ky, kx) in enumerate(_OFFSETS_3X3)]
+    acc = _shifted_gemms(taps, n)
     out = Tensor(acc.reshape(c_out, ho, p)[:, :, :wo] + bias.data[:, None, None])
 
     def bwd():
         g = out.grad
-        g_wide = np.zeros((c_out, ho, p), dtype=np.float64)
-        g_wide[:, :, :wo] = g
-        g_wide = g_wide.reshape(c_out, n)
-        if w.requires_grad:
-            dwk = np.empty((9, c_out, c_in), dtype=np.float64)
-            for k in range(9):
-                np.matmul(g_wide, taps[k].T, out=dwk[k])
+        dwk = np.empty((9, c_out, c_in), dtype=np.float64) if w.requires_grad else None
+        dflat = np.zeros_like(flat) if x.requires_grad else None
+        dgrids = [None if dflat is None else dflat[pq] for pq in grid_of]
+        _shifted_gemms_backward(_widen(g, p), taps, dwk, dgrids)
+        if dwk is not None:
             _accum(w, dwk.reshape(3, 3, c_out, c_in).transpose(2, 3, 0, 1))
         _accum(bias, g.reshape(c_out, ho * wo).sum(axis=1))
-        if x.requires_grad:
-            dflat = np.zeros_like(flat)
-            part = np.empty((c_in, n), dtype=np.float64)
-            for k, (py, px, o) in enumerate(starts):
-                dflat[py, px, :, o : o + n] += np.matmul(wk[k].T, g_wide, out=part)
-            dgrids = dflat.reshape(grids.shape)
-            dx = np.empty_like(x.data)
-            for py, px, xs, gs in _phase_slices(h, wd, s):
-                dx[xs] = dgrids[py, px][gs]
-            _accum(x, dx)
+        if dflat is not None:
+            _accum(x, _from_phase_grids(dflat.reshape(s, s, c_in, ho + reach + 1, p), x.shape))
 
     _maybe_record("conv3x3", (out,), (x, w, bias), bwd)
+    return out
+
+
+# _FOLD[k, 2a + t] = 1 when, at output phase a of a nearest x2 upsample, kernel
+# tap k reads low-res offset a + t of the padded low-res grid (offset 0 is the
+# row or column above or left of the output site's own low-res site).
+_FOLD = np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]])
+
+
+def _fold_taps(w: np.ndarray) -> np.ndarray:
+    """Fold [C_out, C_in, 3, 3] weights into [2, 2, 4, C_out, C_in]: phase (a, b), 2x2 tap (t, u)."""
+    c_out, c_in = w.shape[:2]
+    f = (w @ _FOLD).swapaxes(2, 3) @ _FOLD  # [C_out, C_in, (b, u), (a, t)]
+    return np.ascontiguousarray(f.reshape(c_out, c_in, 2, 2, 2, 2).transpose(4, 2, 5, 3, 0, 1)).reshape(
+        2, 2, 4, c_out, c_in
+    )
+
+
+def _unfold_taps(d: np.ndarray) -> np.ndarray:
+    """Adjoint of ``_fold_taps``: sums each folded-tap gradient back onto its 3x3 taps."""
+    c_out, c_in = d.shape[3:]
+    d = d.reshape(2, 2, 2, 2, c_out, c_in).transpose(4, 5, 1, 3, 0, 2).reshape(c_out, c_in, 4, 4)
+    return (d @ _FOLD.T).swapaxes(2, 3) @ _FOLD.T
+
+
+def up_conv3x3(low: Tensor, skip: Tensor, w: Tensor, bias: Tensor) -> Tensor:
+    """``conv3x3(concat_channels(upsample2(low), skip), w, bias)`` without building either map.
+
+    ``low`` is [C_low, H, W], ``skip`` is [C_skip, 2H, 2W], and ``w`` is
+    [C_out, C_low + C_skip, 3, 3] with the upsampled channels first. Output
+    site (2i + a, 2j + b) is computed per phase (a, b):
+
+    * Upsampled channels: a nearest x2 upsample followed by a 3x3 conv is,
+      at each output phase, a 2x2 conv of ``low`` whose taps are the 3x3
+      taps folded per axis (phase 0: taps {0} and {1, 2}; phase 1: taps
+      {0, 1} and {2}). That is 16 [C_out, C_low] @ [C_low, H * p] GEMMs over
+      shifted slices of ``low`` zero-padded once with pitch ``p = W + 2``,
+      16/36 of the multiply-adds of the chain's upsampled channels.
+    * Skip channels: a 3x3 conv at the phase's sites reads the 2x2 phase
+      grids of the padded skip map, the stride-2 layout of ``conv3x3``, at
+      the same pitch; nine GEMMs per phase add into the same accumulator.
+
+    The four phases are interleaved once into [C_out, 2H, 2W]. The gradient
+    of ``skip`` is computed only when it requires one.
+    """
+    if low.data.ndim != 3 or skip.data.ndim != 3 or w.data.ndim != 4 or w.shape[2:] != (3, 3):
+        raise ShapeError(
+            f"up_conv3x3: need low [C, H, W], skip [C, 2H, 2W] and w [C_out, C_in, 3, 3], "
+            f"got {low.shape}, {skip.shape}, {w.shape}"
+        )
+    c_low, h, wd = low.shape
+    c_skip = skip.shape[0]
+    c_out = w.shape[0]
+    if skip.shape[1:] != (2 * h, 2 * wd):
+        raise ShapeError(f"up_conv3x3: skip {skip.shape} does not match the upsampled map of {low.shape}")
+    if w.shape[1] != c_low + c_skip:
+        raise ShapeError(f"up_conv3x3: weight expects {w.shape[1]} input channels, maps have {c_low + c_skip}")
+    if bias.shape != (c_out,):
+        raise ShapeError(f"up_conv3x3: bias shape {bias.shape}, expected ({c_out},)")
+    p = wd + 2
+    n = h * p
+    # Each grid has one spare row: the last tap's slice runs past the padded map.
+    low_flat = _phase_grids(low.data, 1, h + 3, p).reshape(c_low, -1)
+    skip_flat = _phase_grids(skip.data, 2, h + 2, p).reshape(2, 2, c_skip, -1)
+    w_low = _fold_taps(w.data[:, :c_low])
+    w_skip = np.ascontiguousarray(w.data[:, c_low:].transpose(2, 3, 0, 1)).reshape(9, c_out, c_skip)
+    phases = [(a, b) for a in range(2) for b in range(2)]
+    # skip tap (ky, kx) of phase (a, b) reads padded skip site (2i + a + ky, 2j + b + kx)
+    skip_grid_of = {(a, b): [((a + ky) % 2, (b + kx) % 2) for ky, kx in _OFFSETS_3X3] for a, b in phases}
+    taps = {
+        (a, b): [(w_low[a, b, 2 * t + u], low_flat, (a + t) * p + b + u) for t in range(2) for u in range(2)]
+        + [(w_skip[k], skip_flat[skip_grid_of[a, b][k]], ((a + ky) // 2) * p + (b + kx) // 2)
+           for k, (ky, kx) in enumerate(_OFFSETS_3X3)]
+        for a, b in phases
+    }
+    out_data = np.empty((c_out, h, 2, wd, 2), dtype=np.float64)
+    for a, b in phases:
+        out_data[:, :, a, :, b] = _shifted_gemms(taps[a, b], n).reshape(c_out, h, p)[:, :, :wd]
+    out = Tensor(out_data.reshape(c_out, 2 * h, 2 * wd) + bias.data[:, None, None])
+
+    def bwd():
+        g = out.grad
+        g_phase = g.reshape(c_out, h, 2, wd, 2)
+        dw_low = np.empty((2, 2, 4, c_out, c_low), dtype=np.float64)
+        dw_skip = np.empty((2, 2, 9, c_out, c_skip), dtype=np.float64)
+        dlow = np.zeros_like(low_flat) if low.requires_grad else None
+        dskip = np.zeros_like(skip_flat) if skip.requires_grad else None
+        for a, b in phases:
+            dws = [*dw_low[a, b], *dw_skip[a, b]] if w.requires_grad else None
+            dgrids = [dlow] * 4 + [None if dskip is None else dskip[pq] for pq in skip_grid_of[a, b]]
+            _shifted_gemms_backward(_widen(g_phase[:, :, a, :, b], p), taps[a, b], dws, dgrids)
+        if w.requires_grad:
+            dw_s = dw_skip.sum(axis=(0, 1)).reshape(3, 3, c_out, c_skip).transpose(2, 3, 0, 1)
+            _accum(w, np.concatenate([_unfold_taps(dw_low), dw_s], axis=1))
+        _accum(bias, g.reshape(c_out, -1).sum(axis=1))
+        if dlow is not None:
+            _accum(low, _from_phase_grids(dlow.reshape(1, 1, c_low, h + 3, p), low.shape))
+        if dskip is not None:
+            _accum(skip, _from_phase_grids(dskip.reshape(2, 2, c_skip, h + 2, p), skip.shape))
+
+    _maybe_record("up_conv3x3", (out,), (low, skip, w, bias), bwd)
     return out
 
 

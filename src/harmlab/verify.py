@@ -224,6 +224,12 @@ def op_grad_checks(tol: float = DEFAULT_TOL, h: float = DEFAULT_H) -> list[GradC
         lambda ts: _weighted_sum(tc.conv3x3(ts[0], ts[1], ts[2], stride=2), w2s),
         [x355, k233, bias2],
     )
+    w246 = rng.normal(size=(2, 4, 6))
+    check(
+        "up_conv3x3",
+        lambda ts: _weighted_sum(tc.up_conv3x3(ts[0], ts[1], ts[2], ts[3]), w246),
+        [rng.normal(size=(2, 2, 3)), rng.normal(size=(1, 4, 6)), 0.4 * rng.normal(size=(2, 3, 3, 3)), bias2],
+    )
 
     logits = rng.uniform(-3.0, 3.0, size=(4, 5))
     wsm = rng.normal(size=(4, 5))

@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 import harmlab
-from harmlab.cli import dispatch, parse_config_file
+from harmlab.cli import build_parser, dispatch, parse_config_file
 from harmlab.errors import ConfigError
 from harmlab.imaging import Image, Mask, write_pgm, write_ppm
-from harmlab.synthdata import GenConfig, generate_dataset, write_dataset
+from harmlab.synthdata import GenConfig, generate_dataset, sample_paths, write_dataset
 from harmlab.unet import GeneratorModel, UNetConfig, save_checkpoint
 
 
@@ -149,6 +149,41 @@ class TestTrainEvalHarmonize:
             "--out", str(tmp_path / "o.ppm"),
         ])
         assert code == 2
+
+
+class TestOneProcess:
+    def test_calls_in_one_process_match_separate_processes(self, workspace, tmp_path, capsys):
+        assert build_parser() is build_parser()
+        root, data, ckpt = workspace
+        sample = sample_paths(data, (data / "manifest.txt").read_text().split()[0])
+        out = tmp_path / "out"
+
+        def argvs(tag):
+            return [
+                ["frobnicate"],
+                ["gen-data", "--seed", "3", "--count", "2", "--size", "32", "--out", str(out / tag / "gen")],
+                ["harmonize", "--ckpt", str(ckpt), "--comp", str(sample["comp"]),
+                 "--mask", str(sample["mask"]), "--sem", str(sample["sem"]),
+                 "--out", str(out / tag / "h.ppm")],
+                ["eval", "--data", str(data), "--ckpt", str(ckpt)],
+            ]
+
+        one = []
+        for argv in argvs("one"):
+            code = dispatch(argv)
+            cap = capsys.readouterr()
+            one.append((code, cap.out, cap.err.replace("/one/", "/<tag>/")))
+        src = Path(harmlab.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        separate = []
+        for argv in argvs("sep"):
+            proc = subprocess.run([sys.executable, "-m", "harmlab.cli", *argv],
+                                  env=env, capture_output=True, text=True, timeout=120)
+            separate.append((proc.returncode, proc.stdout, proc.stderr.replace("/sep/", "/<tag>/")))
+        assert [c for c, _, _ in one] == [1, 0, 0, 0]
+        assert one == separate
+        assert same_tree(out / "one" / "gen", out / "sep" / "gen")
+        assert (out / "one" / "h.ppm").read_bytes() == (out / "sep" / "h.ppm").read_bytes()
 
 
 class TestBtRank:

@@ -159,6 +159,44 @@ class TestConv3x3:
             tc.conv3x3(Tensor(np.ones((1, 4, 4))), Tensor(np.ones((1, 1, 3, 3))), Tensor(np.zeros(1)), stride=3)
 
 
+class TestUpConv3x3:
+    @staticmethod
+    def run(fn, arrays, skip_grad, g):
+        low, skip, w, b = (Tensor(a, requires_grad=True) for a in arrays)
+        skip.requires_grad = skip_grad
+        with Graph() as graph:
+            loss = tc.sum_all(tc.mul(fn(low, skip, w, b), Tensor(g)))
+        graph.backward(loss)
+        return [fn(low, skip, w, b).data] + [t.grad for t in (low, skip, w, b)]
+
+    @pytest.mark.parametrize("c_low, c_skip, c_out, h, w", [
+        (3, 5, 7, 1, 1), (1, 3, 2, 2, 5), (5, 1, 3, 4, 3), (4, 2, 3, 3, 3),
+    ])
+    @pytest.mark.parametrize("skip_grad", [True, False])
+    def test_matches_upsample_concat_conv_chain(self, c_low, c_skip, c_out, h, w, skip_grad):
+        rng = np.random.default_rng(h * 10 + w)
+        arrays = [rng.normal(size=(c_low, h, w)), rng.normal(size=(c_skip, 2 * h, 2 * w)),
+                  rng.normal(size=(c_out, c_low + c_skip, 3, 3)), rng.normal(size=c_out)]
+        g = rng.normal(size=(c_out, 2 * h, 2 * w))
+
+        def chain(low, skip, w, b):
+            return tc.conv3x3(tc.concat_channels(tc.upsample2(low), skip), w, b)
+
+        expected = self.run(chain, arrays, skip_grad, g)
+        for got, ref in zip(self.run(tc.up_conv3x3, arrays, skip_grad, g), expected):
+            if ref is None:  # the skip's gradient when it needs none
+                assert got is None
+            else:
+                assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_shape_errors(self):
+        low, b = Tensor(np.ones((2, 3, 3))), Tensor(np.zeros(4))
+        with pytest.raises(ShapeError, match="skip"):
+            tc.up_conv3x3(low, Tensor(np.ones((1, 6, 5))), Tensor(np.ones((4, 3, 3, 3))), b)
+        with pytest.raises(ShapeError, match="input channels"):
+            tc.up_conv3x3(low, Tensor(np.ones((1, 6, 6))), Tensor(np.ones((4, 2, 3, 3))), b)
+
+
 class TestSoftmaxRows:
     def test_symmetric_row(self):
         out = tc.softmax_rows(Tensor([[0.0, 0.0]]))

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from harmlab import tensor as tc
+from harmlab import unet
 from harmlab.errors import CheckpointError, ShapeError
 from harmlab.imaging import Mask
 from harmlab.synthdata import GenConfig, generate_sample
@@ -85,6 +87,20 @@ class TestForward:
         for (n1, t1), (n2, t2) in zip(m1.named_parameters(), m2.named_parameters()):
             assert n1 == n2
             assert np.array_equal(t1.data, t2.data)
+
+    @pytest.mark.parametrize("block", ["none", "rain", "srin"])
+    def test_fused_decoder_matches_unfused_chain(self, block, monkeypatch):
+        model = GeneratorModel.build(UNetConfig(size=128, stages=2, block=block), seed=15)
+        s = sample_inputs(size=128, seed=16)
+        args = (s.composite.planar(), s.mask.values, s.semantic.planar())
+        fused_calls = []
+        real = tc.up_conv3x3
+        monkeypatch.setattr(tc, "up_conv3x3", lambda *a: fused_calls.append(1) or real(*a))
+        fused = model.forward_tensor(*args).data
+        assert len(fused_calls) == 2  # both decoder stages (32x32 and 64x64 low-res maps)
+        monkeypatch.setattr(unet, "_FUSED_MIN_SITES", 1 << 30)
+        chain = model.forward_tensor(*args).data
+        assert np.abs(fused - chain).max() <= 1e-12 * np.abs(chain).max()
 
     def test_size_mismatch_raises(self):
         model = GeneratorModel.build(UNetConfig(size=64), seed=0)
@@ -193,6 +209,20 @@ class TestCheckpoints:
         path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointError, match=r"tensor 0"):
             load_checkpoint(path)
+
+    def test_load_draws_no_initialisation(self, tmp_path, monkeypatch):
+        model = GeneratorModel.build(UNetConfig(size=32, stages=2, block="srin"), seed=16)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, path)
+
+        class NoDraws(np.random.Generator):
+            def uniform(self, *args, **kwargs):
+                raise AssertionError("load_checkpoint drew a random initialisation")
+
+        monkeypatch.setattr(np.random, "Generator", NoDraws)
+        back = load_checkpoint(path)
+        for (n1, t1), (n2, t2) in zip(model.named_parameters(), back.named_parameters()):
+            assert n1 == n2 and np.array_equal(t1.data, t2.data) and t2.requires_grad
 
     def test_trailing_bytes_rejected(self, tmp_path):
         model = GeneratorModel.build(UNetConfig(size=32, stages=2, block="none"), seed=13)
