@@ -10,11 +10,13 @@ from harmlab import tensor as tc
 
 # Every operation is a plain function over Tensors. Recording happens only
 # inside a Graph context, and only for tensors that ask for gradients.
-x = Tensor(np.array([[1.0, -2.0], [0.5, 3.0]]), requires_grad=True)
-w = Tensor(np.array([[2.0, 0.0], [1.0, 1.0]]), requires_grad=True)
+x = Tensor(np.array([[[1.0, -2.0], [0.5, 3.0]],
+                    [[-0.5, 1.0], [-0.25, -1.5]]]), requires_grad=True)  # [C_in, H, W] = [2, 2, 2]
+w = Tensor(np.array([[2.0, 0.0], [1.0, 1.0]]), requires_grad=True)  # [C_out, C_in]
+b = Tensor(np.array([0.1, -0.2]), requires_grad=True)
 
 with Graph() as graph:
-    y = tc.matmul(w, x)          # [2x2] @ [2x2]
+    y = tc.conv1x1(x, w, b)      # per-pixel w @ x[:, h, w] + b
     z = tc.relu(y)               # kink at 0, subgradient 0 there
     loss = tc.mean_all(z)
     graph.backward(loss)
@@ -22,13 +24,14 @@ with Graph() as graph:
 print("loss         :", loss.item())
 print("dloss/dx     :\n", x.grad)
 print("dloss/dw     :\n", w.grad)
+print("dloss/db     :", b.grad)
 
 # The same expression, verified against central differences. grad_check
 # re-evaluates the function with nudged coordinates, so it must be pure.
 def fn(ts):
-    return tc.mean_all(tc.relu(tc.matmul(ts[1], ts[0])))
+    return tc.mean_all(tc.relu(tc.conv1x1(ts[0], ts[1], ts[2])))
 
-report = grad_check(fn, [Tensor(x.data.copy()), Tensor(w.data.copy())], name="relu_matmul")
+report = grad_check(fn, [Tensor(t.data.copy()) for t in (x, w, b)], name="relu_conv1x1")
 print(report.line())
 
 # The adaptive-moment optimizer drives every training loop in the package.

@@ -105,7 +105,7 @@ class SrinResult:
             return None
         n = self.fg.size
         full = np.zeros((n, n), dtype=np.float64)
-        full[:, ~self.fg] = tc.softmax_rows(Tensor(self.query.T @ self.key[:, ~self.fg])).data
+        full[:, ~self.fg] = tc._softmax_rows(self.query.T @ self.key[:, ~self.fg])
         return Tensor(full)
 
 

@@ -84,9 +84,6 @@ class Mask:
     def ratio(self) -> float:
         return self.count() / (self.height * self.width)
 
-    def complement(self) -> "Mask":
-        return Mask(1 - self.values)
-
 
 @dataclass
 class MetricsRecord:

@@ -13,6 +13,7 @@ of channel-wise patterns the operations below need.
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -73,26 +74,30 @@ class _Record:
         self.fn = fn
 
 
+# The tape that ops record onto, if any. A context variable rather than a
+# global, so a forward pass on one thread never records onto another's tape.
+_active: ContextVar[Optional["Graph"]] = ContextVar("harmlab_active_graph", default=None)
+
+
 class Graph:
     """Execution tape. Use as a context manager around a differentiable forward pass.
 
     Records are appended in execution order; ``backward`` visits them in exact
-    reverse order, so gradient accumulation is deterministic.
+    reverse order, so gradient accumulation is deterministic. Entering a graph
+    makes it the active tape of the current thread (or context) until exit,
+    which restores the tape that was active before.
     """
-
-    _active: Optional["Graph"] = None
 
     def __init__(self):
         self.records: list[_Record] = []
-        self._outer: Optional[Graph] = None
+        self._token = None
 
     def __enter__(self) -> "Graph":
-        self._outer = Graph._active
-        Graph._active = self
+        self._token = _active.set(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        Graph._active = self._outer
+        _active.reset(self._token)
         return False
 
     def backward(self, root: Tensor) -> None:
@@ -114,11 +119,30 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
 
 
 def _maybe_record(op: str, outs: tuple[Tensor, ...], inputs: Sequence[Tensor], fn: Callable[[], None]) -> None:
-    graph = Graph._active
+    graph = _active.get()
     if graph is not None and any(t.requires_grad for t in inputs):
         for out in outs:
             out.requires_grad = True
         graph.records.append(_Record(op, tuple(inputs), outs, fn))
+
+
+def _op(op: str, inputs: tuple[Tensor, ...], data: np.ndarray, *grads: Callable[[np.ndarray], np.ndarray]) -> Tensor:
+    """Wrap ``data`` as the output of a single-output op and record it on the active tape.
+
+    On backward, ``grads[i]`` maps the output gradient to the gradient of
+    ``inputs[i]``, in input order; it is skipped for inputs that do not
+    require a gradient.
+    """
+    out = Tensor(data)
+
+    def bwd():
+        g = out.grad
+        for t, grad in zip(inputs, grads):
+            if t.requires_grad:
+                _accum(t, grad(g))
+
+    _maybe_record(op, (out,), inputs, bwd)
+    return out
 
 
 def as_site_mask(mask, h: int, w: int) -> np.ndarray:
@@ -139,184 +163,72 @@ def as_site_mask(mask, h: int, w: int) -> np.ndarray:
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"add: shapes {a.shape} and {b.shape} differ")
-    out = Tensor(a.data + b.data)
-
-    def bwd():
-        g = out.grad
-        _accum(a, g)
-        _accum(b, g)
-
-    _maybe_record("add", (out,), (a, b), bwd)
-    return out
+    return _op("add", (a, b), a.data + b.data, lambda g: g, lambda g: g)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"sub: shapes {a.shape} and {b.shape} differ")
-    out = Tensor(a.data - b.data)
-
-    def bwd():
-        g = out.grad
-        _accum(a, g)
-        _accum(b, -g)
-
-    _maybe_record("sub", (out,), (a, b), bwd)
-    return out
+    return _op("sub", (a, b), a.data - b.data, lambda g: g, lambda g: -g)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"mul: shapes {a.shape} and {b.shape} differ")
-    out = Tensor(a.data * b.data)
-
-    def bwd():
-        g = out.grad
-        _accum(a, g * b.data)
-        _accum(b, g * a.data)
-
-    _maybe_record("mul", (out,), (a, b), bwd)
-    return out
-
-
-def scale(a: Tensor, s: float) -> Tensor:
-    out = Tensor(a.data * s)
-
-    def bwd():
-        _accum(a, out.grad * s)
-
-    _maybe_record("scale", (out,), (a,), bwd)
-    return out
+    return _op("mul", (a, b), a.data * b.data, lambda g: g * b.data, lambda g: g * a.data)
 
 
 def add_scalar(a: Tensor, s: float) -> Tensor:
-    out = Tensor(a.data + s)
-
-    def bwd():
-        _accum(a, out.grad)
-
-    _maybe_record("add_scalar", (out,), (a,), bwd)
-    return out
+    return _op("add_scalar", (a,), a.data + s, lambda g: g)
 
 
 def relu(a: Tensor) -> Tensor:
-    out = Tensor(np.maximum(a.data, 0.0))
-
-    def bwd():
-        _accum(a, out.grad * (a.data > 0.0))
-
-    _maybe_record("relu", (out,), (a,), bwd)
-    return out
+    return _op("relu", (a,), np.maximum(a.data, 0.0), lambda g: g * (a.data > 0.0))
 
 
 def absolute(a: Tensor) -> Tensor:
     """|a|, with subgradient sign(a) and sign(0) = 0."""
-    out = Tensor(np.abs(a.data))
-
-    def bwd():
-        _accum(a, out.grad * np.sign(a.data))
-
-    _maybe_record("absolute", (out,), (a,), bwd)
-    return out
+    return _op("absolute", (a,), np.abs(a.data), lambda g: g * np.sign(a.data))
 
 
 def sqrt(a: Tensor) -> Tensor:
     if np.any(a.data < 0.0):
         raise ValueError("sqrt: negative input")
     root = np.sqrt(a.data)
-    out = Tensor(root)
-
-    def bwd():
-        _accum(a, out.grad / (2.0 * root))
-
-    _maybe_record("sqrt", (out,), (a,), bwd)
-    return out
+    return _op("sqrt", (a,), root, lambda g: g / (2.0 * root))
 
 
 def clamp01(a: Tensor) -> Tensor:
     """Clamp to [0, 1]; identity (and gradient 1) on in-range values."""
-    out = Tensor(np.clip(a.data, 0.0, 1.0))
-
-    def bwd():
-        inside = (a.data >= 0.0) & (a.data <= 1.0)
-        _accum(a, out.grad * inside)
-
-    _maybe_record("clamp01", (out,), (a,), bwd)
-    return out
+    return _op("clamp01", (a,), np.clip(a.data, 0.0, 1.0), lambda g: g * ((a.data >= 0.0) & (a.data <= 1.0)))
 
 
 def sum_all(a: Tensor) -> Tensor:
-    out = Tensor(np.sum(a.data))
-
-    def bwd():
-        _accum(a, np.full_like(a.data, float(out.grad)))
-
-    _maybe_record("sum_all", (out,), (a,), bwd)
-    return out
+    return _op("sum_all", (a,), np.sum(a.data), lambda g: np.full_like(a.data, float(g)))
 
 
 def mean_all(a: Tensor) -> Tensor:
     n = a.data.size
-    out = Tensor(np.sum(a.data) / n)
-
-    def bwd():
-        _accum(a, np.full_like(a.data, float(out.grad) / n))
-
-    _maybe_record("mean_all", (out,), (a,), bwd)
-    return out
-
-
-def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    if int(np.prod(shape)) != a.data.size:
-        raise ShapeError(f"reshape: cannot view {a.shape} as {shape}")
-    out = Tensor(a.data.reshape(shape).copy())
-
-    def bwd():
-        _accum(a, out.grad.reshape(a.shape))
-
-    _maybe_record("reshape", (out,), (a,), bwd)
-    return out
-
-
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose: need a 2-d tensor, got {a.shape}")
-    out = Tensor(np.ascontiguousarray(a.data.T))
-
-    def bwd():
-        _accum(a, out.grad.T)
-
-    _maybe_record("transpose", (out,), (a,), bwd)
-    return out
+    return _op("mean_all", (a,), np.sum(a.data) / n, lambda g: np.full_like(a.data, float(g) / n))
 
 
 def concat_channels(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 3 or b.data.ndim != 3 or a.shape[1:] != b.shape[1:]:
         raise ShapeError(f"concat_channels: shapes {a.shape} and {b.shape} do not align")
     ca = a.shape[0]
-    out = Tensor(np.concatenate([a.data, b.data], axis=0))
-
-    def bwd():
-        g = out.grad
-        _accum(a, g[:ca])
-        _accum(b, g[ca:])
-
-    _maybe_record("concat_channels", (out,), (a, b), bwd)
-    return out
+    return _op("concat_channels", (a, b), np.concatenate([a.data, b.data], axis=0), lambda g: g[:ca], lambda g: g[ca:])
 
 
 def upsample2(a: Tensor) -> Tensor:
     """Nearest-neighbor x2 upsample of a [C, H, W] map."""
     if a.data.ndim != 3:
         raise ShapeError(f"upsample2: need [C, H, W], got {a.shape}")
-    out = Tensor(a.data.repeat(2, axis=1).repeat(2, axis=2))
 
-    def bwd():
-        g = out.grad
+    def grad(g):
         rows = g[:, 0::2] + g[:, 1::2]
-        _accum(a, rows[:, :, 0::2] + rows[:, :, 1::2])
+        return rows[:, :, 0::2] + rows[:, :, 1::2]
 
-    _maybe_record("upsample2", (out,), (a,), bwd)
-    return out
+    return _op("upsample2", (a,), a.data.repeat(2, axis=1).repeat(2, axis=2), grad)
 
 
 # ---------------------------------------------------------------------------
@@ -329,15 +241,7 @@ def blend(fg: Tensor, bg: Tensor, mask) -> Tensor:
         raise ShapeError(f"blend: shapes {fg.shape} and {bg.shape} must be equal [C, H, W]")
     m = as_site_mask(mask, fg.shape[1], fg.shape[2])
     sel = m.astype(bool)[None]
-    out = Tensor(np.where(sel, fg.data, bg.data))
-
-    def bwd():
-        g = out.grad
-        _accum(fg, g * m[None])
-        _accum(bg, g * (1.0 - m)[None])
-
-    _maybe_record("blend", (out,), (fg, bg), bwd)
-    return out
+    return _op("blend", (fg, bg), np.where(sel, fg.data, bg.data), lambda g: g * m[None], lambda g: g * (1.0 - m)[None])
 
 
 def mask_sites(a: Tensor, mask) -> Tensor:
@@ -345,13 +249,7 @@ def mask_sites(a: Tensor, mask) -> Tensor:
     if a.data.ndim != 3:
         raise ShapeError(f"mask_sites: need [C, H, W], got {a.shape}")
     m = as_site_mask(mask, a.shape[1], a.shape[2])
-    out = Tensor(a.data * m[None])
-
-    def bwd():
-        _accum(a, out.grad * m[None])
-
-    _maybe_record("mask_sites", (out,), (a,), bwd)
-    return out
+    return _op("mask_sites", (a,), a.data * m[None], lambda g: g * m[None])
 
 
 # ---------------------------------------------------------------------------
@@ -368,16 +266,14 @@ def channel_affine(x: Tensor, scale_c: Tensor, shift_c: Tensor) -> Tensor:
             f"channel_affine: per-channel vectors must have shape ({c},), "
             f"got {scale_c.shape} and {shift_c.shape}"
         )
-    out = Tensor(x.data * scale_c.data[:, None, None] + shift_c.data[:, None, None])
-
-    def bwd():
-        g = out.grad
-        _accum(x, g * scale_c.data[:, None, None])
-        _accum(scale_c, (g * x.data).sum(axis=(1, 2)))
-        _accum(shift_c, g.sum(axis=(1, 2)))
-
-    _maybe_record("channel_affine", (out,), (x, scale_c, shift_c), bwd)
-    return out
+    return _op(
+        "channel_affine",
+        (x, scale_c, shift_c),
+        x.data * scale_c.data[:, None, None] + shift_c.data[:, None, None],
+        lambda g: g * scale_c.data[:, None, None],
+        lambda g: (g * x.data).sum(axis=(1, 2)),
+        lambda g: g.sum(axis=(1, 2)),
+    )
 
 
 def normalize_channels(x: Tensor, mean_c: Tensor, std_c: Tensor) -> Tensor:
@@ -390,48 +286,20 @@ def normalize_channels(x: Tensor, mean_c: Tensor, std_c: Tensor) -> Tensor:
             f"normalize_channels: per-channel vectors must have shape ({c},), "
             f"got {mean_c.shape} and {std_c.shape}"
         )
-    centered = x.data - mean_c.data[:, None, None]
-    out = Tensor(centered / std_c.data[:, None, None])
-
-    def bwd():
-        g = out.grad
-        inv = 1.0 / std_c.data
-        _accum(x, g * inv[:, None, None])
-        _accum(mean_c, -g.sum(axis=(1, 2)) * inv)
-        _accum(std_c, -(g * out.data).sum(axis=(1, 2)) * inv)
-
-    _maybe_record("normalize_channels", (out,), (x, mean_c, std_c), bwd)
-    return out
+    y = (x.data - mean_c.data[:, None, None]) / std_c.data[:, None, None]
+    inv = 1.0 / std_c.data
+    return _op(
+        "normalize_channels",
+        (x, mean_c, std_c),
+        y,
+        lambda g: g * inv[:, None, None],
+        lambda g: -g.sum(axis=(1, 2)) * inv,
+        lambda g: -(g * y).sum(axis=(1, 2)) * inv,
+    )
 
 
 # ---------------------------------------------------------------------------
 # contractions
-
-
-def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # k-ordered rank-1 accumulation: each out[i, j] sees the products
-    # a[i, k] * b[k, j] in increasing k with one rounding per multiply and
-    # one per add, bit-identical to the naive triple loop.
-    m, k = a.shape
-    _, n = b.shape
-    out = np.zeros((m, n), dtype=np.float64)
-    for i in range(k):
-        out += a[:, i : i + 1] * b[i : i + 1, :]
-    return out
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: shapes {a.shape} and {b.shape} do not conform")
-    out = Tensor(_mm(a.data, b.data))
-
-    def bwd():
-        g = out.grad
-        _accum(a, _mm(g, b.data.T))
-        _accum(b, _mm(a.data.T, g))
-
-    _maybe_record("matmul", (out,), (a, b), bwd)
-    return out
 
 
 def conv1x1(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
@@ -445,16 +313,14 @@ def conv1x1(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
     if bias.shape != (c_out,):
         raise ShapeError(f"conv1x1: bias shape {bias.shape}, expected ({c_out},)")
     flat = x.data.reshape(c_in, h * wd)
-    out = Tensor((w.data @ flat + bias.data[:, None]).reshape(c_out, h, wd))
-
-    def bwd():
-        g = out.grad.reshape(c_out, h * wd)
-        _accum(x, (w.data.T @ g).reshape(c_in, h, wd))
-        _accum(w, g @ flat.T)
-        _accum(bias, g.sum(axis=1))
-
-    _maybe_record("conv1x1", (out,), (x, w, bias), bwd)
-    return out
+    return _op(
+        "conv1x1",
+        (x, w, bias),
+        (w.data @ flat + bias.data[:, None]).reshape(c_out, h, wd),
+        lambda g: (w.data.T @ g.reshape(c_out, h * wd)).reshape(c_in, h, wd),
+        lambda g: g.reshape(c_out, h * wd) @ flat.T,
+        lambda g: g.reshape(c_out, h * wd).sum(axis=1),
+    )
 
 
 _OFFSETS_3X3 = [(ky, kx) for ky in range(3) for kx in range(3)]
@@ -693,27 +559,14 @@ def up_conv3x3(low: Tensor, skip: Tensor, w: Tensor, bias: Tensor) -> Tensor:
 
 
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
+    """Row-wise softmax with per-row max subtraction."""
     e = np.exp(z - z.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
 
 
 def _softmax_rows_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Gradient at the logits of ``y = softmax_rows(z)`` given ``g`` at ``y``."""
+    """Gradient at the logits of ``y = _softmax_rows(z)`` given ``g`` at ``y``."""
     return y * (g - (g * y).sum(axis=1, keepdims=True))
-
-
-def softmax_rows(logits: Tensor) -> Tensor:
-    """Row-wise softmax with per-row max subtraction."""
-    if logits.data.ndim != 2:
-        raise ShapeError(f"softmax_rows: need [N, M] logits, got {logits.shape}")
-    y = _softmax_rows(logits.data)
-    out = Tensor(y)
-
-    def bwd():
-        _accum(logits, _softmax_rows_grad(y, out.grad))
-
-    _maybe_record("softmax_rows", (out,), (logits,), bwd)
-    return out
 
 
 def region_attention(query: Tensor, key: Tensor, value: Tensor, mask) -> Tensor:
@@ -726,9 +579,6 @@ def region_attention(query: Tensor, key: Tensor, value: Tensor, mask) -> Tensor:
     the output are exactly 0, and so are the query gradient at background
     sites and the key and value gradients at foreground sites. Both regions
     must be non-empty.
-
-    The products run through BLAS, so their summation order is not the
-    triple-loop order that ``matmul`` keeps.
     """
     if query.data.ndim != 3 or key.shape != query.shape or value.shape != query.shape:
         raise ShapeError(
