@@ -75,11 +75,20 @@ def adam_step(params: Sequence[Tensor], grads: Sequence[Optional[np.ndarray]], s
     state.step += 1
     t = state.step
     b1, b2 = state.beta1, state.beta2
+    # Two scratch arrays per parameter hold every intermediate of
+    # p -= lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps), op for op.
     for p, g, m, v in zip(params, dense, state.m, state.v):
+        a = np.multiply(g, 1.0 - b1)
         m *= b1
-        m += (1.0 - b1) * g
+        m += a
+        np.multiply(g, g, out=a)
+        a *= 1.0 - b2
         v *= b2
-        v += (1.0 - b2) * (g * g)
-        m_hat = m / (1.0 - b1 ** t)
-        v_hat = v / (1.0 - b2 ** t)
-        p.data -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        v += a
+        np.divide(m, 1.0 - b1 ** t, out=a)
+        a *= state.lr
+        d = np.divide(v, 1.0 - b2 ** t)
+        np.sqrt(d, out=d)
+        d += state.eps
+        a /= d
+        p.data -= a

@@ -17,6 +17,7 @@ its base color, and the background region gets its own label color.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -61,6 +62,8 @@ class GenConfig:
         if not self.shapes or any(s not in ("rectangle", "ellipse") for s in self.shapes):
             raise ConfigError(f"unsupported shape kinds {self.shapes}")
         for name, (lo, hi) in (("gain", self.gain), ("bias", self.bias), ("gamma", self.gamma)):
+            if not math.isfinite(hi - lo):  # non-finite bounds, or a width beyond float range
+                raise ConfigError(f"{name} range ({lo}, {hi}) must have finite bounds and width")
             if not lo <= hi:
                 raise ConfigError(f"{name} range ({lo}, {hi}) is empty")
 

@@ -24,7 +24,8 @@ from .errors import ShapeError
 class Tensor:
     """Dense N-dimensional float64 array with an optional gradient buffer.
 
-    ``grad`` is ``None`` until the tensor participates in a backward pass.
+    ``grad`` is ``None`` until the tensor participates in a backward pass or
+    an owner attaches a buffer; backward accumulates into it in place.
     Zero-sized dimensions are rejected at construction, and all values must
     be finite.
     """
@@ -55,10 +56,19 @@ class Tensor:
         return float(self.data.reshape(-1)[0])
 
     def zero_grad(self) -> None:
-        self.grad = None
+        """Zero the gradient buffer in place, keeping it attached; no-op when there is none."""
+        if self.grad is not None:
+            self.grad.fill(0.0)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
+
+
+def _wrap(data: np.ndarray, grad: Optional[np.ndarray], requires_grad: bool) -> Tensor:
+    """Tensor around a float64 array already known to be finite and non-empty, without ``Tensor``'s checks."""
+    t = Tensor.__new__(Tensor)
+    t.data, t.grad, t.requires_grad = data, grad, requires_grad
+    return t
 
 
 class _Record:

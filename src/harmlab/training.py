@@ -24,7 +24,7 @@ from .imaging import BUCKET_LABELS, MetricsRecord, compose, metrics, ratio_bucke
 from .optim import AdamState, adam_step
 from .synthdata import Sample, load_dataset
 from .tensor import Graph, Tensor
-from .unet import GeneratorModel, UNetConfig, save_checkpoint, unet_forward
+from .unet import GeneratorModel, UNetConfig, block_degenerate, save_checkpoint, unet_forward
 
 
 def l1_loss(a: Tensor, b: Tensor) -> Tensor:
@@ -51,8 +51,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.steps < 1 or self.batch_size < 1:
             raise ConfigError("steps and batch_size must be positive")
-        if self.lr <= 0:
-            raise ConfigError("learning rate must be positive")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"learning rate must be positive and finite, got {self.lr}")
+        if not (math.isfinite(self.decay) and self.decay >= 0):
+            raise ConfigError(f"decay must be non-negative and finite, got {self.decay}")
         prev = 0.0
         for m in self.milestones:
             if not (prev < m < 1.0):
@@ -100,16 +102,18 @@ def train(
     val_data = load_dataset(cfg.val_dir) if cfg.val_dir else None
 
     model = GeneratorModel.build(cfg.effective_unet(), seed=cfg.seed)
-    names = [n for n, _ in model.named_parameters()]
-    params = model.parameters()
-    state = AdamState(lr=cfg.lr, names=names)
+    state = AdamState(lr=cfg.lr, names=["model.flat"])
 
     order_rng = np.random.Generator(np.random.PCG64(cfg.seed))
     queue: list[int] = []
     history: list[LossEntry] = []
     val_every = max(1, cfg.steps // 10)
 
-    prepared = [(s.composite.planar(), s.mask.values, s.semantic.planar(), s.real.planar()) for s in data]
+    prepared = [
+        (s.composite.planar(), s.mask.values, s.semantic.planar(), s.real.planar(),
+         block_degenerate(model.config, s.mask.values))
+        for s in data
+    ]
 
     for step in range(1, cfg.steps + 1):
         state.lr = lr_at_step(cfg, step)
@@ -120,7 +124,7 @@ def train(
             if not queue:
                 queue = list(order_rng.permutation(len(data)))
             idx = queue.pop()
-            comp, mask, sem, real = prepared[idx]
+            comp, mask, sem, real, sample_degenerate = prepared[idx]
             with Graph() as graph:
                 out = model.forward_tensor(comp, mask, sem)
                 loss = l1_loss(out, Tensor(real))
@@ -131,9 +135,10 @@ def train(
                     )
                 graph.backward(loss)
             batch_loss += loss_value
-            degenerate = degenerate or model.last_block_degenerate
+            degenerate = degenerate or sample_degenerate
         inv_b = 1.0 / cfg.batch_size
-        adam_step(params, [None if p.grad is None else p.grad * inv_b for p in params], state)
+        model.flat.grad *= inv_b
+        adam_step([model.flat], [model.flat.grad], state)
 
         entry = LossEntry(
             step=step, lr=state.lr, loss=batch_loss * inv_b, block_degenerate=degenerate

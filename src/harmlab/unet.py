@@ -90,27 +90,40 @@ def downsample_planar(arr: np.ndarray, dst: int) -> np.ndarray:
 class GeneratorModel:
     """Convolution weights plus optional attention-block parameters.
 
-    Parameter enumeration order is fixed (encoder shallow to deep, block
-    parameters, decoder deep to shallow, output head) and is the checkpoint
-    contract.
+    All parameters live in one float64 buffer, ``flat``, and all their
+    gradients in ``flat.grad``: each parameter ``Tensor`` is a view of its
+    slice of ``flat.data`` and its ``.grad`` the same slice of ``flat.grad``,
+    so ``zero_grad`` is one fill and an optimizer can step ``flat`` as one
+    tensor. The buffer order is ``param_shapes``' enumeration order (encoder
+    shallow to deep, block parameters, decoder deep to shallow, output head),
+    which is the checkpoint's tensor order.
     """
 
-    def __init__(
-        self,
-        config: UNetConfig,
-        encoder: list[tuple[Tensor, Tensor]],
-        decoder: list[tuple[Tensor, Tensor]],
-        head: tuple[Tensor, Tensor],
-        block_params: Optional[SrinParams],
-    ):
+    def __init__(self, config: UNetConfig, flat: Tensor):
+        """Wrap ``flat`` (as built by ``from_arrays``: 1-D, ``param_count`` long, with a ``.grad``)."""
         self.config = config
-        self.encoder = encoder
-        self.decoder = decoder  # deep-to-shallow order
-        self.head = head
-        self.block_params = block_params
-        # set by forward_tensor: True when the block saw an empty region at
-        # feature resolution and passed the features through unchanged
-        self.last_block_degenerate = False
+        self.flat = flat
+        self._named: list[tuple[str, Tensor]] = []
+        pos = 0
+        for name, shape in self.param_shapes(config):
+            end = pos + math.prod(shape)
+            # ``flat`` passed Tensor's finiteness check, so its views skip it
+            view = tc._wrap(flat.data[pos:end].reshape(shape), flat.grad[pos:end].reshape(shape), True)
+            self._named.append((name, view))
+            pos = end
+        named = dict(self._named)
+
+        def conv(stem: str) -> tuple[Tensor, Tensor]:
+            return named[f"{stem}.w"], named[f"{stem}.b"]
+
+        self.encoder = [conv(f"enc{i}") for i in range(1, config.stages + 1)]
+        self.decoder = [conv(f"dec{i}") for i in range(config.stages, 0, -1)]  # deep-to-shallow order
+        self.head = conv("head")
+        self.block_params: Optional[SrinParams] = None
+        if config.block == "srin":
+            self.block_params = SrinParams(
+                **{name[len("block."):]: t for name, t in self._named if name.startswith("block.")}
+            )
 
     # -- construction -------------------------------------------------------
 
@@ -151,42 +164,28 @@ class GeneratorModel:
 
     @classmethod
     def from_arrays(cls, config: UNetConfig, arrays: list[np.ndarray]) -> "GeneratorModel":
-        """Model whose parameters wrap ``arrays``, given in enumeration order with ``param_shapes``' shapes."""
-        named = {name: Tensor(a, requires_grad=True) for (name, _), a in zip(cls.param_shapes(config), arrays)}
-
-        def conv(stem: str) -> tuple[Tensor, Tensor]:
-            return named[f"{stem}.w"], named[f"{stem}.b"]
-
-        block = None
-        if config.block == "srin":
-            block = SrinParams(**{name[len("block."):]: t for name, t in named.items() if name.startswith("block.")})
-        encoder = [conv(f"enc{i}") for i in range(1, config.stages + 1)]
-        decoder = [conv(f"dec{i}") for i in range(config.stages, 0, -1)]
-        return cls(config, encoder, decoder, conv("head"), block)
+        """Model whose parameters are a copy of ``arrays``, given in enumeration order with ``param_shapes``' shapes."""
+        want = [shape for _, shape in cls.param_shapes(config)]
+        got = [np.shape(a) for a in arrays]
+        if got != want:
+            raise ShapeError(f"parameter shapes {got}, expected {want}")
+        flat = Tensor(np.concatenate([np.ravel(a) for a in arrays]), requires_grad=True)
+        flat.grad = np.zeros(flat.size)
+        return cls(config, flat)
 
     # -- parameters ----------------------------------------------------------
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        out: list[tuple[str, Tensor]] = []
-        for i, (w, b) in enumerate(self.encoder, start=1):
-            out += [(f"enc{i}.w", w), (f"enc{i}.b", b)]
-        if self.block_params is not None:
-            out += self.block_params.named()
-        for j, (w, b) in enumerate(self.decoder):
-            stage = self.config.stages - j
-            out += [(f"dec{stage}.w", w), (f"dec{stage}.b", b)]
-        out += [("head.w", self.head[0]), ("head.b", self.head[1])]
-        return out
+        return list(self._named)
 
     def parameters(self) -> list[Tensor]:
-        return [t for _, t in self.named_parameters()]
+        return [t for _, t in self._named]
 
     def param_count(self) -> int:
-        return sum(t.size for t in self.parameters())
+        return self.flat.size
 
     def zero_grad(self) -> None:
-        for t in self.parameters():
-            t.zero_grad()
+        self.flat.grad.fill(0.0)
 
     # -- forward -------------------------------------------------------------
 
@@ -213,11 +212,8 @@ class GeneratorModel:
             skips.append(cur)
 
         feat_size = size >> self.config.stages
-        self.last_block_degenerate = False
         if self.config.block in ("rain", "srin"):
             mask_f = downsample_mask(m, feat_size)
-            fg = int(mask_f.sum())
-            self.last_block_degenerate = fg == 0 or fg == mask_f.size
             if self.config.block == "rain":
                 cur = rain_forward(cur, mask_f, EPS_DEFAULT)
             else:
@@ -237,6 +233,17 @@ class GeneratorModel:
         raw = tc.add(delta, comp_t) if self.config.residual else delta
         clamped = tc.clamp01(raw)
         return tc.blend(clamped, comp_t, m)
+
+
+def block_degenerate(config: UNetConfig, mask: np.ndarray) -> bool:
+    """True when ``config``'s bottleneck block, given the [S, S] binary ``mask``,
+    sees an empty foreground or background at feature resolution and so passes
+    the features through unchanged."""
+    if config.block == "none":
+        return False
+    mask_f = downsample_mask(mask, config.size >> config.stages)
+    fg = int(mask_f.sum())
+    return fg == 0 or fg == mask_f.size
 
 
 def unet_forward(model: GeneratorModel, composite: Image, mask: Mask, semantic: Image) -> Image:
@@ -313,7 +320,7 @@ def load_checkpoint(path: PathLike, expected_config: Optional[UNetConfig] = None
         count = math.prod(dims)
         if pos + 8 * count > len(blob):
             raise CheckpointError(f"{path}: truncated at tensor {idx} ({name}): payload short")
-        arrays.append(np.frombuffer(blob, dtype="<f8", count=count, offset=pos).reshape(want).copy())
+        arrays.append(np.frombuffer(blob, dtype="<f8", count=count, offset=pos).reshape(want))
         if not np.all(np.isfinite(arrays[-1])):
             raise CheckpointError(f"{path}: tensor {idx} ({name}): non-finite values")
         pos += 8 * count

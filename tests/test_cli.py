@@ -213,6 +213,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("flags, config, message", [
         (["--steps", "0"], "", "steps and batch_size must be positive"),
         ([], "unet.size = 48\n", "size must be a power of two >= 16, got 48"),
+        ([], "train.lr = nan\n", "learning rate must be positive and finite, got nan"),
+        ([], "train.lr = inf\n", "learning rate must be positive and finite, got inf"),
+        ([], "train.decay = nan\n", "decay must be non-negative and finite, got nan"),
+        ([], "train.decay = -0.5\n", "decay must be non-negative and finite, got -0.5"),
     ])
     def test_invalid_setting_is_one_error_line(self, tmp_path, capsys, flags, config, message):
         cfg = tmp_path / "run.cfg"
@@ -226,6 +230,20 @@ class TestExitCodes:
         assert dispatch(["gen-data", "--seed", "1", "--count", "0", "--out", str(out)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert [l for l in err if not l.startswith("config: ")] == ["error: count must be positive, got 0"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config, message", [
+        ("gen.gain_max = inf\n", "gain range (0.6, inf) must have finite bounds and width"),
+        ("gen.bias_min = nan\n", "bias range (nan, 0.11764705882352941) must have finite bounds and width"),
+        ("gen.gamma_min = -1e308\ngen.gamma_max = 1e308\n",
+         "gamma range (-1e+308, 1e+308) must have finite bounds and width"),
+    ])
+    def test_unbounded_generator_range_is_one_error_line(self, tmp_path, capsys, config, message):
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_text(config)
+        out = tmp_path / "data"
+        assert dispatch(["gen-data", "--config", str(cfg), "--seed", "1", "--count", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
         assert not out.exists()
 
     @pytest.mark.parametrize("config, pairs", [

@@ -132,6 +132,24 @@ class TestTrainLoop:
         assert histories["none"] == histories["rain"] == histories["srin"]
 
 
+def test_adam_over_flat_buffer_matches_per_tensor_steps():
+    from harmlab.optim import AdamState, adam_step
+
+    config = UNetConfig(size=32, stages=2, base_channels=4, block="srin")
+    per_tensor, flat = GeneratorModel.build(config, seed=1), GeneratorModel.build(config, seed=1)
+    s_tensor, s_flat = AdamState(lr=1e-2), AdamState(lr=1e-2)
+    rng = np.random.default_rng(2)
+    for _ in range(3):
+        g = rng.normal(size=flat.flat.size) * rng.uniform(1e-6, 1e3, size=flat.flat.size)
+        per_tensor.flat.grad[:] = g
+        flat.flat.grad[:] = g
+        adam_step(per_tensor.parameters(), [p.grad for p in per_tensor.parameters()], s_tensor)
+        adam_step([flat.flat], [flat.flat.grad], s_flat)
+    assert per_tensor.flat.data.tobytes() == flat.flat.data.tobytes()
+    for moments, (flat_moment,) in ((s_tensor.m, s_flat.m), (s_tensor.v, s_flat.v)):
+        assert np.concatenate([m.ravel() for m in moments]).tobytes() == flat_moment.tobytes()
+
+
 class TestBatchingAndValidation:
     def test_batched_step_count_and_determinism(self):
         data = generate_dataset(GenConfig(seed=41, size=32), 5)

@@ -1,13 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 
 from harmlab import tensor as tc
 from harmlab import unet
 from harmlab.errors import CheckpointError, ShapeError
+from harmlab.gradcheck import grad_check
 from harmlab.imaging import Mask
 from harmlab.synthdata import GenConfig, generate_sample
 from harmlab.unet import (
-    GeneratorModel, UNetConfig, downsample_mask, downsample_planar,
+    BLOCK_KINDS, GeneratorModel, UNetConfig, block_degenerate, downsample_mask, downsample_planar,
     load_checkpoint, save_checkpoint, unet_forward,
 )
 
@@ -102,6 +105,19 @@ class TestForward:
         chain = model.forward_tensor(*args).data
         assert np.abs(fused - chain).max() <= 1e-12 * np.abs(chain).max()
 
+    def test_forward_writes_no_model_state(self):
+        model = GeneratorModel.build(UNetConfig(size=32, stages=2, block="srin"), seed=17)
+        s = sample_inputs()
+        vanishing = np.zeros((32, 32))
+        vanishing[0, 0] = 1.0  # no 8x8 feature site samples pixel (0, 0)
+        assert block_degenerate(model.config, vanishing)
+        state = dict(vars(model))
+        values = model.flat.data.copy()
+        with tc.Graph():
+            model.forward_tensor(s.composite.planar(), vanishing, s.semantic.planar())
+        assert vars(model) == state
+        assert np.array_equal(model.flat.data, values)
+
     def test_size_mismatch_raises(self):
         model = GeneratorModel.build(UNetConfig(size=64), seed=0)
         s = sample_inputs(size=32)
@@ -162,6 +178,47 @@ class TestParamCount:
         rain = GeneratorModel.build(UNetConfig(size=32, stages=2, block="rain"), seed=0)
         none = GeneratorModel.build(UNetConfig(size=32, stages=2, block="none"), seed=0)
         assert rain.param_count() == none.param_count()
+
+
+def _offset(view: np.ndarray, base: np.ndarray) -> int:
+    """Element offset of ``view``'s first element within the float64 buffer ``base``."""
+    assert np.shares_memory(view, base)
+    return (view.ctypes.data - base.ctypes.data) // base.itemsize
+
+
+class TestFlatBuffer:
+    @pytest.mark.parametrize("block", BLOCK_KINDS)
+    def test_parameters_are_views_at_enumeration_offsets(self, block):
+        config = UNetConfig(size=32, stages=2, base_channels=4, block=block)
+        model = GeneratorModel.build(config, seed=0)
+        flat = model.flat
+        assert model.param_count() == flat.size
+        pos = 0
+        groups = []
+        for (name, shape), (got, t) in zip(GeneratorModel.param_shapes(config), model.named_parameters()):
+            assert got == name and t.shape == shape
+            assert _offset(t.data, flat.data) == pos and _offset(t.grad, flat.grad) == pos
+            pos += math.prod(shape)
+            group = name.split(".")[0].rstrip("0123456789")
+            if not groups or groups[-1] != group:
+                groups.append(group)
+        assert pos == flat.size
+        # each group is one contiguous slice, in checkpoint order
+        assert groups == (["enc", "block", "dec", "head"] if block == "srin" else ["enc", "dec", "head"])
+
+    def test_grad_check_leaves_gradients_attached(self):
+        model = GeneratorModel.build(UNetConfig(size=16, stages=1, base_channels=2, block="none"), seed=18)
+        s = sample_inputs(size=16, seed=19)
+        args = (s.composite.planar(), s.mask.values, s.semantic.planar())
+        result = grad_check(lambda _: tc.mean_all(model.forward_tensor(*args)), model.parameters())
+        assert result.passed
+        model.zero_grad()
+        assert not model.flat.grad.any()
+        with tc.Graph() as g:
+            g.backward(tc.mean_all(model.forward_tensor(*args)))
+        assert model.flat.grad.any()
+        for _, t in model.named_parameters():
+            assert np.shares_memory(t.grad, model.flat.grad)
 
 
 class TestCheckpoints:
