@@ -241,6 +241,40 @@ def upsample2(a: Tensor) -> Tensor:
     return _op("upsample2", (a,), a.data.repeat(2, axis=1).repeat(2, axis=2), grad)
 
 
+def crop(a: Tensor, top: int, bottom: int, left: int, right: int) -> Tensor:
+    """Rows ``top:bottom`` and columns ``left:right`` of a [C, H, W] map.
+
+    The backward pads the gradient with zeros. A window that is the whole
+    map returns ``a`` itself and records nothing.
+    """
+    if a.data.ndim != 3 or not (0 <= top < bottom <= a.shape[1] and 0 <= left < right <= a.shape[2]):
+        raise ShapeError(f"crop: window rows {top}:{bottom}, cols {left}:{right} is not inside {a.shape}")
+    if (top, bottom, left, right) == (0, a.shape[1], 0, a.shape[2]):
+        return a
+
+    def grad(g):
+        full = np.zeros_like(a.data)
+        full[:, top:bottom, left:right] = g
+        return full
+
+    return _op("crop", (a,), a.data[:, top:bottom, left:right], grad)
+
+
+def uncrop(a: Tensor, top: int, left: int, height: int, width: int) -> Tensor:
+    """Adjoint of ``crop``: a zero [C, height, width] map with ``a`` pasted at (top, left).
+
+    A window that is the whole map returns ``a`` itself and records nothing.
+    """
+    if a.data.ndim != 3 or min(top, left) < 0 or top + a.shape[1] > height or left + a.shape[2] > width:
+        raise ShapeError(f"uncrop: {a.shape} at ({top}, {left}) does not fit in {height}x{width}")
+    c, h, w = a.shape
+    if (h, w) == (height, width):
+        return a
+    full = np.zeros((c, height, width), dtype=np.float64)
+    full[:, top : top + h, left : left + w] = a.data
+    return _op("uncrop", (a,), full, lambda g: g[:, top : top + h, left : left + w])
+
+
 # ---------------------------------------------------------------------------
 # masked blending (masks are constant, non-differentiable site selectors)
 

@@ -10,6 +10,23 @@ or the concat; smaller stages run the chain. The 3-channel output head
 is residual: its prediction is added to the composite, clamped to [0, 1], and
 composed with the composite so background pixels pass through exactly.
 
+Since that composition keeps only the foreground, the decoder and the head
+run on a window around it (``decode_window``): the bottleneck cells, each the
+2^stages x 2^stages pixel block under one bottleneck site, that hold any
+foreground pixel, grown by one cell on each side, clipped to the map, and
+widened to at least half the map's cells on each side so that the cost of a
+forward moves less with the foreground's size. The bottleneck features,
+every encoder skip and the composite are cropped to the window at their own
+resolution, and the head's clamped output is pasted back into a zero map
+before the composition. This is exact: a 3x3 conv reads one site past its
+output, so the zero padding at a window edge inside the image corrupts a
+ring 1 site wide after the first decoder stage, 2r + 1 after the next stage
+if it was r before, 2^stages - 1 pixels after the last stage and 2^stages
+after the head, which the margin of at least one cell covers. Every
+foreground output, and every site with a nonzero gradient, is computed from
+true values. A window that is the whole map decodes the whole frame with no
+crop.
+
 Checkpoints are a flat binary format (documented in docs/checkpoint-format.md):
 magic ``SRN1``, the configuration as little-endian u32 fields, then every
 parameter tensor in enumeration order as (rank, dims..., float64 payload).
@@ -34,9 +51,10 @@ BLOCK_KINDS = ("none", "rain", "srin")
 
 _MAGIC = b"SRN1"
 
-# Decoder stages whose low-res input has at least this many sites run the
-# fused ``tc.up_conv3x3``; smaller ones run the upsample2 / concat_channels /
-# conv3x3 chain, whose fewer numpy calls cost less there. Forward plus
+# Decoder stages whose low-res input, cropped to the decode window, has at
+# least this many sites run the fused ``tc.up_conv3x3``; smaller ones run the
+# upsample2 / concat_channels / conv3x3 chain, whose fewer numpy calls cost
+# less there. Forward plus
 # backward ms per layer, chain -> fused, 16 base channels, 2-CPU box, one
 # BLAS thread, for the two channel widths met at each size: 8x8 low-res
 # sites 1.2 -> 2.1 and 2.7 -> 4.1; 16x16 1.75 -> 1.85 and 3.3 -> 3.2; 32x16
@@ -194,6 +212,11 @@ class GeneratorModel:
 
         ``composite`` may be a Tensor (to differentiate with respect to the
         input) or a plain array. ``mask`` and ``semantic`` are constants.
+        The encoder and the bottleneck block run on the whole frame; the
+        decoder stages, the head, the residual add and the clamp run on
+        ``decode_window(config, mask)`` only, whose margin of at least one
+        cell keeps the foreground output and every gradient exact (see the
+        module docstring). Outside the window the output is the composite.
         """
         size = self.config.size
         comp_t = composite if isinstance(composite, Tensor) else Tensor(np.asarray(composite, dtype=np.float64))
@@ -221,8 +244,15 @@ class GeneratorModel:
                     cur, mask_f, downsample_planar(sem, feat_size), self.block_params, EPS_DEFAULT
                 ).output
 
+        top, bottom, left, right = decode_window(self.config, m)
+
+        def windowed(t: Tensor, scale: int) -> Tensor:
+            """``t`` cropped to the window, at ``scale`` times the bottleneck's resolution."""
+            return tc.crop(t, top * scale, bottom * scale, left * scale, right * scale)
+
+        cur = windowed(cur, 1)
         for j, (w, b) in enumerate(self.decoder):
-            skip = skips[self.config.stages - j - 1]
+            skip = windowed(skips[self.config.stages - j - 1], 2 << j)
             if cur.shape[1] * cur.shape[2] >= _FUSED_MIN_SITES:
                 cur = tc.up_conv3x3(cur, skip, w, b)
             else:
@@ -230,8 +260,9 @@ class GeneratorModel:
             cur = tc.relu(cur)
 
         delta = tc.conv3x3(cur, self.head[0], self.head[1], stride=1)
-        raw = tc.add(delta, comp_t) if self.config.residual else delta
-        clamped = tc.clamp01(raw)
+        cell = 1 << self.config.stages
+        raw = tc.add(delta, windowed(comp_t, cell)) if self.config.residual else delta
+        clamped = tc.uncrop(tc.clamp01(raw), top * cell, left * cell, size, size)
         return tc.blend(clamped, comp_t, m)
 
 
@@ -244,6 +275,41 @@ def block_degenerate(config: UNetConfig, mask: np.ndarray) -> bool:
     mask_f = downsample_mask(mask, config.size >> config.stages)
     fg = int(mask_f.sum())
     return fg == 0 or fg == mask_f.size
+
+
+def decode_window(config: UNetConfig, mask: np.ndarray) -> tuple[int, int, int, int]:
+    """The bottleneck sites ``(top, bottom, left, right)``, half-open, that
+    ``forward_tensor`` decodes for the [S, S] binary ``mask``.
+
+    A cell is the 2^stages x 2^stages pixel block under one bottleneck site.
+    The window spans the cells that hold any foreground pixel, grown by one
+    cell on each side and clipped to the map. A side shorter than half the
+    map's cells (rounded up) is then widened about its centre to that length,
+    shifted inward where it would cross an edge; an empty mask gives that
+    half-map square at the top-left corner. The widening trades speed on
+    small foregrounds for a cost that moves less with the mask: at 128 px, 2
+    stages and 16 base channels, a ``none`` forward took from 2.5 ms (empty
+    mask) to 10.3 ms (full) without it, and the throughput over eight
+    generated samples had an interquartile range of 14% of its median over
+    ten corpus seeds; with it, every foreground that fits in a 44 px square
+    takes 5.0 ms (2-CPU box, one BLAS thread).
+    """
+    cells = config.size >> config.stages
+    least = (cells + 1) // 2
+    rows = np.flatnonzero(mask.any(axis=1))
+    if rows.size == 0:
+        return 0, least, 0, least
+    cols = np.flatnonzero(mask.any(axis=0))
+
+    def span(hits: np.ndarray) -> tuple[int, int]:
+        lo = max((int(hits[0]) >> config.stages) - 1, 0)
+        hi = min((int(hits[-1]) >> config.stages) + 2, cells)
+        if hi - lo < least:
+            lo = min(max(lo - (least - (hi - lo)) // 2, 0), cells - least)
+            hi = lo + least
+        return lo, hi
+
+    return (*span(rows), *span(cols))
 
 
 def unet_forward(model: GeneratorModel, composite: Image, mask: Mask, semantic: Image) -> Image:

@@ -240,6 +240,11 @@ def op_grad_checks(tol: float = DEFAULT_TOL, h: float = DEFAULT_H) -> list[GradC
         lambda ts: l1_loss(ts[0], ts[1]),
         [rng.normal(size=(2, 3, 3)), rng.normal(size=(2, 3, 3)) + 2.5],
     )
+
+    x245 = rng.normal(size=(2, 4, 5))
+    w245 = rng.normal(size=(2, 4, 5))
+    check("crop", lambda ts: _weighted_sum(tc.crop(ts[0], 1, 3, 1, 4), w245[:, 1:3, 1:4]), [x245])
+    check("uncrop", lambda ts: _weighted_sum(tc.uncrop(ts[0], 1, 1, 4, 5), w245), [x245[:, 1:3, 1:4]])
     return results
 
 
@@ -285,7 +290,9 @@ def block_grad_checks(tol: float = DEFAULT_TOL, h: float = DEFAULT_H) -> list[Gr
 
 
 def network_grad_check(tol: float = DEFAULT_TOL, h: float = DEFAULT_H) -> list[GradCheckResult]:
-    """End-to-end check of L1-after-forward on the tiny configuration."""
+    """End-to-end checks of L1-after-forward on the tiny configuration: one
+    whose decode window is the whole map, and one whose window is a strict
+    sub-rectangle of it."""
     config = UNetConfig(size=16, stages=1, base_channels=4, block="srin")
     model = GeneratorModel.build(config, seed=11)
     rng = np.random.default_rng(311)
@@ -296,13 +303,16 @@ def network_grad_check(tol: float = DEFAULT_TOL, h: float = DEFAULT_H) -> list[G
     sem = rng.uniform(0.0, 1.0, size=(3, 16, 16))
     ref = rng.uniform(0.2, 0.8, size=(3, 16, 16))
     ref_t = Tensor(ref)
+    blob = np.zeros((16, 16))
+    blob[5:10, 6:9] = 1.0  # decode window: pixel rows 2:12, columns 4:12
 
-    inputs = [Tensor(comp.copy())] + model.parameters()
+    def check(name: str, m: np.ndarray) -> GradCheckResult:
+        def fn(ts):
+            return l1_loss(model.forward_tensor(ts[0], m, sem), ref_t)
 
-    def fn(ts):
-        return l1_loss(model.forward_tensor(ts[0], mask, sem), ref_t)
+        return grad_check(fn, [Tensor(comp.copy())] + model.parameters(), h=h, tol=tol, name=name)
 
-    return [grad_check(fn, inputs, h=h, tol=tol, name="unet_l1_end_to_end")]
+    return [check("unet_l1_end_to_end", mask), check("unet_l1_window_end_to_end", blob)]
 
 
 # ---------------------------------------------------------------------------

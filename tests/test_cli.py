@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 import harmlab
+from harmlab import unet
 from harmlab.cli import build_parser, dispatch, parse_config_file
 from harmlab.errors import ConfigError
-from harmlab.imaging import Image, Mask, write_pgm, write_ppm
+from harmlab.imaging import Image, Mask, read_ppm, write_pgm, write_ppm
 from harmlab.synthdata import GenConfig, generate_dataset, sample_paths, write_dataset
 from harmlab.unet import GeneratorModel, UNetConfig, save_checkpoint
 
@@ -121,12 +122,16 @@ class TestTrainEvalHarmonize:
         err = capsys.readouterr().err
         assert "overall" in err
 
-    def test_harmonize_zero_mask_copies_composite(self, workspace, tmp_path):
-        root, data, ckpt = workspace
+    @staticmethod
+    def harmonize_windows(ckpt, tmp_path, monkeypatch, fill):
+        """Run ``harmonize`` on a random composite and a constant mask; returns the decode windows and the paths."""
+        windows = []
+        window = unet.decode_window
+        monkeypatch.setattr(unet, "decode_window", lambda *args: windows.append(window(*args)) or windows[-1])
         rng = np.random.default_rng(0)
         comp = Image(np.rint(rng.uniform(0, 1, (32, 32, 3)) * 255) / 255)
         write_ppm(comp, tmp_path / "comp.ppm")
-        write_pgm(Mask(np.zeros((32, 32), dtype=np.uint8)), tmp_path / "mask.pgm")
+        write_pgm(Mask(np.full((32, 32), fill, dtype=np.uint8)), tmp_path / "mask.pgm")
         write_ppm(comp, tmp_path / "sem.ppm")
         out = tmp_path / "out.ppm"
         code = dispatch([
@@ -135,7 +140,19 @@ class TestTrainEvalHarmonize:
             "--out", str(out),
         ])
         assert code == 0
-        assert out.read_bytes() == (tmp_path / "comp.ppm").read_bytes()
+        return windows, tmp_path / "comp.ppm", out
+
+    def test_harmonize_zero_mask_copies_composite(self, workspace, tmp_path, monkeypatch):
+        root, data, ckpt = workspace
+        windows, comp, out = self.harmonize_windows(ckpt, tmp_path, monkeypatch, 0)
+        assert windows == [(0, 4, 0, 4)]  # half of the 8x8 cells on each side, no zero-size map
+        assert out.read_bytes() == comp.read_bytes()
+
+    def test_harmonize_full_mask_decodes_the_whole_map(self, workspace, tmp_path, monkeypatch):
+        root, data, ckpt = workspace
+        windows, comp, out = self.harmonize_windows(ckpt, tmp_path, monkeypatch, 1)
+        assert windows == [(0, 8, 0, 8)]  # 32 px, 2 stages: 8x8 cells
+        assert read_ppm(out).pixels.shape == (32, 32, 3)
 
     def test_harmonize_size_mismatch_is_data_error(self, workspace, tmp_path, capsys):
         root, data, ckpt = workspace

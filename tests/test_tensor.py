@@ -152,6 +152,36 @@ class TestUpConv3x3:
             tc.up_conv3x3(low, Tensor(np.ones((1, 6, 6))), Tensor(np.ones((4, 2, 3, 3))), b)
 
 
+class TestCrop:
+    def test_crop_and_uncrop_are_adjoint(self):
+        rng = np.random.default_rng(3)
+        x = Tensor(rng.normal(size=(2, 5, 6)), requires_grad=True)
+        g = rng.normal(size=(2, 2, 3))
+        with Graph() as graph:
+            window = tc.crop(x, 1, 3, 2, 5)
+            loss = tc.sum_all(tc.mul(window, Tensor(g)))
+        assert np.array_equal(window.data, x.data[:, 1:3, 2:5])
+        graph.backward(loss)
+        pasted = tc.uncrop(Tensor(g), 1, 2, 5, 6).data
+        assert np.array_equal(x.grad, pasted)
+        assert np.array_equal(pasted[:, 1:3, 2:5], g) and not np.delete(pasted, np.s_[1:3], axis=1).any()
+
+    def test_whole_map_is_identity_and_records_nothing(self):
+        x = Tensor(np.ones((1, 3, 4)), requires_grad=True)
+        with Graph() as graph:
+            assert tc.crop(x, 0, 3, 0, 4) is x
+            assert tc.uncrop(x, 0, 0, 3, 4) is x
+        assert graph.records == []
+
+    def test_windows_outside_the_map_rejected(self):
+        x = Tensor(np.ones((1, 3, 4)))
+        for window in ((0, 4, 0, 4), (2, 2, 0, 4), (0, 3, -1, 2)):
+            with pytest.raises(ShapeError, match="crop"):
+                tc.crop(x, *window)
+        with pytest.raises(ShapeError, match="uncrop"):
+            tc.uncrop(x, 1, 0, 3, 4)
+
+
 class TestSoftmaxRows:
     def test_symmetric_row(self):
         out = tc._softmax_rows(np.array([[0.0, 0.0]]))

@@ -9,6 +9,7 @@ from harmlab.errors import CheckpointError, ShapeError
 from harmlab.gradcheck import grad_check
 from harmlab.imaging import Mask
 from harmlab.synthdata import GenConfig, generate_sample
+from harmlab.training import l1_loss
 from harmlab.unet import (
     BLOCK_KINDS, GeneratorModel, UNetConfig, block_degenerate, downsample_mask, downsample_planar,
     load_checkpoint, save_checkpoint, unet_forward,
@@ -95,7 +96,12 @@ class TestForward:
     def test_fused_decoder_matches_unfused_chain(self, block, monkeypatch):
         model = GeneratorModel.build(UNetConfig(size=128, stages=2, block=block), seed=15)
         s = sample_inputs(size=128, seed=16)
-        args = (s.composite.planar(), s.mask.values, s.semantic.planar())
+        # foreground at two opposite corners makes the decode window the whole
+        # map, so both stages see their full low-res size
+        mask = s.mask.values.astype(np.float64)
+        mask[0, 0] = mask[-1, -1] = 1.0
+        assert unet.decode_window(model.config, mask) == (0, 32, 0, 32)
+        args = (s.composite.planar(), mask, s.semantic.planar())
         fused_calls = []
         real = tc.up_conv3x3
         monkeypatch.setattr(tc, "up_conv3x3", lambda *a: fused_calls.append(1) or real(*a))
@@ -129,6 +135,89 @@ class TestForward:
         s = sample_inputs(seed=9)
         out = unet_forward(model, s.composite, s.mask, s.semantic)
         assert out.pixels.min() >= 0.0 and out.pixels.max() <= 1.0
+
+
+def window_masks(size: int, seed: int) -> dict[str, np.ndarray]:
+    """Masks whose decode windows cover the cases the window rule treats differently."""
+    masks = {"synthetic": generate_sample(GenConfig(seed=seed, size=size), 0).mask.values.astype(np.float64)}
+    for name, (r, c) in {"top_left": (0, 0), "top_right": (0, -1), "bottom_left": (-1, 0),
+                         "bottom_right": (-1, -1)}.items():
+        masks[name] = np.zeros((size, size))
+        masks[name][r, c] = 1.0
+    q = size // 4
+    bands = {
+        "band_top": (slice(0, 3), slice(q, 2 * q + 1)),
+        "band_right": (slice(q + 1, 2 * q), slice(size - 2, size)),
+        "band_bottom_row": (slice(size - 1, size), slice(None)),
+        "band_left_column": (slice(None), slice(0, 1)),
+    }
+    for name, region in bands.items():
+        masks[name] = np.zeros((size, size))
+        masks[name][region] = 1.0
+    masks["empty"] = np.zeros((size, size))
+    masks["full"] = np.ones((size, size))
+    return masks
+
+
+def _within(got: np.ndarray, want: np.ndarray, rel: float = 1e-12) -> bool:
+    return float(np.abs(got - want).max()) <= rel * float(np.abs(want).max())
+
+
+class TestDecodeWindow:
+    def test_window_rule(self):
+        config = UNetConfig(size=64, stages=3)  # 8x8 cells of 8x8 pixels
+        mask = np.zeros((64, 64))
+        assert unet.decode_window(config, mask) == (0, 4, 0, 4)  # half the cells on each side
+        mask[63, 63] = 1.0  # cell (7, 7): grown to 6:8, widened to 4 cells inside the map
+        assert unet.decode_window(config, mask) == (4, 8, 4, 8)
+        mask[63, 63] = 0.0
+        mask[20, 40] = 1.0  # cell (2, 5): grown to 1:4 and 4:7, widened at the far end
+        assert unet.decode_window(config, mask) == (1, 5, 4, 8)
+        mask[20, 40] = 0.0
+        mask[20:22, 33] = mask[28, 38] = 1.0  # cells 2:4 and 4:5: grown to 1:5 and 3:6, columns widened to 3:7
+        assert unet.decode_window(config, mask) == (1, 5, 3, 7)
+        mask[:] = 0.0
+        mask[20, 40] = 1.0
+        mask[63, 0] = 1.0  # cell (7, 0): clipped at the bottom and left edges
+        assert unet.decode_window(config, mask) == (1, 8, 0, 7)
+        assert unet.decode_window(config, np.ones((64, 64))) == (0, 8, 0, 8)
+
+    @pytest.mark.parametrize("size,stages", [(32, 2), (64, 3), (128, 2)])
+    @pytest.mark.parametrize("block", BLOCK_KINDS)
+    def test_matches_full_frame_decoding(self, block, size, stages, monkeypatch):
+        config = UNetConfig(size=size, stages=stages, block=block)
+        model = GeneratorModel.build(config, seed=21)
+        s = sample_inputs(size=size, seed=22)
+        comp, sem = s.composite.planar(), s.semantic.planar()
+        target = tc.Tensor(np.random.default_rng(23).uniform(0.2, 0.8, size=(3, size, size)))
+        window = unet.decode_window
+
+        def run(mask):
+            model.zero_grad()
+            comp_t = tc.Tensor(comp, requires_grad=True)
+            with tc.Graph() as g:
+                out = model.forward_tensor(comp_t, mask, sem)
+                g.backward(l1_loss(out, target))
+            return out.data, model.flat.grad.copy(), comp_t.grad, {r.op for r in g.records}
+
+        cells = size >> stages
+        masks = window_masks(size, seed=24)
+        wholes = {name for name, mask in masks.items() if window(config, mask) == (0, cells, 0, cells)}
+        # only the all-ones mask, and perhaps a large synthetic one, decodes the whole map
+        assert "full" in wholes and wholes <= {"full", "synthetic"}
+        for name, mask in masks.items():
+            out, grad, comp_grad, ops = run(mask)
+            monkeypatch.setattr(unet, "decode_window", lambda c, m: (0, cells, 0, cells))
+            ref_out, ref_grad, ref_comp_grad, ref_ops = run(mask)
+            monkeypatch.setattr(unet, "decode_window", window)
+            where = f"{block} {size}/{stages} {name}"
+            assert _within(out, ref_out), where
+            bg = mask == 0.0
+            assert np.array_equal(out[:, bg], ref_out[:, bg]) and np.array_equal(out[:, bg], comp[:, bg]), where
+            assert _within(grad, ref_grad), where
+            assert _within(comp_grad, ref_comp_grad), where
+            assert not {"crop", "uncrop"} & ref_ops, where
+            assert (name in wholes) == (not {"crop", "uncrop"} & ops), where
 
 
 class TestResampling:
