@@ -245,6 +245,24 @@ def op_grad_checks(tol: float = DEFAULT_TOL, h: float = DEFAULT_H) -> list[GradC
     w245 = rng.normal(size=(2, 4, 5))
     check("crop", lambda ts: _weighted_sum(tc.crop(ts[0], 1, 3, 1, 4), w245[:, 1:3, 1:4]), [x245])
     check("uncrop", lambda ts: _weighted_sum(tc.uncrop(ts[0], 1, 1, 4, 5), w245), [x245[:, 1:3, 1:4]])
+
+    # conv3x3 runs per-tap products when C_out >= C_in and stacked ones
+    # otherwise; the two checks above have C_out < C_in, these C_out > C_in
+    x245w = rng.normal(size=(2, 4, 5))
+    k323 = 0.4 * rng.normal(size=(3, 2, 3, 3))
+    bias3 = rng.normal(size=3)
+    w345 = rng.normal(size=(3, 4, 5))
+    check(
+        "conv3x3_s1_widening",
+        lambda ts: _weighted_sum(tc.conv3x3(ts[0], ts[1], ts[2], stride=1), w345),
+        [x245w, k323, bias3],
+    )
+    w323 = rng.normal(size=(3, 2, 3))
+    check(
+        "conv3x3_s2_widening",
+        lambda ts: _weighted_sum(tc.conv3x3(ts[0], ts[1], ts[2], stride=2), w323),
+        [x245w, k323, bias3],
+    )
     return results
 
 

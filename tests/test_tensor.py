@@ -109,6 +109,63 @@ class TestConv3x3:
         res = grad_check(fn, inputs, name=f"conv3x3_s{stride}_{h}x{w}")
         assert res.passed, res.line()
 
+    @staticmethod
+    def dense_reference(x, k, g, stride):
+        """Loop over the nine taps: (dX, dW, dbias) of sum(conv3x3(x, k, b) * g)."""
+        _, h, w = x.shape
+        ho, wo = g.shape[1:]
+        padded = np.pad(x, ((0, 0), (1, 1), (1, 1)))
+        dpadded = np.zeros_like(padded)
+        dk = np.zeros_like(k)
+        for ky in range(3):
+            for kx in range(3):
+                window = np.s_[:, ky : ky + stride * (ho - 1) + 1 : stride, kx : kx + stride * (wo - 1) + 1 : stride]
+                dk[:, :, ky, kx] = np.einsum("oyx,iyx->oi", g, padded[window])
+                dpadded[window] += np.einsum("oi,oyx->iyx", k[:, :, ky, kx], g)
+        return dpadded[:, 1 : h + 1, 1 : w + 1], dk, g.sum(axis=(1, 2))
+
+    @staticmethod
+    def backward_of(x, k, b, g, stride, x_grad=True):
+        ts = Tensor(x, requires_grad=x_grad), Tensor(k, requires_grad=True), Tensor(b, requires_grad=True)
+        with Graph() as graph:
+            loss = tc.sum_all(tc.mul(tc.conv3x3(*ts, stride=stride), Tensor(g)))
+        graph.backward(loss)
+        return [t.grad for t in ts]
+
+    @pytest.mark.parametrize("c_in, c_out", [(5, 2), (2, 5), (3, 3)])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("h, w", [(1, 1), (2, 5), (5, 7)])
+    @pytest.mark.parametrize("x_grad", [True, False])
+    def test_gradients_match_dense_reference(self, c_in, c_out, stride, h, w, x_grad):
+        rng = np.random.default_rng(c_in * 100 + c_out * 10 + h)
+        x, k, b = rng.normal(size=(c_in, h, w)), rng.normal(size=(c_out, c_in, 3, 3)), rng.normal(size=c_out)
+        g = rng.normal(size=(c_out, -(-h // stride), -(-w // stride)))
+        got = self.backward_of(x, k, b, g, stride, x_grad)
+        expected = self.dense_reference(x, k, g, stride)
+        if not x_grad:
+            assert got[0] is None
+        for part, ref in zip(got, expected):
+            if part is not None:
+                assert np.abs(part - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_shared_weight_gradient_is_the_sum(self):
+        # one conv takes the stacked backward (C_out < C_in, input needs a
+        # gradient), the other the per-tap one (its input needs none)
+        rng = np.random.default_rng(11)
+        k = Tensor(rng.normal(size=(2, 4, 3, 3)), requires_grad=True)
+        b = Tensor(rng.normal(size=2), requires_grad=True)
+        x1 = Tensor(rng.normal(size=(4, 5, 6)), requires_grad=True)
+        x2 = Tensor(rng.normal(size=(4, 7, 3)))
+        g1, g2 = rng.normal(size=(2, 5, 6)), rng.normal(size=(2, 4, 2))
+        with Graph() as graph:
+            loss = tc.add(tc.sum_all(tc.mul(tc.conv3x3(x1, k, b, stride=1), Tensor(g1))),
+                          tc.sum_all(tc.mul(tc.conv3x3(x2, k, b, stride=2), Tensor(g2))))
+        graph.backward(loss)
+        dx1, dk1, db1 = self.dense_reference(x1.data, k.data, g1, 1)
+        _, dk2, db2 = self.dense_reference(x2.data, k.data, g2, 2)
+        for got, ref in ((x1.grad, dx1), (k.grad, dk1 + dk2), (b.grad, db1 + db2)):
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
     def test_bad_stride(self):
         with pytest.raises(ShapeError):
             tc.conv3x3(Tensor(np.ones((1, 4, 4))), Tensor(np.ones((1, 1, 3, 3))), Tensor(np.zeros(1)), stride=3)
@@ -293,6 +350,22 @@ class TestTape:
             g.backward(tc.sum_all(y))
         assert np.allclose(x.grad, [5.0, -1.0], atol=1e-15)
 
+    def test_gradients_are_private_copies(self):
+        rng = np.random.default_rng(6)
+        a, b = Tensor(rng.normal(size=(2, 3)), requires_grad=True), Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        weights = rng.normal(size=(2, 3))
+        with Graph() as g:
+            y = tc.add(a, b)  # its backward hands y's gradient array itself to a and b
+            g.backward(tc.sum_all(tc.mul(y, Tensor(weights))))
+        assert not np.shares_memory(a.grad, b.grad)
+        assert not np.shares_memory(a.grad, y.grad) and not np.shares_memory(b.grad, y.grad)
+        x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        with Graph() as g:
+            y = tc.add(x, x)
+            g.backward(tc.sum_all(tc.mul(y, Tensor(weights))))
+        assert np.array_equal(x.grad, 2.0 * weights)
+        assert np.array_equal(y.grad, weights)
+
     def test_no_recording_without_graph(self):
         x = Tensor(np.ones(3), requires_grad=True)
         out = tc.add_scalar(x, 2.0)
@@ -300,21 +373,21 @@ class TestTape:
 
     def test_forward_replay_is_bit_identical(self):
         rng = np.random.default_rng(5)
-        x = rng.normal(size=(2, 4, 4))
-        w = rng.normal(size=(3, 2, 3, 3))
-        b = rng.normal(size=3)
+        # C_out > C_in takes the per-tap conv backward, C_out < C_in the stacked one
+        for c_in, c_out, stride in ((2, 3, 2), (5, 2, 1), (5, 2, 2)):
+            x = rng.normal(size=(c_in, 6, 5))
+            w = rng.normal(size=(c_out, c_in, 3, 3))
+            b = rng.normal(size=c_out)
 
-        def run():
-            with Graph() as g:
-                t = Tensor(x.copy(), requires_grad=True)
-                out = tc.sum_all(tc.relu(tc.conv3x3(t, Tensor(w), Tensor(b), stride=2)))
-                g.backward(out)
-                return out.data.copy(), t.grad.copy()
+            def run():
+                with Graph() as g:
+                    ts = Tensor(x.copy(), requires_grad=True), Tensor(w, requires_grad=True), Tensor(b)
+                    out = tc.sum_all(tc.relu(tc.conv3x3(*ts, stride=stride)))
+                    g.backward(out)
+                    return out.data.copy(), ts[0].grad.copy(), ts[1].grad.copy()
 
-        o1, g1 = run()
-        o2, g2 = run()
-        assert np.array_equal(o1, o2)
-        assert np.array_equal(g1, g2)
+            for first, second in zip(run(), run()):
+                assert np.array_equal(first, second), (c_in, c_out, stride)
 
     def test_threads_record_onto_their_own_tapes(self):
         # Both threads enter their graphs before either runs a forward, and
