@@ -8,6 +8,9 @@ and Bradley-Terry ranking from pairwise preferences.
 """
 
 import ctypes
+from pathlib import Path
+
+import numpy as np
 
 from . import tensor
 from .blocks import (
@@ -81,7 +84,28 @@ def _keep_heap_resident() -> None:
     mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: keep up to 64 MiB free at the heap top
 
 
+def _pin_blas_to_one_thread() -> None:
+    # OpenBLAS's threaded GEMM sums some shapes in another order than its
+    # one-thread path, so results would depend on the thread count the
+    # environment asks for; with one thread every run gives the same bits.
+    # The library is the one numpy's wheel ships in numpy.libs. Where there
+    # is none, or it has no *_set_num_threads symbol, this does nothing.
+    for path in sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_", "openblas_set_num_threads"):
+            set_threads = getattr(lib, name, None)
+            if set_threads is not None:
+                set_threads.argtypes = (ctypes.c_int,)
+                set_threads.restype = None
+                set_threads(1)
+                return
+
+
 _keep_heap_resident()
+_pin_blas_to_one_thread()
 
 __version__ = "0.1.0"
 

@@ -19,7 +19,7 @@ All blocks are pure, reentrant, and differentiable end to end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -65,13 +65,8 @@ class SrinParams:
         )
 
     def named(self) -> list[tuple[str, Tensor]]:
-        return [
-            ("block.w_query", self.w_query), ("block.b_query", self.b_query),
-            ("block.w_key", self.w_key), ("block.b_key", self.b_key),
-            ("block.w_value", self.w_value), ("block.b_value", self.b_value),
-            ("block.w_gamma", self.w_gamma), ("block.b_gamma", self.b_gamma),
-            ("block.w_beta", self.w_beta), ("block.b_beta", self.b_beta),
-        ]
+        """``("block.<field>", tensor)`` in field order, which is the checkpoint order."""
+        return [(f"block.{f.name}", getattr(self, f.name)) for f in fields(self)]
 
 
 @dataclass

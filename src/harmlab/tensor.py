@@ -6,13 +6,16 @@ and an operand requires gradients, append a record to the tape. ``Graph.backward
 walks the tape in exact reverse execution order, accumulating gradients into
 ``Tensor.grad`` buffers.
 
-Everything is float64 and single-threaded by design: identical inputs produce
-bit-identical outputs across runs. There is no broadcasting beyond the handful
-of channel-wise patterns the operations below need.
+Everything is float64 and single-threaded: importing ``harmlab`` pins the
+BLAS pool to one thread, so identical inputs produce bit-identical outputs
+across runs whatever thread count the environment asks for. There is no
+broadcasting beyond the handful of channel-wise patterns the operations below
+need.
 """
 
 from __future__ import annotations
 
+import math
 from contextvars import ContextVar
 from typing import Callable, Optional, Sequence
 
@@ -396,78 +399,110 @@ def _phase_slices(h: int, w: int, stride: int):
 
 
 def _phase_grids(x: np.ndarray, stride: int, rows: int, pitch: int) -> np.ndarray:
-    """Zero-pad a [C, h, w] map by 1 and split it into [stride, stride, C, rows, pitch] phase grids."""
-    grids = np.zeros((stride, stride, x.shape[0], rows, pitch), dtype=np.float64)
+    """Zero-pad a [C, h, w] map by 1 and split it into flat phase grids [stride * stride, C, rows * pitch].
+
+    Grid ``py * stride + px`` is phase grid (py, px) with its rows ``pitch`` apart.
+    """
+    grids = np.zeros((stride * stride, x.shape[0], rows, pitch), dtype=np.float64)
     for py, px, xs, gs in _phase_slices(x.shape[1], x.shape[2], stride):
-        grids[py, px][gs] = x[xs]
-    return grids
+        grids[py * stride + px][gs] = x[xs]
+    return grids.reshape(stride * stride, x.shape[0], rows * pitch)
 
 
-def _from_phase_grids(grids: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Inverse of ``_phase_grids`` for a map of ``shape``: gathers the input sites back out."""
+def _from_phase_grids(grids: Sequence[np.ndarray], shape: tuple[int, ...], pitch: int) -> np.ndarray:
+    """Inverse of ``_phase_grids`` for a map of ``shape``: gathers the input sites back out of the flat grids."""
+    stride = math.isqrt(len(grids))
     x = np.empty(shape, dtype=np.float64)
-    for py, px, xs, gs in _phase_slices(shape[1], shape[2], grids.shape[0]):
-        x[xs] = grids[py, px][gs]
+    for py, px, xs, gs in _phase_slices(shape[1], shape[2], stride):
+        x[xs] = grids[py * stride + px].reshape(shape[0], -1, pitch)[gs]
     return x
 
 
-def _widen(g: np.ndarray, pitch: int) -> np.ndarray:
-    """[C, H, W] -> [C, H * pitch] with exact zeros in the columns past W."""
-    c, h, w = g.shape
-    wide = np.zeros((c, h, pitch), dtype=np.float64)
-    wide[:, :, :w] = g
-    return wide.reshape(c, h * pitch)
+def _tap_sums(grids: Sequence[np.ndarray], taps, shape: tuple[int, ...], pitch: int) -> np.ndarray:
+    """Output blocks of ``shape`` [..., C_out, H, W], each a sum over its taps.
 
-
-def _shifted_gemms(taps, n: int) -> np.ndarray:
-    """Sum of ``w @ grid[:, o : o + n]`` over the taps ``(w, grid, o)``.
-
-    ``grid`` is a flat [C_in, L] phase grid, so each tap reads one contiguous
-    slice of it and the sum is one conv output block of ``n`` grid columns.
+    Each grid is a flat [C_in, L] phase grid with rows ``pitch`` apart, and
+    the leading axes of ``shape`` number the blocks in C order. A tap
+    ``(block, grid, w, offset)`` adds ``w @ grids[grid][:, offset : offset + n]``
+    with ``n = H * pitch`` into its block, so every tap reads one contiguous
+    slice and the last ``pitch - W`` columns of each row are cropped. A
+    block's first tap is assigned and the rest are added in tap order.
     """
-    (w0, grid0, o0), *rest = taps
-    acc = w0 @ grid0[:, o0 : o0 + n]
-    prod = np.empty_like(acc)
-    for w, grid, o in rest:
-        acc += np.matmul(w, grid[:, o : o + n], out=prod)
-    return acc
+    c_out, h, w = shape[-3:]
+    n = h * pitch
+    acc = np.empty((math.prod(shape[:-3]), c_out, n), dtype=np.float64)
+    prod = np.empty((c_out, n), dtype=np.float64)
+    for b, acc_b in enumerate(acc):
+        (_, j, wt, o), *rest = [tap for tap in taps if tap[0] == b]
+        np.matmul(wt, grids[j][:, o : o + n], out=acc_b)
+        for _, j, wt, o in rest:
+            acc_b += np.matmul(wt, grids[j][:, o : o + n], out=prod)
+    return acc.reshape(*shape[:-1], pitch)[..., :w]
 
 
-def _shifted_gemms_backward(g: np.ndarray, taps, dws, dgrids) -> None:
-    """Backward of ``_shifted_gemms`` for the gradient ``g`` [C_out, n] of its sum.
+def _tap_sums_backward(g: np.ndarray, grids: Sequence[np.ndarray], taps, pitch: int, grad_grids: Sequence[bool],
+                       dws: Optional[Sequence[np.ndarray]]) -> list[Optional[np.ndarray]]:
+    """Backward of ``_tap_sums`` for the gradient ``g`` of its output.
 
-    Writes tap k's weight gradient into ``dws[k]`` when ``dws`` is given, and
-    adds its input gradient into the slice of ``dgrids[k]`` (the gradient
-    buffer of tap k's grid) when that is not None.
+    Writes tap k's weight gradient [C_out, C_in] into ``dws[k]`` when
+    ``dws`` is given. Returns each grid's flat gradient, or None where
+    ``grad_grids`` says it needs none.
+
+    A grid that needs a gradient and has more channels than C_out stacks
+    the gradient, shifted by each of its taps' offsets, into one
+    [taps * C_out, L] buffer ``S``: the grid's gradient is one GEMM
+    ``W_grid^T @ S`` and its taps' weight gradients one GEMM ``S @ grid^T``.
+    ``S`` copies the gradient once per tap, which pays only where it is the
+    narrower operand, so every other grid makes per-tap products: a weight
+    gradient ``g @ slice^T`` and an input gradient added into the slice.
     """
-    n = g.shape[1]
-    part = None
-    for k, (w, grid, o) in enumerate(taps):
+    c_out, h, w = g.shape[-3:]
+    n = h * pitch
+    wide = np.zeros((*g.shape[:-1], pitch), dtype=np.float64)  # zeros in the cropped columns
+    wide[..., :w] = g
+    wide = wide.reshape(-1, c_out, n)
+    dgrids: list[Optional[np.ndarray]] = [None] * len(grids)
+    per_tap = []
+    for j, grid in enumerate(grids):
+        ks = [k for k, tap in enumerate(taps) if tap[1] == j]
+        c_in, length = grid.shape
+        if not (grad_grids[j] and c_in > c_out):
+            per_tap += ks
+            continue
+        stack = np.zeros((len(ks), c_out, length), dtype=np.float64)
+        for i, k in enumerate(ks):
+            b, _, _, o = taps[k]
+            stack[i, :, o : o + n] = wide[b]
+        stack = stack.reshape(-1, length)
+        dgrids[j] = np.concatenate([taps[k][2] for k in ks]).T @ stack
         if dws is not None:
-            np.matmul(g, grid[:, o : o + n].T, out=dws[k])
-        if dgrids[k] is not None:
-            if part is None or part.shape[0] != w.shape[1]:
-                part = np.empty((w.shape[1], n), dtype=np.float64)
-            dgrids[k][:, o : o + n] += np.matmul(w.T, g, out=part)
+            for k, dw in zip(ks, (stack @ grid.T).reshape(len(ks), c_out, c_in)):
+                dws[k][...] = dw
+    # Every weight gradient before any input gradient: interleaved, the
+    # buffers of a 64x64 layer overflowed the cache.
+    if dws is not None:
+        for k in per_tap:
+            b, j, _, o = taps[k]
+            np.matmul(wide[b], grids[j][:, o : o + n].T, out=dws[k])
+    for k in per_tap:
+        b, j, wt, o = taps[k]
+        if grad_grids[j]:
+            if dgrids[j] is None:
+                dgrids[j] = np.zeros_like(grids[j])
+            dgrids[j][:, o : o + n] += wt.T @ wide[b]
+    return dgrids
 
 
 def conv3x3(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     """3x3 cross-correlation with zero padding 1 and stride 1 or 2.
 
-    The padded input is split into stride x stride phase grids of row pitch
-    ``p = W_out + 2 // stride``, stored flat. Tap (ky, kx) of every output
-    site then reads one contiguous slice of one grid, so the forward is nine
-    [C_out, C_in] @ [C_in, H_out * p] GEMMs whose last ``2 // stride``
-    columns per row are cropped, and no im2col buffer is built.
-
-    The backward works on the output gradient widened with zeros in the
-    cropped columns. When the input needs a gradient and ``C_out < C_in``,
-    each phase grid stacks that gradient shifted by each of its taps' offsets
-    into one [taps * C_out, L] buffer ``S`` (L the grid's length), so the
-    grid's input gradient is one GEMM ``W_grid^T @ S`` and its taps' weight
-    gradients are one GEMM ``S @ grid^T``. Otherwise each tap makes its own
-    products: its weight gradient ``grid_slice @ g^T`` against the gradient
-    transposed once, and its input gradient added into its grid's slice.
+    The padded input is split into stride x stride flat phase grids of row
+    pitch ``p = W_out + 2 // stride``. Tap (ky, kx) of every output site then
+    reads one contiguous slice of one grid, so the forward is ``_tap_sums``
+    over nine taps: nine [C_out, C_in] @ [C_in, H_out * p] GEMMs whose last
+    ``2 // stride`` columns per row are cropped, with no im2col buffer. The
+    backward is ``_tap_sums_backward``, which stacks the output gradient per
+    phase grid when the input needs a gradient and ``C_out < C_in``.
     """
     if stride not in (1, 2):
         raise ShapeError(f"conv3x3: stride must be 1 or 2, got {stride}")
@@ -483,63 +518,21 @@ def conv3x3(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     ho, wo = -(-h // s), -(-wd // s)
     reach = 2 // s  # rows and columns a tap reaches past an output site's grid position
     p = wo + reach
-    n = ho * p
     # One spare grid row: the last tap's slice runs ``reach`` elements past the grid.
-    flat = _phase_grids(x.data, s, ho + reach + 1, p).reshape(s, s, c_in, -1)
+    grids = _phase_grids(x.data, s, ho + reach + 1, p)
     wk = np.ascontiguousarray(w.data.transpose(2, 3, 0, 1)).reshape(9, c_out, c_in)
-    grid_of = [(ky % s, kx % s) for ky, kx in _OFFSETS_3X3]
-    taps = [(wk[k], flat[grid_of[k]], (ky // s) * p + kx // s) for k, (ky, kx) in enumerate(_OFFSETS_3X3)]
-    acc = _shifted_gemms(taps, n)
-    out = Tensor(acc.reshape(c_out, ho, p)[:, :, :wo] + bias.data[:, None, None])
-
-    def stacked_backward(g: np.ndarray, dwk: Optional[np.ndarray]) -> np.ndarray:
-        """Input gradient as flat phase grids; fills ``dwk`` [9, C_out, C_in] when given."""
-        length = flat.shape[3]
-        top = reach * p + reach  # the largest tap offset
-        # S's block for a tap at offset o is padded[:, top - o : top - o + length]
-        padded = np.zeros((c_out, top + length), dtype=np.float64)
-        padded[:, top : top + n].reshape(c_out, ho, p)[:, :, :wo] = g
-        dflat = np.empty_like(flat)
-        for py in range(s):
-            for px in range(s):
-                ks = [k for k in range(9) if grid_of[k] == (py, px)]
-                stack = np.empty((len(ks), c_out, length), dtype=np.float64)
-                for i, k in enumerate(ks):
-                    o = taps[k][2]
-                    stack[i] = padded[:, top - o : top - o + length]
-                stack = stack.reshape(len(ks) * c_out, length)
-                np.matmul(wk[ks].reshape(-1, c_in).T, stack, out=dflat[py, px])
-                if dwk is not None:
-                    dwk[ks] = (stack @ flat[py, px].T).reshape(len(ks), c_out, c_in)
-        return dflat
+    taps = [(0, (ky % s) * s + kx % s, wk[k], (ky // s) * p + kx // s) for k, (ky, kx) in enumerate(_OFFSETS_3X3)]
+    out = Tensor(_tap_sums(grids, taps, (c_out, ho, wo), p) + bias.data[:, None, None])
 
     def bwd():
         g = out.grad
-        dw = dflat = None
-        # S copies the output gradient once per tap, which pays only when it
-        # is the narrower operand; on the widening encoder convs stacking
-        # made a layer's forward plus backward 4-11% slower
-        if x.requires_grad and c_out < c_in:
-            dwk = np.empty((9, c_out, c_in), dtype=np.float64) if w.requires_grad else None
-            dflat = stacked_backward(g, dwk)
-            if dwk is not None:
-                dw = dwk.reshape(3, 3, c_out, c_in).transpose(2, 3, 0, 1)
-        else:
-            wide = _widen(g, p)
-            if w.requires_grad:
-                g_t = np.ascontiguousarray(wide.T)
-                dwk_t = np.empty((9, c_in, c_out), dtype=np.float64)
-                for k, (_, grid, o) in enumerate(taps):
-                    np.matmul(grid[:, o : o + n], g_t, out=dwk_t[k])
-                dw = dwk_t.reshape(3, 3, c_in, c_out).transpose(3, 2, 0, 1)
-            if x.requires_grad:
-                dflat = np.zeros_like(flat)
-                _shifted_gemms_backward(wide, taps, None, [dflat[pq] for pq in grid_of])
-        if dw is not None:
-            _accum(w, dw)
+        dwk = np.empty((9, c_out, c_in), dtype=np.float64) if w.requires_grad else None
+        dgrids = _tap_sums_backward(g, grids, taps, p, [x.requires_grad] * (s * s), dwk)
+        if dwk is not None:
+            _accum(w, dwk.reshape(3, 3, c_out, c_in).transpose(2, 3, 0, 1))
         _accum(bias, g.reshape(c_out, ho * wo).sum(axis=1))
-        if dflat is not None:
-            _accum(x, _from_phase_grids(dflat.reshape(s, s, c_in, ho + reach + 1, p), x.shape))
+        if x.requires_grad:
+            _accum(x, _from_phase_grids(dgrids, x.shape, p))
 
     _maybe_record("conv3x3", (out,), (x, w, bias), bwd)
     return out
@@ -572,7 +565,8 @@ def up_conv3x3(low: Tensor, skip: Tensor, w: Tensor, bias: Tensor) -> Tensor:
 
     ``low`` is [C_low, H, W], ``skip`` is [C_skip, 2H, 2W], and ``w`` is
     [C_out, C_low + C_skip, 3, 3] with the upsampled channels first. Output
-    site (2i + a, 2j + b) is computed per phase (a, b):
+    site (2i + a, 2j + b) is computed per phase (a, b), one ``_tap_sums``
+    output block each:
 
     * Upsampled channels: a nearest x2 upsample followed by a 3x3 conv is,
       at each output phase, a 2x2 conv of ``low`` whose taps are the 3x3
@@ -582,10 +576,11 @@ def up_conv3x3(low: Tensor, skip: Tensor, w: Tensor, bias: Tensor) -> Tensor:
       16/36 of the multiply-adds of the chain's upsampled channels.
     * Skip channels: a 3x3 conv at the phase's sites reads the 2x2 phase
       grids of the padded skip map, the stride-2 layout of ``conv3x3``, at
-      the same pitch; nine GEMMs per phase add into the same accumulator.
+      the same pitch; nine GEMMs per phase add into the same block.
 
-    The four phases are interleaved once into [C_out, 2H, 2W]. The gradient
-    of ``skip`` is computed only when it requires one.
+    The four phases are interleaved once into [C_out, 2H, 2W]. The backward
+    is ``_tap_sums_backward`` over the same taps; the gradient of ``skip`` is
+    computed only when it requires one.
     """
     if low.data.ndim != 3 or skip.data.ndim != 3 or w.data.ndim != 4 or w.shape[2:] != (3, 3):
         raise ShapeError(
@@ -602,45 +597,41 @@ def up_conv3x3(low: Tensor, skip: Tensor, w: Tensor, bias: Tensor) -> Tensor:
     if bias.shape != (c_out,):
         raise ShapeError(f"up_conv3x3: bias shape {bias.shape}, expected ({c_out},)")
     p = wd + 2
-    n = h * p
-    # Each grid has one spare row: the last tap's slice runs past the padded map.
-    low_flat = _phase_grids(low.data, 1, h + 3, p).reshape(c_low, -1)
-    skip_flat = _phase_grids(skip.data, 2, h + 2, p).reshape(2, 2, c_skip, -1)
+    # Grid 0 is the padded low map, grids 1-4 the skip's phase grids. Each has
+    # one spare row: the last tap's slice runs past the padded map.
+    grids = [*_phase_grids(low.data, 1, h + 3, p), *_phase_grids(skip.data, 2, h + 2, p)]
     w_low = _fold_taps(w.data[:, :c_low])
     w_skip = np.ascontiguousarray(w.data[:, c_low:].transpose(2, 3, 0, 1)).reshape(9, c_out, c_skip)
     phases = [(a, b) for a in range(2) for b in range(2)]
-    # skip tap (ky, kx) of phase (a, b) reads padded skip site (2i + a + ky, 2j + b + kx)
-    skip_grid_of = {(a, b): [((a + ky) % 2, (b + kx) % 2) for ky, kx in _OFFSETS_3X3] for a, b in phases}
-    taps = {
-        (a, b): [(w_low[a, b, 2 * t + u], low_flat, (a + t) * p + b + u) for t in range(2) for u in range(2)]
-        + [(w_skip[k], skip_flat[skip_grid_of[a, b][k]], ((a + ky) // 2) * p + (b + kx) // 2)
-           for k, (ky, kx) in enumerate(_OFFSETS_3X3)]
-        for a, b in phases
-    }
+    # Phase (a, b) is block 2a + b. Its low taps (t, u) come before its skip
+    # taps (ky, kx), and skip tap (ky, kx) reads padded skip site
+    # (2i + a + ky, 2j + b + kx).
+    taps = [(2 * a + b, 0, w_low[a, b, 2 * t + u], (a + t) * p + b + u)
+            for a, b in phases for t in range(2) for u in range(2)]
+    taps += [(2 * a + b, 1 + ((a + ky) % 2) * 2 + (b + kx) % 2, w_skip[k], ((a + ky) // 2) * p + (b + kx) // 2)
+             for a, b in phases for k, (ky, kx) in enumerate(_OFFSETS_3X3)]
+    acc = _tap_sums(grids, taps, (2, 2, c_out, h, wd), p)
     out_data = np.empty((c_out, h, 2, wd, 2), dtype=np.float64)
     for a, b in phases:
-        out_data[:, :, a, :, b] = _shifted_gemms(taps[a, b], n).reshape(c_out, h, p)[:, :, :wd]
-    out = Tensor(out_data.reshape(c_out, 2 * h, 2 * wd) + bias.data[:, None, None])
+        np.add(acc[a, b], bias.data[:, None, None], out=out_data[:, :, a, :, b])
+    out = Tensor(out_data.reshape(c_out, 2 * h, 2 * wd))
 
     def bwd():
         g = out.grad
-        g_phase = g.reshape(c_out, h, 2, wd, 2)
+        g_phases = g.reshape(c_out, h, 2, wd, 2).transpose(2, 4, 0, 1, 3)
+        # two separate buffers: each tap's slot stays a contiguous GEMM output
         dw_low = np.empty((2, 2, 4, c_out, c_low), dtype=np.float64)
-        dw_skip = np.empty((2, 2, 9, c_out, c_skip), dtype=np.float64)
-        dlow = np.zeros_like(low_flat) if low.requires_grad else None
-        dskip = np.zeros_like(skip_flat) if skip.requires_grad else None
-        for a, b in phases:
-            dws = [*dw_low[a, b], *dw_skip[a, b]] if w.requires_grad else None
-            dgrids = [dlow] * 4 + [None if dskip is None else dskip[pq] for pq in skip_grid_of[a, b]]
-            _shifted_gemms_backward(_widen(g_phase[:, :, a, :, b], p), taps[a, b], dws, dgrids)
+        dw_skip = np.empty((4, 9, c_out, c_skip), dtype=np.float64)
+        dws = [*dw_low.reshape(16, c_out, c_low), *dw_skip.reshape(36, c_out, c_skip)] if w.requires_grad else None
+        dgrids = _tap_sums_backward(g_phases, grids, taps, p, [low.requires_grad] + [skip.requires_grad] * 4, dws)
         if w.requires_grad:
-            dw_s = dw_skip.sum(axis=(0, 1)).reshape(3, 3, c_out, c_skip).transpose(2, 3, 0, 1)
+            dw_s = dw_skip.sum(axis=0).reshape(3, 3, c_out, c_skip).transpose(2, 3, 0, 1)
             _accum(w, np.concatenate([_unfold_taps(dw_low), dw_s], axis=1))
         _accum(bias, g.reshape(c_out, -1).sum(axis=1))
-        if dlow is not None:
-            _accum(low, _from_phase_grids(dlow.reshape(1, 1, c_low, h + 3, p), low.shape))
-        if dskip is not None:
-            _accum(skip, _from_phase_grids(dskip.reshape(2, 2, c_skip, h + 2, p), skip.shape))
+        if low.requires_grad:
+            _accum(low, _from_phase_grids(dgrids[:1], low.shape, p))
+        if skip.requires_grad:
+            _accum(skip, _from_phase_grids(dgrids[1:], skip.shape, p))
 
     _maybe_record("up_conv3x3", (out,), (low, skip, w, bias), bwd)
     return out

@@ -1,8 +1,10 @@
 """Training loop, L1 objective, and bucketed evaluation reports.
 
-Training is strictly single-threaded and deterministic: a seeded shuffle
-fixes the sample order, every forward/backward runs on a fresh tape, and the
-learning rate drops by the decay factor once each milestone step has passed.
+Training is strictly single-threaded and deterministic: importing ``harmlab``
+pins the BLAS pool to one thread, a seeded shuffle fixes the sample order,
+every forward/backward runs on a fresh tape, and the learning rate drops by
+the decay factor once each milestone step has passed. A run gives the same
+bits whatever BLAS thread count the environment asks for.
 The loss is the mean absolute difference between the composed output and the
 ground truth (background pixels match by construction and contribute zero).
 

@@ -54,12 +54,13 @@ _MAGIC = b"SRN1"
 # Decoder stages whose low-res input, cropped to the decode window, has at
 # least this many sites run the fused ``tc.up_conv3x3``; smaller ones run the
 # upsample2 / concat_channels / conv3x3 chain, whose fewer numpy calls cost
-# less there. Forward plus
-# backward ms per layer, chain -> fused, 16 base channels, 2-CPU box, one
-# BLAS thread, for the two channel widths met at each size: 8x8 low-res
-# sites 1.2 -> 2.1 and 2.7 -> 4.1; 16x16 1.75 -> 1.85 and 3.3 -> 3.2; 32x16
-# 2.9-3.6 -> 2.4-2.5 and 7.8 -> 5.2; 32x32 7.1 -> 4.1 and 14.8 -> 9.9;
-# 64x64 32.6 -> 17.2. The crossover lies between 256 and 512 sites.
+# less there. Forward plus backward ms per layer, chain -> fused, median of
+# 60 alternated runs (20 at 64x64), 2-CPU box, one BLAS thread, for the two
+# channel widths met at each size (16 + 4 -> 16 with no skip gradient, and
+# 32 + 16 -> 16): 8x8 low-res sites 0.42 -> 0.73 and 0.61 -> 1.17; 16x16
+# 1.56 -> 1.70 and 2.00 -> 2.35; 32x16 2.69 -> 2.00 and 4.91 -> 4.28; 32x32
+# 6.4 -> 3.9 and 10.9 -> 8.0; 64x64 30.0 -> 15.2. The crossover lies between
+# 256 and 512 sites.
 _FUSED_MIN_SITES = 512
 
 

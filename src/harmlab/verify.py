@@ -246,8 +246,12 @@ def op_grad_checks(tol: float = DEFAULT_TOL, h: float = DEFAULT_H) -> list[GradC
     check("crop", lambda ts: _weighted_sum(tc.crop(ts[0], 1, 3, 1, 4), w245[:, 1:3, 1:4]), [x245])
     check("uncrop", lambda ts: _weighted_sum(tc.uncrop(ts[0], 1, 1, 4, 5), w245), [x245[:, 1:3, 1:4]])
 
-    # conv3x3 runs per-tap products when C_out >= C_in and stacked ones
-    # otherwise; the two checks above have C_out < C_in, these C_out > C_in
+    # The conv backward stacks the output gradient for each phase grid that
+    # needs a gradient and has more channels than C_out, and makes per-tap
+    # products for every other grid. The conv3x3 checks above stack
+    # (C_out < C_in) and up_conv3x3 above stacks no grid; these two widen
+    # (C_out > C_in), and up_conv3x3_narrowing stacks both its low grid and
+    # its skip grids (C_out < C_low, C_out < C_skip).
     x245w = rng.normal(size=(2, 4, 5))
     k323 = 0.4 * rng.normal(size=(3, 2, 3, 3))
     bias3 = rng.normal(size=3)
@@ -262,6 +266,13 @@ def op_grad_checks(tol: float = DEFAULT_TOL, h: float = DEFAULT_H) -> list[GradC
         "conv3x3_s2_widening",
         lambda ts: _weighted_sum(tc.conv3x3(ts[0], ts[1], ts[2], stride=2), w323),
         [x245w, k323, bias3],
+    )
+    w146 = rng.normal(size=(1, 4, 6))
+    check(
+        "up_conv3x3_narrowing",
+        lambda ts: _weighted_sum(tc.up_conv3x3(ts[0], ts[1], ts[2], ts[3]), w146),
+        [rng.normal(size=(3, 2, 3)), rng.normal(size=(2, 4, 6)), 0.4 * rng.normal(size=(1, 5, 3, 3)),
+         rng.normal(size=1)],
     )
     return results
 

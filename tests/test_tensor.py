@@ -201,6 +201,28 @@ class TestUpConv3x3:
             else:
                 assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
+    @pytest.mark.parametrize("c_low, c_skip, c_out", [(5, 4, 2), (3, 3, 3), (2, 3, 6), (5, 2, 3), (2, 5, 3)])
+    @pytest.mark.parametrize("h, w", [(1, 1), (2, 3), (4, 3)])
+    @pytest.mark.parametrize("skip_grad", [True, False])
+    def test_gradients_match_dense_reference(self, c_low, c_skip, c_out, h, w, skip_grad):
+        # The reference upsamples and concatenates in plain numpy, so unlike
+        # the chain test above it shares no code with the op's backward.
+        rng = np.random.default_rng(c_low * 100 + c_skip * 10 + c_out + h)
+        arrays = [rng.normal(size=(c_low, h, w)), rng.normal(size=(c_skip, 2 * h, 2 * w)),
+                  rng.normal(size=(c_out, c_low + c_skip, 3, 3)), rng.normal(size=c_out)]
+        g = rng.normal(size=(c_out, 2 * h, 2 * w))
+        low, skip, k, _ = arrays
+        upsampled = np.repeat(np.repeat(low, 2, axis=1), 2, axis=2)
+        dx, dk, db = TestConv3x3.dense_reference(np.concatenate([upsampled, skip]), k, g, 1)
+        dlow = dx[:c_low].reshape(c_low, h, 2, w, 2).sum(axis=(2, 4))
+        got = self.run(tc.up_conv3x3, arrays, skip_grad, g)[1:]
+        expected = [dlow, dx[c_low:] if skip_grad else None, dk, db]
+        for part, ref in zip(got, expected):
+            if ref is None:
+                assert part is None
+            else:
+                assert np.abs(part - ref).max() <= 1e-12 * np.abs(ref).max()
+
     def test_shape_errors(self):
         low, b = Tensor(np.ones((2, 3, 3))), Tensor(np.zeros(4))
         with pytest.raises(ShapeError, match="skip"):

@@ -1,9 +1,13 @@
+import os
 import platform
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import harmlab
 from harmlab import tensor as tc
 from harmlab.errors import TrainingError
 from harmlab.imaging import MetricsRecord
@@ -179,6 +183,38 @@ class TestBatchingAndValidation:
         assert vanished, "expected at least one vanishing mask in this seeded stream"
         _, history = train(tiny_config(steps=len(vanished), block="srin"), samples=vanished)
         assert all(e.block_degenerate for e in history)
+
+
+_HASH_SHORT_RUNS = """
+import hashlib, sys
+from harmlab.synthdata import GenConfig, generate_dataset
+from harmlab.training import TrainConfig, train
+from harmlab.unet import UNetConfig, save_checkpoint
+
+data = generate_dataset(GenConfig(seed=3, size=32), 4)
+for block in ("none", "srin"):
+    cfg = TrainConfig(data_dir="", steps=6, seed=3, block=block, unet=UNetConfig(size=32, stages=2))
+    model, history = train(cfg, samples=data)
+    save_checkpoint(model, sys.argv[1])
+    with open(sys.argv[1], "rb") as f:
+        parts = (repr([e.loss for e in history]).encode(), model.flat.data.tobytes(), f.read())
+    print(block, *(hashlib.sha256(part).hexdigest() for part in parts))
+"""
+
+
+def test_training_is_bit_identical_whatever_the_blas_thread_count(tmp_path):
+    # Importing harmlab pins OpenBLAS to one thread. With two, OpenBLAS sums
+    # some of the conv backward's GEMM shapes in another order than with one.
+    src = str(Path(harmlab.__file__).resolve().parent.parent)
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", _HASH_SHORT_RUNS, str(tmp_path / f"threads{threads}.ckpt")],
+                              env=env, capture_output=True, text=True, timeout=600)
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",

@@ -263,6 +263,13 @@ class TestParamCount:
         model = GeneratorModel.build(config, seed=0)
         assert GeneratorModel.param_shapes(config) == [(n, t.shape) for n, t in model.named_parameters()]
 
+    def test_block_params_name_themselves_in_checkpoint_order(self):
+        model = GeneratorModel.build(UNetConfig(size=32, stages=2, base_channels=4, block="srin"), seed=0)
+        block = [(n, t) for n, t in model.named_parameters() if n.startswith("block.")]
+        named = model.block_params.named()
+        assert [n for n, _ in named] == [n for n, _ in block]
+        assert all(t1 is t2 for (_, t1), (_, t2) in zip(named, block))
+
     def test_rain_and_none_have_equal_counts(self):
         rain = GeneratorModel.build(UNetConfig(size=32, stages=2, block="rain"), seed=0)
         none = GeneratorModel.build(UNetConfig(size=32, stages=2, block="none"), seed=0)
