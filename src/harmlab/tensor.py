@@ -123,12 +123,17 @@ class Graph:
                 rec.fn()
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
-    """Add ``g`` into ``t.grad``; the first touch takes a private copy of ``g``."""
+def _accum(t: Tensor, g: np.ndarray, shared: bool = False) -> None:
+    """Add ``g`` into ``t.grad``.
+
+    The first touch adopts ``g`` as the gradient buffer (copying it only to
+    make it C-contiguous float64), or takes a private copy when ``shared``
+    says ``g`` is, or is a view of, another tensor's gradient.
+    """
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.array(g, dtype=np.float64, order="C")
+        t.grad = np.array(g, dtype=np.float64, order="C") if shared else np.asarray(g, dtype=np.float64, order="C")
     else:
         t.grad += g
 
@@ -146,7 +151,8 @@ def _op(op: str, inputs: tuple[Tensor, ...], data: np.ndarray, *grads: Callable[
 
     On backward, ``grads[i]`` maps the output gradient to the gradient of
     ``inputs[i]``, in input order; it is skipped for inputs that do not
-    require a gradient.
+    require a gradient. A result that shares memory with the output
+    gradient (the identity, a slice) is copied on first touch.
     """
     out = Tensor(data)
 
@@ -154,7 +160,8 @@ def _op(op: str, inputs: tuple[Tensor, ...], data: np.ndarray, *grads: Callable[
         g = out.grad
         for t, grad in zip(inputs, grads):
             if t.requires_grad:
-                _accum(t, grad(g))
+                dt = grad(g)
+                _accum(t, dt, np.may_share_memory(dt, g))
 
     _maybe_record(op, (out,), inputs, bwd)
     return out

@@ -13,16 +13,16 @@ composed with the composite so background pixels pass through exactly.
 Since that composition keeps only the foreground, the decoder and the head
 run on a window around it (``decode_window``): the bottleneck cells, each the
 2^stages x 2^stages pixel block under one bottleneck site, that hold any
-foreground pixel, grown by one cell on each side, clipped to the map, and
-widened to at least half the map's cells on each side so that the cost of a
-forward moves less with the foreground's size. The bottleneck features,
+foreground pixel, grown by one cell on each side and clipped to the map, so
+the decoder's cost follows the foreground's size (``decode_window`` gives
+timings). The bottleneck features,
 every encoder skip and the composite are cropped to the window at their own
 resolution, and the head's clamped output is pasted back into a zero map
 before the composition. This is exact: a 3x3 conv reads one site past its
 output, so the zero padding at a window edge inside the image corrupts a
 ring 1 site wide after the first decoder stage, 2r + 1 after the next stage
 if it was r before, 2^stages - 1 pixels after the last stage and 2^stages
-after the head, which the margin of at least one cell covers. Every
+after the head, which the one-cell margin covers. Every
 foreground output, and every site with a nonzero gradient, is computed from
 true values. A window that is the whole map decodes the whole frame with no
 crop.
@@ -57,10 +57,12 @@ _MAGIC = b"SRN1"
 # less there. Forward plus backward ms per layer, chain -> fused, median of
 # 60 alternated runs (20 at 64x64), 2-CPU box, one BLAS thread, for the two
 # channel widths met at each size (16 + 4 -> 16 with no skip gradient, and
-# 32 + 16 -> 16): 8x8 low-res sites 0.42 -> 0.73 and 0.61 -> 1.17; 16x16
-# 1.56 -> 1.70 and 2.00 -> 2.35; 32x16 2.69 -> 2.00 and 4.91 -> 4.28; 32x32
-# 6.4 -> 3.9 and 10.9 -> 8.0; 64x64 30.0 -> 15.2. The crossover lies between
-# 256 and 512 sites.
+# 32 + 16 -> 16): 8x8 low-res sites 0.64 -> 1.31 and 0.94 -> 1.92; 14x18
+# 1.12 -> 1.15 and 2.13 -> 2.74; 16x16 1.29 -> 1.31 and 2.58 -> 3.30; 16x24
+# 2.35 -> 2.10 and 4.03 -> 4.18; 32x16 3.13 -> 2.66 and 5.36 -> 4.96; 24x28
+# 3.96 -> 2.98 and 7.33 -> 6.31; 32x32 5.50 -> 3.44 and 10.1 -> 7.5; 64x64
+# 26.2 -> 13.3 and 48.1 -> 35.8. The crossover lies between 256 and 512
+# sites, near 400 for the wider stage.
 _FUSED_MIN_SITES = 512
 
 
@@ -215,9 +217,9 @@ class GeneratorModel:
         input) or a plain array. ``mask`` and ``semantic`` are constants.
         The encoder and the bottleneck block run on the whole frame; the
         decoder stages, the head, the residual add and the clamp run on
-        ``decode_window(config, mask)`` only, whose margin of at least one
-        cell keeps the foreground output and every gradient exact (see the
-        module docstring). Outside the window the output is the composite.
+        ``decode_window(config, mask)`` only, whose one-cell margin keeps
+        the foreground output and every gradient exact (see the module
+        docstring). Outside the window the output is the composite.
         """
         size = self.config.size
         comp_t = composite if isinstance(composite, Tensor) else Tensor(np.asarray(composite, dtype=np.float64))
@@ -284,31 +286,22 @@ def decode_window(config: UNetConfig, mask: np.ndarray) -> tuple[int, int, int, 
 
     A cell is the 2^stages x 2^stages pixel block under one bottleneck site.
     The window spans the cells that hold any foreground pixel, grown by one
-    cell on each side and clipped to the map. A side shorter than half the
-    map's cells (rounded up) is then widened about its centre to that length,
-    shifted inward where it would cross an edge; an empty mask gives that
-    half-map square at the top-left corner. The widening trades speed on
-    small foregrounds for a cost that moves less with the mask: at 128 px, 2
-    stages and 16 base channels, a ``none`` forward took from 2.5 ms (empty
-    mask) to 10.3 ms (full) without it, and the throughput over eight
-    generated samples had an interquartile range of 14% of its median over
-    ten corpus seeds; with it, every foreground that fits in a 44 px square
-    takes 5.0 ms (2-CPU box, one BLAS thread).
+    cell on each side and clipped to the map; an empty mask decodes the
+    single cell ``(0, 1, 0, 1)``. At 128 px, 2 stages and 16 base channels a
+    ``none`` train step (forward and backward, 2-CPU box, one BLAS thread)
+    takes 7.5 ms for an empty mask, 8.1 ms for one pixel (3x3 cells), 14.0
+    ms for a 44 px square and 39.7 ms for a full mask. An earlier rule that
+    widened every side to at least half the map's cells took 16.1-16.2 ms
+    for each of the first three.
     """
     cells = config.size >> config.stages
-    least = (cells + 1) // 2
     rows = np.flatnonzero(mask.any(axis=1))
     if rows.size == 0:
-        return 0, least, 0, least
+        return 0, 1, 0, 1
     cols = np.flatnonzero(mask.any(axis=0))
 
     def span(hits: np.ndarray) -> tuple[int, int]:
-        lo = max((int(hits[0]) >> config.stages) - 1, 0)
-        hi = min((int(hits[-1]) >> config.stages) + 2, cells)
-        if hi - lo < least:
-            lo = min(max(lo - (least - (hi - lo)) // 2, 0), cells - least)
-            hi = lo + least
-        return lo, hi
+        return max((int(hits[0]) >> config.stages) - 1, 0), min((int(hits[-1]) >> config.stages) + 2, cells)
 
     return (*span(rows), *span(cols))
 

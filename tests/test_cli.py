@@ -145,7 +145,7 @@ class TestTrainEvalHarmonize:
     def test_harmonize_zero_mask_copies_composite(self, workspace, tmp_path, monkeypatch):
         root, data, ckpt = workspace
         windows, comp, out = self.harmonize_windows(ckpt, tmp_path, monkeypatch, 0)
-        assert windows == [(0, 4, 0, 4)]  # half of the 8x8 cells on each side, no zero-size map
+        assert windows == [(0, 1, 0, 1)]  # one cell, no zero-size map
         assert out.read_bytes() == comp.read_bytes()
 
     def test_harmonize_full_mask_decodes_the_whole_map(self, workspace, tmp_path, monkeypatch):

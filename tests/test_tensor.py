@@ -388,6 +388,19 @@ class TestTape:
         assert np.array_equal(x.grad, 2.0 * weights)
         assert np.array_equal(y.grad, weights)
 
+    @pytest.mark.parametrize("op", ["add", "concat_channels", "uncrop"])
+    def test_identity_and_view_gradients_are_copied(self, op):
+        # these backwards hand over the output gradient or a view of it,
+        # while fresh gradients elsewhere are adopted without a copy
+        rng = np.random.default_rng(7)
+        a, b = (Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True) for _ in range(2))
+        with Graph() as g:
+            y = {"add": lambda: tc.add(a, b), "concat_channels": lambda: tc.concat_channels(a, b),
+                 "uncrop": lambda: tc.uncrop(a, 1, 2, 5, 7)}[op]()
+            g.backward(tc.sum_all(tc.mul(y, Tensor(rng.normal(size=y.shape)))))
+        for t in (a, b) if op != "uncrop" else (a,):
+            assert t.grad.flags.c_contiguous and not np.shares_memory(t.grad, y.grad)
+
     def test_no_recording_without_graph(self):
         x = Tensor(np.ones(3), requires_grad=True)
         out = tc.add_scalar(x, 2.0)

@@ -167,20 +167,33 @@ class TestDecodeWindow:
     def test_window_rule(self):
         config = UNetConfig(size=64, stages=3)  # 8x8 cells of 8x8 pixels
         mask = np.zeros((64, 64))
-        assert unet.decode_window(config, mask) == (0, 4, 0, 4)  # half the cells on each side
-        mask[63, 63] = 1.0  # cell (7, 7): grown to 6:8, widened to 4 cells inside the map
-        assert unet.decode_window(config, mask) == (4, 8, 4, 8)
+        assert unet.decode_window(config, mask) == (0, 1, 0, 1)  # one cell, no zero-size map
+        mask[63, 63] = 1.0  # cell (7, 7): grown to 6:9, clipped to 6:8
+        assert unet.decode_window(config, mask) == (6, 8, 6, 8)
         mask[63, 63] = 0.0
-        mask[20, 40] = 1.0  # cell (2, 5): grown to 1:4 and 4:7, widened at the far end
-        assert unet.decode_window(config, mask) == (1, 5, 4, 8)
+        mask[20, 40] = 1.0  # cell (2, 5): grown to 1:4 and 4:7
+        assert unet.decode_window(config, mask) == (1, 4, 4, 7)
         mask[20, 40] = 0.0
-        mask[20:22, 33] = mask[28, 38] = 1.0  # cells 2:4 and 4:5: grown to 1:5 and 3:6, columns widened to 3:7
-        assert unet.decode_window(config, mask) == (1, 5, 3, 7)
+        mask[20:22, 33] = mask[28, 38] = 1.0  # cells 2:4 and 4:5: grown to 1:5 and 3:6
+        assert unet.decode_window(config, mask) == (1, 5, 3, 6)
         mask[:] = 0.0
         mask[20, 40] = 1.0
         mask[63, 0] = 1.0  # cell (7, 0): clipped at the bottom and left edges
         assert unet.decode_window(config, mask) == (1, 8, 0, 7)
         assert unet.decode_window(config, np.ones((64, 64))) == (0, 8, 0, 8)
+
+    def test_one_pixel_foreground_decodes_three_cells(self):
+        # a floor on the window's size would make the head conv, the largest
+        # map the decoder builds, grow past the foreground's 3x3 cells
+        model = GeneratorModel.build(UNetConfig(size=128, stages=2), seed=25)
+        s = sample_inputs(size=128, seed=26)
+        mask = np.zeros((128, 128))
+        mask[61, 66] = 1.0  # cell (15, 16) of 32x32 cells of 4x4 pixels
+        with tc.Graph() as g:
+            model.forward_tensor(tc.Tensor(s.composite.planar(), requires_grad=True), mask, s.semantic.planar())
+        head = [r for r in g.records if r.op == "conv3x3" and r.inputs[1] is model.head[0]]
+        assert len(head) == 1
+        assert head[0].outs[0].shape == (3, 12, 12)
 
     @pytest.mark.parametrize("size,stages", [(32, 2), (64, 3), (128, 2)])
     @pytest.mark.parametrize("block", BLOCK_KINDS)
