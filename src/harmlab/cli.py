@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from typing import Callable, Optional, Sequence
 
@@ -43,6 +44,17 @@ def _bool(text: str) -> bool:
     if low in ("0", "false", "no", "off"):
         return False
     raise ValueError(f"not a boolean: {text!r}")
+
+
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0.0):
+        # inf would pass every check, and nan or a non-positive one fail every gradient check
+        raise argparse.ArgumentTypeError(f"tolerance must be positive and finite, got {text}")
+    return value
 
 
 CONFIG_KEYS: dict[str, Callable[[str], object]] = {
@@ -302,7 +314,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
 
     p = add("gradcheck", _cmd_gradcheck, "run the gradient/invariant suite")
-    p.add_argument("--tol", type=float, default=1e-4)
+    p.add_argument("--tol", type=_tolerance, default=1e-4)
 
     p = add("bt-rank", _cmd_bt_rank, "fit pairwise-preference scores")
     p.add_argument("--pairs", required=True)
@@ -319,11 +331,11 @@ def dispatch(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     try:
         return args.fn(args)
-    except HarmlabError as exc:
+    except (HarmlabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -27,6 +27,19 @@ foreground output, and every site with a nonzero gradient, is computed from
 true values. A window that is the whole map decodes the whole frame with no
 crop.
 
+The ``rain`` and ``srin`` blocks make every foreground site read statistics
+and attention from the whole background, so with them the encoder runs on the
+whole frame. Without a block the encoder runs on the encoder window: the
+decode window grown by one cell at the top and left only, clipped to the map,
+with every skip, the bottleneck and the residual's composite cropped from its
+origin. The margin is one-sided and exact: a stride-2 3x3 conv with padding 1
+computes output i from inputs 2i - 1 .. 2i + 1, so at a cell-aligned crop edge
+only index 0 of each encoder stage reads the false zero padding, and index 0
+lies in the added cell; at the bottom and right the last output reads only
+rows inside the crop. The gradient reaches less than one cell above and left
+of the decode window at every stage and never index 0, so the weight
+gradients are exact too.
+
 Checkpoints are a flat binary format (documented in docs/checkpoint-format.md):
 magic ``SRN1``, the configuration as little-endian u32 fields, then every
 parameter tensor in enumeration order as (rank, dims..., float64 payload).
@@ -215,11 +228,13 @@ class GeneratorModel:
 
         ``composite`` may be a Tensor (to differentiate with respect to the
         input) or a plain array. ``mask`` and ``semantic`` are constants.
-        The encoder and the bottleneck block run on the whole frame; the
-        decoder stages, the head, the residual add and the clamp run on
+        The decoder stages, the head, the residual add and the clamp run on
         ``decode_window(config, mask)`` only, whose one-cell margin keeps
-        the foreground output and every gradient exact (see the module
-        docstring). Outside the window the output is the composite.
+        the foreground output and every gradient exact. The encoder runs on
+        the whole frame for ``rain`` and ``srin``, whose blocks read every
+        region, and for ``none`` on the decode window grown by one cell at
+        the top and left, which keeps it exact too (see the module
+        docstring). Outside the decode window the output is the composite.
         """
         size = self.config.size
         comp_t = composite if isinstance(composite, Tensor) else Tensor(np.asarray(composite, dtype=np.float64))
@@ -230,14 +245,23 @@ class GeneratorModel:
         if sem.shape != (3, size, size):
             raise ShapeError(f"semantic shape {sem.shape}, expected (3, {size}, {size})")
 
-        x = tc.concat_channels(comp_t, Tensor(m[None]))
+        top, bottom, left, right = decode_window(self.config, m)
+        cell = 1 << self.config.stages
+        feat_size = size >> self.config.stages
+        if self.config.block == "none":  # the encoder window, in bottleneck sites
+            e_top, e_bottom, e_left, e_right = max(top - 1, 0), bottom, max(left - 1, 0), right
+        else:  # the block reads every region
+            e_top, e_bottom, e_left, e_right = 0, feat_size, 0, feat_size
+        comp_e = tc.crop(comp_t, e_top * cell, e_bottom * cell, e_left * cell, e_right * cell)
+        m_e = m[e_top * cell : e_bottom * cell, e_left * cell : e_right * cell]
+
+        x = tc.concat_channels(comp_e, Tensor(m_e[None]))
         skips = [x]
         cur = x
         for w, b in self.encoder:
             cur = tc.relu(tc.conv3x3(cur, w, b, stride=2))
             skips.append(cur)
 
-        feat_size = size >> self.config.stages
         if self.config.block in ("rain", "srin"):
             mask_f = downsample_mask(m, feat_size)
             if self.config.block == "rain":
@@ -247,11 +271,11 @@ class GeneratorModel:
                     cur, mask_f, downsample_planar(sem, feat_size), self.block_params, EPS_DEFAULT
                 ).output
 
-        top, bottom, left, right = decode_window(self.config, m)
-
         def windowed(t: Tensor, scale: int) -> Tensor:
-            """``t`` cropped to the window, at ``scale`` times the bottleneck's resolution."""
-            return tc.crop(t, top * scale, bottom * scale, left * scale, right * scale)
+            """``t``, an encoder-window map at ``scale`` times the bottleneck's
+            resolution, cropped to the decode window."""
+            return tc.crop(t, (top - e_top) * scale, (bottom - e_top) * scale,
+                           (left - e_left) * scale, (right - e_left) * scale)
 
         cur = windowed(cur, 1)
         for j, (w, b) in enumerate(self.decoder):
@@ -263,8 +287,7 @@ class GeneratorModel:
             cur = tc.relu(cur)
 
         delta = tc.conv3x3(cur, self.head[0], self.head[1], stride=1)
-        cell = 1 << self.config.stages
-        raw = tc.add(delta, windowed(comp_t, cell)) if self.config.residual else delta
+        raw = tc.add(delta, windowed(comp_e, cell)) if self.config.residual else delta
         clamped = tc.uncrop(tc.clamp01(raw), top * cell, left * cell, size, size)
         return tc.blend(clamped, comp_t, m)
 

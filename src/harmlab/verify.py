@@ -10,6 +10,7 @@ renders as ``op=<name> max_rel_err=<value> pass=<bool>``.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -320,10 +321,12 @@ def block_grad_checks(tol: float = DEFAULT_TOL, h: float = DEFAULT_H) -> list[Gr
 
 def network_grad_check(tol: float = DEFAULT_TOL, h: float = DEFAULT_H) -> list[GradCheckResult]:
     """End-to-end checks of L1-after-forward on the tiny configuration: one
-    whose decode window is the whole map, and one whose window is a strict
-    sub-rectangle of it."""
+    whose decode window is the whole map, one whose window is a strict
+    sub-rectangle of it, and the same window without a bottleneck block,
+    whose encoder then runs on a strict sub-rectangle too."""
     config = UNetConfig(size=16, stages=1, base_channels=4, block="srin")
     model = GeneratorModel.build(config, seed=11)
+    plain = GeneratorModel.build(replace(config, block="none"), seed=11)
     rng = np.random.default_rng(311)
     comp = rng.uniform(0.25, 0.75, size=(3, 16, 16))
     mask = (rng.uniform(size=(16, 16)) < 0.45).astype(np.float64)
@@ -333,15 +336,19 @@ def network_grad_check(tol: float = DEFAULT_TOL, h: float = DEFAULT_H) -> list[G
     ref = rng.uniform(0.2, 0.8, size=(3, 16, 16))
     ref_t = Tensor(ref)
     blob = np.zeros((16, 16))
-    blob[5:10, 6:9] = 1.0  # decode window: pixel rows 2:12, columns 4:12
+    blob[5:10, 6:9] = 1.0  # decode window: pixel rows 2:12, columns 4:12; encoder window (none) 0:12, 2:12
 
-    def check(name: str, m: np.ndarray) -> GradCheckResult:
+    def check(name: str, net: GeneratorModel, m: np.ndarray) -> GradCheckResult:
         def fn(ts):
-            return l1_loss(model.forward_tensor(ts[0], m, sem), ref_t)
+            return l1_loss(net.forward_tensor(ts[0], m, sem), ref_t)
 
-        return grad_check(fn, [Tensor(comp.copy())] + model.parameters(), h=h, tol=tol, name=name)
+        return grad_check(fn, [Tensor(comp.copy())] + net.parameters(), h=h, tol=tol, name=name)
 
-    return [check("unet_l1_end_to_end", mask), check("unet_l1_window_end_to_end", blob)]
+    return [
+        check("unet_l1_end_to_end", model, mask),
+        check("unet_l1_window_end_to_end", model, blob),
+        check("unet_none_window_end_to_end", plain, blob),
+    ]
 
 
 # ---------------------------------------------------------------------------

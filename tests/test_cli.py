@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import harmlab
-from harmlab import unet
+from harmlab import cli, unet
 from harmlab.cli import build_parser, dispatch, parse_config_file
 from harmlab.errors import ConfigError
 from harmlab.imaging import Image, Mask, read_ppm, write_pgm, write_ppm
@@ -289,6 +289,14 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
 
+    def test_out_of_memory_is_one_error_line(self, capsys, monkeypatch):
+        def exhausted(tol):
+            raise MemoryError("Unable to allocate 26.8 GiB")
+
+        monkeypatch.setattr(cli, "run_suite", exhausted)
+        assert dispatch(["gradcheck"]) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: out of memory: Unable to allocate 26.8 GiB"]
+
     def test_module_entry_point_dispatches(self):
         src = Path(harmlab.__file__).resolve().parents[1]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
@@ -305,6 +313,14 @@ class TestGradcheckCommand:
         lines = [l for l in out.splitlines() if l.startswith("op=")]
         assert len(lines) > 30
         assert all("max_rel_err=" in l and "pass=" in l for l in lines)
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1", "abc"])
+    def test_meaningless_tolerance_is_usage_error(self, capsys, monkeypatch, tol):
+        monkeypatch.setattr(cli, "run_suite", lambda tol: pytest.fail("the suite ran"))
+        assert dispatch(["gradcheck", "--tol", tol]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"usage error: argument --tol: tolerance must be positive and finite, got {tol}"
+        ]
 
     def test_impossible_tolerance_fails(self, capsys):
         assert dispatch(["gradcheck", "--tol", "1e-18"]) == 2

@@ -195,6 +195,21 @@ class TestDecodeWindow:
         assert len(head) == 1
         assert head[0].outs[0].shape == (3, 12, 12)
 
+    @pytest.mark.parametrize("block, shape", [("none", (4, 16, 16)), ("rain", (4, 128, 128)), ("srin", (4, 128, 128))])
+    def test_one_pixel_foreground_encodes_its_window(self, block, shape):
+        # without a bottleneck block the encoder runs on the decode window's
+        # 3x3 cells plus one cell above and to the left; a block reads every
+        # region, so its encoder keeps the whole frame
+        model = GeneratorModel.build(UNetConfig(size=128, stages=2, block=block), seed=25)
+        s = sample_inputs(size=128, seed=26)
+        mask = np.zeros((128, 128))
+        mask[61, 66] = 1.0  # cell (15, 16): decode window 14:17 x 15:18, encoder window 13:17 x 14:18
+        with tc.Graph() as g:
+            model.forward_tensor(tc.Tensor(s.composite.planar(), requires_grad=True), mask, s.semantic.planar())
+        enc1 = [r for r in g.records if r.op == "conv3x3" and r.inputs[1] is model.encoder[0][0]]
+        assert len(enc1) == 1
+        assert enc1[0].inputs[0].shape == shape
+
     @pytest.mark.parametrize("size,stages", [(32, 2), (64, 3), (128, 2)])
     @pytest.mark.parametrize("block", BLOCK_KINDS)
     def test_matches_full_frame_decoding(self, block, size, stages, monkeypatch):
