@@ -11,8 +11,11 @@ feature resolution:
   cross-attention: queries come from a color-coded semantic map, keys from the
   normalized features, and each foreground query attends over background key
   sites only, so it aggregates background features from semantically related
-  regions. Only the [foreground, background] block of attention is computed;
-  the full [N, N] matrix is built only when ``SrinResult.attention`` is read.
+  regions. A query depends only on its site's semantic colour, so the
+  foreground sites are grouped into their K distinct colours and the query,
+  the attention over the background and the gamma/beta heads run once per
+  class, [K, background] cells in all; the full [N, N] matrix is built only
+  when ``SrinResult.attention`` is read.
 
 All blocks are pure, reentrant, and differentiable end to end.
 """
@@ -82,8 +85,9 @@ class SrinResult:
     output: Tensor
     modulation: Optional[Modulation]
     degenerate: bool
-    # [C, N] query and key projections and the [N] foreground selector, kept
-    # so that ``attention`` can be rebuilt; None when the block is degenerate
+    # [C, N] per-site query (computed off the tape) and key projections and
+    # the [N] foreground selector, kept so that ``attention`` can be rebuilt;
+    # None when the block is degenerate
     query: Optional[np.ndarray] = None
     key: Optional[np.ndarray] = None
     fg: Optional[np.ndarray] = None
@@ -93,8 +97,9 @@ class SrinResult:
         """[N, N] attention over flattened sites (N = H*W), built on each read.
 
         Every row, background query sites included, is a softmax over the
-        background key columns; foreground key columns are exactly 0. The
-        forward pass only computes the foreground rows. None when degenerate.
+        background key columns; foreground key columns are exactly 0. Rows
+        of sites with the same semantic colour are equal; the forward pass
+        computes one row per foreground colour. None when degenerate.
         """
         if self.query is None:
             return None
@@ -136,6 +141,23 @@ def rain_forward(feat: Tensor, mask_f, eps: float = EPS_DEFAULT) -> Tensor:
     return tc.blend(dressed, feat, m)
 
 
+def _colour_classes(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct columns of a [3, F] array, as ``(colours [3, K], class [F])``.
+
+    Columns are equal only when their values are bitwise equal, so two
+    colours one ulp apart stay two classes.
+    """
+    bits = np.ascontiguousarray(cols).view(np.uint64)
+    order = np.lexsort(bits)
+    ordered = bits[:, order]
+    first = np.empty(order.size, dtype=bool)
+    first[0] = True
+    np.any(ordered[:, 1:] != ordered[:, :-1], axis=0, out=first[1:])
+    classes = np.empty(order.size, dtype=np.intp)
+    classes[order] = np.cumsum(first) - 1
+    return cols[:, order[first]], classes
+
+
 def srin_forward(
     feat: Tensor,
     mask_f,
@@ -145,40 +167,54 @@ def srin_forward(
 ) -> SrinResult:
     """Semantic-guided modulation of region-normalized features.
 
-    Pipeline over sites: normalize by foreground stats; project the semantic
-    map to queries, the normalized map to keys, the raw map to values; for
-    each foreground query site, softmax its products with the background keys
-    and aggregate the background values (``tensor.region_attention``, which
-    never forms the [N, N] matrix); pass the aggregate through gated 1x1 heads
-    to get nonnegative gamma/beta restricted to the foreground; blend
-    ``gamma * normed + beta`` into the foreground and pass the background
-    through exactly. Degenerate (empty) regions return the input unchanged.
+    Pipeline over sites: normalize by foreground stats; project the
+    normalized map to keys; group the foreground sites by semantic colour
+    and project each of the K colours to a query; for each query, softmax
+    its products with the background keys and take the weighted sum of the
+    background features (``tensor.region_attention``, which never forms an
+    [N, N] or per-site matrix), then project the K sums to values; pass each
+    value through gated 1x1 heads to get nonnegative per-class gamma/beta,
+    written onto the class's foreground sites (``tensor.expand_sites``,
+    exactly 0 on the background); blend ``gamma * normed + beta`` into the
+    foreground and pass the background through exactly. Degenerate (empty)
+    regions return the input unchanged. The semantic map is a constant: a
+    ``Tensor`` that requires a gradient is rejected.
     """
     c, h, w = feat.shape
     m = tc.as_site_mask(mask_f, h, w)
     n = h * w
-    fg_count = int(m.sum())
-    if fg_count == 0 or fg_count == n:
+    fg_sites = np.flatnonzero(m)
+    if fg_sites.size == 0 or fg_sites.size == n:
         return SrinResult(feat, None, True)
 
     sem_t = sem_f if isinstance(sem_f, Tensor) else Tensor(np.asarray(sem_f, dtype=np.float64))
+    if sem_t.requires_grad:
+        raise ValueError("srin_forward: the semantic map is a constant, got a Tensor that requires a gradient")
     if sem_t.shape != (3, h, w):
         raise ShapeError(f"semantic map must be (3, {h}, {w}), got {sem_t.shape}")
+    sem = sem_t.data.reshape(3, n)
 
     normed, _, _, _ = region_instance_norm(feat, m, eps)
 
-    query = tc.conv1x1(sem_t, params.w_query, params.b_query)
+    colours, classes = _colour_classes(sem[:, fg_sites])
+    index = np.full(n, -1, dtype=np.intp)
+    index[fg_sites] = classes
+    index = index.reshape(h, w)
+    query = tc.conv1x1(Tensor(colours[:, :, None]), params.w_query, params.b_query)  # [C, K, 1]
     key = tc.conv1x1(normed, params.w_key, params.b_key)
-    value = tc.conv1x1(feat, params.w_value, params.b_value)
-    # attended_map[:, i] aggregates background values for foreground site i
-    attended_map = tc.region_attention(query, key, value, m)
+    # Each attention row sums to 1, so the value projection commutes with the
+    # weighted sum: projecting the K sums of the raw map costs C*C*K
+    # multiply-adds where projecting the map first costs C*C*N.
+    pooled = tc.region_attention(query, key, feat, m)  # [C, K, 1]
+    value = tc.conv1x1(pooled, params.w_value, params.b_value)
 
-    gamma = tc.mask_sites(tc.relu(tc.conv1x1(attended_map, params.w_gamma, params.b_gamma)), m)
-    beta = tc.mask_sites(tc.relu(tc.conv1x1(attended_map, params.w_beta, params.b_beta)), m)
+    gamma = tc.expand_sites(tc.relu(tc.conv1x1(value, params.w_gamma, params.b_gamma)), index)
+    beta = tc.expand_sites(tc.relu(tc.conv1x1(value, params.w_beta, params.b_beta)), index)
 
     modulated = tc.add(tc.mul(gamma, normed), beta)
     out = tc.blend(modulated, feat, m)
+    site_query = params.w_query.data @ sem + params.b_query.data[:, None]
     return SrinResult(
         out, Modulation(gamma=gamma, beta=beta), False,
-        query=query.data.reshape(c, n), key=key.data.reshape(c, n), fg=m.reshape(n).astype(bool),
+        query=site_query, key=key.data.reshape(c, n), fg=m.reshape(n).astype(bool),
     )

@@ -30,7 +30,8 @@ class DatasetError(HarmlabError, ValueError):
 
 
 class CheckpointError(HarmlabError, ValueError):
-    """A model checkpoint is malformed or does not match its configuration."""
+    """A model checkpoint is malformed, does not match its configuration, or
+    holds weights whose output overflows."""
 
 
 class TrainingError(HarmlabError, RuntimeError):

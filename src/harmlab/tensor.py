@@ -10,7 +10,9 @@ Everything is float64 and single-threaded: importing ``harmlab`` pins the
 BLAS pool to one thread, so identical inputs produce bit-identical outputs
 across runs whatever thread count the environment asks for. There is no
 broadcasting beyond the handful of channel-wise patterns the operations below
-need.
+need. ``Tensor(...)`` rejects non-finite values in the tensors callers build;
+op outputs skip that pass (``_wrap``), and callers check finiteness where
+values leave a computation.
 """
 
 from __future__ import annotations
@@ -68,7 +70,12 @@ class Tensor:
 
 
 def _wrap(data: np.ndarray, grad: Optional[np.ndarray], requires_grad: bool) -> Tensor:
-    """Tensor around a float64 array already known to be finite and non-empty, without ``Tensor``'s checks."""
+    """Tensor around a non-empty float64 array, without ``Tensor``'s checks.
+
+    Ops build their outputs with it: an op's output is non-empty by its
+    shape checks, and its values are checked where they leave the library
+    (the training loss, ``adam_step``, the serving output), not once per op.
+    """
     t = Tensor.__new__(Tensor)
     t.data, t.grad, t.requires_grad = data, grad, requires_grad
     return t
@@ -154,7 +161,7 @@ def _op(op: str, inputs: tuple[Tensor, ...], data: np.ndarray, *grads: Callable[
     require a gradient. A result that shares memory with the output
     gradient (the identity, a slice) is copied on first touch.
     """
-    out = Tensor(data)
+    out = _wrap(np.asarray(data, dtype=np.float64), None, False)
 
     def bwd():
         g = out.grad
@@ -263,7 +270,7 @@ def crop(a: Tensor, top: int, bottom: int, left: int, right: int) -> Tensor:
         raise ShapeError(f"crop: window rows {top}:{bottom}, cols {left}:{right} is not inside {a.shape}")
     if (top, bottom, left, right) == (0, a.shape[1], 0, a.shape[2]):
         return a
-    out = Tensor(a.data[:, top:bottom, left:right])
+    out = _wrap(a.data[:, top:bottom, left:right], None, False)
 
     def bwd():
         if a.grad is None:
@@ -290,7 +297,8 @@ def uncrop(a: Tensor, top: int, left: int, height: int, width: int) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# masked blending (masks are constant, non-differentiable site selectors)
+# masked blending and site expansion (masks and index maps are constant,
+# non-differentiable site selectors)
 
 
 def blend(fg: Tensor, bg: Tensor, mask) -> Tensor:
@@ -302,12 +310,41 @@ def blend(fg: Tensor, bg: Tensor, mask) -> Tensor:
     return _op("blend", (fg, bg), np.where(sel, fg.data, bg.data), lambda g: g * m[None], lambda g: g * (1.0 - m)[None])
 
 
-def mask_sites(a: Tensor, mask) -> Tensor:
-    """Zero a [C, H, W] map outside the mask; mask is a constant."""
-    if a.data.ndim != 3:
-        raise ShapeError(f"mask_sites: need [C, H, W], got {a.shape}")
-    m = as_site_mask(mask, a.shape[1], a.shape[2])
-    return _op("mask_sites", (a,), a.data * m[None], lambda g: g * m[None])
+def expand_sites(x: Tensor, index) -> Tensor:
+    """Write per-class columns onto the sites of a map.
+
+    ``x`` is [C, K, 1], one column per class; ``index`` is a constant [H, W]
+    integer map holding each indexed site's class in [0, K) and -1 at every
+    other site. The output is [C, H, W], ``x[:, index[i, j], 0]`` at each
+    indexed site and exactly 0 elsewhere: one gather from the columns of
+    ``x`` and a zero column, which index -1 selects. The backward sums the
+    output gradient over each class's sites; a class with no site gets 0.
+    """
+    if x.data.ndim != 3 or x.shape[2] != 1:
+        raise ShapeError(f"expand_sites: need x [C, K, 1], got {x.shape}")
+    c, k, _ = x.shape
+    idx = np.asarray(index)
+    if idx.ndim != 2 or idx.dtype.kind not in "iu":
+        raise ShapeError(f"expand_sites: index must be an [H, W] integer map, got {idx.dtype} {idx.shape}")
+    h, w = idx.shape
+    flat = idx.reshape(h * w)
+    if flat.min() < -1 or flat.max() >= k:
+        raise ShapeError(f"expand_sites: index values must lie in [-1, {k}), got {flat.min()}..{flat.max()}")
+    padded = np.zeros((c, k + 1), dtype=np.float64)
+    padded[:, :k] = x.data[:, :, 0]
+
+    def grad(g):
+        # each class's sites are one run of the sorted sites: sum the runs
+        sites = np.flatnonzero(flat >= 0)
+        order = sites[np.argsort(flat[sites], kind="stable")]
+        counts = np.bincount(flat[sites], minlength=k)
+        held = counts > 0
+        dx = np.zeros((c, k), dtype=np.float64)
+        if sites.size:
+            dx[:, held] = np.add.reduceat(g.reshape(c, h * w)[:, order], (np.cumsum(counts) - counts)[held], axis=1)
+        return dx.reshape(c, k, 1)
+
+    return _op("expand_sites", (x,), padded[:, flat].reshape(c, h, w), grad)
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +566,7 @@ def conv3x3(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     grids = _phase_grids(x.data, s, ho + reach + 1, p)
     wk = np.ascontiguousarray(w.data.transpose(2, 3, 0, 1)).reshape(9, c_out, c_in)
     taps = [(0, (ky % s) * s + kx % s, wk[k], (ky // s) * p + kx // s) for k, (ky, kx) in enumerate(_OFFSETS_3X3)]
-    out = Tensor(_tap_sums(grids, taps, (c_out, ho, wo), p) + bias.data[:, None, None])
+    out = _wrap(_tap_sums(grids, taps, (c_out, ho, wo), p) + bias.data[:, None, None], None, False)
 
     def bwd():
         g = out.grad
@@ -621,7 +658,7 @@ def up_conv3x3(low: Tensor, skip: Tensor, w: Tensor, bias: Tensor) -> Tensor:
     out_data = np.empty((c_out, h, 2, wd, 2), dtype=np.float64)
     for a, b in phases:
         np.add(acc[a, b], bias.data[:, None, None], out=out_data[:, :, a, :, b])
-    out = Tensor(out_data.reshape(c_out, 2 * h, 2 * wd))
+    out = _wrap(out_data.reshape(c_out, 2 * h, 2 * wd), None, False)
 
     def bwd():
         g = out.grad
@@ -660,50 +697,50 @@ def _softmax_rows_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def region_attention(query: Tensor, key: Tensor, value: Tensor, mask) -> Tensor:
-    """Cross-attention from foreground query sites to background key sites.
+    """Cross-attention from K queries to the background sites of a map.
 
-    ``query``, ``key`` and ``value`` are [C, H, W] maps; ``mask`` is the
-    constant binary site mask (1 = foreground). With F foreground and B
-    background sites, ``A = softmax_rows(q_fg^T k_bg)`` is [F, B], and
-    foreground site i of the output is ``v_bg A[i]^T``. Background sites of
-    the output are exactly 0, and so are the query gradient at background
-    sites and the key and value gradients at foreground sites. Both regions
-    must be non-empty.
+    ``query`` is [C, K, 1], one query per column; ``key`` and ``value`` are
+    [C, H, W] maps, and ``mask`` is the constant binary site mask
+    (1 = foreground) with a non-empty background. Query i's weights are a
+    softmax over its products with the B background keys, and its output
+    column is the background values summed with those weights; the output is
+    [C, K, 1]. The [K, B] weights are held in a [K, N] matrix whose
+    foreground columns are exactly 0, so every product runs over whole
+    [C, N] maps, O(K * N * C), with no row per foreground site and no
+    gather or scatter of [C, B] columns. The key and value gradients are
+    exactly 0 at foreground sites.
     """
-    if query.data.ndim != 3 or key.shape != query.shape or value.shape != query.shape:
+    if not (query.data.ndim == 3 and query.shape[2] == 1 and key.data.ndim == 3
+            and value.shape == key.shape and key.shape[0] == query.shape[0]):
         raise ShapeError(
-            f"region_attention: query, key and value must be equal [C, H, W] maps, "
+            f"region_attention: need query [C, K, 1] and equal key and value [C, H, W] maps, "
             f"got {query.shape}, {key.shape} and {value.shape}"
         )
-    c, h, w = query.shape
+    c, h, w = key.shape
+    kq = query.shape[1]
     n = h * w
-    fg_sel = as_site_mask(mask, h, w).reshape(n).astype(bool)
-    fg = np.flatnonzero(fg_sel)
-    bg = np.flatnonzero(~fg_sel)
-    if fg.size == 0 or bg.size == 0:
-        raise ShapeError(f"region_attention: needs both regions non-empty, got {fg.size} foreground of {n} sites")
-    q = query.data.reshape(c, n)[:, fg]  # [C, F]
-    k = key.data.reshape(c, n)[:, bg]  # [C, B]
-    v = value.data.reshape(c, n)[:, bg]  # [C, B]
+    bg = np.flatnonzero(as_site_mask(mask, h, w).reshape(n) == 0.0)
+    if bg.size == 0:
+        raise ShapeError(f"region_attention: needs a non-empty background, got {n} foreground of {n} sites")
+    q = query.data.reshape(c, kq)
+    k = key.data.reshape(c, n)
+    v = value.data.reshape(c, n)
+    attn = np.zeros((kq, n), dtype=np.float64)
+    attn[:, bg] = _softmax_rows((q.T @ k)[:, bg])
+    out = _wrap((v @ attn.T).reshape(c, kq, 1), None, False)
 
-    def scattered(cols: np.ndarray, sites: np.ndarray) -> np.ndarray:
-        full = np.zeros((c, n), dtype=np.float64)
-        full[:, sites] = cols
-        return full.reshape(c, h, w)
-
-    attn = _softmax_rows(q.T @ k)  # [F, B]
-    out = Tensor(scattered(v @ attn.T, fg))
-
+    # np.dot for the products whose inner dimension is K: at K = 1 numpy's
+    # matmul takes a loop about 4x slower than BLAS (120 vs 28 us at 32 x 1024)
     def bwd():
-        g = out.grad.reshape(c, n)[:, fg]  # [C, F]
+        g = out.grad.reshape(c, kq)
         if value.requires_grad:
-            _accum(value, scattered(g @ attn, bg))
+            _accum(value, np.dot(g, attn).reshape(c, h, w))
         if query.requires_grad or key.requires_grad:
-            d_logits = _softmax_rows_grad(attn, g.T @ v)  # [F, B]
+            d_logits = _softmax_rows_grad(attn, g.T @ v)  # [K, N], 0 at foreground columns
             if query.requires_grad:
-                _accum(query, scattered(k @ d_logits.T, fg))
+                _accum(query, (k @ d_logits.T).reshape(c, kq, 1))
             if key.requires_grad:
-                _accum(key, scattered(q @ d_logits, bg))
+                _accum(key, np.dot(q, d_logits).reshape(c, h, w))
 
     _maybe_record("region_attention", (out,), (query, key, value), bwd)
     return out
@@ -714,29 +751,33 @@ def masked_channel_stats(feat: Tensor, mask) -> tuple[Tensor, Tensor, int]:
 
     Returns ``(mean, var, count)``. When the mask selects no sites the stats are
     unspecified (zeros) and ``count`` is 0; callers must branch on the count.
-    Differentiable in ``feat``; the mask is a constant.
+    Differentiable in ``feat``; the mask is a constant. The selected columns
+    are gathered once and reduced, and the backward scatters into a zero map.
     """
     if feat.data.ndim != 3:
         raise ShapeError(f"masked_channel_stats: need [C, H, W], got {feat.shape}")
     c, h, w = feat.shape
-    m = as_site_mask(mask, h, w)
-    count = int(m.sum())
+    n = h * w
+    sites = np.flatnonzero(as_site_mask(mask, h, w).reshape(n))
+    count = sites.size
     if count == 0:
         return Tensor(np.zeros(c)), Tensor(np.zeros(c)), 0
-    sel = m[None]
-    mean_d = (feat.data * sel).sum(axis=(1, 2)) / count
-    centered = feat.data - mean_d[:, None, None]
-    var_d = (centered * centered * sel).sum(axis=(1, 2)) / count
-    mean_t = Tensor(mean_d)
-    var_t = Tensor(var_d)
+    cols = feat.data.reshape(c, n)[:, sites]  # [C, count]
+    mean_d = cols.sum(axis=1) / count
+    centered = cols - mean_d[:, None]
+    var_d = (centered * centered).sum(axis=1) / count
+    mean_t = _wrap(mean_d, None, False)
+    var_t = _wrap(var_d, None, False)
 
     def bwd():
-        gx = np.zeros_like(feat.data)
+        g_cols = np.zeros_like(cols)
         if mean_t.grad is not None:
-            gx += mean_t.grad[:, None, None] * sel / count
+            g_cols += mean_t.grad[:, None] / count
         if var_t.grad is not None:
-            gx += var_t.grad[:, None, None] * (2.0 / count) * centered * sel
-        _accum(feat, gx)
+            g_cols += var_t.grad[:, None] * (2.0 / count) * centered
+        gx = np.zeros((c, n), dtype=np.float64)
+        gx[:, sites] = g_cols
+        _accum(feat, gx.reshape(c, h, w))
 
     _maybe_record("masked_channel_stats", (mean_t, var_t), (feat,), bwd)
     return mean_t, var_t, count

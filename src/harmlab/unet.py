@@ -330,14 +330,22 @@ def decode_window(config: UNetConfig, mask: np.ndarray) -> tuple[int, int, int, 
 
 
 def unet_forward(model: GeneratorModel, composite: Image, mask: Mask, semantic: Image) -> Image:
-    """Image-level forward pass (no gradient recording)."""
+    """Image-level forward pass (no gradient recording).
+
+    Raises ``CheckpointError`` when the composed output is not finite: the
+    model's weights, though finite, overflow float64 on this input. Tensor
+    ops do not check their outputs, so this is the serving path's check.
+    """
     size = model.config.size
     for img, what in ((composite, "composite"), (semantic, "semantic")):
         if (img.height, img.width) != (size, size):
             raise ShapeError(f"{what} is {img.height}x{img.width}, model expects {size}x{size}")
     if (mask.height, mask.width) != (size, size):
         raise ShapeError(f"mask is {mask.height}x{mask.width}, model expects {size}x{size}")
-    out = model.forward_tensor(composite.planar(), mask.values, semantic.planar())
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, as one error
+        out = model.forward_tensor(composite.planar(), mask.values, semantic.planar())
+    if not np.all(np.isfinite(out.data)):
+        raise CheckpointError("model output is not finite: the weights overflow float64 on this input")
     return Image.from_planar(out.data)
 
 

@@ -176,7 +176,6 @@ def op_grad_checks(tol: float = DEFAULT_TOL, h: float = DEFAULT_H) -> list[GradC
     site_mask[2, 2] = 0.0
     w233 = rng.normal(size=(2, 3, 3))
     check("blend", lambda ts: _weighted_sum(tc.blend(ts[0], ts[1], site_mask), w233), [x233, y233])
-    check("mask_sites", lambda ts: _weighted_sum(tc.mask_sites(ts[0], site_mask), w233), [x233])
 
     vec2 = rng.normal(size=2)
     pos2 = rng.uniform(0.5, 1.5, size=2)
@@ -219,10 +218,12 @@ def op_grad_checks(tol: float = DEFAULT_TOL, h: float = DEFAULT_H) -> list[GradC
         [rng.normal(size=(2, 2, 3)), rng.normal(size=(1, 4, 6)), 0.4 * rng.normal(size=(2, 3, 3, 3)), bias2],
     )
 
+    # the query map's first column holds the three [2]-channel queries
+    query_map, key_map, value_map = (rng.normal(size=(2, 3, 3)) for _ in range(3))
     check(
         "region_attention",
-        lambda ts: _weighted_sum(tc.region_attention(ts[0], ts[1], ts[2], site_mask), w233),
-        [rng.normal(size=(2, 3, 3)) for _ in range(3)],
+        lambda ts: _weighted_sum(tc.region_attention(ts[0], ts[1], ts[2], site_mask), w233[:, :, :1]),
+        [query_map[:, :, :1], key_map, value_map],
     )
 
     stat_mask = (rng.uniform(size=(4, 4)) < 0.5).astype(np.float64)
@@ -274,6 +275,14 @@ def op_grad_checks(tol: float = DEFAULT_TOL, h: float = DEFAULT_H) -> list[GradC
         lambda ts: _weighted_sum(tc.up_conv3x3(ts[0], ts[1], ts[2], ts[3]), w146),
         [rng.normal(size=(3, 2, 3)), rng.normal(size=(2, 4, 6)), 0.4 * rng.normal(size=(1, 5, 3, 3)),
          rng.normal(size=1)],
+    )
+    # class 1 holds no site, so its gradient is exactly 0
+    classes = np.array([[0, -1, 2], [2, 0, -1], [-1, 2, 2]])
+    w_expand = rng.normal(size=(2, 3, 3))
+    check(
+        "expand_sites",
+        lambda ts: _weighted_sum(tc.expand_sites(ts[0], classes), w_expand),
+        [rng.normal(size=(2, 3, 1))],
     )
     return results
 

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from harmlab import tensor as tc
 from harmlab.blocks import SrinParams, rain_forward, region_instance_norm, srin_forward
@@ -213,3 +214,43 @@ class TestSrinForward:
         assert np.max(np.abs(attn.sum(axis=1) - 1.0)) <= 1e-9
         assert np.all(attn >= 0.0)
         assert np.all(attn[:, mask.reshape(-1).astype(bool)] == 0.0)
+
+
+def attention_query_shape(sem, mask, c=4, seed=12):
+    """Shape of the query input of the one ``region_attention`` record of a taped srin forward."""
+    rng = np.random.default_rng(seed)
+    params = SrinParams.create(c, rng)
+    feat = Tensor(rng.normal(size=(c, *mask.shape)), requires_grad=True)
+    with Graph() as g:
+        srin_forward(feat, mask, sem, params)
+    (rec,) = [r for r in g.records if r.op == "region_attention"]
+    return rec.inputs[0].shape
+
+
+class TestSrinPerClass:
+    def test_attention_runs_once_per_foreground_colour(self):
+        hw = 32
+        mask = np.zeros((hw, hw))
+        mask[10:16, 12:20] = 1.0
+        sem = np.random.default_rng(13).uniform(size=(3, hw, hw))
+        sem[:, 10:16, 12:20] = np.array([0.2, 0.5, 0.7])[:, None, None]
+        assert attention_query_shape(sem, mask) == (4, 1, 1)
+        sem[:, 10:13, 12:20] = np.array([0.9, 0.1, 0.4])[:, None, None]
+        assert attention_query_shape(sem, mask) == (4, 2, 1)
+
+    def test_colours_one_ulp_apart_stay_two_classes(self):
+        feat, mask, sem, params = random_srin_instance(np.random.default_rng(14), c_max=3, hw_max=4)
+        fg = np.flatnonzero(mask.reshape(-1))
+        assert fg.size >= 2
+        colour = np.array([0.3, 0.6, 0.9])
+        flat = sem.reshape(3, -1)
+        flat[:, fg] = colour[:, None]
+        flat[1, fg[0]] = np.nextafter(colour[1], 1.0)
+        assert attention_query_shape(sem, mask, c=params.channels) == (params.channels, 2, 1)
+        got = srin_forward(Tensor(feat), mask, sem, params).output.data
+        assert np.max(np.abs(got - reference_srin(feat, mask, sem, params))) <= 1e-10
+
+    def test_semantic_tensor_requiring_grad_rejected(self):
+        feat, mask, sem, params = random_srin_instance(np.random.default_rng(15))
+        with pytest.raises(ValueError, match="semantic map is a constant"):
+            srin_forward(Tensor(feat), mask, Tensor(sem, requires_grad=True), params)

@@ -289,6 +289,26 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
 
+    @pytest.mark.parametrize("command", ["harmonize", "eval"])
+    def test_overflowing_checkpoint_is_one_error_line(self, tmp_path, capsys, command):
+        # finite weights, every one scaled by 1e155: the convolutions overflow
+        model = GeneratorModel.build(UNetConfig(size=32, stages=2, base_channels=8, block="srin"), seed=0)
+        model.flat.data *= 1e155
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(model, ckpt)
+        data = tmp_path / "data"
+        write_dataset(generate_dataset(GenConfig(seed=50, size=32), 2), data)
+        sample = sample_paths(data, (data / "manifest.txt").read_text().split()[0])
+        argv = {
+            "harmonize": ["harmonize", "--ckpt", str(ckpt), "--comp", str(sample["comp"]), "--mask",
+                          str(sample["mask"]), "--sem", str(sample["sem"]), "--out", str(tmp_path / "o.ppm")],
+            "eval": ["eval", "--data", str(data), "--ckpt", str(ckpt)],
+        }[command]
+        assert dispatch(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: model output is not finite: the weights overflow float64 on this input"
+        ]
+
     def test_out_of_memory_is_one_error_line(self, capsys, monkeypatch):
         def exhausted(tol):
             raise MemoryError("Unable to allocate 26.8 GiB")

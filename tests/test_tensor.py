@@ -279,27 +279,27 @@ class TestSoftmaxRows:
             assert np.max(np.abs(y.sum(axis=1) - 1.0)) <= 1e-9
 
 
-def attention_instance(seed, c=3, hw=4):
+def attention_instance(seed, c=3, hw=4, k=3):
     rng = np.random.default_rng(seed)
-    maps = [rng.normal(size=(c, hw, hw)) for _ in range(3)]
+    q = rng.normal(size=(c, k, 1))
+    key, value = (rng.normal(size=(c, hw, hw)) for _ in range(2))
     mask = (rng.uniform(size=(hw, hw)) < 0.4).astype(np.float64)
     mask[0, 0], mask[-1, -1] = 1.0, 0.0
-    return maps, mask
+    return (q, key, value), mask
 
 
 class TestRegionAttention:
-    def test_matches_site_loop_and_zero_on_background(self):
+    def test_matches_per_query_loop(self):
         for seed in range(5):
             (q, k, v), mask = attention_instance(seed)
             out = tc.region_attention(Tensor(q), Tensor(k), Tensor(v), mask).data
-            fg = mask.astype(bool)
-            assert np.all(out[:, ~fg] == 0.0)
-            bg_sites = list(zip(*np.nonzero(~fg)))
-            for y, x in zip(*np.nonzero(fg)):
-                logits = np.array([q[:, y, x] @ k[:, j, i] for j, i in bg_sites])
+            assert out.shape == q.shape
+            bg_sites = list(zip(*np.nonzero(mask == 0.0)))
+            for i in range(q.shape[1]):
+                logits = np.array([q[:, i, 0] @ k[:, y, x] for y, x in bg_sites])
                 e = np.exp(logits - logits.max())
-                want = sum(a * v[:, j, i] for a, (j, i) in zip(e / e.sum(), bg_sites))
-                assert np.max(np.abs(out[:, y, x] - want)) <= 1e-12
+                want = sum(a * v[:, y, x] for a, (y, x) in zip(e / e.sum(), bg_sites))
+                assert np.max(np.abs(out[:, i, 0] - want)) <= 1e-12
 
     def test_gradients_vanish_outside_their_region(self):
         (q, k, v), mask = attention_instance(11)
@@ -310,9 +310,9 @@ class TestRegionAttention:
             g.backward(tc.sum_all(tc.mul(out, Tensor(weights))))
         fg = mask.astype(bool)
         dq, dk, dv = (t.grad for t in ts)
-        assert np.all(dq[:, ~fg] == 0.0) and np.any(dq[:, fg] != 0.0)
-        assert np.all(dk[:, fg] == 0.0) and np.any(dk[:, ~fg] != 0.0)
-        assert np.all(dv[:, fg] == 0.0) and np.any(dv[:, ~fg] != 0.0)
+        assert dq.shape == q.shape and np.all(dq != 0.0)
+        assert np.all(dk[:, fg] == 0.0) and np.all(dk[:, ~fg] != 0.0)
+        assert np.all(dv[:, fg] == 0.0) and np.all(dv[:, ~fg] != 0.0)
 
     def test_one_tape_record(self):
         (q, k, v), mask = attention_instance(13)
@@ -323,14 +323,53 @@ class TestRegionAttention:
     def test_shape_errors(self):
         (q, k, v), mask = attention_instance(14)
         with pytest.raises(ShapeError, match=r"\(3, 4, 4\).*\(2, 4, 4\)"):
-            tc.region_attention(Tensor(q), Tensor(k[:2]), Tensor(v), mask)
+            tc.region_attention(Tensor(q), Tensor(k), Tensor(v[:2]), mask)
         with pytest.raises(ShapeError):
-            tc.region_attention(Tensor(q), Tensor(k), Tensor(v[:, :3]), mask)
+            tc.region_attention(Tensor(q[:2]), Tensor(k), Tensor(v), mask)
+        with pytest.raises(ShapeError):  # a per-site query map is not [C, K, 1]
+            tc.region_attention(Tensor(k), Tensor(k), Tensor(v), mask)
         with pytest.raises(ShapeError):
             tc.region_attention(Tensor(q), Tensor(k), Tensor(v), mask[:3])
-        for degenerate in (np.zeros((4, 4)), np.ones((4, 4))):
-            with pytest.raises(ShapeError, match="both regions"):
-                tc.region_attention(Tensor(q), Tensor(k), Tensor(v), degenerate)
+        with pytest.raises(ShapeError, match="non-empty background"):
+            tc.region_attention(Tensor(q), Tensor(k), Tensor(v), np.ones((4, 4)))
+
+
+class TestExpandSites:
+    index = np.array([[0, -1, 1], [1, 1, -1], [-1, 0, 1]])
+
+    def test_zero_off_indexed_sites(self):
+        x = np.random.default_rng(9).normal(size=(2, 2, 1))
+        out = tc.expand_sites(Tensor(x), self.index).data
+        assert out.shape == (2, 3, 3)
+        for y, xx in zip(*np.nonzero(self.index >= 0)):
+            assert np.array_equal(out[:, y, xx], x[:, self.index[y, xx], 0])
+        assert np.all(out[:, self.index < 0] == 0.0)
+
+    def test_gradient_sums_per_class(self):
+        x = Tensor(np.random.default_rng(10).normal(size=(2, 3, 1)), requires_grad=True)
+        weights = np.random.default_rng(11).normal(size=(2, 3, 3))
+        with Graph() as g:
+            g.backward(tc.sum_all(tc.mul(tc.expand_sites(x, self.index), Tensor(weights))))
+        for cls in range(2):
+            want = weights[:, self.index == cls].sum(axis=1)
+            assert np.max(np.abs(x.grad[:, cls, 0] - want)) <= 1e-15
+        assert np.all(x.grad[:, 2] == 0.0)  # class 2 holds no site
+
+    def test_one_tape_record(self):
+        with Graph() as g:
+            tc.expand_sites(Tensor(np.ones((1, 2, 1)), requires_grad=True), self.index)
+        assert [r.op for r in g.records] == ["expand_sites"]
+
+    def test_index_errors(self):
+        x = Tensor(np.ones((2, 2, 1)))
+        with pytest.raises(ShapeError):
+            tc.expand_sites(x, self.index + 1)  # class 2 of 2
+        with pytest.raises(ShapeError):
+            tc.expand_sites(x, self.index - 1)  # -2
+        with pytest.raises(ShapeError):
+            tc.expand_sites(x, self.index.astype(np.float64))
+        with pytest.raises(ShapeError):
+            tc.expand_sites(Tensor(np.ones((2, 2, 2))), self.index)
 
 
 class TestMaskedChannelStats:
@@ -470,15 +509,6 @@ class TestBlendAndMask:
         assert np.array_equal(out[:, sel], a[:, sel])
         assert np.array_equal(out[:, ~sel], b[:, ~sel])
 
-    def test_mask_sites_zeroes_background(self):
-        rng = np.random.default_rng(9)
-        a = rng.normal(size=(2, 3, 3))
-        mask = np.zeros((3, 3))
-        mask[1, 1] = 1.0
-        out = tc.mask_sites(Tensor(a), mask).data
-        assert out[0, 1, 1] == a[0, 1, 1]
-        assert np.count_nonzero(out) <= 2
-
     def test_mask_must_be_binary(self):
         with pytest.raises(ValueError):
-            tc.mask_sites(Tensor(np.ones((1, 2, 2))), np.full((2, 2), 0.5))
+            tc.blend(Tensor(np.ones((1, 2, 2))), Tensor(np.zeros((1, 2, 2))), np.full((2, 2), 0.5))
