@@ -43,6 +43,16 @@ class Sample:
     id: str
 
 
+# Seeds of the generator and of training are integers in [0, SEED_LIMIT).
+SEED_LIMIT = 1 << 63
+
+
+def check_seed(seed: int) -> None:
+    """Raise ``ConfigError`` unless ``seed`` is an integer in [0, 2**63)."""
+    if not (isinstance(seed, (int, np.integer)) and 0 <= seed < SEED_LIMIT):
+        raise ConfigError(f"seed must be an integer in [0, 2**63), got {seed}")
+
+
 @dataclass(frozen=True)
 class GenConfig:
     size: int = 64
@@ -55,6 +65,7 @@ class GenConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_seed(self.seed)
         if self.size < 16:
             raise ConfigError(f"image size must be >= 16, got {self.size}")
         if not (1 <= self.min_objects <= self.max_objects):

@@ -6,7 +6,15 @@ every forward/backward runs on a fresh tape, and the learning rate drops by
 the decay factor once each milestone step has passed. A run gives the same
 bits whatever BLAS thread count the environment asks for.
 The loss is the mean absolute difference between the composed output and the
-ground truth (background pixels match by construction and contribute zero).
+ground truth over the whole [3, S, S] frame. Outside the foreground's bounding
+box ``F`` the output is the composite, so that part of the sum is a
+per-sample constant ``c`` that no parameter reaches (0 on synthetic data,
+whose background matches by construction). Training therefore runs the
+network on ``F`` only (``GeneratorModel.forward_box``) and takes the loss
+``(sum over F of |out - real| + c)`` times ``1 / (3 S^2)``: the full-frame
+mean up to rounding, whose gradient at every output pixel is the mean's,
+bit for bit. ``c`` and every other per-sample constant of the forward pass
+are worked out once per ``train`` call (``prepare_sample``).
 
 Evaluation runs the samples one after another and orders the report by
 sample id, so the result does not depend on the order the samples come in.
@@ -24,14 +32,54 @@ from . import tensor as tc
 from .errors import ConfigError, TrainingError
 from .imaging import BUCKET_LABELS, MetricsRecord, compose, metrics, ratio_bucket
 from .optim import AdamState, adam_step
-from .synthdata import Sample, load_dataset
+from .synthdata import Sample, check_seed, load_dataset
 from .tensor import Graph, Tensor
-from .unet import GeneratorModel, UNetConfig, block_degenerate, save_checkpoint, unet_forward
+from .unet import GeneratorModel, UNetConfig, Windows, block_degenerate, save_checkpoint, unet_forward
 
 
 def l1_loss(a: Tensor, b: Tensor) -> Tensor:
     """Mean absolute difference; subgradient sign(a - b)/count with sign(0) = 0."""
     return tc.mean_all(tc.absolute(tc.sub(a, b)))
+
+
+@dataclass(frozen=True)
+class PreparedSample:
+    """A training sample's constants: the forward pass's windows and encoder
+    input, the composite and real image on the foreground's box, the L1 sum
+    outside the box and the degenerate-block flag."""
+
+    windows: Windows
+    stack: Tensor
+    comp_box: Tensor
+    real_box: Tensor
+    outside_l1: float
+    degenerate: bool
+
+
+def prepare_sample(model: GeneratorModel, sample: Sample) -> PreparedSample:
+    """Check ``sample`` against ``model`` and build its constants for ``sample_loss``."""
+    comp, real = sample.composite.planar(), sample.real.planar()
+    win = model.windows(sample.mask.values, sample.semantic.planar())
+    top, bottom, left, right = win.box
+    outside = np.abs(comp - real)
+    outside[:, top:bottom, left:right] = 0.0
+    comp_t = Tensor(comp)
+    return PreparedSample(
+        win, model.encoder_input(comp_t, win), tc.crop(comp_t, top, bottom, left, right),
+        Tensor(real[:, top:bottom, left:right]), float(outside.sum()), block_degenerate(model.config, win.mask),
+    )
+
+
+def sample_loss(model: GeneratorModel, prep: PreparedSample) -> Tensor:
+    """``l1_loss`` of the model's composed output against the real image,
+    computed on the foreground's box plus the constant outside it.
+
+    The gradient at the output is ``l1_loss``'s, bit for bit: ``sum_all``
+    hands every box element ``1 / (3 S^2)``, as ``mean_all`` does.
+    """
+    out = model.forward_box(prep.windows, prep.stack, prep.comp_box)
+    total = tc.add_scalar(tc.sum_all(tc.absolute(tc.sub(out, prep.real_box))), prep.outside_l1)
+    return tc.mul(total, Tensor(1.0 / (3 * model.config.size ** 2)))
 
 
 @dataclass(frozen=True)
@@ -51,6 +99,7 @@ class TrainConfig:
     checkpoint_out: Optional[str] = None
 
     def __post_init__(self):
+        check_seed(self.seed)
         if self.steps < 1 or self.batch_size < 1:
             raise ConfigError("steps and batch_size must be positive")
         if not (math.isfinite(self.lr) and self.lr > 0):
@@ -111,11 +160,7 @@ def train(
     history: list[LossEntry] = []
     val_every = max(1, cfg.steps // 10)
 
-    prepared = [
-        (s.composite.planar(), s.mask.values, s.semantic.planar(), s.real.planar(),
-         block_degenerate(model.config, s.mask.values))
-        for s in data
-    ]
+    prepared = [prepare_sample(model, s) for s in data]
 
     for step in range(1, cfg.steps + 1):
         state.lr = lr_at_step(cfg, step)
@@ -126,10 +171,9 @@ def train(
             if not queue:
                 queue = list(order_rng.permutation(len(data)))
             idx = queue.pop()
-            comp, mask, sem, real, sample_degenerate = prepared[idx]
+            prep = prepared[idx]
             with Graph() as graph:
-                out = model.forward_tensor(comp, mask, sem)
-                loss = l1_loss(out, Tensor(real))
+                loss = sample_loss(model, prep)
                 loss_value = loss.item()
                 if not math.isfinite(loss_value):
                     raise TrainingError(
@@ -137,7 +181,7 @@ def train(
                     )
                 graph.backward(loss)
             batch_loss += loss_value
-            degenerate = degenerate or sample_degenerate
+            degenerate = degenerate or prep.degenerate
         inv_b = 1.0 / cfg.batch_size
         model.flat.grad *= inv_b
         adam_step([model.flat], [model.flat.grad], state)

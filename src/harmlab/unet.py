@@ -11,28 +11,29 @@ is residual: its prediction is added to the composite, clamped to [0, 1], and
 composed with the composite so background pixels pass through exactly.
 
 Since that composition keeps only the foreground, the decoder and the head
-run on a window around it (``decode_window``): the bottleneck cells, each the
-2^stages x 2^stages pixel block under one bottleneck site, that hold any
-foreground pixel, grown by one cell on each side and clipped to the map, so
-the decoder's cost follows the foreground's size (``decode_window`` gives
-timings). The bottleneck features,
-every encoder skip and the composite are cropped to the window at their own
-resolution, and the head's clamped output is pasted back into a zero map
-before the composition. This is exact: a 3x3 conv reads one site past its
-output, so the zero padding at a window edge inside the image corrupts a
-ring 1 site wide after the first decoder stage, 2r + 1 after the next stage
-if it was r before, 2^stages - 1 pixels after the last stage and 2^stages
-after the head, which the one-cell margin covers. Every
-foreground output, and every site with a nonzero gradient, is computed from
-true values. A window that is the whole map decodes the whole frame with no
-crop.
+compute only what the foreground's pixels read (``decode_regions``). ``F``
+is the bounding box of the foreground's pixels; the head, a 3x3 conv, needs
+its input on ``need[0]``, ``F`` grown by one pixel, and the decoder stage
+from level k to k - 1 (level k has 2^k x 2^k pixel sites) needs its low-res
+input on ``need[k]``, whose nearest x2 upsample covers ``need[k - 1]`` grown
+by one site, every interval clipped to its map. Each stage crops its low-res
+input to ``need[k]`` and the skip to ``2 need[k]``, and crops its output to
+``need[k - 1]``: the zero padding at a crop edge inside the map corrupts
+only the outer ring of ``2 need[k]``, which lies outside ``need[k - 1]``.
+The head's output is cropped to ``F``, where the residual add, the clamp and
+the composition run; ``forward_tensor`` pastes that box into the composite.
+Every foreground output, and every site with a nonzero gradient, is computed
+from true values, so the decoder's cost follows the foreground's size. A box
+that is the whole map decodes the whole frame with no crop.
 
-The ``rain`` and ``srin`` blocks make every foreground site read statistics
+``need[stages]`` is the decode window (``decode_window``): the bottleneck
+cells, each the 2^stages x 2^stages pixel block under one bottleneck site,
+that hold any foreground pixel, grown by one cell on each side. The
+``rain`` and ``srin`` blocks make every foreground site read statistics
 and attention from the whole background, so with them the encoder runs on the
 whole frame. Without a block the encoder runs on the encoder window: the
 decode window grown by one cell at the top and left only, clipped to the map,
-with every skip, the bottleneck and the residual's composite cropped from its
-origin. The margin is one-sided and exact: a stride-2 3x3 conv with padding 1
+with every skip and the bottleneck cropped from its origin. The margin is one-sided and exact: a stride-2 3x3 conv with padding 1
 computes output i from inputs 2i - 1 .. 2i + 1, so at a cell-aligned crop edge
 only index 0 of each encoder stage reads the false zero padding, and index 0
 lies in the added cell; at the bottom and right the last output reads only
@@ -64,8 +65,8 @@ BLOCK_KINDS = ("none", "rain", "srin")
 
 _MAGIC = b"SRN1"
 
-# Decoder stages whose low-res input, cropped to the decode window, has at
-# least this many sites run the fused ``tc.up_conv3x3``; smaller ones run the
+# Decoder stages whose low-res input, cropped to its region ``need[k]``, has
+# at least this many sites run the fused ``tc.up_conv3x3``; smaller ones run the
 # upsample2 / concat_channels / conv3x3 chain, whose fewer numpy calls cost
 # less there. Forward plus backward ms per layer, chain -> fused, median of
 # 60 alternated runs (20 at 64x64), 2-CPU box, one BLAS thread, for the two
@@ -119,6 +120,29 @@ def downsample_mask(mask: np.ndarray, dst: int) -> np.ndarray:
 def downsample_planar(arr: np.ndarray, dst: int) -> np.ndarray:
     idx = nearest_indices(arr.shape[1], dst)
     return arr[:, idx][:, :, idx]
+
+
+# ``(top, bottom, left, right)``: half-open rows and columns of one level's map
+Box = tuple[int, int, int, int]
+
+
+@dataclass(frozen=True)
+class Windows:
+    """The per-sample constants of a forward pass (``GeneratorModel.windows``).
+
+    ``mask`` is the checked [S, S] mask, ``box`` and ``need`` are
+    ``decode_regions``' foreground box and per-level regions, ``enc`` the
+    encoder window in bottleneck sites, and ``mask_f`` and ``sem_f`` the mask
+    and semantic map at the bottleneck's resolution, for the blocks that
+    read them.
+    """
+
+    mask: np.ndarray
+    box: Box
+    need: tuple[Box, ...]
+    enc: Box
+    mask_f: Optional[np.ndarray]
+    sem_f: Optional[np.ndarray]
 
 
 class GeneratorModel:
@@ -223,73 +247,97 @@ class GeneratorModel:
 
     # -- forward -------------------------------------------------------------
 
+    def windows(self, mask: np.ndarray, semantic: np.ndarray) -> Windows:
+        """Check a sample's [S, S] ``mask`` and [3, S, S] ``semantic`` map and
+        work out the constants of its forward pass."""
+        size, stages = self.config.size, self.config.stages
+        m = tc.as_site_mask(mask, size, size)
+        sem = np.asarray(semantic, dtype=np.float64)
+        if sem.shape != (3, size, size):
+            raise ShapeError(f"semantic shape {sem.shape}, expected (3, {size}, {size})")
+        box, need = decode_regions(self.config, m)
+        feat_size = size >> stages
+        if self.config.block == "none":  # the decode window grown by one cell at the top and left
+            top, bottom, left, right = need[stages]
+            enc = (max(top - 1, 0), bottom, max(left - 1, 0), right)
+        else:  # the block reads every region
+            enc = (0, feat_size, 0, feat_size)
+        mask_f = downsample_mask(m, feat_size) if self.config.block != "none" else None
+        sem_f = downsample_planar(sem, feat_size) if self.config.block == "srin" else None
+        return Windows(m, box, tuple(need), enc, mask_f, sem_f)
+
+    def encoder_input(self, composite: Tensor, win: Windows) -> Tensor:
+        """The encoder's input: ``composite`` and the mask over the encoder window.
+
+        A constant ``composite`` gives a constant stack, which a caller can
+        build once per sample and pass to ``forward_box`` at every step.
+        """
+        cell = 1 << self.config.stages
+        top, bottom, left, right = (v * cell for v in win.enc)
+        return tc.concat_channels(tc.crop(composite, top, bottom, left, right),
+                                  Tensor(win.mask[None, top:bottom, left:right]))
+
+    def forward_box(self, win: Windows, stack: Tensor, comp_box: Tensor) -> Tensor:
+        """The composed output on the foreground's box ``win.box``, [3, h, w].
+
+        ``stack`` is ``encoder_input``'s map and ``comp_box`` the composite
+        cropped to ``win.box``. Every decoder stage and the head run on the
+        regions of ``win.need`` (see the module docstring).
+        """
+        stages = self.config.stages
+        e_top, _, e_left, _ = win.enc
+        skips = [stack]
+        cur = stack
+        for w, b in self.encoder:
+            cur = tc.relu(tc.conv3x3(cur, w, b, stride=2))
+            skips.append(cur)
+
+        if self.config.block == "rain":
+            cur = rain_forward(cur, win.mask_f, EPS_DEFAULT)
+        elif self.config.block == "srin":
+            cur = srin_forward(cur, win.mask_f, win.sem_f, self.block_params, EPS_DEFAULT).output
+
+        def within(t: Tensor, region: Box, top: int, left: int) -> Tensor:
+            """``t``, a map whose site (0, 0) is site (top, left) of its level, cropped to ``region``."""
+            r0, r1, c0, c1 = region
+            return tc.crop(t, r0 - top, r1 - top, c0 - left, c1 - left)
+
+        cur = within(cur, win.need[stages], e_top, e_left)
+        for k, (w, b) in zip(range(stages, 0, -1), self.decoder):
+            top, bottom, left, right = win.need[k]
+            scale = 2 << (stages - k)  # the skip's resolution over the bottleneck's
+            skip = within(skips[k - 1], (2 * top, 2 * bottom, 2 * left, 2 * right), e_top * scale, e_left * scale)
+            if cur.shape[1] * cur.shape[2] >= _FUSED_MIN_SITES:
+                cur = tc.up_conv3x3(cur, skip, w, b)
+            else:
+                cur = tc.conv3x3(tc.concat_channels(tc.upsample2(cur), skip), w, b, stride=1)
+            cur = tc.relu(within(cur, win.need[k - 1], 2 * top, 2 * left))
+
+        top, bottom, left, right = win.box
+        delta = within(tc.conv3x3(cur, self.head[0], self.head[1], stride=1), win.box, win.need[0][0], win.need[0][2])
+        raw = tc.add(delta, comp_box) if self.config.residual else delta
+        return tc.blend(tc.clamp01(raw), comp_box, win.mask[top:bottom, left:right])
+
     def forward_tensor(self, composite, mask: np.ndarray, semantic: np.ndarray) -> Tensor:
         """Run the network; returns the composed [3, S, S] output tensor.
 
         ``composite`` may be a Tensor (to differentiate with respect to the
         input) or a plain array. ``mask`` and ``semantic`` are constants.
-        The decoder stages, the head, the residual add and the clamp run on
-        ``decode_window(config, mask)`` only, whose one-cell margin keeps
-        the foreground output and every gradient exact. The encoder runs on
-        the whole frame for ``rain`` and ``srin``, whose blocks read every
-        region, and for ``none`` on the decode window grown by one cell at
-        the top and left, which keeps it exact too (see the module
-        docstring). Outside the decode window the output is the composite.
+        This is ``forward_box`` pasted into the composite: outside the
+        foreground's box the output is the composite.
         """
         size = self.config.size
         comp_t = composite if isinstance(composite, Tensor) else Tensor(np.asarray(composite, dtype=np.float64))
         if comp_t.shape != (3, size, size):
             raise ShapeError(f"composite shape {comp_t.shape}, expected (3, {size}, {size})")
-        m = tc.as_site_mask(mask, size, size)
-        sem = np.asarray(semantic, dtype=np.float64)
-        if sem.shape != (3, size, size):
-            raise ShapeError(f"semantic shape {sem.shape}, expected (3, {size}, {size})")
-
-        top, bottom, left, right = decode_window(self.config, m)
-        cell = 1 << self.config.stages
-        feat_size = size >> self.config.stages
-        if self.config.block == "none":  # the encoder window, in bottleneck sites
-            e_top, e_bottom, e_left, e_right = max(top - 1, 0), bottom, max(left - 1, 0), right
-        else:  # the block reads every region
-            e_top, e_bottom, e_left, e_right = 0, feat_size, 0, feat_size
-        comp_e = tc.crop(comp_t, e_top * cell, e_bottom * cell, e_left * cell, e_right * cell)
-        m_e = m[e_top * cell : e_bottom * cell, e_left * cell : e_right * cell]
-
-        x = tc.concat_channels(comp_e, Tensor(m_e[None]))
-        skips = [x]
-        cur = x
-        for w, b in self.encoder:
-            cur = tc.relu(tc.conv3x3(cur, w, b, stride=2))
-            skips.append(cur)
-
-        if self.config.block in ("rain", "srin"):
-            mask_f = downsample_mask(m, feat_size)
-            if self.config.block == "rain":
-                cur = rain_forward(cur, mask_f, EPS_DEFAULT)
-            else:
-                cur = srin_forward(
-                    cur, mask_f, downsample_planar(sem, feat_size), self.block_params, EPS_DEFAULT
-                ).output
-
-        def windowed(t: Tensor, scale: int) -> Tensor:
-            """``t``, an encoder-window map at ``scale`` times the bottleneck's
-            resolution, cropped to the decode window."""
-            return tc.crop(t, (top - e_top) * scale, (bottom - e_top) * scale,
-                           (left - e_left) * scale, (right - e_left) * scale)
-
-        cur = windowed(cur, 1)
-        for j, (w, b) in enumerate(self.decoder):
-            skip = windowed(skips[self.config.stages - j - 1], 2 << j)
-            if cur.shape[1] * cur.shape[2] >= _FUSED_MIN_SITES:
-                cur = tc.up_conv3x3(cur, skip, w, b)
-            else:
-                cur = tc.conv3x3(tc.concat_channels(tc.upsample2(cur), skip), w, b, stride=1)
-            cur = tc.relu(cur)
-
-        delta = tc.conv3x3(cur, self.head[0], self.head[1], stride=1)
-        raw = tc.add(delta, windowed(comp_e, cell)) if self.config.residual else delta
-        clamped = tc.uncrop(tc.clamp01(raw), top * cell, left * cell, size, size)
-        return tc.blend(clamped, comp_t, m)
+        win = self.windows(mask, semantic)
+        top, bottom, left, right = win.box
+        out = self.forward_box(win, self.encoder_input(comp_t, win), tc.crop(comp_t, top, bottom, left, right))
+        if win.box == (0, size, 0, size):
+            return out
+        in_box = np.zeros((size, size))
+        in_box[top:bottom, left:right] = 1.0
+        return tc.blend(tc.uncrop(out, top, left, size, size), comp_t, in_box)
 
 
 def block_degenerate(config: UNetConfig, mask: np.ndarray) -> bool:
@@ -303,30 +351,46 @@ def block_degenerate(config: UNetConfig, mask: np.ndarray) -> bool:
     return fg == 0 or fg == mask_f.size
 
 
-def decode_window(config: UNetConfig, mask: np.ndarray) -> tuple[int, int, int, int]:
-    """The bottleneck sites ``(top, bottom, left, right)``, half-open, that
-    ``forward_tensor`` decodes for the [S, S] binary ``mask``.
+def decode_regions(config: UNetConfig, mask: np.ndarray) -> tuple[Box, list[Box]]:
+    """The foreground's pixel box ``F`` and the region ``need[k]`` that the
+    decoder must produce at each level k = 0 .. stages, for the [S, S] binary
+    ``mask``.
 
-    A cell is the 2^stages x 2^stages pixel block under one bottleneck site.
-    The window spans the cells that hold any foreground pixel, grown by one
-    cell on each side and clipped to the map; an empty mask decodes the
-    single cell ``(0, 1, 0, 1)``. At 128 px, 2 stages and 16 base channels a
-    ``none`` train step (forward and backward, 2-CPU box, one BLAS thread)
-    takes 7.5 ms for an empty mask, 8.1 ms for one pixel (3x3 cells), 14.0
-    ms for a 44 px square and 39.7 ms for a full mask. An earlier rule that
-    widened every side to at least half the map's cells took 16.1-16.2 ms
-    for each of the first three.
+    Per axis, with half-open intervals clipped to each level's map:
+    ``need[0]`` is ``F`` grown by one pixel, the head's input, and
+    ``need[k] = [floor((lo - 1) / 2), ceil((hi + 1) / 2))`` for
+    ``need[k - 1] = [lo, hi)``. ``need[stages]`` is ``decode_window``. An
+    empty mask has no foreground to decode; it gets the single site
+    ``(0, 1, 0, 1)`` as its box and at every level.
     """
-    cells = config.size >> config.stages
     rows = np.flatnonzero(mask.any(axis=1))
     if rows.size == 0:
-        return 0, 1, 0, 1
+        return (0, 1, 0, 1), [(0, 1, 0, 1)] * (config.stages + 1)
     cols = np.flatnonzero(mask.any(axis=0))
 
-    def span(hits: np.ndarray) -> tuple[int, int]:
-        return max((int(hits[0]) >> config.stages) - 1, 0), min((int(hits[-1]) >> config.stages) + 2, cells)
+    def spans(lo: int, hi: int) -> list[tuple[int, int]]:
+        out = [(max(lo - 1, 0), min(hi + 1, config.size))]
+        for k in range(1, config.stages + 1):
+            lo, hi = out[-1]
+            out.append((max((lo - 1) // 2, 0), min(-(-(hi + 1) // 2), config.size >> k)))
+        return out
 
-    return (*span(rows), *span(cols))
+    box = (int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1)
+    return box, [(*r, *c) for r, c in zip(spans(*box[:2]), spans(*box[2:]))]
+
+
+def decode_window(config: UNetConfig, mask: np.ndarray) -> Box:
+    """The bottleneck sites ``(top, bottom, left, right)``, half-open, that
+    ``forward_tensor`` decodes for the [S, S] binary ``mask``:
+    ``decode_regions``' ``need[stages]``.
+
+    That is the cells that hold any foreground pixel, a cell being the
+    2^stages x 2^stages pixel block under one bottleneck site, grown by one
+    cell on each side and clipped to the map; an empty mask decodes the
+    single cell ``(0, 1, 0, 1)``. The bottleneck is cropped to it, and the
+    ``none`` encoder's window is derived from it.
+    """
+    return decode_regions(config, mask)[1][-1]
 
 
 def unet_forward(model: GeneratorModel, composite: Image, mask: Mask, semantic: Image) -> Image:

@@ -88,7 +88,7 @@ def test_a3_ablation_direction():
     assert med["srin"] < med["none"], f"median srin {med['srin']:.2f} !< median none {med['none']:.2f} ({detail})"
     assert srin_vs_rain >= 3, f"srin <= rain in only {srin_vs_rain}/5 seeds ({detail})"
     print(f"\nA3 PASS ablation: medians none {med['none']:.1f} / rain {med['rain']:.1f} / "
-          f"srin {med['srin']:.1f}; srin<=rain in {srin_vs_rain}/5 seeds")
+          f"srin {med['srin']:.1f}; srin<=rain in {srin_vs_rain}/5 seeds; per-seed MSEs {detail}")
 
 
 def test_a4_oracle_equivalence():

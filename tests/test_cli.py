@@ -126,8 +126,14 @@ class TestTrainEvalHarmonize:
     def harmonize_windows(ckpt, tmp_path, monkeypatch, fill):
         """Run ``harmonize`` on a random composite and a constant mask; returns the decode windows and the paths."""
         windows = []
-        window = unet.decode_window
-        monkeypatch.setattr(unet, "decode_window", lambda *args: windows.append(window(*args)) or windows[-1])
+        regions = unet.decode_regions
+
+        def observed(*args):
+            box, need = regions(*args)
+            windows.append(need[-1])
+            return box, need
+
+        monkeypatch.setattr(unet, "decode_regions", observed)
         rng = np.random.default_rng(0)
         comp = Image(np.rint(rng.uniform(0, 1, (32, 32, 3)) * 255) / 255)
         write_ppm(comp, tmp_path / "comp.ppm")
@@ -241,6 +247,17 @@ class TestExitCodes:
         argv = ["train", "--config", str(cfg), "--data", str(tmp_path), "--out", str(tmp_path / "m.ckpt")]
         assert dispatch(argv + flags) == 2
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+    @pytest.mark.parametrize("command, seed", [
+        ("train", "-3"), ("gen-data", "-5"), ("gen-data", "99999999999999999999999"),
+    ])
+    def test_out_of_range_seed_is_one_error_line(self, tmp_path, capsys, command, seed):
+        out = tmp_path / "out"
+        argv = (["train", "--data", str(tmp_path), "--out", str(out)] if command == "train"
+                else ["gen-data", "--count", "1", "--size", "32", "--out", str(out)])
+        assert dispatch(argv + ["--seed", seed]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: seed must be an integer in [0, 2**63), got {seed}"]
+        assert not out.exists()
 
     def test_zero_count_is_one_error_line(self, tmp_path, capsys):
         out = tmp_path / "data"

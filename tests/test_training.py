@@ -10,10 +10,12 @@ import pytest
 import harmlab
 from harmlab import tensor as tc
 from harmlab.errors import TrainingError
-from harmlab.imaging import MetricsRecord
-from harmlab.synthdata import GenConfig, generate_dataset
+from harmlab.imaging import Image, Mask, MetricsRecord
+from harmlab.synthdata import GenConfig, Sample, generate_dataset
 from harmlab.tensor import Tensor
-from harmlab.training import BucketStats, TrainConfig, evaluate, l1_loss, lr_at_step, train
+from harmlab.training import (
+    BucketStats, TrainConfig, evaluate, l1_loss, lr_at_step, prepare_sample, sample_loss, train,
+)
 from harmlab.unet import GeneratorModel, UNetConfig
 
 
@@ -136,6 +138,45 @@ class TestTrainLoop:
         assert histories["none"] == histories["rain"] == histories["srin"]
 
 
+def _oracle_samples(size: int) -> list[Sample]:
+    """A synthetic sample, the same with a real image that differs from the
+    composite outside the foreground too, a one-pixel corner and an empty mask."""
+    s = generate_dataset(GenConfig(seed=52, size=size), 1)[0]
+    noisy = Image.from_planar(np.clip(s.real.planar() + np.random.default_rng(53).normal(0, 0.05, (3, size, size)), 0, 1))
+    corner = np.zeros((size, size), dtype=np.uint8)
+    corner[-1, 0] = 1
+    return [s, Sample(noisy, s.composite, s.mask, s.semantic, "noisy"),
+            Sample(noisy, s.composite, Mask(corner), s.semantic, "corner"),
+            Sample(noisy, s.composite, Mask(np.zeros((size, size), dtype=np.uint8)), s.semantic, "empty")]
+
+
+class TestSampleLoss:
+    @pytest.mark.parametrize("size,stages", [(32, 2), (64, 3), (128, 2)])
+    @pytest.mark.parametrize("block", ["none", "rain", "srin"])
+    def test_matches_serving_loss(self, block, size, stages):
+        model = GeneratorModel.build(UNetConfig(size=size, stages=stages, block=block), seed=51)
+        for sample in _oracle_samples(size):
+            model.zero_grad()
+            with tc.Graph() as g:
+                want = l1_loss(model.forward_tensor(sample.composite.planar(), sample.mask.values,
+                                                    sample.semantic.planar()), Tensor(sample.real.planar()))
+                g.backward(want)
+            want_grad = model.flat.grad.copy()
+            model.zero_grad()
+            prep = prepare_sample(model, sample)
+            with tc.Graph() as g:
+                got = sample_loss(model, prep)
+                g.backward(got)
+            where = f"{block} {size}/{stages} {sample.id}"
+            assert abs(got.item() - want.item()) <= 1e-12 * abs(want.item()), where
+            assert np.abs(model.flat.grad - want_grad).max() <= 1e-12 * np.abs(want_grad).max(initial=0.0), where
+            assert not any(out.shape == (3, size, size) for r in g.records for out in r.outs), where
+            if sample.id == "empty":  # every output is the composite
+                assert not model.flat.grad.any(), where
+            if sample.id == "noisy":
+                assert prep.outside_l1 > 0.0, where
+
+
 def test_adam_over_flat_buffer_matches_per_tensor_steps():
     from harmlab.optim import AdamState, adam_step
 
@@ -192,13 +233,13 @@ from harmlab.training import TrainConfig, train
 from harmlab.unet import UNetConfig, save_checkpoint
 
 data = generate_dataset(GenConfig(seed=3, size=32), 4)
-for block in ("none", "srin"):
+for block in ("none", "rain", "srin"):
     cfg = TrainConfig(data_dir="", steps=6, seed=3, block=block, unet=UNetConfig(size=32, stages=2))
     model, history = train(cfg, samples=data)
     save_checkpoint(model, sys.argv[1])
     with open(sys.argv[1], "rb") as f:
         parts = (repr([e.loss for e in history]).encode(), model.flat.data.tobytes(), f.read())
-    print(block, *(hashlib.sha256(part).hexdigest() for part in parts))
+    print(block, *(hashlib.sha256(part).hexdigest()[:16] for part in parts))
 """
 
 
@@ -215,6 +256,8 @@ def test_training_is_bit_identical_whatever_the_blas_thread_count(tmp_path):
         assert done.returncode == 0, done.stderr
         outputs.append(done.stdout)
     assert outputs[0] == outputs[1]
+    # block, then sha256[:16] of the loss history, the final parameters and the checkpoint
+    print("\n" + outputs[0], end="")
 
 
 @pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",

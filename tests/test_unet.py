@@ -183,17 +183,20 @@ class TestDecodeWindow:
         assert unet.decode_window(config, np.ones((64, 64))) == (0, 8, 0, 8)
 
     def test_one_pixel_foreground_decodes_three_cells(self):
-        # a floor on the window's size would make the head conv, the largest
-        # map the decoder builds, grow past the foreground's 3x3 cells
+        # the bottleneck decodes the pixel's 3x3 cells; each later level only
+        # the sites the pixel reads, so the head conv, once the largest map
+        # the decoder built (3x3 cells of 4x4 pixels), runs on the pixel grown by one
         model = GeneratorModel.build(UNetConfig(size=128, stages=2), seed=25)
         s = sample_inputs(size=128, seed=26)
         mask = np.zeros((128, 128))
         mask[61, 66] = 1.0  # cell (15, 16) of 32x32 cells of 4x4 pixels
         with tc.Graph() as g:
             model.forward_tensor(tc.Tensor(s.composite.planar(), requires_grad=True), mask, s.semantic.planar())
+        first = [r for r in g.records if r.op == "upsample2"][0]
+        assert first.inputs[0].shape == (32, 3, 3)
         head = [r for r in g.records if r.op == "conv3x3" and r.inputs[1] is model.head[0]]
         assert len(head) == 1
-        assert head[0].outs[0].shape == (3, 12, 12)
+        assert head[0].inputs[0].shape == (16, 3, 3) and head[0].outs[0].shape == (3, 3, 3)
 
     @pytest.mark.parametrize("block, shape", [("none", (4, 16, 16)), ("rain", (4, 128, 128)), ("srin", (4, 128, 128))])
     def test_one_pixel_foreground_encodes_its_window(self, block, shape):
@@ -218,7 +221,10 @@ class TestDecodeWindow:
         s = sample_inputs(size=size, seed=22)
         comp, sem = s.composite.planar(), s.semantic.planar()
         target = tc.Tensor(np.random.default_rng(23).uniform(0.2, 0.8, size=(3, size, size)))
-        window = unet.decode_window
+        regions = unet.decode_regions
+
+        def full_frame(c, m):
+            return (0, size, 0, size), [(0, size >> k, 0, size >> k) for k in range(stages + 1)]
 
         def run(mask):
             model.zero_grad()
@@ -228,16 +234,15 @@ class TestDecodeWindow:
                 g.backward(l1_loss(out, target))
             return out.data, model.flat.grad.copy(), comp_t.grad, {r.op for r in g.records}
 
-        cells = size >> stages
         masks = window_masks(size, seed=24)
-        wholes = {name for name, mask in masks.items() if window(config, mask) == (0, cells, 0, cells)}
+        wholes = {name for name, mask in masks.items() if regions(config, mask) == full_frame(config, mask)}
         # only the all-ones mask, and perhaps a large synthetic one, decodes the whole map
         assert "full" in wholes and wholes <= {"full", "synthetic"}
         for name, mask in masks.items():
             out, grad, comp_grad, ops = run(mask)
-            monkeypatch.setattr(unet, "decode_window", lambda c, m: (0, cells, 0, cells))
+            monkeypatch.setattr(unet, "decode_regions", full_frame)
             ref_out, ref_grad, ref_comp_grad, ref_ops = run(mask)
-            monkeypatch.setattr(unet, "decode_window", window)
+            monkeypatch.setattr(unet, "decode_regions", regions)
             where = f"{block} {size}/{stages} {name}"
             assert _within(out, ref_out), where
             bg = mask == 0.0
@@ -246,6 +251,65 @@ class TestDecodeWindow:
             assert _within(comp_grad, ref_comp_grad), where
             assert not {"crop", "uncrop"} & ref_ops, where
             assert (name in wholes) == (not {"crop", "uncrop"} & ops), where
+
+
+def _one_cell_window(config: UNetConfig, mask: np.ndarray) -> tuple[int, int, int, int]:
+    """The decode window's rule spelled out: the bottleneck cells holding any
+    foreground pixel, grown by one cell and clipped to the map."""
+    cells = config.size >> config.stages
+    rows, cols = np.flatnonzero(mask.any(axis=1)), np.flatnonzero(mask.any(axis=0))
+    if rows.size == 0:
+        return 0, 1, 0, 1
+    return (max((rows[0] >> config.stages) - 1, 0), min((rows[-1] >> config.stages) + 2, cells),
+            max((cols[0] >> config.stages) - 1, 0), min((cols[-1] >> config.stages) + 2, cells))
+
+
+class TestDecodeRegions:
+    CONFIG = UNetConfig(size=64, stages=3)  # levels of 64, 32, 16 and 8 sites
+
+    def regions(self, *pixels, mask=None):
+        if mask is None:
+            mask = np.zeros((64, 64))
+            for r, c in pixels:
+                mask[r, c] = 1.0
+        return unet.decode_regions(self.CONFIG, mask)
+
+    def test_one_pixel(self):
+        box, need = self.regions((20, 40))
+        assert box == (20, 21, 40, 41)
+        assert need == [(19, 22, 39, 42), (9, 12, 19, 22), (4, 7, 9, 12), (1, 4, 4, 7)]
+
+    def test_corners(self):
+        assert self.regions((0, 0)) == ((0, 1, 0, 1), [(0, 2, 0, 2)] * 4)
+        assert self.regions((63, 63)) == ((63, 64, 63, 64), [(62, 64, 62, 64), (30, 32, 30, 32),
+                                                             (14, 16, 14, 16), (6, 8, 6, 8)])
+        assert self.regions((0, 63))[1][-1] == (0, 2, 6, 8)
+
+    def test_rectangle_and_edges(self):
+        mask = np.zeros((64, 64))
+        mask[10:14, 33:39] = 1.0
+        assert self.regions(mask=mask) == ((10, 14, 33, 39), [(9, 15, 32, 40), (4, 8, 15, 21),
+                                                              (1, 5, 7, 11), (0, 3, 3, 6)])
+        mask[:] = 0.0
+        mask[:, 0] = 1.0  # the left column: every row at every level, two columns
+        assert self.regions(mask=mask) == ((0, 64, 0, 1), [(0, 64 >> k, 0, 2) for k in range(4)])
+
+    def test_empty_and_full(self):
+        assert self.regions() == ((0, 1, 0, 1), [(0, 1, 0, 1)] * 4)
+        assert self.regions(mask=np.ones((64, 64))) == ((0, 64, 0, 64), [(0, 64 >> k, 0, 64 >> k) for k in range(4)])
+
+    @pytest.mark.parametrize("size,stages", [(32, 2), (64, 3), (128, 2)])
+    def test_bottleneck_region_is_the_one_cell_window(self, size, stages):
+        config = UNetConfig(size=size, stages=stages)
+        masks = list(window_masks(size, seed=24).values())
+        rng = np.random.default_rng(size)
+        for _ in range(200):  # random rectangles
+            (r0, r1), (c0, c1) = (np.sort(rng.integers(0, size + 1, 2)) for _ in range(2))
+            masks.append(np.zeros((size, size)))
+            masks[-1][r0:r1, c0:c1] = 1.0
+        for mask in masks:
+            need = unet.decode_regions(config, mask)[1]
+            assert need[-1] == unet.decode_window(config, mask) == _one_cell_window(config, mask)
 
 
 class TestResampling:
