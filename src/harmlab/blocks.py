@@ -14,8 +14,8 @@ feature resolution:
   regions. A query depends only on its site's semantic colour, so the
   foreground sites are grouped into their K distinct colours and the query,
   the attention over the background and the gamma/beta heads run once per
-  class, [K, background] cells in all; the full [N, N] matrix is built only
-  when ``SrinResult.attention`` is read.
+  class, [K, background] cells in all; one op writes the modulation onto the
+  class's sites, and the per-site maps and [N, N] matrix are built on read.
 
 All blocks are pure, reentrant, and differentiable end to end.
 """
@@ -74,7 +74,7 @@ class SrinParams:
 
 @dataclass
 class Modulation:
-    """Per-site, per-channel scale and shift; nonnegative, zero at background sites."""
+    """Per-site, per-channel scale and shift as [C, H, W] maps; nonnegative, zero at background sites."""
 
     gamma: Tensor
     beta: Tensor
@@ -83,14 +83,22 @@ class Modulation:
 @dataclass
 class SrinResult:
     output: Tensor
-    modulation: Optional[Modulation]
     degenerate: bool
-    # [C, N] per-site query (computed off the tape) and key projections and
-    # the [N] foreground selector, kept so that ``attention`` can be rebuilt;
-    # None when the block is degenerate
+    # [C, K, 1] per-class gamma and beta, [C, N] per-site query (computed off
+    # the tape) and key projections and the [H, W] class index (-1 on the
+    # background), kept to rebuild ``modulation`` and ``attention``; None when degenerate
+    gamma: Optional[np.ndarray] = None
+    beta: Optional[np.ndarray] = None
     query: Optional[np.ndarray] = None
     key: Optional[np.ndarray] = None
-    fg: Optional[np.ndarray] = None
+    index: Optional[np.ndarray] = None
+
+    @property
+    def modulation(self) -> Optional[Modulation]:
+        """Each site's gamma and beta, its class's columns and exactly 0 on the background; None when degenerate."""
+        if self.index is None:
+            return None
+        return Modulation(*(Tensor(v[:, self.index, 0] * (self.index >= 0)) for v in (self.gamma, self.beta)))
 
     @property
     def attention(self) -> Optional[Tensor]:
@@ -101,11 +109,11 @@ class SrinResult:
         of sites with the same semantic colour are equal; the forward pass
         computes one row per foreground colour. None when degenerate.
         """
-        if self.query is None:
+        if self.index is None:
             return None
-        n = self.fg.size
-        full = np.zeros((n, n), dtype=np.float64)
-        full[:, ~self.fg] = tc._softmax_rows(self.query.T @ self.key[:, ~self.fg])
+        bg = self.index.reshape(-1) < 0
+        full = np.zeros((bg.size, bg.size), dtype=np.float64)
+        full[:, bg] = tc._softmax_rows(self.query.T @ self.key[:, bg])
         return Tensor(full)
 
 
@@ -173,19 +181,18 @@ def srin_forward(
     its products with the background keys and take the weighted sum of the
     background features (``tensor.region_attention``, which never forms an
     [N, N] or per-site matrix), then project the K sums to values; pass each
-    value through gated 1x1 heads to get nonnegative per-class gamma/beta,
-    written onto the class's foreground sites (``tensor.expand_sites``,
-    exactly 0 on the background); blend ``gamma * normed + beta`` into the
-    foreground and pass the background through exactly. Degenerate (empty)
-    regions return the input unchanged. The semantic map is a constant: a
-    ``Tensor`` that requires a gradient is rejected.
+    value through gated 1x1 heads to get nonnegative per-class gamma/beta;
+    write ``gamma * normed + beta`` onto each class's foreground sites and
+    pass the background through exactly (``tensor.modulate``). Degenerate
+    (empty) regions return the input unchanged. The semantic map is a
+    constant: a ``Tensor`` that requires a gradient is rejected.
     """
     c, h, w = feat.shape
     m = tc.as_site_mask(mask_f, h, w)
     n = h * w
     fg_sites = np.flatnonzero(m)
     if fg_sites.size == 0 or fg_sites.size == n:
-        return SrinResult(feat, None, True)
+        return SrinResult(feat, True)
 
     sem_t = sem_f if isinstance(sem_f, Tensor) else Tensor(np.asarray(sem_f, dtype=np.float64))
     if sem_t.requires_grad:
@@ -197,9 +204,8 @@ def srin_forward(
     normed, _, _, _ = region_instance_norm(feat, m, eps)
 
     colours, classes = _colour_classes(sem[:, fg_sites])
-    index = np.full(n, -1, dtype=np.intp)
-    index[fg_sites] = classes
-    index = index.reshape(h, w)
+    index = np.full((h, w), -1, dtype=np.intp)
+    index.flat[fg_sites] = classes
     query = tc.conv1x1(Tensor(colours[:, :, None]), params.w_query, params.b_query)  # [C, K, 1]
     key = tc.conv1x1(normed, params.w_key, params.b_key)
     # Each attention row sums to 1, so the value projection commutes with the
@@ -208,13 +214,8 @@ def srin_forward(
     pooled = tc.region_attention(query, key, feat, m)  # [C, K, 1]
     value = tc.conv1x1(pooled, params.w_value, params.b_value)
 
-    gamma = tc.expand_sites(tc.relu(tc.conv1x1(value, params.w_gamma, params.b_gamma)), index)
-    beta = tc.expand_sites(tc.relu(tc.conv1x1(value, params.w_beta, params.b_beta)), index)
-
-    modulated = tc.add(tc.mul(gamma, normed), beta)
-    out = tc.blend(modulated, feat, m)
+    gamma = tc.relu(tc.conv1x1(value, params.w_gamma, params.b_gamma))  # [C, K, 1]
+    beta = tc.relu(tc.conv1x1(value, params.w_beta, params.b_beta))
+    out = tc.modulate(normed, feat, gamma, beta, index)
     site_query = params.w_query.data @ sem + params.b_query.data[:, None]
-    return SrinResult(
-        out, Modulation(gamma=gamma, beta=beta), False,
-        query=site_query, key=key.data.reshape(c, n), fg=m.reshape(n).astype(bool),
-    )
+    return SrinResult(out, False, gamma.data, beta.data, site_query, key.data.reshape(c, n), index)

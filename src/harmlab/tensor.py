@@ -297,8 +297,7 @@ def uncrop(a: Tensor, top: int, left: int, height: int, width: int) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# masked blending and site expansion (masks and index maps are constant,
-# non-differentiable site selectors)
+# masked selection and modulation (masks and index maps are constant site selectors)
 
 
 def blend(fg: Tensor, bg: Tensor, mask) -> Tensor:
@@ -310,41 +309,44 @@ def blend(fg: Tensor, bg: Tensor, mask) -> Tensor:
     return _op("blend", (fg, bg), np.where(sel, fg.data, bg.data), lambda g: g * m[None], lambda g: g * (1.0 - m)[None])
 
 
-def expand_sites(x: Tensor, index) -> Tensor:
-    """Write per-class columns onto the sites of a map.
+def modulate(x: Tensor, base: Tensor, scale: Tensor, shift: Tensor, index) -> Tensor:
+    """``scale[:, k] * x + shift[:, k]`` at every class-k site of a map, and exactly ``base`` elsewhere.
 
-    ``x`` is [C, K, 1], one column per class; ``index`` is a constant [H, W]
-    integer map holding each indexed site's class in [0, K) and -1 at every
-    other site. The output is [C, H, W], ``x[:, index[i, j], 0]`` at each
-    indexed site and exactly 0 elsewhere: one gather from the columns of
-    ``x`` and a zero column, which index -1 selects. The backward sums the
-    output gradient over each class's sites; a class with no site gets 0.
+    ``x`` and ``base`` are [C, H, W] maps, ``scale`` and ``shift`` [C, K, 1] class
+    columns, and ``index`` a constant [H, W] integer map of classes in [0, K) and
+    -1. The backward sums the scale and shift gradients over each class's sites.
     """
-    if x.data.ndim != 3 or x.shape[2] != 1:
-        raise ShapeError(f"expand_sites: need x [C, K, 1], got {x.shape}")
-    c, k, _ = x.shape
+    if not (x.data.ndim == 3 and base.shape == x.shape and scale.data.ndim == 3
+            and scale.shape[0] == x.shape[0] and scale.shape[2] == 1 and shift.shape == scale.shape):
+        raise ShapeError(f"modulate: need x and base [C, H, W], scale and shift [C, K, 1], "
+                         f"got {x.shape}, {base.shape}, {scale.shape} and {shift.shape}")
+    (c, h, w), k = x.shape, scale.shape[1]
     idx = np.asarray(index)
-    if idx.ndim != 2 or idx.dtype.kind not in "iu":
-        raise ShapeError(f"expand_sites: index must be an [H, W] integer map, got {idx.dtype} {idx.shape}")
-    h, w = idx.shape
-    flat = idx.reshape(h * w)
-    if flat.min() < -1 or flat.max() >= k:
-        raise ShapeError(f"expand_sites: index values must lie in [-1, {k}), got {flat.min()}..{flat.max()}")
-    padded = np.zeros((c, k + 1), dtype=np.float64)
-    padded[:, :k] = x.data[:, :, 0]
+    if idx.shape != (h, w) or idx.dtype.kind not in "iu":
+        raise ShapeError(f"modulate: index must be an ({h}, {w}) integer map, got {idx.dtype} {idx.shape}")
+    if idx.min() < -1 or idx.max() >= k:
+        raise ShapeError(f"modulate: index values must lie in [-1, {k}), got {idx.min()}..{idx.max()}")
+    order = np.argsort(idx, axis=None, kind="stable")[np.count_nonzero(idx < 0):]  # class by class, ascending sites
+    cls = idx.reshape(-1)[order]
+    counts = np.bincount(cls, minlength=k)
+    site_scale = scale.data[:, cls, 0]
+    x_cols = x.data.reshape(c, -1)[:, order]
+    out = base.data.copy()
+    out.reshape(c, -1)[:, order] = site_scale * x_cols + shift.data[:, cls, 0]
 
-    def grad(g):
-        # each class's sites are one run of the sorted sites: sum the runs
-        sites = np.flatnonzero(flat >= 0)
-        order = sites[np.argsort(flat[sites], kind="stable")]
-        counts = np.bincount(flat[sites], minlength=k)
-        held = counts > 0
-        dx = np.zeros((c, k), dtype=np.float64)
-        if sites.size:
-            dx[:, held] = np.add.reduceat(g.reshape(c, h * w)[:, order], (np.cumsum(counts) - counts)[held], axis=1)
-        return dx.reshape(c, k, 1)
+    def dx(g):
+        d = np.zeros((c, h * w), dtype=np.float64)
+        d[:, order] = g.reshape(c, -1)[:, order] * site_scale
+        return d.reshape(c, h, w)
 
-    return _op("expand_sites", (x,), padded[:, flat].reshape(c, h, w), grad)
+    def per_class(cols):
+        d = np.zeros((c, k, 1), dtype=np.float64)
+        d[:, counts > 0, 0] = np.add.reduceat(cols, (np.cumsum(counts) - counts)[counts > 0], axis=1)
+        return d
+
+    return _op("modulate", (x, base, scale, shift), out, dx, lambda g: g * (idx < 0),
+               lambda g: per_class(g.reshape(c, -1)[:, order] * x_cols),
+               lambda g: per_class(g.reshape(c, -1)[:, order]))
 
 
 # ---------------------------------------------------------------------------

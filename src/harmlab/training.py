@@ -164,27 +164,29 @@ def train(
 
     for step in range(1, cfg.steps + 1):
         state.lr = lr_at_step(cfg, step)
-        model.zero_grad()
-        batch_loss = 0.0
-        degenerate = False
-        for _ in range(cfg.batch_size):
-            if not queue:
-                queue = list(order_rng.permutation(len(data)))
-            idx = queue.pop()
-            prep = prepared[idx]
-            with Graph() as graph:
-                loss = sample_loss(model, prep)
-                loss_value = loss.item()
-                if not math.isfinite(loss_value):
-                    raise TrainingError(
-                        f"non-finite loss {loss_value} at step {step} (sample {data[idx].id}, lr {state.lr:g})"
-                    )
-                graph.backward(loss)
-            batch_loss += loss_value
-            degenerate = degenerate or prep.degenerate
-        inv_b = 1.0 / cfg.batch_size
-        model.flat.grad *= inv_b
-        adam_step([model.flat], [model.flat.grad], state)
+        # a diverging step is reported once, by the loss check or adam_step
+        with np.errstate(over="ignore", invalid="ignore"):
+            model.zero_grad()
+            batch_loss = 0.0
+            degenerate = False
+            for _ in range(cfg.batch_size):
+                if not queue:
+                    queue = list(order_rng.permutation(len(data)))
+                idx = queue.pop()
+                prep = prepared[idx]
+                with Graph() as graph:
+                    loss = sample_loss(model, prep)
+                    loss_value = loss.item()
+                    if not math.isfinite(loss_value):
+                        raise TrainingError(
+                            f"non-finite loss {loss_value} at step {step} (sample {data[idx].id}, lr {state.lr:g})"
+                        )
+                    graph.backward(loss)
+                batch_loss += loss_value
+                degenerate = degenerate or prep.degenerate
+            inv_b = 1.0 / cfg.batch_size
+            model.flat.grad *= inv_b
+            adam_step([model.flat], [model.flat.grad], state)
 
         entry = LossEntry(
             step=step, lr=state.lr, loss=batch_loss * inv_b, block_degenerate=degenerate

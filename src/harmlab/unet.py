@@ -466,8 +466,10 @@ def load_checkpoint(path: PathLike, expected_config: Optional[UNetConfig] = None
             raise CheckpointError(f"{path}: truncated at tensor {idx} ({name}): missing rank")
         (rank,) = struct.unpack_from("<I", blob, pos)
         pos += 4
-        if rank != len(want) or pos + 4 * rank > len(blob):
+        if rank != len(want):
             raise CheckpointError(f"{path}: tensor {idx} ({name}): bad rank {rank}, expected {len(want)}")
+        if pos + 4 * rank > len(blob):
+            raise CheckpointError(f"{path}: truncated at tensor {idx} ({name}): dims short")
         dims = struct.unpack_from(f"<{rank}I", blob, pos)
         pos += 4 * rank
         if tuple(dims) != want:

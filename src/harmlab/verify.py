@@ -276,14 +276,11 @@ def op_grad_checks(tol: float = DEFAULT_TOL, h: float = DEFAULT_H) -> list[GradC
         [rng.normal(size=(3, 2, 3)), rng.normal(size=(2, 4, 6)), 0.4 * rng.normal(size=(1, 5, 3, 3)),
          rng.normal(size=1)],
     )
-    # class 1 holds no site, so its gradient is exactly 0
+    # class 1 holds no site, so its scale and shift gradients are exactly 0
     classes = np.array([[0, -1, 2], [2, 0, -1], [-1, 2, 2]])
-    w_expand = rng.normal(size=(2, 3, 3))
-    check(
-        "expand_sites",
-        lambda ts: _weighted_sum(tc.expand_sites(ts[0], classes), w_expand),
-        [rng.normal(size=(2, 3, 1))],
-    )
+    w_mod = rng.normal(size=(2, 3, 3))
+    check("modulate", lambda ts: _weighted_sum(tc.modulate(*ts, classes), w_mod),
+          [rng.normal(size=shape) for shape in ((2, 3, 3), (2, 3, 3), (2, 3, 1), (2, 3, 1))])
     return results
 
 

@@ -215,6 +215,17 @@ class TestSrinForward:
         assert np.all(attn >= 0.0)
         assert np.all(attn[:, mask.reshape(-1).astype(bool)] == 0.0)
 
+    def test_tail_writes_one_site_map(self):
+        # after the attention everything runs per class, [C, K, 1], until the
+        # one op that writes the modulation onto the foreground's sites
+        feat, mask, sem, params = random_srin_instance(np.random.default_rng(16), c_max=4, hw_max=6)
+        with Graph() as g:
+            res = srin_forward(Tensor(feat, requires_grad=True), mask, sem, params)
+        ops = [r.op for r in g.records]
+        tail = g.records[ops.index("region_attention") + 1:]
+        assert [r.op for r in tail if r.outs[0].shape == feat.shape] == ["modulate"]
+        assert tail[-1].outs[0] is res.output
+
 
 def attention_query_shape(sem, mask, c=4, seed=12):
     """Shape of the query input of the one ``region_attention`` record of a taped srin forward."""

@@ -25,6 +25,14 @@ def same_tree(a, b):
     return not mismatch and not errors
 
 
+def run_cli_process(*argv, timeout=60):
+    """``python -m harmlab.cli *argv`` in a child process that imports this source tree."""
+    src = Path(harmlab.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "harmlab.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=timeout)
+
+
 class TestGenData:
     def test_deterministic_directories(self, tmp_path):
         d1, d2 = tmp_path / "one", tmp_path / "two"
@@ -196,12 +204,9 @@ class TestOneProcess:
             code = dispatch(argv)
             cap = capsys.readouterr()
             one.append((code, cap.out, cap.err.replace("/one/", "/<tag>/")))
-        src = Path(harmlab.__file__).resolve().parents[1]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
         separate = []
         for argv in argvs("sep"):
-            proc = subprocess.run([sys.executable, "-m", "harmlab.cli", *argv],
-                                  env=env, capture_output=True, text=True, timeout=120)
+            proc = run_cli_process(*argv, timeout=120)
             separate.append((proc.returncode, proc.stdout, proc.stderr.replace("/sep/", "/<tag>/")))
         assert [c for c, _, _ in one] == [1, 0, 0, 0]
         assert one == separate
@@ -326,6 +331,17 @@ class TestExitCodes:
             "error: model output is not finite: the weights overflow float64 on this input"
         ]
 
+    def test_diverging_training_is_one_error_line(self, workspace, tmp_path):
+        # a separate process: pytest would capture numpy's RuntimeWarnings before stderr sees them
+        _, data, _ = workspace
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("unet.size = 32\nunet.stages = 2\ntrain.lr = 1e300\n")
+        proc = run_cli_process("train", "--config", str(cfg), "--data", str(data), "--steps", "3", "--seed", "0",
+                               "--out", str(tmp_path / "m.ckpt"), timeout=120)
+        assert proc.returncode == 2
+        err = [l for l in proc.stderr.splitlines() if not l.startswith("config: ")]
+        assert len(err) == 1 and err[0].startswith("error: non-finite loss"), proc.stderr
+
     def test_out_of_memory_is_one_error_line(self, capsys, monkeypatch):
         def exhausted(tol):
             raise MemoryError("Unable to allocate 26.8 GiB")
@@ -335,10 +351,7 @@ class TestExitCodes:
         assert capsys.readouterr().err.splitlines() == ["error: out of memory: Unable to allocate 26.8 GiB"]
 
     def test_module_entry_point_dispatches(self):
-        src = Path(harmlab.__file__).resolve().parents[1]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-m", "harmlab.cli", "frobnicate"],
-                              env=env, capture_output=True, text=True, timeout=60)
+        proc = run_cli_process("frobnicate")
         assert proc.returncode == 1
         assert proc.stderr.startswith("usage error:")
 

@@ -334,42 +334,63 @@ class TestRegionAttention:
             tc.region_attention(Tensor(q), Tensor(k), Tensor(v), np.ones((4, 4)))
 
 
-class TestExpandSites:
+def modulate_reference(x, base, scale, shift, index, g):
+    """Dense numpy forward and VJPs of ``modulate`` through per-site scale and shift maps."""
+    fg = index >= 0
+    site_scale = np.where(fg, scale[:, index, 0], 0.0)
+    site_shift = np.where(fg, shift[:, index, 0], 0.0)
+    out = np.where(fg, site_scale * x + site_shift, base)
+    per_class = [index == k for k in range(scale.shape[1])]
+    d_scale = np.stack([(g * x)[:, sel].sum(axis=1) for sel in per_class], axis=1)[:, :, None]
+    d_shift = np.stack([g[:, sel].sum(axis=1) for sel in per_class], axis=1)[:, :, None]
+    return out, (np.where(fg, g * site_scale, 0.0), np.where(fg, 0.0, g), d_scale, d_shift)
+
+
+class TestModulate:
     index = np.array([[0, -1, 1], [1, 1, -1], [-1, 0, 1]])
 
-    def test_zero_off_indexed_sites(self):
-        x = np.random.default_rng(9).normal(size=(2, 2, 1))
-        out = tc.expand_sites(Tensor(x), self.index).data
-        assert out.shape == (2, 3, 3)
-        for y, xx in zip(*np.nonzero(self.index >= 0)):
-            assert np.array_equal(out[:, y, xx], x[:, self.index[y, xx], 0])
-        assert np.all(out[:, self.index < 0] == 0.0)
-
-    def test_gradient_sums_per_class(self):
-        x = Tensor(np.random.default_rng(10).normal(size=(2, 3, 1)), requires_grad=True)
-        weights = np.random.default_rng(11).normal(size=(2, 3, 3))
-        with Graph() as g:
-            g.backward(tc.sum_all(tc.mul(tc.expand_sites(x, self.index), Tensor(weights))))
-        for cls in range(2):
-            want = weights[:, self.index == cls].sum(axis=1)
-            assert np.max(np.abs(x.grad[:, cls, 0] - want)) <= 1e-15
-        assert np.all(x.grad[:, 2] == 0.0)  # class 2 holds no site
+    @pytest.mark.parametrize("index, k", [
+        (np.where(np.eye(3, dtype=bool), 0, -1), 1),  # K = 1
+        (np.array([[0, -1, 1], [2, 3, -1], [-1, 4, 5]]), 6),  # K = F: one site per class
+        (np.array([[0, -1, 1], [1, 1, -1], [-1, 1, 1]]), 2),  # class 0 holds one site
+        (np.array([[0, -1, 2], [2, 0, -1], [-1, 2, 2]]), 3),  # class 1 holds no site
+        (np.full((3, 3), -1), 2),  # every site at -1
+    ], ids=["one_class", "class_per_site", "one_site_class", "empty_class", "no_site"])
+    def test_matches_dense_reference(self, index, k):
+        rng = np.random.default_rng(9)
+        x, base, g = rng.normal(size=(3, 2, 3, 3))
+        scale, shift = rng.normal(size=(2, 2, k, 1))
+        ts = [Tensor(a, requires_grad=True) for a in (x, base, scale, shift)]
+        with Graph() as graph:
+            out = tc.modulate(*ts, index)
+            graph.backward(tc.sum_all(tc.mul(out, Tensor(g))))
+        want, grads = modulate_reference(x, base, scale, shift, index, g)
+        assert np.array_equal(out.data, want)
+        for t, ref in zip(ts, grads):
+            assert np.max(np.abs(t.grad - ref)) <= 1e-12
+        for cls in set(range(k)) - set(index.reshape(-1)):
+            assert np.all(ts[2].grad[:, cls] == 0.0) and np.all(ts[3].grad[:, cls] == 0.0)
 
     def test_one_tape_record(self):
+        x = Tensor(np.ones((1, 3, 3)), requires_grad=True)
+        cols = Tensor(np.ones((1, 2, 1)))
         with Graph() as g:
-            tc.expand_sites(Tensor(np.ones((1, 2, 1)), requires_grad=True), self.index)
-        assert [r.op for r in g.records] == ["expand_sites"]
+            tc.modulate(x, Tensor(np.zeros((1, 3, 3))), cols, cols, self.index)
+        assert [r.op for r in g.records] == ["modulate"]
 
     def test_index_errors(self):
-        x = Tensor(np.ones((2, 2, 1)))
+        x = Tensor(np.ones((2, 3, 3)))
+        cols = Tensor(np.ones((2, 2, 1)))
         with pytest.raises(ShapeError):
-            tc.expand_sites(x, self.index + 1)  # class 2 of 2
+            tc.modulate(x, x, cols, cols, self.index + 1)  # class 2 of 2
         with pytest.raises(ShapeError):
-            tc.expand_sites(x, self.index - 1)  # -2
+            tc.modulate(x, x, cols, cols, self.index - 1)  # -2
         with pytest.raises(ShapeError):
-            tc.expand_sites(x, self.index.astype(np.float64))
+            tc.modulate(x, x, cols, cols, self.index.astype(np.float64))
         with pytest.raises(ShapeError):
-            tc.expand_sites(Tensor(np.ones((2, 2, 2))), self.index)
+            tc.modulate(x, x, Tensor(np.ones((2, 2, 2))), Tensor(np.ones((2, 2, 2))), self.index)
+        with pytest.raises(ShapeError):
+            tc.modulate(x, x, cols, cols, self.index[:2])
 
 
 class TestMaskedChannelStats:

@@ -228,9 +228,13 @@ class TestBatchingAndValidation:
 
 _HASH_SHORT_RUNS = """
 import hashlib, sys
+import numpy as np
+from harmlab.blocks import srin_forward
 from harmlab.synthdata import GenConfig, generate_dataset
+from harmlab.tensor import Graph, Tensor, mul, sum_all
 from harmlab.training import TrainConfig, train
 from harmlab.unet import UNetConfig, save_checkpoint
+from harmlab.verify import random_srin_instance
 
 data = generate_dataset(GenConfig(seed=3, size=32), 4)
 for block in ("none", "rain", "srin"):
@@ -240,6 +244,23 @@ for block in ("none", "rain", "srin"):
     with open(sys.argv[1], "rb") as f:
         parts = (repr([e.loss for e in history]).encode(), model.flat.data.tobytes(), f.read())
     print(block, *(hashlib.sha256(part).hexdigest()[:16] for part in parts))
+
+# The training corpus's foregrounds hold one semantic colour each (K = 1).
+# Odd seeds repaint the semantic map from a 3-colour palette, so K runs
+# from 1 to the foreground's site count F over these cases.
+digest = hashlib.sha256()
+for seed in range(9000, 9200):
+    rng = np.random.default_rng(seed)
+    feat, mask, sem, params = random_srin_instance(rng, c_max=4, hw_max=6)
+    if seed % 2:
+        sem = rng.uniform(0.0, 1.0, size=(3, 3))[:, rng.integers(0, 3, size=mask.shape)]
+    x = Tensor(feat, requires_grad=True)
+    with Graph() as g:
+        out = srin_forward(x, mask, sem, params).output
+        g.backward(sum_all(mul(out, Tensor(rng.normal(size=feat.shape)))))
+    for part in (out.data, x.grad, *(t.grad for _, t in params.named())):
+        digest.update(part.tobytes())
+print("srin-classes", digest.hexdigest()[:16])
 """
 
 
@@ -256,7 +277,8 @@ def test_training_is_bit_identical_whatever_the_blas_thread_count(tmp_path):
         assert done.returncode == 0, done.stderr
         outputs.append(done.stdout)
     assert outputs[0] == outputs[1]
-    # block, then sha256[:16] of the loss history, the final parameters and the checkpoint
+    # block, then sha256[:16] of the loss history, the final parameters and the checkpoint;
+    # last, sha256[:16] of srin_forward's outputs and gradients over multi-class cases
     print("\n" + outputs[0], end="")
 
 

@@ -439,6 +439,16 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError, match=r"tensor \d+"):
             load_checkpoint(path)
 
+    def test_every_cut_reports_truncation(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        model = GeneratorModel.build(UNetConfig(size=16, stages=1, base_channels=2, block="srin"), seed=15)
+        save_checkpoint(model, path)
+        blob = path.read_bytes()
+        for cut in range(len(blob)):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(CheckpointError, match="magic" if cut < 4 else "truncated"):
+                load_checkpoint(path)
+
     def test_config_mismatch_rejected(self, tmp_path):
         model = GeneratorModel.build(UNetConfig(size=32, stages=2, block="srin"), seed=12)
         path = tmp_path / "m.ckpt"
