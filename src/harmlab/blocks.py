@@ -6,7 +6,9 @@ feature resolution:
 * ``region_instance_norm`` standardizes every site by the foreground region's
   per-channel statistics.
 * ``rain_forward`` re-dresses the normalized foreground with the background
-  region's global statistics and passes background sites through untouched.
+  region's global statistics and passes background sites through untouched:
+  ``srin``'s modulation (``tensor.modulate``) with one class whose scale and
+  shift are the background's per-channel std and mean.
 * ``srin_forward`` derives spatially varying scale/shift modulation from
   cross-attention: queries come from a color-coded semantic map, keys from the
   normalized features, and each foreground query attends over background key
@@ -132,21 +134,28 @@ def region_instance_norm(
     return tc.normalize_channels(feat, mean, std), mean, std, False
 
 
+def degenerate_mask(mask_f: np.ndarray) -> bool:
+    """True when the binary site mask ``mask_f`` has an empty foreground or an
+    empty background; the ``rain`` and ``srin`` blocks then pass their input
+    through unchanged."""
+    fg = np.count_nonzero(mask_f)
+    return fg == 0 or fg == mask_f.size
+
+
 def rain_forward(feat: Tensor, mask_f, eps: float = EPS_DEFAULT) -> Tensor:
     """Re-dress foreground-normalized features with global background statistics.
 
-    Foreground sites become ``std_bg * normed + mean_bg``; background sites pass
-    through exactly. Identity when either region is empty.
+    Foreground sites become ``std_bg * normed + mean_bg``, one class of
+    ``tensor.modulate``; background sites pass through exactly. Identity when
+    either region is empty.
     """
     m = tc.as_site_mask(mask_f, feat.shape[1], feat.shape[2])
-    fg_count = int(m.sum())
-    if fg_count == 0 or fg_count == m.size:
+    if degenerate_mask(m):
         return feat
     normed, _, _, _ = region_instance_norm(feat, m, eps)
     bg_mean, bg_var, _ = tc.masked_channel_stats(feat, 1.0 - m)
     bg_std = tc.sqrt(tc.add_scalar(bg_var, eps))
-    dressed = tc.channel_affine(normed, bg_std, bg_mean)
-    return tc.blend(dressed, feat, m)
+    return tc.modulate(normed, feat, bg_std, bg_mean, m.astype(np.intp) - 1)
 
 
 def _colour_classes(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -191,7 +200,7 @@ def srin_forward(
     m = tc.as_site_mask(mask_f, h, w)
     n = h * w
     fg_sites = np.flatnonzero(m)
-    if fg_sites.size == 0 or fg_sites.size == n:
+    if degenerate_mask(m):
         return SrinResult(feat, True)
 
     sem_t = sem_f if isinstance(sem_f, Tensor) else Tensor(np.asarray(sem_f, dtype=np.float64))

@@ -313,14 +313,16 @@ def modulate(x: Tensor, base: Tensor, scale: Tensor, shift: Tensor, index) -> Te
     """``scale[:, k] * x + shift[:, k]`` at every class-k site of a map, and exactly ``base`` elsewhere.
 
     ``x`` and ``base`` are [C, H, W] maps, ``scale`` and ``shift`` [C, K, 1] class
-    columns, and ``index`` a constant [H, W] integer map of classes in [0, K) and
-    -1. The backward sums the scale and shift gradients over each class's sites.
+    columns or [C] vectors (K = 1), and ``index`` a constant [H, W] integer map
+    of classes in [0, K) and -1. The backward sums the scale and shift
+    gradients over each class's sites.
     """
-    if not (x.data.ndim == 3 and base.shape == x.shape and scale.data.ndim == 3
-            and scale.shape[0] == x.shape[0] and scale.shape[2] == 1 and shift.shape == scale.shape):
-        raise ShapeError(f"modulate: need x and base [C, H, W], scale and shift [C, K, 1], "
+    k = scale.shape[1] if scale.data.ndim == 3 else 1
+    if not (x.data.ndim == 3 and base.shape == x.shape and shift.shape == scale.shape
+            and scale.shape in (x.shape[:1], (x.shape[0], k, 1))):
+        raise ShapeError(f"modulate: need x and base [C, H, W], scale and shift [C, K, 1] or [C], "
                          f"got {x.shape}, {base.shape}, {scale.shape} and {shift.shape}")
-    (c, h, w), k = x.shape, scale.shape[1]
+    c, h, w = x.shape
     idx = np.asarray(index)
     if idx.shape != (h, w) or idx.dtype.kind not in "iu":
         raise ShapeError(f"modulate: index must be an ({h}, {w}) integer map, got {idx.dtype} {idx.shape}")
@@ -329,10 +331,10 @@ def modulate(x: Tensor, base: Tensor, scale: Tensor, shift: Tensor, index) -> Te
     order = np.argsort(idx, axis=None, kind="stable")[np.count_nonzero(idx < 0):]  # class by class, ascending sites
     cls = idx.reshape(-1)[order]
     counts = np.bincount(cls, minlength=k)
-    site_scale = scale.data[:, cls, 0]
+    site_scale = scale.data.reshape(c, k)[:, cls]
     x_cols = x.data.reshape(c, -1)[:, order]
     out = base.data.copy()
-    out.reshape(c, -1)[:, order] = site_scale * x_cols + shift.data[:, cls, 0]
+    out.reshape(c, -1)[:, order] = site_scale * x_cols + shift.data.reshape(c, k)[:, cls]
 
     def dx(g):
         d = np.zeros((c, h * w), dtype=np.float64)
@@ -340,9 +342,9 @@ def modulate(x: Tensor, base: Tensor, scale: Tensor, shift: Tensor, index) -> Te
         return d.reshape(c, h, w)
 
     def per_class(cols):
-        d = np.zeros((c, k, 1), dtype=np.float64)
-        d[:, counts > 0, 0] = np.add.reduceat(cols, (np.cumsum(counts) - counts)[counts > 0], axis=1)
-        return d
+        d = np.zeros((c, k), dtype=np.float64)
+        d[:, counts > 0] = np.add.reduceat(cols, (np.cumsum(counts) - counts)[counts > 0], axis=1)
+        return d.reshape(scale.shape)
 
     return _op("modulate", (x, base, scale, shift), out, dx, lambda g: g * (idx < 0),
                lambda g: per_class(g.reshape(c, -1)[:, order] * x_cols),
@@ -350,27 +352,7 @@ def modulate(x: Tensor, base: Tensor, scale: Tensor, shift: Tensor, index) -> Te
 
 
 # ---------------------------------------------------------------------------
-# channel-wise affine maps
-
-
-def channel_affine(x: Tensor, scale_c: Tensor, shift_c: Tensor) -> Tensor:
-    """out[c] = x[c] * scale_c[c] + shift_c[c] over a [C, H, W] map."""
-    if x.data.ndim != 3:
-        raise ShapeError(f"channel_affine: need [C, H, W], got {x.shape}")
-    c = x.shape[0]
-    if scale_c.shape != (c,) or shift_c.shape != (c,):
-        raise ShapeError(
-            f"channel_affine: per-channel vectors must have shape ({c},), "
-            f"got {scale_c.shape} and {shift_c.shape}"
-        )
-    return _op(
-        "channel_affine",
-        (x, scale_c, shift_c),
-        x.data * scale_c.data[:, None, None] + shift_c.data[:, None, None],
-        lambda g: g * scale_c.data[:, None, None],
-        lambda g: (g * x.data).sum(axis=(1, 2)),
-        lambda g: g.sum(axis=(1, 2)),
-    )
+# per-channel standardization
 
 
 def normalize_channels(x: Tensor, mean_c: Tensor, std_c: Tensor) -> Tensor:

@@ -30,11 +30,12 @@ import numpy as np
 
 from . import tensor as tc
 from .errors import ConfigError, TrainingError
-from .imaging import BUCKET_LABELS, MetricsRecord, compose, metrics, ratio_bucket
+from .blocks import degenerate_mask
+from .imaging import BUCKET_LABELS, MetricsRecord, metrics, ratio_bucket
 from .optim import AdamState, adam_step
 from .synthdata import Sample, check_seed, load_dataset
 from .tensor import Graph, Tensor
-from .unet import GeneratorModel, UNetConfig, Windows, block_degenerate, save_checkpoint, unet_forward
+from .unet import GeneratorModel, UNetConfig, Windows, save_checkpoint, unet_forward
 
 
 def l1_loss(a: Tensor, b: Tensor) -> Tensor:
@@ -66,7 +67,8 @@ def prepare_sample(model: GeneratorModel, sample: Sample) -> PreparedSample:
     comp_t = Tensor(comp)
     return PreparedSample(
         win, model.encoder_input(comp_t, win), tc.crop(comp_t, top, bottom, left, right),
-        Tensor(real[:, top:bottom, left:right]), float(outside.sum()), block_degenerate(model.config, win.mask),
+        Tensor(real[:, top:bottom, left:right]), float(outside.sum()),
+        win.mask_f is not None and degenerate_mask(win.mask_f),
     )
 
 
@@ -265,12 +267,11 @@ class EvalReport:
 
 
 def evaluate(model: GeneratorModel, samples: Sequence[Sample]) -> EvalReport:
-    """Forward + compose + metrics for every sample, aggregated per ratio bucket."""
+    """Forward (``unet_forward`` composes) + metrics for every sample, aggregated per ratio bucket."""
     results: list[tuple[str, MetricsRecord]] = []
     for sample in samples:
         out = unet_forward(model, sample.composite, sample.mask, sample.semantic)
-        composed = compose(out, sample.composite, sample.mask)
-        results.append((sample.id, metrics(composed, sample.real, sample.mask)))
+        results.append((sample.id, metrics(out, sample.real, sample.mask)))
     results.sort(key=lambda pair: pair[0])
 
     buckets = [BucketStats() for _ in BUCKET_LABELS]

@@ -26,19 +26,19 @@ Every foreground output, and every site with a nonzero gradient, is computed
 from true values, so the decoder's cost follows the foreground's size. A box
 that is the whole map decodes the whole frame with no crop.
 
-``need[stages]`` is the decode window (``decode_window``): the bottleneck
-cells, each the 2^stages x 2^stages pixel block under one bottleneck site,
-that hold any foreground pixel, grown by one cell on each side. The
-``rain`` and ``srin`` blocks make every foreground site read statistics
-and attention from the whole background, so with them the encoder runs on the
-whole frame. Without a block the encoder runs on the encoder window: the
-decode window grown by one cell at the top and left only, clipped to the map,
-with every skip and the bottleneck cropped from its origin. The margin is one-sided and exact: a stride-2 3x3 conv with padding 1
-computes output i from inputs 2i - 1 .. 2i + 1, so at a cell-aligned crop edge
-only index 0 of each encoder stage reads the false zero padding, and index 0
-lies in the added cell; at the bottom and right the last output reads only
-rows inside the crop. The gradient reaches less than one cell above and left
-of the decode window at every stage and never index 0, so the weight
+``need[stages]`` is the decode window: the bottleneck cells, each the 2^stages
+x 2^stages pixel block under one bottleneck site, that hold any foreground
+pixel, grown by one cell on each side. The ``rain`` and ``srin`` blocks make
+every foreground site read statistics and attention from the whole background,
+so with them the encoder runs on the whole frame. Without a block the encoder
+runs on the encoder window: the decode window grown by one cell at the top and
+left only, clipped to the map, with every skip and the bottleneck cropped from
+its origin. The margin is one-sided and exact: a stride-2 3x3 conv with
+padding 1 computes output i from inputs 2i - 1 .. 2i + 1, so at a cell-aligned
+crop edge only index 0 of each encoder stage reads the false zero padding, and
+index 0 lies in the added cell; at the bottom and right the last output reads
+only rows inside the crop. The gradient reaches less than one cell above and
+left of the decode window at every stage and never index 0, so the weight
 gradients are exact too.
 
 Checkpoints are a flat binary format (documented in docs/checkpoint-format.md):
@@ -251,6 +251,9 @@ class GeneratorModel:
         """Check a sample's [S, S] ``mask`` and [3, S, S] ``semantic`` map and
         work out the constants of its forward pass."""
         size, stages = self.config.size, self.config.stages
+        for arr, what in ((mask, "mask"), (semantic, "semantic")):
+            if np.shape(arr)[-2:] != (size, size):
+                raise ShapeError(f"{what} is {'x'.join(map(str, np.shape(arr)[-2:]))}, model expects {size}x{size}")
         m = tc.as_site_mask(mask, size, size)
         sem = np.asarray(semantic, dtype=np.float64)
         if sem.shape != (3, size, size):
@@ -340,17 +343,6 @@ class GeneratorModel:
         return tc.blend(tc.uncrop(out, top, left, size, size), comp_t, in_box)
 
 
-def block_degenerate(config: UNetConfig, mask: np.ndarray) -> bool:
-    """True when ``config``'s bottleneck block, given the [S, S] binary ``mask``,
-    sees an empty foreground or background at feature resolution and so passes
-    the features through unchanged."""
-    if config.block == "none":
-        return False
-    mask_f = downsample_mask(mask, config.size >> config.stages)
-    fg = int(mask_f.sum())
-    return fg == 0 or fg == mask_f.size
-
-
 def decode_regions(config: UNetConfig, mask: np.ndarray) -> tuple[Box, list[Box]]:
     """The foreground's pixel box ``F`` and the region ``need[k]`` that the
     decoder must produce at each level k = 0 .. stages, for the [S, S] binary
@@ -359,8 +351,9 @@ def decode_regions(config: UNetConfig, mask: np.ndarray) -> tuple[Box, list[Box]
     Per axis, with half-open intervals clipped to each level's map:
     ``need[0]`` is ``F`` grown by one pixel, the head's input, and
     ``need[k] = [floor((lo - 1) / 2), ceil((hi + 1) / 2))`` for
-    ``need[k - 1] = [lo, hi)``. ``need[stages]`` is ``decode_window``. An
-    empty mask has no foreground to decode; it gets the single site
+    ``need[k - 1] = [lo, hi)``. ``need[stages]`` is the decode window, which the
+    bottleneck is cropped to and the ``none`` encoder's window is derived
+    from. An empty mask has no foreground to decode; it gets the single site
     ``(0, 1, 0, 1)`` as its box and at every level.
     """
     rows = np.flatnonzero(mask.any(axis=1))
@@ -379,20 +372,6 @@ def decode_regions(config: UNetConfig, mask: np.ndarray) -> tuple[Box, list[Box]
     return box, [(*r, *c) for r, c in zip(spans(*box[:2]), spans(*box[2:]))]
 
 
-def decode_window(config: UNetConfig, mask: np.ndarray) -> Box:
-    """The bottleneck sites ``(top, bottom, left, right)``, half-open, that
-    ``forward_tensor`` decodes for the [S, S] binary ``mask``:
-    ``decode_regions``' ``need[stages]``.
-
-    That is the cells that hold any foreground pixel, a cell being the
-    2^stages x 2^stages pixel block under one bottleneck site, grown by one
-    cell on each side and clipped to the map; an empty mask decodes the
-    single cell ``(0, 1, 0, 1)``. The bottleneck is cropped to it, and the
-    ``none`` encoder's window is derived from it.
-    """
-    return decode_regions(config, mask)[1][-1]
-
-
 def unet_forward(model: GeneratorModel, composite: Image, mask: Mask, semantic: Image) -> Image:
     """Image-level forward pass (no gradient recording).
 
@@ -401,11 +380,8 @@ def unet_forward(model: GeneratorModel, composite: Image, mask: Mask, semantic: 
     ops do not check their outputs, so this is the serving path's check.
     """
     size = model.config.size
-    for img, what in ((composite, "composite"), (semantic, "semantic")):
-        if (img.height, img.width) != (size, size):
-            raise ShapeError(f"{what} is {img.height}x{img.width}, model expects {size}x{size}")
-    if (mask.height, mask.width) != (size, size):
-        raise ShapeError(f"mask is {mask.height}x{mask.width}, model expects {size}x{size}")
+    if (composite.height, composite.width) != (size, size):
+        raise ShapeError(f"composite is {composite.height}x{composite.width}, model expects {size}x{size}")
     with np.errstate(over="ignore", invalid="ignore"):  # reported below, as one error
         out = model.forward_tensor(composite.planar(), mask.values, semantic.planar())
     if not np.all(np.isfinite(out.data)):

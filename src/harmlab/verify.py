@@ -177,13 +177,7 @@ def op_grad_checks(tol: float = DEFAULT_TOL, h: float = DEFAULT_H) -> list[GradC
     w233 = rng.normal(size=(2, 3, 3))
     check("blend", lambda ts: _weighted_sum(tc.blend(ts[0], ts[1], site_mask), w233), [x233, y233])
 
-    vec2 = rng.normal(size=2)
     pos2 = rng.uniform(0.5, 1.5, size=2)
-    check(
-        "channel_affine",
-        lambda ts: _weighted_sum(tc.channel_affine(ts[0], ts[1], ts[2]), w233),
-        [x233, vec2, rng.normal(size=2)],
-    )
     check(
         "normalize_channels",
         lambda ts: _weighted_sum(tc.normalize_channels(ts[0], ts[1], ts[2]), w233),

@@ -97,6 +97,14 @@ class TestRainForward:
         assert rain_forward(feat, np.zeros((3, 3))) is feat
         assert rain_forward(feat, np.ones((3, 3))) is feat
 
+    def test_tail_is_one_modulate_record(self):
+        rng = np.random.default_rng(6)
+        mask = split_mask(rng, 4, 4)
+        with Graph() as g:
+            rain_forward(Tensor(rng.normal(size=(2, 4, 4)), requires_grad=True), mask)
+        ops = [r.op for r in g.records]
+        assert ops.count("modulate") == 1 and "blend" not in ops
+
 
 class TestSrinForward:
     def test_zero_modulation_heads_zero_foreground(self):

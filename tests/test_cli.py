@@ -253,6 +253,13 @@ class TestExitCodes:
         assert dispatch(argv + flags) == 2
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
+    def test_size_mismatch_at_train_is_one_error_line(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        write_dataset(generate_dataset(GenConfig(seed=51, size=32), 1), data)
+        assert dispatch(["train", "--data", str(data), "--steps", "1", "--out", str(tmp_path / "m.ckpt")]) == 2
+        err = [l for l in capsys.readouterr().err.splitlines() if not l.startswith("config: ")]
+        assert err == ["error: mask is 32x32, model expects 64x64"]
+
     @pytest.mark.parametrize("command, seed", [
         ("train", "-3"), ("gen-data", "-5"), ("gen-data", "99999999999999999999999"),
     ])

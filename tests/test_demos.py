@@ -1,6 +1,6 @@
 """The demos run end to end against the current API.
 
-Demo 04 trains for about a minute and is left out.
+Demo 04 trains for about a minute and demo 06 for about three; both are left out.
 """
 
 import os

@@ -355,20 +355,22 @@ class TestModulate:
         (np.array([[0, -1, 1], [1, 1, -1], [-1, 1, 1]]), 2),  # class 0 holds one site
         (np.array([[0, -1, 2], [2, 0, -1], [-1, 2, 2]]), 3),  # class 1 holds no site
         (np.full((3, 3), -1), 2),  # every site at -1
-    ], ids=["one_class", "class_per_site", "one_site_class", "empty_class", "no_site"])
+        (np.where(np.eye(3, dtype=bool), 0, -1), None),  # [C] scale and shift: K = 1
+    ], ids=["one_class", "class_per_site", "one_site_class", "empty_class", "no_site", "channel_vector"])
     def test_matches_dense_reference(self, index, k):
         rng = np.random.default_rng(9)
         x, base, g = rng.normal(size=(3, 2, 3, 3))
-        scale, shift = rng.normal(size=(2, 2, k, 1))
+        scale, shift = rng.normal(size=(2, 2) if k is None else (2, 2, k, 1))
         ts = [Tensor(a, requires_grad=True) for a in (x, base, scale, shift)]
         with Graph() as graph:
             out = tc.modulate(*ts, index)
             graph.backward(tc.sum_all(tc.mul(out, Tensor(g))))
-        want, grads = modulate_reference(x, base, scale, shift, index, g)
+        want, grads = modulate_reference(x, base, scale.reshape(2, -1, 1), shift.reshape(2, -1, 1), index, g)
         assert np.array_equal(out.data, want)
         for t, ref in zip(ts, grads):
-            assert np.max(np.abs(t.grad - ref)) <= 1e-12
-        for cls in set(range(k)) - set(index.reshape(-1)):
+            assert t.grad.shape == t.shape
+            assert np.max(np.abs(t.grad - ref.reshape(t.shape))) <= 1e-12
+        for cls in set(range(k or 1)) - set(index.reshape(-1)):
             assert np.all(ts[2].grad[:, cls] == 0.0) and np.all(ts[3].grad[:, cls] == 0.0)
 
     def test_one_tape_record(self):
@@ -391,6 +393,13 @@ class TestModulate:
             tc.modulate(x, x, Tensor(np.ones((2, 2, 2))), Tensor(np.ones((2, 2, 2))), self.index)
         with pytest.raises(ShapeError):
             tc.modulate(x, x, cols, cols, self.index[:2])
+        one_class, vec = np.minimum(self.index, 0), Tensor(np.ones(2))
+        with pytest.raises(ShapeError):
+            tc.modulate(x, x, Tensor(np.ones(3)), Tensor(np.ones(3)), one_class)  # [C + 1]
+        with pytest.raises(ShapeError):
+            tc.modulate(x, x, vec, Tensor(np.ones((2, 1, 1))), one_class)  # scale [C], shift [C, 1, 1]
+        with pytest.raises(ShapeError):
+            tc.modulate(x, x, vec, vec, self.index)  # class 1 of 1
 
 
 class TestMaskedChannelStats:

@@ -5,13 +5,14 @@ import pytest
 
 from harmlab import tensor as tc
 from harmlab import unet
+from harmlab.blocks import degenerate_mask
 from harmlab.errors import CheckpointError, ShapeError
 from harmlab.gradcheck import grad_check
 from harmlab.imaging import Mask
 from harmlab.synthdata import GenConfig, generate_sample
 from harmlab.training import l1_loss
 from harmlab.unet import (
-    BLOCK_KINDS, GeneratorModel, UNetConfig, block_degenerate, downsample_mask, downsample_planar,
+    BLOCK_KINDS, GeneratorModel, UNetConfig, downsample_mask, downsample_planar,
     load_checkpoint, save_checkpoint, unet_forward,
 )
 
@@ -100,7 +101,7 @@ class TestForward:
         # map, so both stages see their full low-res size
         mask = s.mask.values.astype(np.float64)
         mask[0, 0] = mask[-1, -1] = 1.0
-        assert unet.decode_window(model.config, mask) == (0, 32, 0, 32)
+        assert unet.decode_regions(model.config, mask)[1][-1] == (0, 32, 0, 32)
         args = (s.composite.planar(), mask, s.semantic.planar())
         fused_calls = []
         real = tc.up_conv3x3
@@ -116,7 +117,7 @@ class TestForward:
         s = sample_inputs()
         vanishing = np.zeros((32, 32))
         vanishing[0, 0] = 1.0  # no 8x8 feature site samples pixel (0, 0)
-        assert block_degenerate(model.config, vanishing)
+        assert degenerate_mask(downsample_mask(vanishing, 8))
         state = dict(vars(model))
         values = model.flat.data.copy()
         with tc.Graph():
@@ -167,20 +168,20 @@ class TestDecodeWindow:
     def test_window_rule(self):
         config = UNetConfig(size=64, stages=3)  # 8x8 cells of 8x8 pixels
         mask = np.zeros((64, 64))
-        assert unet.decode_window(config, mask) == (0, 1, 0, 1)  # one cell, no zero-size map
+        assert unet.decode_regions(config, mask)[1][-1] == (0, 1, 0, 1)  # one cell, no zero-size map
         mask[63, 63] = 1.0  # cell (7, 7): grown to 6:9, clipped to 6:8
-        assert unet.decode_window(config, mask) == (6, 8, 6, 8)
+        assert unet.decode_regions(config, mask)[1][-1] == (6, 8, 6, 8)
         mask[63, 63] = 0.0
         mask[20, 40] = 1.0  # cell (2, 5): grown to 1:4 and 4:7
-        assert unet.decode_window(config, mask) == (1, 4, 4, 7)
+        assert unet.decode_regions(config, mask)[1][-1] == (1, 4, 4, 7)
         mask[20, 40] = 0.0
         mask[20:22, 33] = mask[28, 38] = 1.0  # cells 2:4 and 4:5: grown to 1:5 and 3:6
-        assert unet.decode_window(config, mask) == (1, 5, 3, 6)
+        assert unet.decode_regions(config, mask)[1][-1] == (1, 5, 3, 6)
         mask[:] = 0.0
         mask[20, 40] = 1.0
         mask[63, 0] = 1.0  # cell (7, 0): clipped at the bottom and left edges
-        assert unet.decode_window(config, mask) == (1, 8, 0, 7)
-        assert unet.decode_window(config, np.ones((64, 64))) == (0, 8, 0, 8)
+        assert unet.decode_regions(config, mask)[1][-1] == (1, 8, 0, 7)
+        assert unet.decode_regions(config, np.ones((64, 64)))[1][-1] == (0, 8, 0, 8)
 
     def test_one_pixel_foreground_decodes_three_cells(self):
         # the bottleneck decodes the pixel's 3x3 cells; each later level only
@@ -309,7 +310,7 @@ class TestDecodeRegions:
             masks[-1][r0:r1, c0:c1] = 1.0
         for mask in masks:
             need = unet.decode_regions(config, mask)[1]
-            assert need[-1] == unet.decode_window(config, mask) == _one_cell_window(config, mask)
+            assert need[-1] == unet.decode_regions(config, mask)[1][-1] == _one_cell_window(config, mask)
 
 
 class TestResampling:
