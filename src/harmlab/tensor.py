@@ -248,18 +248,6 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
     return _op("concat_channels", (a, b), np.concatenate([a.data, b.data], axis=0), lambda g: g[:ca], lambda g: g[ca:])
 
 
-def upsample2(a: Tensor) -> Tensor:
-    """Nearest-neighbor x2 upsample of a [C, H, W] map."""
-    if a.data.ndim != 3:
-        raise ShapeError(f"upsample2: need [C, H, W], got {a.shape}")
-
-    def grad(g):
-        rows = g[:, 0::2] + g[:, 1::2]
-        return rows[:, :, 0::2] + rows[:, :, 1::2]
-
-    return _op("upsample2", (a,), a.data.repeat(2, axis=1).repeat(2, axis=2), grad)
-
-
 def crop(a: Tensor, top: int, bottom: int, left: int, right: int) -> Tensor:
     """Rows ``top:bottom`` and columns ``left:right`` of a [C, H, W] map.
 
@@ -273,9 +261,7 @@ def crop(a: Tensor, top: int, bottom: int, left: int, right: int) -> Tensor:
     out = _wrap(a.data[:, top:bottom, left:right], None, False)
 
     def bwd():
-        if a.grad is None:
-            a.grad = np.zeros_like(a.data)
-        a.grad[:, top:bottom, left:right] += out.grad
+        _add_window(_grad_buffer(a), out.grad, top, left)
 
     _maybe_record("crop", (out,), (a,), bwd)
     return out
@@ -405,45 +391,53 @@ def conv1x1(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
 _OFFSETS_3X3 = [(ky, kx) for ky in range(3) for kx in range(3)]
 
 
-def _phase_slices(h: int, w: int, stride: int):
-    """Pair each phase grid of a zero-padded [C, h, w] map with the sites it holds.
-
-    The padded map puts input site (i, j) at (i + 1, j + 1), and phase grid
-    (py, px) holds padded site (stride*r + py, stride*c + px) at (r, c).
-    Yields ``(py, px, input_index, grid_index)``: indexing the input with the
-    one and the phase grid with the other selects the same sites.
-    """
-
-    def axis(phase: int, size: int) -> tuple[slice, slice]:
-        first = (phase - 1) % stride
-        start = (first + 1) // stride
-        return slice(first, size, stride), slice(start, start + len(range(first, size, stride)))
-
-    for py in range(stride):
-        rows, grid_rows = axis(py, h)
-        for px in range(stride):
-            cols, grid_cols = axis(px, w)
-            yield py, px, (slice(None), rows, cols), (slice(None), grid_rows, grid_cols)
+def _window(top: int, n: int, size: int) -> tuple[slice, slice]:
+    """The positions ``i`` of ``0:n`` whose site ``top + i`` lies in ``0:size``, and those sites."""
+    i0 = min(max(-top, 0), n)
+    i1 = max(min(size - top, n), i0)
+    return slice(i0, i1), slice(top + i0, top + i1)
 
 
-def _phase_grids(x: np.ndarray, stride: int, rows: int, pitch: int) -> np.ndarray:
-    """Zero-pad a [C, h, w] map by 1 and split it into flat phase grids [stride * stride, C, rows * pitch].
+def _fill_window(dst: np.ndarray, x: np.ndarray, top: int, left: int) -> None:
+    """Set ``dst[:, i, j]`` to site ``(top + i, left + j)`` of the [C, H, W] map ``x`` wherever that lies in ``x``."""
+    (rd, rx), (cd, cx) = _window(top, dst.shape[1], x.shape[1]), _window(left, dst.shape[2], x.shape[2])
+    dst[:, rd, cd] = x[:, rx, cx]
 
-    Grid ``py * stride + px`` is phase grid (py, px) with its rows ``pitch`` apart.
+
+def _add_window(dst: np.ndarray, g: np.ndarray, top: int, left: int) -> None:
+    """Adjoint of ``_fill_window``: add ``g[:, i, j]`` into site ``(top + i, left + j)`` of ``dst`` where it has one."""
+    (rg, rd), (cg, cd) = _window(top, g.shape[1], dst.shape[1]), _window(left, g.shape[2], dst.shape[2])
+    dst[:, rd, cd] += g[:, rg, cg]
+
+
+def _grad_buffer(t: Tensor) -> np.ndarray:
+    """``t``'s gradient buffer, attaching a zero one first when there is none."""
+    if t.grad is None:
+        t.grad = np.zeros_like(t.data)
+    return t.grad
+
+
+def _phase_grids(x: np.ndarray, stride: int, rows: int, pitch: int, top: int = -1, left: int = -1) -> np.ndarray:
+    """Split the window of a [C, h, w] map at (top, left) into flat phase grids [stride * stride, C, rows * pitch].
+
+    Grid ``py * stride + px`` holds site ``(top + stride * r + py, left + stride * c + px)``
+    of ``x`` at (r, c), with its rows ``pitch`` apart, and zero where that site
+    lies outside ``x``. The default origin (-1, -1) zero-pads the map by one.
     """
     grids = np.zeros((stride * stride, x.shape[0], rows, pitch), dtype=np.float64)
-    for py, px, xs, gs in _phase_slices(x.shape[1], x.shape[2], stride):
-        grids[py * stride + px][gs] = x[xs]
+    for j, grid in enumerate(grids):
+        q, s = top + j // stride, left + j % stride
+        _fill_window(grid, x[:, q % stride :: stride, s % stride :: stride], q // stride, s // stride)
     return grids.reshape(stride * stride, x.shape[0], rows * pitch)
 
 
-def _from_phase_grids(grids: Sequence[np.ndarray], shape: tuple[int, ...], pitch: int) -> np.ndarray:
-    """Inverse of ``_phase_grids`` for a map of ``shape``: gathers the input sites back out of the flat grids."""
+def _from_phase_grids(grids: Sequence[np.ndarray], dst: np.ndarray, pitch: int, top: int = -1, left: int = -1) -> None:
+    """Adjoint of ``_phase_grids``: add the flat grids' values into the sites of ``dst`` they hold."""
     stride = math.isqrt(len(grids))
-    x = np.empty(shape, dtype=np.float64)
-    for py, px, xs, gs in _phase_slices(shape[1], shape[2], stride):
-        x[xs] = grids[py * stride + px].reshape(shape[0], -1, pitch)[gs]
-    return x
+    for j, grid in enumerate(grids):
+        q, s = top + j // stride, left + j % stride
+        _add_window(dst[:, q % stride :: stride, s % stride :: stride], grid.reshape(dst.shape[0], -1, pitch),
+                    q // stride, s // stride)
 
 
 def _tap_sums(grids: Sequence[np.ndarray], taps, shape: tuple[int, ...], pitch: int) -> np.ndarray:
@@ -560,7 +554,7 @@ def conv3x3(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
             _accum(w, dwk.reshape(3, 3, c_out, c_in).transpose(2, 3, 0, 1))
         _accum(bias, g.reshape(c_out, ho * wo).sum(axis=1))
         if x.requires_grad:
-            _accum(x, _from_phase_grids(dgrids, x.shape, p))
+            _from_phase_grids(dgrids, _grad_buffer(x), p)
 
     _maybe_record("conv3x3", (out,), (x, w, bias), bwd)
     return out
@@ -588,78 +582,118 @@ def _unfold_taps(d: np.ndarray) -> np.ndarray:
     return (d @ _FOLD.T).swapaxes(2, 3) @ _FOLD.T
 
 
-def up_conv3x3(low: Tensor, skip: Tensor, w: Tensor, bias: Tensor) -> Tensor:
-    """``conv3x3(concat_channels(upsample2(low), skip), w, bias)`` without building either map.
+# Regions over at least this many low-res sites run ``up_conv3x3``'s folded
+# layout, smaller ones its concat layout. Forward plus backward ms, concat /
+# folded, median of 6 alternated rounds, 2-CPU box, one BLAS thread, per
+# C_low + C_skip -> C_out (the 16 + 4 stage's skip needs no gradient):
+#   low-res sites   3x3        8x8        12x12      16x16      32x32
+#   64 + 32 -> 32   1.04/3.28  3.22/4.85  6.07/6.78  10.3/9.75
+#   32 + 16 -> 16   0.49/1.78  1.25/2.24  2.28/3.06  3.71/4.16  15.0/10.8
+#   16 + 4 -> 16    0.20/0.63  0.44/0.73  0.82/0.89  1.36/1.25  6.06/3.56
+_FOLD_MIN_SITES = 256
 
-    ``low`` is [C_low, H, W], ``skip`` is [C_skip, 2H, 2W], and ``w`` is
-    [C_out, C_low + C_skip, 3, 3] with the upsampled channels first. Output
-    site (2i + a, 2j + b) is computed per phase (a, b), one ``_tap_sums``
-    output block each:
 
-    * Upsampled channels: a nearest x2 upsample followed by a 3x3 conv is,
-      at each output phase, a 2x2 conv of ``low`` whose taps are the 3x3
-      taps folded per axis (phase 0: taps {0} and {1, 2}; phase 1: taps
-      {0, 1} and {2}). That is 16 [C_out, C_low] @ [C_low, H * p] GEMMs over
-      shifted slices of ``low`` zero-padded once with pitch ``p = W + 2``,
-      16/36 of the multiply-adds of the chain's upsampled channels.
-    * Skip channels: a 3x3 conv at the phase's sites reads the 2x2 phase
-      grids of the padded skip map, the stride-2 layout of ``conv3x3``, at
-      the same pitch; nine GEMMs per phase add into the same block.
+def up_conv3x3(low: Tensor, skip: Tensor, w: Tensor, bias: Tensor, region: tuple[int, int, int, int],
+               low_at: tuple[int, int] = (0, 0), skip_at: tuple[int, int] = (0, 0)) -> Tensor:
+    """One U-Net decoder stage, ``relu(conv3x3(concat_channels(up, skip), w, bias))``, on ``region`` only.
 
-    The four phases are interleaved once into [C_out, 2H, 2W]. The backward
-    is ``_tap_sums_backward`` over the same taps; the gradient of ``skip`` is
-    computed only when it requires one.
+    ``up`` is the nearest x2 upsample of ``low``. Sites are numbered on the
+    skip's level: ``skip``'s site (0, 0) is site ``skip_at``, ``low``'s site
+    (0, 0) is site ``low_at`` of the level above, and low-res site (i, j)
+    covers sites (2i + a, 2j + b). The conv reads zero at sites outside
+    ``skip`` and at sites whose low-res site is outside ``low``, so the output
+    is the whole map's wherever ``skip`` and ``low`` hold the map's sites
+    within one site of ``region`` = (top, bottom, left, right), which lies in
+    ``skip``. ``w`` is [C_out, C_low + C_skip, 3, 3], upsampled channels first.
+
+    Both layouts are ``_tap_sums`` over flat grids; the count of low-res sites
+    under ``region`` picks one. Concat: ``up`` and ``skip`` over ``region``
+    grown by one are stacked into one grid for ``conv3x3``'s nine stride-1
+    taps. Folded: at output phase (a, b), ``up`` then a 3x3 conv is a 2x2
+    conv of ``low`` whose taps are the 3x3 taps folded per axis (phase 0:
+    taps {0} and {1, 2}; phase 1: taps {0, 1} and {2}), 16 GEMMs with 16/36
+    of the upsampled channels' multiply-adds, and the skip channels read the
+    skip's 2x2 phase grids, nine GEMMs per phase; the phases cover whole 2x2
+    blocks and are interleaved and cut to ``region``. The backward is
+    ``_tap_sums_backward`` over the same taps, and ``skip`` gets a gradient
+    only when it requires one.
     """
     if low.data.ndim != 3 or skip.data.ndim != 3 or w.data.ndim != 4 or w.shape[2:] != (3, 3):
-        raise ShapeError(
-            f"up_conv3x3: need low [C, H, W], skip [C, 2H, 2W] and w [C_out, C_in, 3, 3], "
-            f"got {low.shape}, {skip.shape}, {w.shape}"
-        )
-    c_low, h, wd = low.shape
-    c_skip = skip.shape[0]
-    c_out = w.shape[0]
-    if skip.shape[1:] != (2 * h, 2 * wd):
-        raise ShapeError(f"up_conv3x3: skip {skip.shape} does not match the upsampled map of {low.shape}")
-    if w.shape[1] != c_low + c_skip:
-        raise ShapeError(f"up_conv3x3: weight expects {w.shape[1]} input channels, maps have {c_low + c_skip}")
-    if bias.shape != (c_out,):
-        raise ShapeError(f"up_conv3x3: bias shape {bias.shape}, expected ({c_out},)")
-    p = wd + 2
-    # Grid 0 is the padded low map, grids 1-4 the skip's phase grids. Each has
-    # one spare row: the last tap's slice runs past the padded map.
-    grids = [*_phase_grids(low.data, 1, h + 3, p), *_phase_grids(skip.data, 2, h + 2, p)]
-    w_low = _fold_taps(w.data[:, :c_low])
-    w_skip = np.ascontiguousarray(w.data[:, c_low:].transpose(2, 3, 0, 1)).reshape(9, c_out, c_skip)
+        raise ShapeError(f"up_conv3x3: need low and skip [C, H, W] and w [C_out, C_in, 3, 3], "
+                         f"got {low.shape}, {skip.shape}, {w.shape}")
+    c_low, c_skip, c_out = low.shape[0], skip.shape[0], w.shape[0]
+    c_in = c_low + c_skip
+    if w.shape[1] != c_in or bias.shape != (c_out,):
+        raise ShapeError(f"up_conv3x3: weight {w.shape} and bias {bias.shape} do not fit {c_in} input channels")
+    top, bottom, left, right = region
+    (lt, ll), (st, sl) = low_at, skip_at
+    if not (st <= top < bottom <= st + skip.shape[1] and sl <= left < right <= sl + skip.shape[2]):
+        raise ShapeError(f"up_conv3x3: region {region} is not inside the skip's sites, {skip.shape} at {skip_at}")
+    h, wd = bottom - top, right - left
+    l0, m0 = top // 2, left // 2  # the first low-res site under the region
+    hl, wl = (bottom + 1) // 2 - l0, (right + 1) // 2 - m0
+    folded = hl * wl >= _FOLD_MIN_SITES
     phases = [(a, b) for a in range(2) for b in range(2)]
-    # Phase (a, b) is block 2a + b. Its low taps (t, u) come before its skip
-    # taps (ky, kx), and skip tap (ky, kx) reads padded skip site
-    # (2i + a + ky, 2j + b + kx).
-    taps = [(2 * a + b, 0, w_low[a, b, 2 * t + u], (a + t) * p + b + u)
-            for a, b in phases for t in range(2) for u in range(2)]
-    taps += [(2 * a + b, 1 + ((a + ky) % 2) * 2 + (b + kx) % 2, w_skip[k], ((a + ky) // 2) * p + (b + kx) // 2)
-             for a, b in phases for k, (ky, kx) in enumerate(_OFFSETS_3X3)]
-    acc = _tap_sums(grids, taps, (2, 2, c_out, h, wd), p)
-    out_data = np.empty((c_out, h, 2, wd, 2), dtype=np.float64)
-    for a, b in phases:
-        np.add(acc[a, b], bias.data[:, None, None], out=out_data[:, :, a, :, b])
-    out = _wrap(out_data.reshape(c_out, 2 * h, 2 * wd), None, False)
+    if folded:
+        p = wl + 2
+        # Grid 0 is low's window, grids 1-4 the skip's phase grids. Each has
+        # one spare row: the last tap's slice runs past the window.
+        grids = [*_phase_grids(low.data, 1, hl + 3, p, l0 - 1 - lt, m0 - 1 - ll),
+                 *_phase_grids(skip.data, 2, hl + 2, p, 2 * l0 - 1 - st, 2 * m0 - 1 - sl)]
+        w_low = _fold_taps(w.data[:, :c_low])
+        w_skip = np.ascontiguousarray(w.data[:, c_low:].transpose(2, 3, 0, 1)).reshape(9, c_out, c_skip)
+        # Phase (a, b) is block 2a + b. Its low taps (t, u) come before its
+        # skip taps (ky, kx), and skip tap (ky, kx) reads skip grid site
+        # (2i + a + ky, 2j + b + kx).
+        taps = [(2 * a + b, 0, w_low[a, b, 2 * t + u], (a + t) * p + b + u)
+                for a, b in phases for t in range(2) for u in range(2)]
+        taps += [(2 * a + b, 1 + ((a + ky) % 2) * 2 + (b + kx) % 2, w_skip[k], ((a + ky) // 2) * p + (b + kx) // 2)
+                 for a, b in phases for k, (ky, kx) in enumerate(_OFFSETS_3X3)]
+        cut = np.s_[:, top - 2 * l0 : bottom - 2 * l0, left - 2 * m0 : right - 2 * m0]
+        acc = _tap_sums(grids, taps, (2, 2, c_out, hl, wl), p)
+        acc = acc.transpose(2, 3, 0, 4, 1).reshape(c_out, 2 * hl, 2 * wl)[cut]
+    else:
+        p = wd + 2
+        ut, ul = top - 1 - 2 * lt, left - 1 - 2 * ll  # the window's corner as a site of up(low)
+        grid = np.zeros((c_in, h + 3, p), dtype=np.float64)  # the window, then a spare row
+        for a, b in phases:  # the window's sites of row and column parity (a, b) hold low's sites in order
+            _fill_window(grid[:c_low, a::2, b::2], low.data, (ut + a) // 2, (ul + b) // 2)
+        _fill_window(grid[c_low:], skip.data, top - 1 - st, left - 1 - sl)
+        grids = [grid.reshape(c_in, -1)]
+        wk = np.ascontiguousarray(w.data.transpose(2, 3, 0, 1)).reshape(9, c_out, c_in)
+        taps = [(0, 0, wk[k], ky * p + kx) for k, (ky, kx) in enumerate(_OFFSETS_3X3)]
+        acc = _tap_sums(grids, taps, (c_out, h, wd), p)
+    out = _wrap(np.maximum(acc + bias.data[:, None, None], 0.0), None, False)
 
     def bwd():
-        g = out.grad
-        g_phases = g.reshape(c_out, h, 2, wd, 2).transpose(2, 4, 0, 1, 3)
-        # two separate buffers: each tap's slot stays a contiguous GEMM output
-        dw_low = np.empty((2, 2, 4, c_out, c_low), dtype=np.float64)
-        dw_skip = np.empty((4, 9, c_out, c_skip), dtype=np.float64)
-        dws = [*dw_low.reshape(16, c_out, c_low), *dw_skip.reshape(36, c_out, c_skip)] if w.requires_grad else None
-        dgrids = _tap_sums_backward(g_phases, grids, taps, p, [low.requires_grad] + [skip.requires_grad] * 4, dws)
-        if w.requires_grad:
-            dw_s = dw_skip.sum(axis=0).reshape(3, 3, c_out, c_skip).transpose(2, 3, 0, 1)
-            _accum(w, np.concatenate([_unfold_taps(dw_low), dw_s], axis=1))
+        g = out.grad * (out.data > 0.0)
+        if folded:
+            full = np.zeros((c_out, hl, 2, wl, 2), dtype=np.float64)
+            full.reshape(c_out, 2 * hl, 2 * wl)[cut] = g
+            # two separate buffers: each tap's slot stays a contiguous GEMM output
+            dw_low = np.empty((2, 2, 4, c_out, c_low), dtype=np.float64)
+            dw_skip = np.empty((4, 9, c_out, c_skip), dtype=np.float64)
+            dws = [*dw_low.reshape(16, c_out, c_low), *dw_skip.reshape(36, c_out, c_skip)] if w.requires_grad else None
+            dgrids = _tap_sums_backward(full.transpose(2, 4, 0, 1, 3), grids, taps, p,
+                                        [low.requires_grad] + [skip.requires_grad] * 4, dws)
+            if w.requires_grad:
+                dw_s = dw_skip.sum(axis=0).reshape(3, 3, c_out, c_skip).transpose(2, 3, 0, 1)
+                _accum(w, np.concatenate([_unfold_taps(dw_low), dw_s], axis=1))
+            if low.requires_grad:
+                _from_phase_grids(dgrids[:1], _grad_buffer(low), p, l0 - 1 - lt, m0 - 1 - ll)
+            if skip.requires_grad:
+                _from_phase_grids(dgrids[1:], _grad_buffer(skip), p, 2 * l0 - 1 - st, 2 * m0 - 1 - sl)
+        else:
+            dwk = np.empty((9, c_out, c_in), dtype=np.float64) if w.requires_grad else None
+            (dgrid,) = _tap_sums_backward(g, grids, taps, p, [low.requires_grad or skip.requires_grad], dwk)
+            if dwk is not None:
+                _accum(w, dwk.reshape(3, 3, c_out, c_in).transpose(2, 3, 0, 1))
+            for a, b in phases if low.requires_grad else ():
+                d_up = dgrid.reshape(c_in, -1, p)[:c_low, a::2, b::2]
+                _add_window(_grad_buffer(low), d_up, (ut + a) // 2, (ul + b) // 2)
+            if skip.requires_grad:
+                _add_window(_grad_buffer(skip), dgrid.reshape(c_in, -1, p)[c_low:], top - 1 - st, left - 1 - sl)
         _accum(bias, g.reshape(c_out, -1).sum(axis=1))
-        if low.requires_grad:
-            _accum(low, _from_phase_grids(dgrids[:1], low.shape, p))
-        if skip.requires_grad:
-            _accum(skip, _from_phase_grids(dgrids[1:], skip.shape, p))
 
     _maybe_record("up_conv3x3", (out,), (low, skip, w, bias), bwd)
     return out

@@ -2,29 +2,25 @@
 
 The network maps a 4-channel stack (composite RGB + foreground mask) through
 stride-2 encoder convolutions, applies the configured bottleneck block with
-the mask and semantic map resampled to feature resolution, then decodes with
-nearest-neighbor upsampling, skip concatenations and 3x3 convolutions. A
-decoder stage on a low-res map of at least ``_FUSED_MIN_SITES`` sites runs
-the three as one ``tensor.up_conv3x3``, which never builds the upsampled map
-or the concat; smaller stages run the chain. The 3-channel output head
-is residual: its prediction is added to the composite, clamped to [0, 1], and
-composed with the composite so background pixels pass through exactly.
+the mask and semantic map resampled to feature resolution, then decodes:
+each decoder stage is one ``tensor.up_conv3x3``, the relu of a 3x3 conv over
+the nearest x2 upsample of the deeper map concatenated with the skip, which
+never builds either map. The 3-channel output head is residual: its
+prediction is added to the composite, clamped to [0, 1], and composed with the
+composite so background pixels pass through exactly.
 
 Since that composition keeps only the foreground, the decoder and the head
-compute only what the foreground's pixels read (``decode_regions``). ``F``
-is the bounding box of the foreground's pixels; the head, a 3x3 conv, needs
-its input on ``need[0]``, ``F`` grown by one pixel, and the decoder stage
-from level k to k - 1 (level k has 2^k x 2^k pixel sites) needs its low-res
-input on ``need[k]``, whose nearest x2 upsample covers ``need[k - 1]`` grown
-by one site, every interval clipped to its map. Each stage crops its low-res
-input to ``need[k]`` and the skip to ``2 need[k]``, and crops its output to
-``need[k - 1]``: the zero padding at a crop edge inside the map corrupts
-only the outer ring of ``2 need[k]``, which lies outside ``need[k - 1]``.
-The head's output is cropped to ``F``, where the residual add, the clamp and
-the composition run; ``forward_tensor`` pastes that box into the composite.
-Every foreground output, and every site with a nonzero gradient, is computed
-from true values, so the decoder's cost follows the foreground's size. A box
-that is the whole map decodes the whole frame with no crop.
+compute only what the foreground's pixels read (``decode_regions``). ``F`` is
+the bounding box of the foreground's pixels; the head, a 3x3 conv, needs its
+input on ``need[0]``, ``F`` grown by one pixel, and the stage from level k to
+k - 1 (level k has 2^k x 2^k pixel sites) writes ``need[k - 1]`` from its
+low-res input on ``need[k]``, whose nearest x2 upsample covers ``need[k - 1]``
+grown by one site, every interval clipped to its map. Each stage reads its
+low-res input (the bottleneck, for the first) and its skip in place, so it
+reads true values on the ring around its region and zeros only outside the
+map. The head's output is cropped to ``F``, where the residual add, the clamp
+and the composition run; ``forward_tensor`` pastes that box into the
+composite. A box that is the whole map decodes the whole frame with no crop.
 
 ``need[stages]`` is the decode window: the bottleneck cells, each the 2^stages
 x 2^stages pixel block under one bottleneck site, that hold any foreground
@@ -32,14 +28,14 @@ pixel, grown by one cell on each side. The ``rain`` and ``srin`` blocks make
 every foreground site read statistics and attention from the whole background,
 so with them the encoder runs on the whole frame. Without a block the encoder
 runs on the encoder window: the decode window grown by one cell at the top and
-left only, clipped to the map, with every skip and the bottleneck cropped from
-its origin. The margin is one-sided and exact: a stride-2 3x3 conv with
-padding 1 computes output i from inputs 2i - 1 .. 2i + 1, so at a cell-aligned
-crop edge only index 0 of each encoder stage reads the false zero padding, and
-index 0 lies in the added cell; at the bottom and right the last output reads
-only rows inside the crop. The gradient reaches less than one cell above and
-left of the decode window at every stage and never index 0, so the weight
-gradients are exact too.
+left only, clipped to the map, so every skip and the bottleneck is a window of
+its map at that window's origin. The margin is one-sided and exact: a stride-2
+3x3 conv with padding 1 computes output i from inputs 2i - 1 .. 2i + 1, so at a
+cell-aligned crop edge only index 0 of each encoder stage reads the false zero
+padding, and index 0 lies in the added cell; at the bottom and right the last
+output reads only rows inside the crop. The gradient reaches less than one cell
+above and left of the decode window at every stage and never index 0, so the
+weight gradients are exact too.
 
 Checkpoints are a flat binary format (documented in docs/checkpoint-format.md):
 magic ``SRN1``, the configuration as little-endian u32 fields, then every
@@ -64,21 +60,6 @@ from .tensor import Tensor
 BLOCK_KINDS = ("none", "rain", "srin")
 
 _MAGIC = b"SRN1"
-
-# Decoder stages whose low-res input, cropped to its region ``need[k]``, has
-# at least this many sites run the fused ``tc.up_conv3x3``; smaller ones run the
-# upsample2 / concat_channels / conv3x3 chain, whose fewer numpy calls cost
-# less there. Forward plus backward ms per layer, chain -> fused, median of
-# 60 alternated runs (20 at 64x64), 2-CPU box, one BLAS thread, for the two
-# channel widths met at each size (16 + 4 -> 16 with no skip gradient, and
-# 32 + 16 -> 16): 8x8 low-res sites 0.64 -> 1.31 and 0.94 -> 1.92; 14x18
-# 1.12 -> 1.15 and 2.13 -> 2.74; 16x16 1.29 -> 1.31 and 2.58 -> 3.30; 16x24
-# 2.35 -> 2.10 and 4.03 -> 4.18; 32x16 3.13 -> 2.66 and 5.36 -> 4.96; 24x28
-# 3.96 -> 2.98 and 7.33 -> 6.31; 32x32 5.50 -> 3.44 and 10.1 -> 7.5; 64x64
-# 26.2 -> 13.3 and 48.1 -> 35.8. The crossover lies between 256 and 512
-# sites, near 400 for the wider stage.
-_FUSED_MIN_SITES = 512
-
 
 @dataclass(frozen=True)
 class UNetConfig:
@@ -300,24 +281,15 @@ class GeneratorModel:
         elif self.config.block == "srin":
             cur = srin_forward(cur, win.mask_f, win.sem_f, self.block_params, EPS_DEFAULT).output
 
-        def within(t: Tensor, region: Box, top: int, left: int) -> Tensor:
-            """``t``, a map whose site (0, 0) is site (top, left) of its level, cropped to ``region``."""
-            r0, r1, c0, c1 = region
-            return tc.crop(t, r0 - top, r1 - top, c0 - left, c1 - left)
-
-        cur = within(cur, win.need[stages], e_top, e_left)
+        low_at = e_top, e_left  # level k's site (0, 0) of the stage's low-res input
         for k, (w, b) in zip(range(stages, 0, -1), self.decoder):
-            top, bottom, left, right = win.need[k]
             scale = 2 << (stages - k)  # the skip's resolution over the bottleneck's
-            skip = within(skips[k - 1], (2 * top, 2 * bottom, 2 * left, 2 * right), e_top * scale, e_left * scale)
-            if cur.shape[1] * cur.shape[2] >= _FUSED_MIN_SITES:
-                cur = tc.up_conv3x3(cur, skip, w, b)
-            else:
-                cur = tc.conv3x3(tc.concat_channels(tc.upsample2(cur), skip), w, b, stride=1)
-            cur = tc.relu(within(cur, win.need[k - 1], 2 * top, 2 * left))
+            cur = tc.up_conv3x3(cur, skips[k - 1], w, b, win.need[k - 1], low_at, (e_top * scale, e_left * scale))
+            low_at = win.need[k - 1][0], win.need[k - 1][2]
 
         top, bottom, left, right = win.box
-        delta = within(tc.conv3x3(cur, self.head[0], self.head[1], stride=1), win.box, win.need[0][0], win.need[0][2])
+        delta = tc.crop(tc.conv3x3(cur, self.head[0], self.head[1], stride=1),
+                        top - low_at[0], bottom - low_at[0], left - low_at[1], right - low_at[1])
         raw = tc.add(delta, comp_box) if self.config.residual else delta
         return tc.blend(tc.clamp01(raw), comp_box, win.mask[top:bottom, left:right])
 

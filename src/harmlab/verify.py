@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 from typing import Callable, Sequence
+from unittest.mock import patch
 
 import numpy as np
 
@@ -168,8 +169,6 @@ def op_grad_checks(tol: float = DEFAULT_TOL, h: float = DEFAULT_H) -> list[GradC
     y233 = rng.normal(size=(2, 3, 3))
     w433 = rng.normal(size=(4, 3, 3))
     check("concat_channels", lambda ts: _weighted_sum(tc.concat_channels(ts[0], ts[1]), w433), [x233, y233])
-    w266 = rng.normal(size=(2, 6, 6))
-    check("upsample2", lambda ts: _weighted_sum(tc.upsample2(ts[0]), w266), [x233])
 
     site_mask = (rng.uniform(size=(3, 3)) < 0.5).astype(np.float64)
     site_mask[0, 0] = 1.0
@@ -205,13 +204,6 @@ def op_grad_checks(tol: float = DEFAULT_TOL, h: float = DEFAULT_H) -> list[GradC
         lambda ts: _weighted_sum(tc.conv3x3(ts[0], ts[1], ts[2], stride=2), w2s),
         [x355, k233, bias2],
     )
-    w246 = rng.normal(size=(2, 4, 6))
-    check(
-        "up_conv3x3",
-        lambda ts: _weighted_sum(tc.up_conv3x3(ts[0], ts[1], ts[2], ts[3]), w246),
-        [rng.normal(size=(2, 2, 3)), rng.normal(size=(1, 4, 6)), 0.4 * rng.normal(size=(2, 3, 3, 3)), bias2],
-    )
-
     # the query map's first column holds the three [2]-channel queries
     query_map, key_map, value_map = (rng.normal(size=(2, 3, 3)) for _ in range(3))
     check(
@@ -245,9 +237,9 @@ def op_grad_checks(tol: float = DEFAULT_TOL, h: float = DEFAULT_H) -> list[GradC
     # The conv backward stacks the output gradient for each phase grid that
     # needs a gradient and has more channels than C_out, and makes per-tap
     # products for every other grid. The conv3x3 checks above stack
-    # (C_out < C_in) and up_conv3x3 above stacks no grid; these two widen
-    # (C_out > C_in), and up_conv3x3_narrowing stacks both its low grid and
-    # its skip grids (C_out < C_low, C_out < C_skip).
+    # (C_out < C_in); these widen (C_out > C_in). up_conv3x3 runs each of its
+    # layouts narrowing (every grid stacked) and widening (none), on a region
+    # at the skip map's bottom and left edges with an odd top row.
     x245w = rng.normal(size=(2, 4, 5))
     k323 = 0.4 * rng.normal(size=(3, 2, 3, 3))
     bias3 = rng.normal(size=3)
@@ -263,13 +255,13 @@ def op_grad_checks(tol: float = DEFAULT_TOL, h: float = DEFAULT_H) -> list[GradC
         lambda ts: _weighted_sum(tc.conv3x3(ts[0], ts[1], ts[2], stride=2), w323),
         [x245w, k323, bias3],
     )
-    w146 = rng.normal(size=(1, 4, 6))
-    check(
-        "up_conv3x3_narrowing",
-        lambda ts: _weighted_sum(tc.up_conv3x3(ts[0], ts[1], ts[2], ts[3]), w146),
-        [rng.normal(size=(3, 2, 3)), rng.normal(size=(2, 4, 6)), 0.4 * rng.normal(size=(1, 5, 3, 3)),
-         rng.normal(size=1)],
-    )
+    for layout, min_sites in (("concat", 1 << 30), ("folded", 0)):
+        for shape, (c_low, c_skip, c_out) in (("narrowing", (3, 2, 1)), ("widening", (2, 1, 3))):
+            w_out = rng.normal(size=(c_out, 5, 4))
+            with patch.object(tc, "_FOLD_MIN_SITES", min_sites):  # the layout's side of the rule
+                check(f"up_conv3x3_{layout}_{shape}", lambda ts: _weighted_sum(tc.up_conv3x3(*ts, (1, 6, 0, 4)), w_out),
+                      [rng.normal(size=(c_low, 3, 3)), rng.normal(size=(c_skip, 6, 5)),
+                       0.4 * rng.normal(size=(c_out, c_low + c_skip, 3, 3)), rng.normal(size=c_out)])
     # class 1 holds no site, so its scale and shift gradients are exactly 0
     classes = np.array([[0, -1, 2], [2, 0, -1], [-1, 2, 2]])
     w_mod = rng.normal(size=(2, 3, 3))

@@ -171,64 +171,110 @@ class TestConv3x3:
             tc.conv3x3(Tensor(np.ones((1, 4, 4))), Tensor(np.ones((1, 1, 3, 3))), Tensor(np.zeros(1)), stride=3)
 
 
+def stage_reference(low, skip, k, bias, region, low_at, skip_at, g):
+    """The decoder stage in plain numpy: ``relu(conv3x3(concat(upsample2(low), skip)))`` on
+    ``region`` with nine taps over a zero canvas; returns the output and the VJPs of ``g``
+    at low, skip, k and bias."""
+    (c_low, h, w), (c_skip, hs, ws) = low.shape, skip.shape
+    (lt, ll), (st, sl) = low_at, skip_at
+    top, bottom, left, right = region
+    o_r, o_c = min(2 * lt, st, top - 1), min(2 * ll, sl, left - 1)
+    rows = max(2 * (lt + h), st + hs, bottom + 1) - o_r
+    cols = max(2 * (ll + w), sl + ws, right + 1) - o_c
+    up = np.zeros((c_low, rows, cols))
+    up[:, 2 * lt - o_r : 2 * (lt + h) - o_r, 2 * ll - o_c : 2 * (ll + w) - o_c] = np.repeat(np.repeat(low, 2, 1), 2, 2)
+    sk = np.zeros((c_skip, rows, cols))
+    sk[:, st - o_r : st + hs - o_r, sl - o_c : sl + ws - o_c] = skip
+    canvas = np.concatenate([up, sk])
+    ho, wo = bottom - top, right - left
+    taps = [np.s_[:, top - 1 - o_r + ky : top - 1 - o_r + ky + ho, left - 1 - o_c + kx : left - 1 - o_c + kx + wo]
+            for ky in range(3) for kx in range(3)]
+    pre = bias[:, None, None] + sum(np.einsum("oi,iyx->oyx", k[:, :, t // 3, t % 3], canvas[s]) for t, s in enumerate(taps))
+    g = g * (pre > 0.0)
+    dcanvas, dk = np.zeros_like(canvas), np.zeros_like(k)
+    for t, s in enumerate(taps):
+        dk[:, :, t // 3, t % 3] = np.einsum("oyx,iyx->oi", g, canvas[s])
+        dcanvas[s] += np.einsum("oi,oyx->iyx", k[:, :, t // 3, t % 3], g)
+    dup = dcanvas[:c_low, 2 * lt - o_r : 2 * (lt + h) - o_r, 2 * ll - o_c : 2 * (ll + w) - o_c]
+    dlow = dup.reshape(c_low, h, 2, w, 2).sum(axis=(2, 4))
+    dskip = dcanvas[c_low:, st - o_r : st + hs - o_r, sl - o_c : sl + ws - o_c]
+    return np.maximum(pre, 0.0), dlow, dskip, dk, g.sum(axis=(1, 2))
+
+
 class TestUpConv3x3:
+    LAYOUTS = {"concat": 1 << 30, "folded": 0}  # tc._FOLD_MIN_SITES forcing each layout
+
     @staticmethod
-    def run(fn, arrays, skip_grad, g):
+    def run(arrays, skip_grad, g, *where):
         low, skip, w, b = (Tensor(a, requires_grad=True) for a in arrays)
         skip.requires_grad = skip_grad
         with Graph() as graph:
-            loss = tc.sum_all(tc.mul(fn(low, skip, w, b), Tensor(g)))
+            out = tc.up_conv3x3(low, skip, w, b, *where)
+            loss = tc.sum_all(tc.mul(out, Tensor(g)))
         graph.backward(loss)
-        return [fn(low, skip, w, b).data] + [t.grad for t in (low, skip, w, b)]
+        assert [r.op for r in graph.records] == ["up_conv3x3", "mul", "sum_all"]
+        return [out.data] + [t.grad for t in (low, skip, w, b)]
+
+    def check(self, monkeypatch, arrays, skip_grad, where, seed):
+        region = where[0]
+        g = np.random.default_rng(seed).normal(size=(arrays[2].shape[0], region[1] - region[0], region[3] - region[2]))
+        want = list(stage_reference(*arrays, *where, g))
+        want[2] = want[2] if skip_grad else None
+        runs = []
+        for layout, min_sites in self.LAYOUTS.items():
+            monkeypatch.setattr(tc, "_FOLD_MIN_SITES", min_sites)
+            runs.append(self.run(arrays, skip_grad, g, *where))
+            assert all(np.array_equal(a, b) for a, b in zip(runs[-1], self.run(arrays, skip_grad, g, *where))
+                       if a is not None), layout  # two runs are bit-identical
+            for part, got, ref in zip(("out", "low", "skip", "w", "bias"), runs[-1], want):
+                if ref is None:  # the skip's gradient when it needs none
+                    assert got is None, (layout, part)
+                else:
+                    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), (layout, part, where)
+
+    @staticmethod
+    def arrays(c_low, c_skip, c_out, low_shape, skip_shape, seed):
+        rng = np.random.default_rng(seed)
+        return [rng.normal(size=(c_low, *low_shape)), rng.normal(size=(c_skip, *skip_shape)),
+                rng.normal(size=(c_out, c_low + c_skip, 3, 3)), rng.normal(size=c_out)]
 
     @pytest.mark.parametrize("c_low, c_skip, c_out, h, w", [
         (3, 5, 7, 1, 1), (1, 3, 2, 2, 5), (5, 1, 3, 4, 3), (4, 2, 3, 3, 3),
     ])
     @pytest.mark.parametrize("skip_grad", [True, False])
-    def test_matches_upsample_concat_conv_chain(self, c_low, c_skip, c_out, h, w, skip_grad):
-        rng = np.random.default_rng(h * 10 + w)
-        arrays = [rng.normal(size=(c_low, h, w)), rng.normal(size=(c_skip, 2 * h, 2 * w)),
-                  rng.normal(size=(c_out, c_low + c_skip, 3, 3)), rng.normal(size=c_out)]
-        g = rng.normal(size=(c_out, 2 * h, 2 * w))
-
-        def chain(low, skip, w, b):
-            return tc.conv3x3(tc.concat_channels(tc.upsample2(low), skip), w, b)
-
-        expected = self.run(chain, arrays, skip_grad, g)
-        for got, ref in zip(self.run(tc.up_conv3x3, arrays, skip_grad, g), expected):
-            if ref is None:  # the skip's gradient when it needs none
-                assert got is None
-            else:
-                assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+    def test_matches_upsample_concat_conv_chain(self, c_low, c_skip, c_out, h, w, skip_grad, monkeypatch):
+        # the whole map: skip [C, 2H, 2W] and low both at the origin
+        arrays = self.arrays(c_low, c_skip, c_out, (h, w), (2 * h, 2 * w), h * 10 + w)
+        self.check(monkeypatch, arrays, skip_grad, ((0, 2 * h, 0, 2 * w), (0, 0), (0, 0)), h)
 
     @pytest.mark.parametrize("c_low, c_skip, c_out", [(5, 4, 2), (3, 3, 3), (2, 3, 6), (5, 2, 3), (2, 5, 3)])
     @pytest.mark.parametrize("h, w", [(1, 1), (2, 3), (4, 3)])
     @pytest.mark.parametrize("skip_grad", [True, False])
-    def test_gradients_match_dense_reference(self, c_low, c_skip, c_out, h, w, skip_grad):
-        # The reference upsamples and concatenates in plain numpy, so unlike
-        # the chain test above it shares no code with the op's backward.
-        rng = np.random.default_rng(c_low * 100 + c_skip * 10 + c_out + h)
-        arrays = [rng.normal(size=(c_low, h, w)), rng.normal(size=(c_skip, 2 * h, 2 * w)),
-                  rng.normal(size=(c_out, c_low + c_skip, 3, 3)), rng.normal(size=c_out)]
-        g = rng.normal(size=(c_out, 2 * h, 2 * w))
-        low, skip, k, _ = arrays
-        upsampled = np.repeat(np.repeat(low, 2, axis=1), 2, axis=2)
-        dx, dk, db = TestConv3x3.dense_reference(np.concatenate([upsampled, skip]), k, g, 1)
-        dlow = dx[:c_low].reshape(c_low, h, 2, w, 2).sum(axis=(2, 4))
-        got = self.run(tc.up_conv3x3, arrays, skip_grad, g)[1:]
-        expected = [dlow, dx[c_low:] if skip_grad else None, dk, db]
-        for part, ref in zip(got, expected):
-            if ref is None:
-                assert part is None
-            else:
-                assert np.abs(part - ref).max() <= 1e-12 * np.abs(ref).max()
+    def test_gradients_match_dense_reference(self, c_low, c_skip, c_out, h, w, skip_grad, monkeypatch):
+        # A [C, 2H + 1, 2W + 1] skip map, an odd size, at the origin and low at
+        # its region origin, as in the decoder: regions at each edge and
+        # corner, one site, and the whole map; then low and skip as windows
+        # of a larger map (the ``none`` encoder's).
+        hs, ws = 2 * h + 1, 2 * w + 1
+        regions = [(0, hs, 0, ws), (0, 1, 0, 1), (hs - 1, hs, ws - 1, ws), (0, hs, ws - 1, ws),
+                   (hs // 2, hs, 0, max(ws // 2, 1)), (1, hs, 1, ws)]
+        for i, region in enumerate(regions):
+            top, bottom, left, right = region
+            low_at = (max(top - 1, 0) // 2, max(left - 1, 0) // 2)
+            low_shape = (min(bottom // 2 + 1, h + 1) - low_at[0], min(right // 2 + 1, w + 1) - low_at[1])
+            arrays = self.arrays(c_low, c_skip, c_out, low_shape, (hs, ws), c_low * 100 + c_skip * 10 + c_out + i)
+            self.check(monkeypatch, arrays, skip_grad, (region, low_at, (0, 0)), i)
+        arrays = self.arrays(c_low, c_skip, c_out, (h, w), (hs, ws), h + w)
+        self.check(monkeypatch, arrays, skip_grad, ((7, 7 + hs - 1, 5, 5 + ws - 1), (3, 2), (7, 5)), 7)
 
     def test_shape_errors(self):
         low, b = Tensor(np.ones((2, 3, 3))), Tensor(np.zeros(4))
-        with pytest.raises(ShapeError, match="skip"):
-            tc.up_conv3x3(low, Tensor(np.ones((1, 6, 5))), Tensor(np.ones((4, 3, 3, 3))), b)
+        with pytest.raises(ShapeError, match="region"):
+            tc.up_conv3x3(low, Tensor(np.ones((1, 6, 5))), Tensor(np.ones((4, 3, 3, 3))), b, (0, 6, 0, 6))
+        with pytest.raises(ShapeError, match="region"):
+            tc.up_conv3x3(low, Tensor(np.ones((1, 6, 6))), Tensor(np.ones((4, 3, 3, 3))), b, (0, 2, 0, 2), (0, 0), (1, 0))
         with pytest.raises(ShapeError, match="input channels"):
-            tc.up_conv3x3(low, Tensor(np.ones((1, 6, 6))), Tensor(np.ones((4, 2, 3, 3))), b)
+            tc.up_conv3x3(low, Tensor(np.ones((1, 6, 6))), Tensor(np.ones((4, 2, 3, 3))), b, (0, 6, 0, 6))
 
 
 class TestCrop:

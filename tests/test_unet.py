@@ -94,7 +94,7 @@ class TestForward:
             assert np.array_equal(t1.data, t2.data)
 
     @pytest.mark.parametrize("block", ["none", "rain", "srin"])
-    def test_fused_decoder_matches_unfused_chain(self, block, monkeypatch):
+    def test_decoder_layouts_agree(self, block, monkeypatch):
         model = GeneratorModel.build(UNetConfig(size=128, stages=2, block=block), seed=15)
         s = sample_inputs(size=128, seed=16)
         # foreground at two opposite corners makes the decode window the whole
@@ -103,14 +103,32 @@ class TestForward:
         mask[0, 0] = mask[-1, -1] = 1.0
         assert unet.decode_regions(model.config, mask)[1][-1] == (0, 32, 0, 32)
         args = (s.composite.planar(), mask, s.semantic.planar())
-        fused_calls = []
-        real = tc.up_conv3x3
-        monkeypatch.setattr(tc, "up_conv3x3", lambda *a: fused_calls.append(1) or real(*a))
-        fused = model.forward_tensor(*args).data
-        assert len(fused_calls) == 2  # both decoder stages (32x32 and 64x64 low-res maps)
-        monkeypatch.setattr(unet, "_FUSED_MIN_SITES", 1 << 30)
-        chain = model.forward_tensor(*args).data
-        assert np.abs(fused - chain).max() <= 1e-12 * np.abs(chain).max()
+        assert 32 * 32 >= tc._FOLD_MIN_SITES  # both stages (32x32 and 64x64 low-res sites) run folded
+        folded = model.forward_tensor(*args).data
+        monkeypatch.setattr(tc, "_FOLD_MIN_SITES", 1 << 30)
+        concat = model.forward_tensor(*args).data
+        assert np.abs(folded - concat).max() <= 1e-12 * np.abs(concat).max()
+
+    @pytest.mark.parametrize("block", ["none", "rain", "srin"])
+    def test_one_record_per_decoder_stage(self, block):
+        # a training step: one up_conv3x3 per stage, writing need[k - 1], and
+        # no other record between the bottleneck block and the head
+        from harmlab.training import prepare_sample, sample_loss
+
+        model = GeneratorModel.build(UNetConfig(size=64, stages=3, block=block), seed=19)
+        sample = generate_sample(GenConfig(seed=20, size=64), 0)
+        prep = prepare_sample(model, sample)
+        with tc.Graph() as g:
+            sample_loss(model, prep)
+        ops = [r.op for r in g.records]
+        enc, head = (next(i for i, r in enumerate(g.records) if r.op == "conv3x3" and r.inputs[1] is w)
+                     for w in (model.encoder[-1][0], model.head[0]))
+        first = ops.index("up_conv3x3")
+        assert ops[first:head] == ["up_conv3x3"] * 3
+        assert not {"upsample2", "concat_channels", "crop"} & set(ops[enc:head])
+        need = prep.windows.need
+        assert [g.records[first + i].outs[0].shape for i in range(3)] == [
+            (w.shape[0], b - t, r - l) for (w, _), (t, b, l, r) in zip(model.decoder, need[2::-1])]
 
     def test_forward_writes_no_model_state(self):
         model = GeneratorModel.build(UNetConfig(size=32, stages=2, block="srin"), seed=17)
@@ -184,17 +202,18 @@ class TestDecodeWindow:
         assert unet.decode_regions(config, np.ones((64, 64)))[1][-1] == (0, 8, 0, 8)
 
     def test_one_pixel_foreground_decodes_three_cells(self):
-        # the bottleneck decodes the pixel's 3x3 cells; each later level only
-        # the sites the pixel reads, so the head conv, once the largest map
-        # the decoder built (3x3 cells of 4x4 pixels), runs on the pixel grown by one
+        # the first stage reads the pixel's 3x3 bottleneck cells and each
+        # stage writes only the sites the pixel reads, so the head conv, once
+        # the largest map the decoder built (3x3 cells of 4x4 pixels), runs on
+        # the pixel grown by one
         model = GeneratorModel.build(UNetConfig(size=128, stages=2), seed=25)
         s = sample_inputs(size=128, seed=26)
         mask = np.zeros((128, 128))
         mask[61, 66] = 1.0  # cell (15, 16) of 32x32 cells of 4x4 pixels
         with tc.Graph() as g:
             model.forward_tensor(tc.Tensor(s.composite.planar(), requires_grad=True), mask, s.semantic.planar())
-        first = [r for r in g.records if r.op == "upsample2"][0]
-        assert first.inputs[0].shape == (32, 3, 3)
+        stages = [r for r in g.records if r.op == "up_conv3x3"]
+        assert [r.outs[0].shape for r in stages] == [(16, 3, 3), (16, 3, 3)]  # need[1] and need[0]
         head = [r for r in g.records if r.op == "conv3x3" and r.inputs[1] is model.head[0]]
         assert len(head) == 1
         assert head[0].inputs[0].shape == (16, 3, 3) and head[0].outs[0].shape == (3, 3, 3)
