@@ -52,7 +52,7 @@ from .imaging import (
 from .optim import AdamState, adam_step
 from .synthdata import GenConfig, Sample, generate_dataset, generate_sample, load_dataset, write_dataset
 from .tensor import Graph, Tensor
-from .training import EvalReport, LossEntry, TrainConfig, evaluate, l1_loss, train
+from .training import EvalReport, LossEntry, TrainConfig, evaluate, train
 from .unet import (
     BLOCK_KINDS,
     GeneratorModel,
@@ -149,7 +149,6 @@ __all__ = [
     "generate_dataset",
     "generate_sample",
     "grad_check",
-    "l1_loss",
     "load_checkpoint",
     "load_dataset",
     "metrics",

@@ -159,7 +159,7 @@ def _op(op: str, inputs: tuple[Tensor, ...], data: np.ndarray, *grads: Callable[
     On backward, ``grads[i]`` maps the output gradient to the gradient of
     ``inputs[i]``, in input order; it is skipped for inputs that do not
     require a gradient. A result that shares memory with the output
-    gradient (the identity, a slice) is copied on first touch.
+    gradient (an identity gradient) is copied on first touch.
     """
     out = _wrap(np.asarray(data, dtype=np.float64), None, False)
 
@@ -176,8 +176,6 @@ def _op(op: str, inputs: tuple[Tensor, ...], data: np.ndarray, *grads: Callable[
 
 def as_site_mask(mask, h: int, w: int) -> np.ndarray:
     m = np.asarray(mask, dtype=np.float64)
-    if m.shape == (1, h, w):
-        m = m[0]
     if m.shape != (h, w):
         raise ShapeError(f"mask shape {m.shape} does not match sites ({h}, {w})")
     if not np.all((m == 0.0) | (m == 1.0)):
@@ -241,13 +239,6 @@ def mean_all(a: Tensor) -> Tensor:
     return _op("mean_all", (a,), np.sum(a.data) / n, lambda g: np.full_like(a.data, float(g) / n))
 
 
-def concat_channels(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 3 or b.data.ndim != 3 or a.shape[1:] != b.shape[1:]:
-        raise ShapeError(f"concat_channels: shapes {a.shape} and {b.shape} do not align")
-    ca = a.shape[0]
-    return _op("concat_channels", (a, b), np.concatenate([a.data, b.data], axis=0), lambda g: g[:ca], lambda g: g[ca:])
-
-
 def crop(a: Tensor, top: int, bottom: int, left: int, right: int) -> Tensor:
     """Rows ``top:bottom`` and columns ``left:right`` of a [C, H, W] map.
 
@@ -265,21 +256,6 @@ def crop(a: Tensor, top: int, bottom: int, left: int, right: int) -> Tensor:
 
     _maybe_record("crop", (out,), (a,), bwd)
     return out
-
-
-def uncrop(a: Tensor, top: int, left: int, height: int, width: int) -> Tensor:
-    """Adjoint of ``crop``: a zero [C, height, width] map with ``a`` pasted at (top, left).
-
-    A window that is the whole map returns ``a`` itself and records nothing.
-    """
-    if a.data.ndim != 3 or min(top, left) < 0 or top + a.shape[1] > height or left + a.shape[2] > width:
-        raise ShapeError(f"uncrop: {a.shape} at ({top}, {left}) does not fit in {height}x{width}")
-    c, h, w = a.shape
-    if (h, w) == (height, width):
-        return a
-    full = np.zeros((c, height, width), dtype=np.float64)
-    full[:, top : top + h, left : left + w] = a.data
-    return _op("uncrop", (a,), full, lambda g: g[:, top : top + h, left : left + w])
 
 
 # ---------------------------------------------------------------------------
@@ -595,9 +571,10 @@ _FOLD_MIN_SITES = 256
 
 def up_conv3x3(low: Tensor, skip: Tensor, w: Tensor, bias: Tensor, region: tuple[int, int, int, int],
                low_at: tuple[int, int] = (0, 0), skip_at: tuple[int, int] = (0, 0)) -> Tensor:
-    """One U-Net decoder stage, ``relu(conv3x3(concat_channels(up, skip), w, bias))``, on ``region`` only.
+    """One U-Net decoder stage, ``relu(conv3x3(concat(up, skip), w, bias))``, on ``region`` only.
 
-    ``up`` is the nearest x2 upsample of ``low``. Sites are numbered on the
+    ``up`` is the nearest x2 upsample of ``low`` and ``concat`` stacks
+    channels, ``up``'s first. Sites are numbered on the
     skip's level: ``skip``'s site (0, 0) is site ``skip_at``, ``low``'s site
     (0, 0) is site ``low_at`` of the level above, and low-res site (i, j)
     covers sites (2i + a, 2j + b). The conv reads zero at sites outside

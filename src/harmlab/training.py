@@ -5,18 +5,21 @@ pins the BLAS pool to one thread, a seeded shuffle fixes the sample order,
 every forward/backward runs on a fresh tape, and the learning rate drops by
 the decay factor once each milestone step has passed. A run gives the same
 bits whatever BLAS thread count the environment asks for.
-The loss is the mean absolute difference between the composed output and the
-ground truth over the whole [3, S, S] frame. Outside the foreground's bounding
-box ``F`` the output is the composite, so that part of the sum is a
-per-sample constant ``c`` that no parameter reaches (0 on synthetic data,
-whose background matches by construction). Training therefore runs the
-network on ``F`` only (``GeneratorModel.forward_box``) and takes the loss
+The loss (``sample_loss``) is the mean absolute difference between the
+composed output and the ground truth over the whole [3, S, S] frame. The
+composite, mask, semantic map and ground truth are constants; only the
+parameters are differentiated. Outside the foreground's bounding box ``F``
+the output is the composite, so that part of the sum is a per-sample
+constant ``c`` that no parameter reaches (0 on synthetic data, whose
+background matches by construction). Training therefore runs the network on
+``F`` only (``GeneratorModel.forward_box``) and takes the loss
 ``(sum over F of |out - real| + c)`` times ``1 / (3 S^2)``: the full-frame
 mean up to rounding, whose gradient at every output pixel is the mean's,
 bit for bit. ``c`` and every other per-sample constant of the forward pass
 are worked out once per ``train`` call (``prepare_sample``).
 
-Evaluation runs the samples one after another and orders the report by
+Evaluation (``unet_forward``) pastes the same ``forward_box`` into the
+composite in numpy, one sample after another, and orders the report by
 sample id, so the result does not depend on the order the samples come in.
 """
 
@@ -38,20 +41,13 @@ from .tensor import Graph, Tensor
 from .unet import GeneratorModel, UNetConfig, Windows, save_checkpoint, unet_forward
 
 
-def l1_loss(a: Tensor, b: Tensor) -> Tensor:
-    """Mean absolute difference; subgradient sign(a - b)/count with sign(0) = 0."""
-    return tc.mean_all(tc.absolute(tc.sub(a, b)))
-
-
 @dataclass(frozen=True)
 class PreparedSample:
-    """A training sample's constants: the forward pass's windows and encoder
-    input, the composite and real image on the foreground's box, the L1 sum
-    outside the box and the degenerate-block flag."""
+    """A training sample's constants: the forward pass's windows, the real
+    image on the foreground's box, the L1 sum outside the box and the
+    degenerate-block flag."""
 
     windows: Windows
-    stack: Tensor
-    comp_box: Tensor
     real_box: Tensor
     outside_l1: float
     degenerate: bool
@@ -60,26 +56,25 @@ class PreparedSample:
 def prepare_sample(model: GeneratorModel, sample: Sample) -> PreparedSample:
     """Check ``sample`` against ``model`` and build its constants for ``sample_loss``."""
     comp, real = sample.composite.planar(), sample.real.planar()
-    win = model.windows(sample.mask.values, sample.semantic.planar())
+    win = model.windows(comp, sample.mask.values, sample.semantic.planar())
     top, bottom, left, right = win.box
     outside = np.abs(comp - real)
     outside[:, top:bottom, left:right] = 0.0
-    comp_t = Tensor(comp)
     return PreparedSample(
-        win, model.encoder_input(comp_t, win), tc.crop(comp_t, top, bottom, left, right),
-        Tensor(real[:, top:bottom, left:right]), float(outside.sum()),
+        win, Tensor(real[:, top:bottom, left:right]), float(outside.sum()),
         win.mask_f is not None and degenerate_mask(win.mask_f),
     )
 
 
 def sample_loss(model: GeneratorModel, prep: PreparedSample) -> Tensor:
-    """``l1_loss`` of the model's composed output against the real image,
-    computed on the foreground's box plus the constant outside it.
+    """The mean absolute difference between the model's composed output and
+    the real image over the [3, S, S] frame, computed on the foreground's box
+    plus the constant outside it.
 
-    The gradient at the output is ``l1_loss``'s, bit for bit: ``sum_all``
-    hands every box element ``1 / (3 S^2)``, as ``mean_all`` does.
+    Every box element's gradient is the full-frame mean's, bit for bit:
+    ``sign(out - real) / (3 S^2)``, with sign(0) = 0.
     """
-    out = model.forward_box(prep.windows, prep.stack, prep.comp_box)
+    out = model.forward_box(prep.windows)
     total = tc.add_scalar(tc.sum_all(tc.absolute(tc.sub(out, prep.real_box))), prep.outside_l1)
     return tc.mul(total, Tensor(1.0 / (3 * model.config.size ** 2)))
 

@@ -9,6 +9,11 @@ never builds either map. The 3-channel output head is residual: its
 prediction is added to the composite, clamped to [0, 1], and composed with the
 composite so background pixels pass through exactly.
 
+The composite, the mask and the semantic map are constants; only the
+parameters learn. ``GeneratorModel.windows`` checks a sample and builds every
+per-sample input of the forward pass once (``Windows``), so the tape of
+``forward_box`` holds only what the parameters reach.
+
 Since that composition keeps only the foreground, the decoder and the head
 compute only what the foreground's pixels read (``decode_regions``). ``F`` is
 the bounding box of the foreground's pixels; the head, a 3x3 conv, needs its
@@ -19,8 +24,9 @@ grown by one site, every interval clipped to its map. Each stage reads its
 low-res input (the bottleneck, for the first) and its skip in place, so it
 reads true values on the ring around its region and zeros only outside the
 map. The head's output is cropped to ``F``, where the residual add, the clamp
-and the composition run; ``forward_tensor`` pastes that box into the
-composite. A box that is the whole map decodes the whole frame with no crop.
+and the composition run; evaluation (``forward_tensor``) pastes that box into
+a copy of the composite in numpy. A box that is the whole map decodes the
+whole frame with no crop.
 
 ``need[stages]`` is the decode window: the bottleneck cells, each the 2^stages
 x 2^stages pixel block under one bottleneck site, that hold any foreground
@@ -115,7 +121,9 @@ class Windows:
     ``decode_regions``' foreground box and per-level regions, ``enc`` the
     encoder window in bottleneck sites, and ``mask_f`` and ``sem_f`` the mask
     and semantic map at the bottleneck's resolution, for the blocks that
-    read them.
+    read them. ``stack`` is the encoder's input, the composite and the mask
+    over the encoder window, and ``comp_box`` the composite on ``box``. All
+    are constants: no gradient reaches them.
     """
 
     mask: np.ndarray
@@ -124,6 +132,8 @@ class Windows:
     enc: Box
     mask_f: Optional[np.ndarray]
     sem_f: Optional[np.ndarray]
+    stack: Tensor
+    comp_box: Tensor
 
 
 class GeneratorModel:
@@ -228,9 +238,9 @@ class GeneratorModel:
 
     # -- forward -------------------------------------------------------------
 
-    def windows(self, mask: np.ndarray, semantic: np.ndarray) -> Windows:
-        """Check a sample's [S, S] ``mask`` and [3, S, S] ``semantic`` map and
-        work out the constants of its forward pass."""
+    def windows(self, composite: np.ndarray, mask: np.ndarray, semantic: np.ndarray) -> Windows:
+        """Check a sample's [3, S, S] ``composite``, [S, S] ``mask`` and
+        [3, S, S] ``semantic`` map and build the constants of its forward pass."""
         size, stages = self.config.size, self.config.stages
         for arr, what in ((mask, "mask"), (semantic, "semantic")):
             if np.shape(arr)[-2:] != (size, size):
@@ -239,6 +249,9 @@ class GeneratorModel:
         sem = np.asarray(semantic, dtype=np.float64)
         if sem.shape != (3, size, size):
             raise ShapeError(f"semantic shape {sem.shape}, expected (3, {size}, {size})")
+        comp = np.asarray(composite, dtype=np.float64)
+        if comp.shape != (3, size, size):
+            raise ShapeError(f"composite shape {comp.shape}, expected (3, {size}, {size})")
         box, need = decode_regions(self.config, m)
         feat_size = size >> stages
         if self.config.block == "none":  # the decode window grown by one cell at the top and left
@@ -248,30 +261,21 @@ class GeneratorModel:
             enc = (0, feat_size, 0, feat_size)
         mask_f = downsample_mask(m, feat_size) if self.config.block != "none" else None
         sem_f = downsample_planar(sem, feat_size) if self.config.block == "srin" else None
-        return Windows(m, box, tuple(need), enc, mask_f, sem_f)
+        top, bottom, left, right = (v << stages for v in enc)
+        stack = Tensor(np.concatenate([comp[:, top:bottom, left:right], m[None, top:bottom, left:right]]))
+        top, bottom, left, right = box
+        return Windows(m, box, tuple(need), enc, mask_f, sem_f, stack, Tensor(comp[:, top:bottom, left:right]))
 
-    def encoder_input(self, composite: Tensor, win: Windows) -> Tensor:
-        """The encoder's input: ``composite`` and the mask over the encoder window.
-
-        A constant ``composite`` gives a constant stack, which a caller can
-        build once per sample and pass to ``forward_box`` at every step.
-        """
-        cell = 1 << self.config.stages
-        top, bottom, left, right = (v * cell for v in win.enc)
-        return tc.concat_channels(tc.crop(composite, top, bottom, left, right),
-                                  Tensor(win.mask[None, top:bottom, left:right]))
-
-    def forward_box(self, win: Windows, stack: Tensor, comp_box: Tensor) -> Tensor:
+    def forward_box(self, win: Windows) -> Tensor:
         """The composed output on the foreground's box ``win.box``, [3, h, w].
 
-        ``stack`` is ``encoder_input``'s map and ``comp_box`` the composite
-        cropped to ``win.box``. Every decoder stage and the head run on the
-        regions of ``win.need`` (see the module docstring).
+        Every decoder stage and the head run on the regions of ``win.need``
+        (see the module docstring); the tape holds only what the parameters reach.
         """
         stages = self.config.stages
         e_top, _, e_left, _ = win.enc
-        skips = [stack]
-        cur = stack
+        skips = [win.stack]
+        cur = win.stack
         for w, b in self.encoder:
             cur = tc.relu(tc.conv3x3(cur, w, b, stride=2))
             skips.append(cur)
@@ -290,29 +294,22 @@ class GeneratorModel:
         top, bottom, left, right = win.box
         delta = tc.crop(tc.conv3x3(cur, self.head[0], self.head[1], stride=1),
                         top - low_at[0], bottom - low_at[0], left - low_at[1], right - low_at[1])
-        raw = tc.add(delta, comp_box) if self.config.residual else delta
-        return tc.blend(tc.clamp01(raw), comp_box, win.mask[top:bottom, left:right])
+        raw = tc.add(delta, win.comp_box) if self.config.residual else delta
+        return tc.blend(tc.clamp01(raw), win.comp_box, win.mask[top:bottom, left:right])
 
-    def forward_tensor(self, composite, mask: np.ndarray, semantic: np.ndarray) -> Tensor:
-        """Run the network; returns the composed [3, S, S] output tensor.
+    def forward_tensor(self, composite: np.ndarray, mask: np.ndarray, semantic: np.ndarray) -> np.ndarray:
+        """Run the network; returns the composed [3, S, S] output as an array.
 
-        ``composite`` may be a Tensor (to differentiate with respect to the
-        input) or a plain array. ``mask`` and ``semantic`` are constants.
-        This is ``forward_box`` pasted into the composite: outside the
-        foreground's box the output is the composite.
+        This is ``forward_box`` pasted into a copy of the composite: outside
+        the foreground's box the output is the composite. It is not
+        differentiable; training differentiates ``forward_box`` through
+        ``training.sample_loss``.
         """
-        size = self.config.size
-        comp_t = composite if isinstance(composite, Tensor) else Tensor(np.asarray(composite, dtype=np.float64))
-        if comp_t.shape != (3, size, size):
-            raise ShapeError(f"composite shape {comp_t.shape}, expected (3, {size}, {size})")
-        win = self.windows(mask, semantic)
+        win = self.windows(composite, mask, semantic)
         top, bottom, left, right = win.box
-        out = self.forward_box(win, self.encoder_input(comp_t, win), tc.crop(comp_t, top, bottom, left, right))
-        if win.box == (0, size, 0, size):
-            return out
-        in_box = np.zeros((size, size))
-        in_box[top:bottom, left:right] = 1.0
-        return tc.blend(tc.uncrop(out, top, left, size, size), comp_t, in_box)
+        out = np.array(composite, dtype=np.float64)
+        out[:, top:bottom, left:right] = self.forward_box(win).data
+        return out
 
 
 def decode_regions(config: UNetConfig, mask: np.ndarray) -> tuple[Box, list[Box]]:
@@ -356,9 +353,9 @@ def unet_forward(model: GeneratorModel, composite: Image, mask: Mask, semantic: 
         raise ShapeError(f"composite is {composite.height}x{composite.width}, model expects {size}x{size}")
     with np.errstate(over="ignore", invalid="ignore"):  # reported below, as one error
         out = model.forward_tensor(composite.planar(), mask.values, semantic.planar())
-    if not np.all(np.isfinite(out.data)):
+    if not np.all(np.isfinite(out)):
         raise CheckpointError("model output is not finite: the weights overflow float64 on this input")
-    return Image.from_planar(out.data)
+    return Image.from_planar(out)
 
 
 # ---------------------------------------------------------------------------

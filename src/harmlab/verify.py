@@ -19,8 +19,10 @@ import numpy as np
 from . import tensor as tc
 from .blocks import EPS_DEFAULT, SrinParams, rain_forward, region_instance_norm, srin_forward
 from .gradcheck import GradCheckResult, grad_check
+from .imaging import Image, Mask
+from .synthdata import Sample
 from .tensor import Tensor
-from .training import l1_loss
+from .training import prepare_sample, sample_loss
 from .unet import GeneratorModel, UNetConfig
 
 DEFAULT_TOL = 1e-4
@@ -167,8 +169,6 @@ def op_grad_checks(tol: float = DEFAULT_TOL, h: float = DEFAULT_H) -> list[GradC
 
     x233 = rng.normal(size=(2, 3, 3))
     y233 = rng.normal(size=(2, 3, 3))
-    w433 = rng.normal(size=(4, 3, 3))
-    check("concat_channels", lambda ts: _weighted_sum(tc.concat_channels(ts[0], ts[1]), w433), [x233, y233])
 
     site_mask = (rng.uniform(size=(3, 3)) < 0.5).astype(np.float64)
     site_mask[0, 0] = 1.0
@@ -223,16 +223,9 @@ def op_grad_checks(tol: float = DEFAULT_TOL, h: float = DEFAULT_H) -> list[GradC
 
     check("masked_channel_stats", stats_fn, [rng.normal(size=(3, 4, 4))])
 
-    check(
-        "l1_loss",
-        lambda ts: l1_loss(ts[0], ts[1]),
-        [rng.normal(size=(2, 3, 3)), rng.normal(size=(2, 3, 3)) + 2.5],
-    )
-
     x245 = rng.normal(size=(2, 4, 5))
     w245 = rng.normal(size=(2, 4, 5))
     check("crop", lambda ts: _weighted_sum(tc.crop(ts[0], 1, 3, 1, 4), w245[:, 1:3, 1:4]), [x245])
-    check("uncrop", lambda ts: _weighted_sum(tc.uncrop(ts[0], 1, 1, 4, 5), w245), [x245[:, 1:3, 1:4]])
 
     # The conv backward stacks the output gradient for each phase grid that
     # needs a gradient and has more channels than C_out, and makes per-tap
@@ -312,29 +305,26 @@ def block_grad_checks(tol: float = DEFAULT_TOL, h: float = DEFAULT_H) -> list[Gr
 
 
 def network_grad_check(tol: float = DEFAULT_TOL, h: float = DEFAULT_H) -> list[GradCheckResult]:
-    """End-to-end checks of L1-after-forward on the tiny configuration: one
-    whose decode window is the whole map, one whose window is a strict
-    sub-rectangle of it, and the same window without a bottleneck block,
-    whose encoder then runs on a strict sub-rectangle too."""
+    """End-to-end checks of the training loss over the parameters on the
+    tiny configuration: one whose decode window is the whole map, one whose
+    window is a strict sub-rectangle of it, and the same window without a
+    bottleneck block, whose encoder then runs on a strict sub-rectangle too."""
     config = UNetConfig(size=16, stages=1, base_channels=4, block="srin")
     model = GeneratorModel.build(config, seed=11)
     plain = GeneratorModel.build(replace(config, block="none"), seed=11)
     rng = np.random.default_rng(311)
-    comp = rng.uniform(0.25, 0.75, size=(3, 16, 16))
+    comp = Image.from_planar(rng.uniform(0.25, 0.75, size=(3, 16, 16)))
     mask = (rng.uniform(size=(16, 16)) < 0.45).astype(np.float64)
     mask[0, 0] = 1.0
     mask[15, 15] = 0.0
-    sem = rng.uniform(0.0, 1.0, size=(3, 16, 16))
-    ref = rng.uniform(0.2, 0.8, size=(3, 16, 16))
-    ref_t = Tensor(ref)
+    sem = Image.from_planar(rng.uniform(0.0, 1.0, size=(3, 16, 16)))
+    ref = Image.from_planar(rng.uniform(0.2, 0.8, size=(3, 16, 16)))
     blob = np.zeros((16, 16))
     blob[5:10, 6:9] = 1.0  # decode window: pixel rows 2:12, columns 4:12; encoder window (none) 0:12, 2:12
 
     def check(name: str, net: GeneratorModel, m: np.ndarray) -> GradCheckResult:
-        def fn(ts):
-            return l1_loss(net.forward_tensor(ts[0], m, sem), ref_t)
-
-        return grad_check(fn, [Tensor(comp.copy())] + net.parameters(), h=h, tol=tol, name=name)
+        prep = prepare_sample(net, Sample(ref, comp, Mask(m), sem, name))
+        return grad_check(lambda _: sample_loss(net, prep), net.parameters(), h=h, tol=tol, name=name)
 
     return [
         check("unet_l1_end_to_end", model, mask),

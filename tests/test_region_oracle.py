@@ -1,10 +1,10 @@
 """Differential oracle for the decoder's region rule.
 
-``forward_tensor`` decodes only the regions ``decode_regions`` gives (and,
-without a bottleneck block, encodes only the encoder window derived from
-them). Over drawn configurations and masks, its output, parameter gradients
-and composite gradients must match full-frame decoding within 1e-12, and two
-runs must be bit-identical.
+The network decodes only the regions ``decode_regions`` gives (and, without
+a bottleneck block, encodes only the encoder window derived from them). Over
+drawn configurations and masks, ``forward_tensor``'s output and the training
+loss's parameter gradients must match full-frame decoding within 1e-12, and
+two runs must be bit-identical.
 """
 
 from unittest.mock import patch
@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 
 from harmlab import tensor as tc
 from harmlab import unet
-from harmlab.training import l1_loss
+from harmlab.imaging import Image, Mask
+from harmlab.synthdata import Sample
+from harmlab.training import prepare_sample, sample_loss
 from harmlab.unet import BLOCK_KINDS, GeneratorModel, UNetConfig
 
 # every legal (size, stages) pair: the bottleneck keeps at least 4x4 sites
@@ -56,14 +58,15 @@ def full_frame(config, mask):
 def run(model, mask, seed):
     rng = np.random.default_rng(seed)
     size = model.config.size
-    comp = tc.Tensor(rng.uniform(0.0, 1.0, size=(3, size, size)), requires_grad=True)
+    comp = rng.uniform(0.0, 1.0, size=(3, size, size))
     sem = rng.uniform(0.0, 1.0, size=(3, 3))[:, rng.integers(0, 3, size=(size, size))]  # three classes
-    target = tc.Tensor(rng.uniform(0.2, 0.8, size=(3, size, size)))
+    real = rng.uniform(0.2, 0.8, size=(3, size, size))
+    out = model.forward_tensor(comp, mask, sem)
+    sample = Sample(*(Image.from_planar(a) for a in (real, comp)), Mask(mask), Image.from_planar(sem), "")
     model.zero_grad()
     with tc.Graph() as g:
-        out = model.forward_tensor(comp, mask, sem)
-        g.backward(l1_loss(out, target))
-    return out.data, model.flat.grad.copy(), comp.grad
+        g.backward(sample_loss(model, prepare_sample(model, sample)))
+    return out, model.flat.grad.copy()
 
 
 def within(got, want):
@@ -87,7 +90,7 @@ def test_regions_match_full_frame_decoding(size, stages):
             got = run(model, mask, seed)
             with patch.object(unet, "decode_regions", full_frame):
                 want = run(model, mask, seed)
-            for part, g, w in zip(("output", "parameter gradient", "composite gradient"), got, want):
+            for part, g, w in zip(("output", "parameter gradient"), got, want):
                 assert within(g, w), part
         assert all(np.array_equal(a, b) for a, b in zip(got, run(model, mask, seed)))  # bit-identical runs
 

@@ -287,15 +287,14 @@ class TestCrop:
             loss = tc.sum_all(tc.mul(window, Tensor(g)))
         assert np.array_equal(window.data, x.data[:, 1:3, 2:5])
         graph.backward(loss)
-        pasted = tc.uncrop(Tensor(g), 1, 2, 5, 6).data
+        pasted = np.zeros((2, 5, 6))
+        pasted[:, 1:3, 2:5] = g
         assert np.array_equal(x.grad, pasted)
-        assert np.array_equal(pasted[:, 1:3, 2:5], g) and not np.delete(pasted, np.s_[1:3], axis=1).any()
 
     def test_whole_map_is_identity_and_records_nothing(self):
         x = Tensor(np.ones((1, 3, 4)), requires_grad=True)
         with Graph() as graph:
             assert tc.crop(x, 0, 3, 0, 4) is x
-            assert tc.uncrop(x, 0, 0, 3, 4) is x
         assert graph.records == []
 
     def test_windows_outside_the_map_rejected(self):
@@ -303,8 +302,6 @@ class TestCrop:
         for window in ((0, 4, 0, 4), (2, 2, 0, 4), (0, 3, -1, 2)):
             with pytest.raises(ShapeError, match="crop"):
                 tc.crop(x, *window)
-        with pytest.raises(ShapeError, match="uncrop"):
-            tc.uncrop(x, 1, 0, 3, 4)
 
 
 class TestSoftmaxRows:
@@ -503,17 +500,16 @@ class TestTape:
         assert np.array_equal(x.grad, 2.0 * weights)
         assert np.array_equal(y.grad, weights)
 
-    @pytest.mark.parametrize("op", ["add", "concat_channels", "uncrop"])
+    @pytest.mark.parametrize("op", ["add", "add_scalar"])
     def test_identity_and_view_gradients_are_copied(self, op):
-        # these backwards hand over the output gradient or a view of it,
-        # while fresh gradients elsewhere are adopted without a copy
+        # these backwards hand over the output gradient itself, while fresh
+        # gradients elsewhere are adopted without a copy
         rng = np.random.default_rng(7)
         a, b = (Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True) for _ in range(2))
         with Graph() as g:
-            y = {"add": lambda: tc.add(a, b), "concat_channels": lambda: tc.concat_channels(a, b),
-                 "uncrop": lambda: tc.uncrop(a, 1, 2, 5, 7)}[op]()
+            y = tc.add(a, b) if op == "add" else tc.add_scalar(a, 0.5)
             g.backward(tc.sum_all(tc.mul(y, Tensor(rng.normal(size=y.shape)))))
-        for t in (a, b) if op != "uncrop" else (a,):
+        for t in (a, b) if op == "add" else (a,):
             assert t.grad.flags.c_contiguous and not np.shares_memory(t.grad, y.grad)
 
     def test_no_recording_without_graph(self):

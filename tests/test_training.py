@@ -12,9 +12,8 @@ from harmlab import tensor as tc
 from harmlab.errors import TrainingError
 from harmlab.imaging import Image, Mask, MetricsRecord
 from harmlab.synthdata import GenConfig, Sample, generate_dataset
-from harmlab.tensor import Tensor
 from harmlab.training import (
-    BucketStats, TrainConfig, evaluate, l1_loss, lr_at_step, prepare_sample, sample_loss, train,
+    BucketStats, TrainConfig, evaluate, lr_at_step, prepare_sample, sample_loss, train,
 )
 from harmlab.unet import GeneratorModel, UNetConfig
 
@@ -28,27 +27,53 @@ def tiny_config(**kw):
     return TrainConfig(**defaults)
 
 
+def _zero_head_loss(comp: np.ndarray, real: np.ndarray, mask: np.ndarray):
+    """``sample_loss`` of a model whose zeroed head outputs the composite
+    exactly, and the head bias's gradient."""
+    model = GeneratorModel.build(UNetConfig(size=16, stages=1, base_channels=2, block="none"), seed=0)
+    model.head[0].data[:] = 0.0
+    model.head[1].data[:] = 0.0
+    sample = Sample(Image.from_planar(real), Image.from_planar(comp), Mask(mask), Image.from_planar(comp), "s")
+    with tc.Graph() as g:
+        loss = sample_loss(model, prepare_sample(model, sample))
+        g.backward(loss)
+    return loss.item(), model.head[1].grad
+
+
+def _blob(size: int = 16) -> np.ndarray:
+    mask = np.zeros((size, size), dtype=np.uint8)
+    mask[3:9, 5:12] = 1
+    return mask
+
+
 class TestL1Loss:
     def test_identical_inputs(self):
-        x = Tensor(np.random.default_rng(0).normal(size=(2, 3)))
-        assert l1_loss(x, Tensor(x.data.copy())).item() == 0.0
+        comp = np.random.default_rng(0).uniform(0.1, 0.9, size=(3, 16, 16))
+        assert _zero_head_loss(comp, comp, _blob())[0] == 0.0
 
     def test_constant_offset(self):
-        a = Tensor(np.full((3, 3), 1.25))
-        b = Tensor(np.full((3, 3), 1.0))
-        assert abs(l1_loss(a, b).item() - 0.25) < 1e-15
+        loss, _ = _zero_head_loss(np.full((3, 16, 16), 1.0), np.full((3, 16, 16), 0.75), _blob())
+        assert abs(loss - 0.25) < 1e-15
 
     def test_mixed_entries(self):
-        a = Tensor(np.array([0.0, 0.0, 3.0, -1.0]))
-        b = Tensor(np.zeros(4))
-        assert l1_loss(a, b).item() == 1.0
+        # differences inside and outside the foreground's box, some of them 0
+        rng = np.random.default_rng(1)
+        comp = rng.uniform(0.1, 0.9, size=(3, 16, 16))
+        real = comp + rng.choice([-0.05, 0.0, 0.1], size=comp.shape)
+        loss, _ = _zero_head_loss(comp, real, _blob())
+        want = np.mean(np.abs(comp - real))
+        assert abs(loss - want) <= 1e-15 * want
 
     def test_gradient_is_scaled_sign(self):
-        a = Tensor(np.array([1.0, -2.0, 0.5]), requires_grad=True)
-        b = Tensor(np.array([0.0, 0.0, 0.5]))
-        with tc.Graph() as g:
-            g.backward(l1_loss(a, b))
-        assert np.allclose(a.grad, [1.0 / 3.0, -1.0 / 3.0, 0.0], atol=1e-15)
+        # the output is the composite, so each foreground pixel hands the
+        # head's bias sign(comp - real) / (3 S^2), with sign(0) = 0
+        rng = np.random.default_rng(2)
+        comp = rng.uniform(0.1, 0.9, size=(3, 16, 16))
+        real = comp + rng.choice([-0.05, 0.0, 0.05], size=comp.shape)
+        mask = _blob()
+        _, grad = _zero_head_loss(comp, real, mask)
+        want = np.sign(comp - real)[:, mask == 1].sum(axis=1) / (3 * 16 * 16)
+        assert np.allclose(grad, want, rtol=1e-12, atol=0.0) and (want != 0.0).all()
 
 
 class TestSchedule:
@@ -96,8 +121,7 @@ class TestTrainLoop:
             s = data[step % len(data)]
             model.zero_grad()
             with Graph() as g:
-                out = model.forward_tensor(s.composite.planar(), s.mask.values, s.semantic.planar())
-                loss = l1_loss(out, Tensor(s.real.planar()))
+                loss = sample_loss(model, prepare_sample(model, s))
                 g.backward(loss)
             adam_step(model.parameters(), [p.grad for p in model.parameters()], state)
             losses.append(loss.item())
@@ -154,22 +178,26 @@ class TestSampleLoss:
     @pytest.mark.parametrize("size,stages", [(32, 2), (64, 3), (128, 2)])
     @pytest.mark.parametrize("block", ["none", "rain", "srin"])
     def test_matches_serving_loss(self, block, size, stages):
+        # evaluation and training run one forward: forward_tensor is
+        # forward_box pasted into the composite, and sample_loss is the L1
+        # of forward_tensor's output
         model = GeneratorModel.build(UNetConfig(size=size, stages=stages, block=block), seed=51)
         for sample in _oracle_samples(size):
-            model.zero_grad()
-            with tc.Graph() as g:
-                want = l1_loss(model.forward_tensor(sample.composite.planar(), sample.mask.values,
-                                                    sample.semantic.planar()), Tensor(sample.real.planar()))
-                g.backward(want)
-            want_grad = model.flat.grad.copy()
-            model.zero_grad()
+            comp, real = sample.composite.planar(), sample.real.planar()
+            served = model.forward_tensor(comp, sample.mask.values, sample.semantic.planar())
             prep = prepare_sample(model, sample)
+            top, bottom, left, right = prep.windows.box
+            where = f"{block} {size}/{stages} {sample.id}"
+            assert np.array_equal(served[:, top:bottom, left:right], model.forward_box(prep.windows).data), where
+            outside = np.ones((size, size), dtype=bool)
+            outside[top:bottom, left:right] = False
+            assert np.array_equal(served[:, outside], comp[:, outside]), where
+            model.zero_grad()
             with tc.Graph() as g:
                 got = sample_loss(model, prep)
                 g.backward(got)
-            where = f"{block} {size}/{stages} {sample.id}"
-            assert abs(got.item() - want.item()) <= 1e-12 * abs(want.item()), where
-            assert np.abs(model.flat.grad - want_grad).max() <= 1e-12 * np.abs(want_grad).max(initial=0.0), where
+            want = np.mean(np.abs(served - real))
+            assert abs(got.item() - want) <= 1e-15 * want, where
             assert not any(out.shape == (3, size, size) for r in g.records for out in r.outs), where
             if sample.id == "empty":  # every output is the composite
                 assert not model.flat.grad.any(), where

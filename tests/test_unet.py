@@ -8,9 +8,9 @@ from harmlab import unet
 from harmlab.blocks import degenerate_mask
 from harmlab.errors import CheckpointError, ShapeError
 from harmlab.gradcheck import grad_check
-from harmlab.imaging import Mask
-from harmlab.synthdata import GenConfig, generate_sample
-from harmlab.training import l1_loss
+from harmlab.imaging import Image, Mask
+from harmlab.synthdata import GenConfig, Sample, generate_sample
+from harmlab.training import prepare_sample, sample_loss
 from harmlab.unet import (
     BLOCK_KINDS, GeneratorModel, UNetConfig, downsample_mask, downsample_planar,
     load_checkpoint, save_checkpoint, unet_forward,
@@ -104,17 +104,15 @@ class TestForward:
         assert unet.decode_regions(model.config, mask)[1][-1] == (0, 32, 0, 32)
         args = (s.composite.planar(), mask, s.semantic.planar())
         assert 32 * 32 >= tc._FOLD_MIN_SITES  # both stages (32x32 and 64x64 low-res sites) run folded
-        folded = model.forward_tensor(*args).data
+        folded = model.forward_tensor(*args)
         monkeypatch.setattr(tc, "_FOLD_MIN_SITES", 1 << 30)
-        concat = model.forward_tensor(*args).data
+        concat = model.forward_tensor(*args)
         assert np.abs(folded - concat).max() <= 1e-12 * np.abs(concat).max()
 
     @pytest.mark.parametrize("block", ["none", "rain", "srin"])
     def test_one_record_per_decoder_stage(self, block):
         # a training step: one up_conv3x3 per stage, writing need[k - 1], and
         # no other record between the bottleneck block and the head
-        from harmlab.training import prepare_sample, sample_loss
-
         model = GeneratorModel.build(UNetConfig(size=64, stages=3, block=block), seed=19)
         sample = generate_sample(GenConfig(seed=20, size=64), 0)
         prep = prepare_sample(model, sample)
@@ -125,7 +123,7 @@ class TestForward:
                      for w in (model.encoder[-1][0], model.head[0]))
         first = ops.index("up_conv3x3")
         assert ops[first:head] == ["up_conv3x3"] * 3
-        assert not {"upsample2", "concat_channels", "crop"} & set(ops[enc:head])
+        assert "crop" not in ops[enc:head]
         need = prep.windows.need
         assert [g.records[first + i].outs[0].shape for i in range(3)] == [
             (w.shape[0], b - t, r - l) for (w, _), (t, b, l, r) in zip(model.decoder, need[2::-1])]
@@ -211,7 +209,7 @@ class TestDecodeWindow:
         mask = np.zeros((128, 128))
         mask[61, 66] = 1.0  # cell (15, 16) of 32x32 cells of 4x4 pixels
         with tc.Graph() as g:
-            model.forward_tensor(tc.Tensor(s.composite.planar(), requires_grad=True), mask, s.semantic.planar())
+            model.forward_box(model.windows(s.composite.planar(), mask, s.semantic.planar()))
         stages = [r for r in g.records if r.op == "up_conv3x3"]
         assert [r.outs[0].shape for r in stages] == [(16, 3, 3), (16, 3, 3)]  # need[1] and need[0]
         head = [r for r in g.records if r.op == "conv3x3" and r.inputs[1] is model.head[0]]
@@ -228,7 +226,7 @@ class TestDecodeWindow:
         mask = np.zeros((128, 128))
         mask[61, 66] = 1.0  # cell (15, 16): decode window 14:17 x 15:18, encoder window 13:17 x 14:18
         with tc.Graph() as g:
-            model.forward_tensor(tc.Tensor(s.composite.planar(), requires_grad=True), mask, s.semantic.planar())
+            model.forward_box(model.windows(s.composite.planar(), mask, s.semantic.planar()))
         enc1 = [r for r in g.records if r.op == "conv3x3" and r.inputs[1] is model.encoder[0][0]]
         assert len(enc1) == 1
         assert enc1[0].inputs[0].shape == shape
@@ -240,37 +238,37 @@ class TestDecodeWindow:
         model = GeneratorModel.build(config, seed=21)
         s = sample_inputs(size=size, seed=22)
         comp, sem = s.composite.planar(), s.semantic.planar()
-        target = tc.Tensor(np.random.default_rng(23).uniform(0.2, 0.8, size=(3, size, size)))
+        real = Image.from_planar(np.random.default_rng(23).uniform(0.2, 0.8, size=(3, size, size)))
         regions = unet.decode_regions
 
         def full_frame(c, m):
             return (0, size, 0, size), [(0, size >> k, 0, size >> k) for k in range(stages + 1)]
 
         def run(mask):
+            out = model.forward_tensor(comp, mask, sem)
+            prep = prepare_sample(model, Sample(real, s.composite, Mask(mask), s.semantic, ""))
             model.zero_grad()
-            comp_t = tc.Tensor(comp, requires_grad=True)
             with tc.Graph() as g:
-                out = model.forward_tensor(comp_t, mask, sem)
-                g.backward(l1_loss(out, target))
-            return out.data, model.flat.grad.copy(), comp_t.grad, {r.op for r in g.records}
+                g.backward(sample_loss(model, prep))
+            frame = any(o.shape == (3, size, size) for r in g.records for o in r.outs)
+            return out, model.flat.grad.copy(), {r.op for r in g.records}, frame
 
         masks = window_masks(size, seed=24)
         wholes = {name for name, mask in masks.items() if regions(config, mask) == full_frame(config, mask)}
         # only the all-ones mask, and perhaps a large synthetic one, decodes the whole map
         assert "full" in wholes and wholes <= {"full", "synthetic"}
         for name, mask in masks.items():
-            out, grad, comp_grad, ops = run(mask)
+            out, grad, _, frame = run(mask)
             monkeypatch.setattr(unet, "decode_regions", full_frame)
-            ref_out, ref_grad, ref_comp_grad, ref_ops = run(mask)
+            ref_out, ref_grad, ref_ops, ref_frame = run(mask)
             monkeypatch.setattr(unet, "decode_regions", regions)
             where = f"{block} {size}/{stages} {name}"
             assert _within(out, ref_out), where
             bg = mask == 0.0
             assert np.array_equal(out[:, bg], ref_out[:, bg]) and np.array_equal(out[:, bg], comp[:, bg]), where
             assert _within(grad, ref_grad), where
-            assert _within(comp_grad, ref_comp_grad), where
-            assert not {"crop", "uncrop"} & ref_ops, where
-            assert (name in wholes) == (not {"crop", "uncrop"} & ops), where
+            assert ref_frame and "crop" not in ref_ops, where
+            assert (name in wholes) == frame, where
 
 
 def _one_cell_window(config: UNetConfig, mask: np.ndarray) -> tuple[int, int, int, int]:
@@ -417,13 +415,13 @@ class TestFlatBuffer:
     def test_grad_check_leaves_gradients_attached(self):
         model = GeneratorModel.build(UNetConfig(size=16, stages=1, base_channels=2, block="none"), seed=18)
         s = sample_inputs(size=16, seed=19)
-        args = (s.composite.planar(), s.mask.values, s.semantic.planar())
-        result = grad_check(lambda _: tc.mean_all(model.forward_tensor(*args)), model.parameters())
+        prep = prepare_sample(model, s)
+        result = grad_check(lambda _: sample_loss(model, prep), model.parameters())
         assert result.passed
         model.zero_grad()
         assert not model.flat.grad.any()
         with tc.Graph() as g:
-            g.backward(tc.mean_all(model.forward_tensor(*args)))
+            g.backward(sample_loss(model, prep))
         assert model.flat.grad.any()
         for _, t in model.named_parameters():
             assert np.shares_memory(t.grad, model.flat.grad)
