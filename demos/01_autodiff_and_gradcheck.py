@@ -18,7 +18,7 @@ b = Tensor(np.array([0.1, -0.2]), requires_grad=True)
 with Graph() as graph:
     y = tc.conv1x1(x, w, b)      # per-pixel w @ x[:, h, w] + b
     z = tc.relu(y)               # kink at 0, subgradient 0 there
-    loss = tc.mean_all(z)
+    loss = tc.sum_all(z)
     graph.backward(loss)
 
 print("loss         :", loss.item())
@@ -29,17 +29,18 @@ print("dloss/db     :", b.grad)
 # The same expression, verified against central differences. grad_check
 # re-evaluates the function with nudged coordinates, so it must be pure.
 def fn(ts):
-    return tc.mean_all(tc.relu(tc.conv1x1(ts[0], ts[1], ts[2])))
+    return tc.sum_all(tc.relu(tc.conv1x1(ts[0], ts[1], ts[2])))
 
 report = grad_check(fn, [Tensor(t.data.copy()) for t in (x, w, b)], name="relu_conv1x1")
 print(report.line())
 
 # The adaptive-moment optimizer drives every training loop in the package.
+# It steps one tensor from its .grad; training steps the model's flat buffer.
 from harmlab import AdamState, adam_step
 
 p = Tensor(np.zeros(3))
-state = AdamState(lr=0.05, names=["p"])
+state = AdamState(lr=0.05)
 for step in range(200):
-    grad = 2.0 * (p.data - np.array([1.0, -2.0, 0.5]))  # d/dp ||p - target||^2
-    adam_step([p], [grad], state)
+    p.grad = 2.0 * (p.data - np.array([1.0, -2.0, 0.5]))  # d/dp ||p - target||^2
+    adam_step(p, state)
 print("adam converged to:", np.round(p.data, 4), "(target [1, -2, 0.5])")

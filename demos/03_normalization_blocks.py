@@ -20,7 +20,7 @@ print("fg mean before      :", feat[:, fg].mean().round(3), " bg mean:", feat[:,
 
 # 1. Region-restricted instance norm: statistics from the foreground only,
 #    applied to the whole map.
-normed, mean, std, _ = region_instance_norm(Tensor(feat), mask)
+normed = region_instance_norm(Tensor(feat), mask)
 print("fg mean normalized  :", normed.data[:, fg].mean().round(6))
 
 # 2. Background-statistics transfer: the foreground is re-dressed with the

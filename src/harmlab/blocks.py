@@ -19,7 +19,8 @@ feature resolution:
   class, [K, background] cells in all; one op writes the modulation onto the
   class's sites, and the per-site maps and [N, N] matrix are built on read.
 
-All blocks are pure, reentrant, and differentiable end to end.
+Each standard deviation is ``sqrt(var + EPS_DEFAULT)``. All blocks are
+pure, reentrant, and differentiable end to end.
 """
 
 from __future__ import annotations
@@ -119,19 +120,18 @@ class SrinResult:
         return Tensor(full)
 
 
-def region_instance_norm(
-    feat: Tensor, mask_f, eps: float = EPS_DEFAULT
-) -> tuple[Tensor, Optional[Tensor], Optional[Tensor], bool]:
-    """Standardize all sites by the masked region's per-channel mean/std.
+def _std(var: Tensor) -> Tensor:
+    return tc.sqrt(tc.add_scalar(var, EPS_DEFAULT))
 
-    Returns ``(normed, mean, std, degenerate)``. With an empty region the
-    input passes through unchanged and ``degenerate`` is True.
+
+def region_instance_norm(feat: Tensor, mask_f) -> Tensor:
+    """Standardize all sites by the masked region's per-channel mean and std.
+
+    The region must hold a site: ``tensor.masked_channel_stats`` raises
+    ``ShapeError`` on an empty one.
     """
-    mean, var, count = tc.masked_channel_stats(feat, mask_f)
-    if count == 0:
-        return feat, None, None, True
-    std = tc.sqrt(tc.add_scalar(var, eps))
-    return tc.normalize_channels(feat, mean, std), mean, std, False
+    mean, var = tc.masked_channel_stats(feat, mask_f)
+    return tc.normalize_channels(feat, mean, _std(var))
 
 
 def degenerate_mask(mask_f: np.ndarray) -> bool:
@@ -142,7 +142,7 @@ def degenerate_mask(mask_f: np.ndarray) -> bool:
     return fg == 0 or fg == mask_f.size
 
 
-def rain_forward(feat: Tensor, mask_f, eps: float = EPS_DEFAULT) -> Tensor:
+def rain_forward(feat: Tensor, mask_f) -> Tensor:
     """Re-dress foreground-normalized features with global background statistics.
 
     Foreground sites become ``std_bg * normed + mean_bg``, one class of
@@ -152,10 +152,9 @@ def rain_forward(feat: Tensor, mask_f, eps: float = EPS_DEFAULT) -> Tensor:
     m = tc.as_site_mask(mask_f, feat.shape[1], feat.shape[2])
     if degenerate_mask(m):
         return feat
-    normed, _, _, _ = region_instance_norm(feat, m, eps)
-    bg_mean, bg_var, _ = tc.masked_channel_stats(feat, 1.0 - m)
-    bg_std = tc.sqrt(tc.add_scalar(bg_var, eps))
-    return tc.modulate(normed, feat, bg_std, bg_mean, m.astype(np.intp) - 1)
+    normed = region_instance_norm(feat, m)
+    bg_mean, bg_var = tc.masked_channel_stats(feat, 1.0 - m)
+    return tc.modulate(normed, feat, _std(bg_var), bg_mean, m.astype(np.intp) - 1)
 
 
 def _colour_classes(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -175,13 +174,7 @@ def _colour_classes(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cols[:, order[first]], classes
 
 
-def srin_forward(
-    feat: Tensor,
-    mask_f,
-    sem_f,
-    params: SrinParams,
-    eps: float = EPS_DEFAULT,
-) -> SrinResult:
+def srin_forward(feat: Tensor, mask_f, sem_f: np.ndarray, params: SrinParams) -> SrinResult:
     """Semantic-guided modulation of region-normalized features.
 
     Pipeline over sites: normalize by foreground stats; project the
@@ -193,8 +186,8 @@ def srin_forward(
     value through gated 1x1 heads to get nonnegative per-class gamma/beta;
     write ``gamma * normed + beta`` onto each class's foreground sites and
     pass the background through exactly (``tensor.modulate``). Degenerate
-    (empty) regions return the input unchanged. The semantic map is a
-    constant: a ``Tensor`` that requires a gradient is rejected.
+    (empty) regions return the input unchanged. The semantic map ``sem_f``
+    is a constant [3, H, W] array.
     """
     c, h, w = feat.shape
     m = tc.as_site_mask(mask_f, h, w)
@@ -203,14 +196,12 @@ def srin_forward(
     if degenerate_mask(m):
         return SrinResult(feat, True)
 
-    sem_t = sem_f if isinstance(sem_f, Tensor) else Tensor(np.asarray(sem_f, dtype=np.float64))
-    if sem_t.requires_grad:
-        raise ValueError("srin_forward: the semantic map is a constant, got a Tensor that requires a gradient")
-    if sem_t.shape != (3, h, w):
-        raise ShapeError(f"semantic map must be (3, {h}, {w}), got {sem_t.shape}")
-    sem = sem_t.data.reshape(3, n)
+    sem = np.asarray(sem_f, dtype=np.float64)
+    if sem.shape != (3, h, w):
+        raise ShapeError(f"semantic map must be (3, {h}, {w}), got {sem.shape}")
+    sem = sem.reshape(3, n)
 
-    normed, _, _, _ = region_instance_norm(feat, m, eps)
+    normed = region_instance_norm(feat, m)
 
     colours, classes = _colour_classes(sem[:, fg_sites])
     index = np.full((h, w), -1, dtype=np.intp)

@@ -36,16 +36,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-# dotted key -> value parser; this is the set of addressable configuration fields
-def _bool(text: str) -> bool:
-    low = text.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
 def _tolerance(text: str) -> float:
     try:
         value = float(text)
@@ -57,6 +47,7 @@ def _tolerance(text: str) -> float:
     return value
 
 
+# dotted key -> value parser; this is the set of addressable configuration fields
 CONFIG_KEYS: dict[str, Callable[[str], object]] = {
     "gen.seed": int,
     "gen.count": int,
@@ -85,7 +76,6 @@ CONFIG_KEYS: dict[str, Callable[[str], object]] = {
     "unet.size": int,
     "unet.stages": int,
     "unet.base_channels": int,
-    "unet.residual": _bool,
 }
 
 
@@ -184,7 +174,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
         size=res.get("unet.size", 64),
         stages=res.get("unet.stages", 3),
         base_channels=res.get("unet.base_channels", 16),
-        residual=res.get("unet.residual", True),
     )
     out_path = res.require("train.out")
     cfg = TrainConfig(

@@ -30,6 +30,7 @@ from .imaging import Image, Mask, PathLike, read_pgm, read_ppm, write_pgm, write
 
 _MAX_SHAPE_RETRIES = 20
 _FG_RATIO_RANGE = (0.01, 0.6)
+SHAPE_KINDS = ("rectangle", "ellipse")  # each shape is one of these, drawn uniformly
 
 
 @dataclass
@@ -58,7 +59,6 @@ class GenConfig:
     size: int = 64
     min_objects: int = 2
     max_objects: int = 5
-    shapes: tuple[str, ...] = ("rectangle", "ellipse")
     gain: tuple[float, float] = (0.6, 1.4)
     bias: tuple[float, float] = (-30.0 / 255.0, 30.0 / 255.0)
     gamma: tuple[float, float] = (0.7, 1.4)
@@ -70,8 +70,6 @@ class GenConfig:
             raise ConfigError(f"image size must be >= 16, got {self.size}")
         if not (1 <= self.min_objects <= self.max_objects):
             raise ConfigError("object count range must satisfy 1 <= min <= max")
-        if not self.shapes or any(s not in ("rectangle", "ellipse") for s in self.shapes):
-            raise ConfigError(f"unsupported shape kinds {self.shapes}")
         for name, (lo, hi) in (("gain", self.gain), ("bias", self.bias), ("gamma", self.gamma)):
             if not math.isfinite(hi - lo):  # non-finite bounds, or a width beyond float range
                 raise ConfigError(f"{name} range ({lo}, {hi}) must have finite bounds and width")
@@ -161,7 +159,7 @@ def generate_sample(cfg: GenConfig, index: int) -> Sample:
     # Clutter first, then twins, then the foreground: later paint wins, so the
     # foreground keeps its full support and twins can only be hidden by it.
     for i in range(1, n_clutter + 1):
-        kind = cfg.shapes[int(rng.integers(0, len(cfg.shapes)))]
+        kind = SHAPE_KINDS[int(rng.integers(0, len(SHAPE_KINDS)))]
         frac = float(np.exp(rng.uniform(np.log(0.01), np.log(0.15))))
         labels[_shape_support(rng, kind, size, frac)] = i
         # clutter stays chromatically clear of the foreground class so the
@@ -182,10 +180,10 @@ def generate_sample(cfg: GenConfig, index: int) -> Sample:
         labels = pre_class.copy()
         twin_label = n_clutter + 1
         for t in range(n_twins):
-            kind = cfg.shapes[int(rng.integers(0, len(cfg.shapes)))]
+            kind = SHAPE_KINDS[int(rng.integers(0, len(SHAPE_KINDS)))]
             frac = float(rng.uniform(0.05, 0.14))
             labels[_shape_support(rng, kind, size, frac)] = twin_label + t
-        kind = cfg.shapes[int(rng.integers(0, len(cfg.shapes)))]
+        kind = SHAPE_KINDS[int(rng.integers(0, len(SHAPE_KINDS)))]
         frac = float(np.exp(rng.uniform(np.log(0.012), np.log(0.45))))
         sup = _shape_support(rng, kind, size, frac)
         ratio = sup.sum() / (size * size)

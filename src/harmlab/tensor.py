@@ -234,11 +234,6 @@ def sum_all(a: Tensor) -> Tensor:
     return _op("sum_all", (a,), np.sum(a.data), lambda g: np.full_like(a.data, float(g)))
 
 
-def mean_all(a: Tensor) -> Tensor:
-    n = a.data.size
-    return _op("mean_all", (a,), np.sum(a.data) / n, lambda g: np.full_like(a.data, float(g) / n))
-
-
 def crop(a: Tensor, top: int, bottom: int, left: int, right: int) -> Tensor:
     """Rows ``top:bottom`` and columns ``left:right`` of a [C, H, W] map.
 
@@ -741,11 +736,10 @@ def region_attention(query: Tensor, key: Tensor, value: Tensor, mask) -> Tensor:
     return out
 
 
-def masked_channel_stats(feat: Tensor, mask) -> tuple[Tensor, Tensor, int]:
+def masked_channel_stats(feat: Tensor, mask) -> tuple[Tensor, Tensor]:
     """Per-channel mean and biased variance of a [C, H, W] map over mask=1 sites.
 
-    Returns ``(mean, var, count)``. When the mask selects no sites the stats are
-    unspecified (zeros) and ``count`` is 0; callers must branch on the count.
+    Returns ``(mean, var)``; a mask that selects no site is a ``ShapeError``.
     Differentiable in ``feat``; the mask is a constant. The selected columns
     are gathered once and reduced, and the backward scatters into a zero map.
     """
@@ -756,7 +750,7 @@ def masked_channel_stats(feat: Tensor, mask) -> tuple[Tensor, Tensor, int]:
     sites = np.flatnonzero(as_site_mask(mask, h, w).reshape(n))
     count = sites.size
     if count == 0:
-        return Tensor(np.zeros(c)), Tensor(np.zeros(c)), 0
+        raise ShapeError("masked_channel_stats: the mask selects no site")
     cols = feat.data.reshape(c, n)[:, sites]  # [C, count]
     mean_d = cols.sum(axis=1) / count
     centered = cols - mean_d[:, None]
@@ -775,4 +769,4 @@ def masked_channel_stats(feat: Tensor, mask) -> tuple[Tensor, Tensor, int]:
         _accum(feat, gx.reshape(c, h, w))
 
     _maybe_record("masked_channel_stats", (mean_t, var_t), (feat,), bwd)
-    return mean_t, var_t, count
+    return mean_t, var_t

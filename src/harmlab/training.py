@@ -150,7 +150,7 @@ def train(
     val_data = load_dataset(cfg.val_dir) if cfg.val_dir else None
 
     model = GeneratorModel.build(cfg.effective_unet(), seed=cfg.seed)
-    state = AdamState(lr=cfg.lr, names=["model.flat"])
+    state = AdamState(lr=cfg.lr)
 
     order_rng = np.random.Generator(np.random.PCG64(cfg.seed))
     queue: list[int] = []
@@ -183,7 +183,7 @@ def train(
                 degenerate = degenerate or prep.degenerate
             inv_b = 1.0 / cfg.batch_size
             model.flat.grad *= inv_b
-            adam_step([model.flat], [model.flat.grad], state)
+            adam_step(model.flat, state)
 
         entry = LossEntry(
             step=step, lr=state.lr, loss=batch_loss * inv_b, block_degenerate=degenerate

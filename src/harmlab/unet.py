@@ -58,7 +58,7 @@ from typing import Optional
 import numpy as np
 
 from . import tensor as tc
-from .blocks import EPS_DEFAULT, SrinParams, rain_forward, srin_forward
+from .blocks import SrinParams, rain_forward, srin_forward
 from .errors import CheckpointError, ConfigError, ShapeError
 from .imaging import Image, Mask, PathLike
 from .tensor import Tensor
@@ -73,7 +73,6 @@ class UNetConfig:
     stages: int = 3
     base_channels: int = 16
     block: str = "none"
-    residual: bool = True
 
     def __post_init__(self):
         if self.size < 16 or (self.size & (self.size - 1)) != 0:
@@ -281,9 +280,9 @@ class GeneratorModel:
             skips.append(cur)
 
         if self.config.block == "rain":
-            cur = rain_forward(cur, win.mask_f, EPS_DEFAULT)
+            cur = rain_forward(cur, win.mask_f)
         elif self.config.block == "srin":
-            cur = srin_forward(cur, win.mask_f, win.sem_f, self.block_params, EPS_DEFAULT).output
+            cur = srin_forward(cur, win.mask_f, win.sem_f, self.block_params).output
 
         low_at = e_top, e_left  # level k's site (0, 0) of the stage's low-res input
         for k, (w, b) in zip(range(stages, 0, -1), self.decoder):
@@ -294,8 +293,7 @@ class GeneratorModel:
         top, bottom, left, right = win.box
         delta = tc.crop(tc.conv3x3(cur, self.head[0], self.head[1], stride=1),
                         top - low_at[0], bottom - low_at[0], left - low_at[1], right - low_at[1])
-        raw = tc.add(delta, win.comp_box) if self.config.residual else delta
-        return tc.blend(tc.clamp01(raw), win.comp_box, win.mask[top:bottom, left:right])
+        return tc.blend(tc.clamp01(tc.add(delta, win.comp_box)), win.comp_box, win.mask[top:bottom, left:right])
 
     def forward_tensor(self, composite: np.ndarray, mask: np.ndarray, semantic: np.ndarray) -> np.ndarray:
         """Run the network; returns the composed [3, S, S] output as an array.
@@ -369,11 +367,8 @@ def save_checkpoint(model: GeneratorModel, path: PathLike) -> None:
     cfg = model.config
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
-        fh.write(
-            struct.pack(
-                "<5I", cfg.size, cfg.stages, cfg.base_channels, _BLOCK_CODES[cfg.block], int(cfg.residual)
-            )
-        )
+        # the last field is 1: the head is always residual
+        fh.write(struct.pack("<5I", cfg.size, cfg.stages, cfg.base_channels, _BLOCK_CODES[cfg.block], 1))
         for _, t in model.named_parameters():
             dims = t.shape
             fh.write(struct.pack("<I", len(dims)))
@@ -391,11 +386,10 @@ def load_checkpoint(path: PathLike, expected_config: Optional[UNetConfig] = None
     size, stages, base_channels, block_code, residual = struct.unpack_from("<5I", blob, 4)
     if block_code >= len(BLOCK_KINDS):
         raise CheckpointError(f"{path}: unknown block code {block_code}")
+    if residual != 1:
+        raise CheckpointError(f"{path}: residual field is {residual}, expected 1 (the head is always residual)")
     try:
-        config = UNetConfig(
-            size=size, stages=stages, base_channels=base_channels,
-            block=BLOCK_KINDS[block_code], residual=bool(residual),
-        )
+        config = UNetConfig(size=size, stages=stages, base_channels=base_channels, block=BLOCK_KINDS[block_code])
     except ValueError as exc:
         raise CheckpointError(f"{path}: invalid configuration: {exc}") from exc
     if expected_config is not None and config != expected_config:

@@ -3,6 +3,7 @@ import pytest
 
 from harmlab import tensor as tc
 from harmlab.blocks import SrinParams, rain_forward, region_instance_norm, srin_forward
+from harmlab.errors import ShapeError
 from harmlab.tensor import Graph, Tensor
 from harmlab.verify import random_srin_instance, reference_srin
 
@@ -19,36 +20,35 @@ class TestRegionInstanceNorm:
         mask = np.zeros((3, 3))
         mask[0] = 1.0
         feat = Tensor(np.full((2, 3, 3), 5.0))
-        normed, mean, std, degenerate = region_instance_norm(feat, mask)
-        assert not degenerate
+        normed = region_instance_norm(feat, mask)
         fg = mask.astype(bool)
         assert np.max(np.abs(normed.data[:, fg])) <= 5.0 * np.sqrt(1e-5) / 1e-5
 
     def test_two_value_region(self):
+        # mean 2, biased variance 1: every site becomes (x - 2) / sqrt(1 + 1e-5)
         feat = np.zeros((1, 2, 2))
         feat[0, 0, 0] = 1.0
         feat[0, 0, 1] = 3.0
         mask = np.array([[1.0, 1.0], [0.0, 0.0]])
-        normed, mean, std, _ = region_instance_norm(Tensor(feat), mask)
-        assert mean.data[0] == 2.0
-        assert abs(std.data[0] - np.sqrt(1.0 + 1e-5)) < 1e-15
+        normed = region_instance_norm(Tensor(feat), mask)
+        assert np.array_equal(normed.data, (feat - 2.0) / np.sqrt(1.0 + 1e-5))
         assert abs(normed.data[0, 0, 0] + 1.0) < 1e-5
         assert abs(normed.data[0, 0, 1] - 1.0) < 1e-5
 
-    def test_empty_region_is_degenerate_identity(self):
+    def test_empty_region_rejected(self):
         feat = Tensor(np.random.default_rng(0).normal(size=(2, 3, 3)))
-        normed, mean, std, degenerate = region_instance_norm(feat, np.zeros((3, 3)))
-        assert degenerate
-        assert normed is feat
-        assert mean is None and std is None
+        with pytest.raises(ShapeError, match="no site"):
+            region_instance_norm(feat, np.zeros((3, 3)))
 
     def test_whole_map_is_normalized(self):
         # statistics come from the masked region but apply at every site
         rng = np.random.default_rng(1)
         feat = rng.normal(size=(1, 4, 4))
         mask = split_mask(rng, 4, 4)
-        normed, mean, std, _ = region_instance_norm(Tensor(feat), mask)
-        expected = (feat - mean.data[:, None, None]) / std.data[:, None, None]
+        normed = region_instance_norm(Tensor(feat), mask)
+        region = feat[:, mask.astype(bool)]
+        mean, std = region.mean(axis=1), np.sqrt(region.var(axis=1) + 1e-5)
+        expected = (feat - mean[:, None, None]) / std[:, None, None]
         assert np.allclose(normed.data, expected, atol=1e-12)
 
 
@@ -268,8 +268,3 @@ class TestSrinPerClass:
         assert attention_query_shape(sem, mask, c=params.channels) == (params.channels, 2, 1)
         got = srin_forward(Tensor(feat), mask, sem, params).output.data
         assert np.max(np.abs(got - reference_srin(feat, mask, sem, params))) <= 1e-10
-
-    def test_semantic_tensor_requiring_grad_rejected(self):
-        feat, mask, sem, params = random_srin_instance(np.random.default_rng(15))
-        with pytest.raises(ValueError, match="semantic map is a constant"):
-            srin_forward(Tensor(feat), mask, Tensor(sem, requires_grad=True), params)

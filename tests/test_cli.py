@@ -59,6 +59,12 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="unknown configuration key"):
             parse_config_file(str(cfg))
 
+    def test_residual_is_not_a_key(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("unet.residual = false\n")
+        with pytest.raises(ConfigError, match="unknown configuration key 'unet.residual'"):
+            parse_config_file(str(cfg))
+
     def test_unknown_key_is_runtime_error_exit(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("nope = 1\n")
@@ -306,6 +312,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("offset, patch", [
         (12, (0x7FFFFFFF).to_bytes(4, "little")),  # base_channels far beyond the file's payload
+        (20, (0).to_bytes(4, "little")),  # residual field: the head is always residual
+        (20, (7).to_bytes(4, "little")),
         (44, struct.pack("<d", float("nan"))),  # first value of enc1.w
     ])
     def test_corrupt_checkpoint_is_one_error_line(self, tmp_path, capsys, offset, patch):
@@ -316,7 +324,8 @@ class TestExitCodes:
         ckpt.write_bytes(bytes(blob))
         assert dispatch(["eval", "--data", str(tmp_path), "--ckpt", str(ckpt)]) == 2
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ")
+        # the checkpoint is rejected before the (empty) data directory is read
+        assert len(err) == 1 and err[0].startswith(f"error: {ckpt}: ")
 
     @pytest.mark.parametrize("command", ["harmonize", "eval"])
     def test_overflowing_checkpoint_is_one_error_line(self, tmp_path, capsys, command):

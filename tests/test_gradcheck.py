@@ -1,8 +1,12 @@
 import numpy as np
 
 from harmlab import tensor as tc
+from harmlab import verify
 from harmlab.gradcheck import grad_check
-from harmlab.tensor import Tensor
+from harmlab.synthdata import GenConfig, generate_dataset
+from harmlab.tensor import Graph, Tensor
+from harmlab.training import prepare_sample, sample_loss
+from harmlab.unet import GeneratorModel, UNetConfig
 
 
 def test_sum_gradient_is_exact():
@@ -21,9 +25,9 @@ def test_relu_away_from_kink():
 
 
 def test_report_line_format():
-    result = grad_check(lambda ts: tc.mean_all(ts[0]), [Tensor(np.ones((2, 2)))], name="mean")
+    result = grad_check(lambda ts: tc.sum_all(ts[0]), [Tensor(np.ones((2, 2)))], name="sum")
     line = result.line()
-    assert line.startswith("op=mean max_rel_err=")
+    assert line.startswith("op=sum max_rel_err=")
     assert line.endswith("pass=True")
 
 
@@ -41,3 +45,28 @@ def test_detects_wrong_gradient():
     result = grad_check(broken, [Tensor(np.ones(3))], name="broken")
     assert not result.passed
     assert result.max_rel_err > 0.1
+
+
+def test_op_checks_cover_exactly_the_ops_training_records(monkeypatch):
+    # Every tape op a training step records has an A1 check, and A1 checks no
+    # op that training does not record.
+    recorded = set()
+    record = tc._maybe_record
+
+    def spy(op, outs, inputs, fn):
+        record(op, outs, inputs, fn)
+        if outs[0].requires_grad:  # set only when the call appended a record
+            recorded.add(op)
+
+    monkeypatch.setattr(tc, "_maybe_record", spy)
+    (sample,) = generate_dataset(GenConfig(seed=3, size=32), 1)
+    for block in ("none", "rain", "srin"):
+        model = GeneratorModel.build(UNetConfig(size=32, stages=2, base_channels=8, block=block), seed=0)
+        prep = prepare_sample(model, sample)
+        assert not prep.degenerate
+        with Graph():
+            sample_loss(model, prep)
+    trained = set(recorded)
+    recorded.clear()
+    verify.op_grad_checks()
+    assert trained == recorded

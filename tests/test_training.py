@@ -123,7 +123,7 @@ class TestTrainLoop:
             with Graph() as g:
                 loss = sample_loss(model, prepare_sample(model, s))
                 g.backward(loss)
-            adam_step(model.parameters(), [p.grad for p in model.parameters()], state)
+            adam_step(model.flat, state)
             losses.append(loss.item())
         assert all(lv == 0.0 for lv in losses)
         for prev, t in zip(before, model.parameters()):
@@ -146,13 +146,13 @@ class TestTrainLoop:
         # must produce the same seeded loss history
         import harmlab.unet as unet_mod
 
-        monkeypatch.setattr(unet_mod, "rain_forward", lambda feat, mask, eps: feat)
+        monkeypatch.setattr(unet_mod, "rain_forward", lambda feat, mask: feat)
 
         class _Identity:
             def __init__(self, feat):
                 self.output = feat
 
-        monkeypatch.setattr(unet_mod, "srin_forward", lambda feat, mask, sem, params, eps: _Identity(feat))
+        monkeypatch.setattr(unet_mod, "srin_forward", lambda feat, mask, sem, params: _Identity(feat))
 
         data = generate_dataset(GenConfig(seed=34, size=32), 3)
         histories = {}
@@ -210,17 +210,20 @@ def test_adam_over_flat_buffer_matches_per_tensor_steps():
 
     config = UNetConfig(size=32, stages=2, base_channels=4, block="srin")
     per_tensor, flat = GeneratorModel.build(config, seed=1), GeneratorModel.build(config, seed=1)
-    s_tensor, s_flat = AdamState(lr=1e-2), AdamState(lr=1e-2)
+    s_tensor = [AdamState(lr=1e-2) for _ in per_tensor.parameters()]
+    s_flat = AdamState(lr=1e-2)
     rng = np.random.default_rng(2)
     for _ in range(3):
         g = rng.normal(size=flat.flat.size) * rng.uniform(1e-6, 1e3, size=flat.flat.size)
         per_tensor.flat.grad[:] = g
         flat.flat.grad[:] = g
-        adam_step(per_tensor.parameters(), [p.grad for p in per_tensor.parameters()], s_tensor)
-        adam_step([flat.flat], [flat.flat.grad], s_flat)
+        for p, state in zip(per_tensor.parameters(), s_tensor):
+            adam_step(p, state)
+        adam_step(flat.flat, s_flat)
     assert per_tensor.flat.data.tobytes() == flat.flat.data.tobytes()
-    for moments, (flat_moment,) in ((s_tensor.m, s_flat.m), (s_tensor.v, s_flat.v)):
-        assert np.concatenate([m.ravel() for m in moments]).tobytes() == flat_moment.tobytes()
+    for moment in ("m", "v"):
+        per_param = np.concatenate([getattr(state, moment).ravel() for state in s_tensor])
+        assert per_param.tobytes() == getattr(s_flat, moment).tobytes()
 
 
 class TestBatchingAndValidation:
