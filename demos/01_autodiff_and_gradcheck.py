@@ -14,24 +14,28 @@ x = Tensor(np.array([[[1.0, -2.0], [0.5, 3.0]],
                     [[-0.5, 1.0], [-0.25, -1.5]]]), requires_grad=True)  # [C_in, H, W] = [2, 2, 2]
 w = Tensor(np.array([[2.0, 0.0], [1.0, 1.0]]), requires_grad=True)  # [C_out, C_in]
 b = Tensor(np.array([0.1, -0.2]), requires_grad=True)
+weights = np.array([[[1.0, -1.0], [0.5, 2.0]],
+                    [[0.0, 1.0], [-2.0, 1.0]]])  # one weight per output element
 
 with Graph() as graph:
     y = tc.conv1x1(x, w, b)      # per-pixel w @ x[:, h, w] + b
     z = tc.relu(y)               # kink at 0, subgradient 0 there
-    loss = tc.sum_all(z)
-    graph.backward(loss)
+    # Seeding the backward with weights gives every input the gradient of
+    # sum(weights * z), a vector-Jacobian product; a scalar root needs no seed.
+    graph.backward(z, weights)
 
-print("loss         :", loss.item())
-print("dloss/dx     :\n", x.grad)
-print("dloss/dw     :\n", w.grad)
-print("dloss/db     :", b.grad)
+print("sum(weights * z):", float(np.sum(weights * z.data)))
+print("d/dx         :\n", x.grad)
+print("d/dw         :\n", w.grad)
+print("d/db         :", b.grad)
 
 # The same expression, verified against central differences. grad_check
-# re-evaluates the function with nudged coordinates, so it must be pure.
+# seeds the backward with the same weights and re-evaluates the function with
+# nudged coordinates, so it must be pure.
 def fn(ts):
-    return tc.sum_all(tc.relu(tc.conv1x1(ts[0], ts[1], ts[2])))
+    return tc.relu(tc.conv1x1(ts[0], ts[1], ts[2]))
 
-report = grad_check(fn, [Tensor(t.data.copy()) for t in (x, w, b)], name="relu_conv1x1")
+report = grad_check(fn, [Tensor(t.data.copy()) for t in (x, w, b)], name="relu_conv1x1", weights=weights)
 print(report.line())
 
 # The adaptive-moment optimizer drives every training loop in the package.

@@ -14,7 +14,6 @@ import numpy as np
 
 from . import tensor
 from .blocks import (
-    EPS_DEFAULT,
     Modulation,
     SrinParams,
     SrinResult,
@@ -51,7 +50,7 @@ from .imaging import (
 )
 from .optim import AdamState, adam_step
 from .synthdata import GenConfig, Sample, generate_dataset, generate_sample, load_dataset, write_dataset
-from .tensor import Graph, Tensor
+from .tensor import EPS_DEFAULT, Graph, Tensor
 from .training import EvalReport, LossEntry, TrainConfig, evaluate, train
 from .unet import (
     BLOCK_KINDS,

@@ -19,14 +19,16 @@ feature resolution:
   class, [K, background] cells in all; one op writes the modulation onto the
   class's sites, and the per-site maps and [N, N] matrix are built on read.
 
-Each standard deviation is ``sqrt(var + EPS_DEFAULT)``. All blocks are
-pure, reentrant, and differentiable end to end.
+Every standard deviation is ``sqrt(var + EPS_DEFAULT)``, as
+``tensor.masked_channel_stats`` returns it. All blocks are pure, reentrant,
+and differentiable end to end.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -34,41 +36,55 @@ from . import tensor as tc
 from .errors import ShapeError
 from .tensor import Tensor
 
-EPS_DEFAULT = 1e-5  # added to variances before the square root
+
+def uniform_init(shapes: Sequence[tuple[int, ...]], rng: np.random.Generator) -> list[np.ndarray]:
+    """Initial values of parameters given in order, each weight followed by its bias.
+
+    A weight of shape [C_out, fan_in...] is drawn from uniform(-a, a) with
+    ``a = sqrt(1 / fan_in)``, and the bias after it shares ``a``.
+    """
+    arrays = []
+    for shape in shapes:
+        if len(shape) > 1:
+            bound = np.sqrt(1.0 / math.prod(shape[1:]))
+        arrays.append(rng.uniform(-bound, bound, size=shape))
+    return arrays
 
 
 @dataclass
 class SrinParams:
-    """Weights of the five 1x1 convolutions of the semantic-attention block."""
+    """Weights of the five 1x1 convolutions of the semantic-attention block:
+    the query's from the 3-channel semantic map, the others' over the C
+    feature channels (``shapes``)."""
 
-    w_query: Tensor  # [C, 3] from the 3-channel semantic map
+    w_query: Tensor
     b_query: Tensor
-    w_key: Tensor  # [C, C]
+    w_key: Tensor
     b_key: Tensor
-    w_value: Tensor  # [C, C]
+    w_value: Tensor
     b_value: Tensor
-    w_gamma: Tensor  # [C, C]
+    w_gamma: Tensor
     b_gamma: Tensor
-    w_beta: Tensor  # [C, C]
+    w_beta: Tensor
     b_beta: Tensor
 
     @property
     def channels(self) -> int:
         return self.w_key.shape[0]
 
+    @staticmethod
+    def shapes(channels: int) -> list[tuple[str, tuple[int, ...]]]:
+        """``(field, shape)`` of every parameter in field order, each weight before its bias."""
+        c = channels
+        parts = (("query", 3), ("key", c), ("value", c), ("gamma", c), ("beta", c))
+        return [pair for part, fan_in in parts for pair in ((f"w_{part}", (c, fan_in)), (f"b_{part}", (c,)))]
+
     @classmethod
     def create(cls, channels: int, rng: np.random.Generator) -> "SrinParams":
-        def u(shape, fan_in):
-            a = np.sqrt(1.0 / fan_in)
-            return Tensor(rng.uniform(-a, a, size=shape), requires_grad=True)
-
-        return cls(
-            w_query=u((channels, 3), 3), b_query=u((channels,), 3),
-            w_key=u((channels, channels), channels), b_key=u((channels,), channels),
-            w_value=u((channels, channels), channels), b_value=u((channels,), channels),
-            w_gamma=u((channels, channels), channels), b_gamma=u((channels,), channels),
-            w_beta=u((channels, channels), channels), b_beta=u((channels,), channels),
-        )
+        """Parameters drawn from ``rng`` with ``uniform_init``'s law, in field order."""
+        shapes = cls.shapes(channels)
+        arrays = uniform_init([shape for _, shape in shapes], rng)
+        return cls(**{name: Tensor(a, requires_grad=True) for (name, _), a in zip(shapes, arrays)})
 
     def named(self) -> list[tuple[str, Tensor]]:
         """``("block.<field>", tensor)`` in field order, which is the checkpoint order."""
@@ -120,18 +136,13 @@ class SrinResult:
         return Tensor(full)
 
 
-def _std(var: Tensor) -> Tensor:
-    return tc.sqrt(tc.add_scalar(var, EPS_DEFAULT))
-
-
 def region_instance_norm(feat: Tensor, mask_f) -> Tensor:
     """Standardize all sites by the masked region's per-channel mean and std.
 
     The region must hold a site: ``tensor.masked_channel_stats`` raises
     ``ShapeError`` on an empty one.
     """
-    mean, var = tc.masked_channel_stats(feat, mask_f)
-    return tc.normalize_channels(feat, mean, _std(var))
+    return tc.normalize_channels(feat, *tc.masked_channel_stats(feat, mask_f))
 
 
 def degenerate_mask(mask_f: np.ndarray) -> bool:
@@ -153,8 +164,8 @@ def rain_forward(feat: Tensor, mask_f) -> Tensor:
     if degenerate_mask(m):
         return feat
     normed = region_instance_norm(feat, m)
-    bg_mean, bg_var = tc.masked_channel_stats(feat, 1.0 - m)
-    return tc.modulate(normed, feat, _std(bg_var), bg_mean, m.astype(np.intp) - 1)
+    bg_mean, bg_std = tc.masked_channel_stats(feat, 1.0 - m)
+    return tc.modulate(normed, feat, bg_std, bg_mean, m.astype(np.intp) - 1)
 
 
 def _colour_classes(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,10 +1,10 @@
 """Central-difference gradient verification.
 
-``grad_check`` compares reverse-mode gradients against (f(x+h) - f(x-h)) / 2h
-per coordinate. The relative error for a coordinate is
-|a - n| / max(1, |a|, |n|); a check passes when the maximum over all checked
-coordinates is at or below the tolerance. Reports render as one plain-text
-line: ``op=<name> max_rel_err=<value> pass=<bool>``.
+``grad_check`` compares reverse-mode gradients of ``sum(weights * fn(x))``
+against (f(x+h) - f(x-h)) / 2h per coordinate. The relative error for a
+coordinate is |a - n| / max(1, |a|, |n|); a check passes when the maximum
+over all checked coordinates is at or below the tolerance. Reports render as
+one plain-text line: ``op=<name> max_rel_err=<value> pass=<bool>``.
 """
 
 from __future__ import annotations
@@ -36,29 +36,31 @@ def grad_check(
     h: float = 1e-5,
     tol: float = 1e-4,
     name: str = "fn",
+    weights: Optional[np.ndarray] = None,
 ) -> GradCheckResult:
-    """Check the reverse-mode gradient of a pure scalar-valued function.
+    """Check the reverse-mode gradient of ``sum(weights * fn(inputs))``.
 
-    ``fn`` receives ``inputs`` (each with ``requires_grad=True``) and must
-    return a scalar Tensor. It is re-evaluated with nudged coordinates, so it
-    must be deterministic and must not mutate its inputs.
+    ``fn`` receives ``inputs`` (each with ``requires_grad=True``) and returns
+    a Tensor; ``weights`` is an array of its shape, and may be left out for a
+    scalar output. The backward is seeded with ``weights`` (a vector-Jacobian
+    product) and the numeric side sums ``weights * fn(inputs)`` in numpy.
+    ``fn`` is re-evaluated with nudged coordinates, so it must be
+    deterministic and must not mutate its inputs.
     """
     for t in inputs:
         t.zero_grad()
         t.requires_grad = True
 
     with Graph() as graph:
-        out = fn(inputs)
-        if out.data.size != 1:
-            raise ValueError(f"grad_check: {name} must return a scalar, got shape {out.shape}")
-        graph.backward(out)
+        graph.backward(fn(inputs), weights)
 
     analytic = [t.grad.copy() if t.grad is not None else np.zeros_like(t.data) for t in inputs]
     for t in inputs:
         t.zero_grad()
+    w = 1.0 if weights is None else np.asarray(weights, dtype=np.float64)
 
     def eval_scalar() -> float:
-        return float(fn(inputs).data)
+        return float(np.sum(w * fn(inputs).data))
 
     max_err = 0.0
     worst: Optional[tuple[int, int]] = None

@@ -3,8 +3,16 @@
 A ``Tensor`` wraps a flat row-major numpy buffer; operations are module-level
 functions that compute forward values eagerly and, when a ``Graph`` is active
 and an operand requires gradients, append a record to the tape. ``Graph.backward``
-walks the tape in exact reverse execution order, accumulating gradients into
+seeds the root's gradient (1 for a scalar, or given weights) and walks the
+tape in exact reverse execution order, accumulating gradients into
 ``Tensor.grad`` buffers.
+
+There are no generic arithmetic ops. Besides the layers (the convolutions,
+``relu``, ``crop``, the attention and the statistics), each step of the
+network that needs elementwise arithmetic has one op of its own:
+``normalize_channels`` and ``modulate`` for the normalization blocks,
+``compose_residual`` for the head's residual composition onto the composite,
+and ``l1_loss`` for the training loss.
 
 Everything is float64 and single-threaded: importing ``harmlab`` pins the
 BLAS pool to one thread, so identical inputs produce bit-identical outputs
@@ -24,6 +32,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ShapeError
+
+EPS_DEFAULT = 1e-5  # added to variances before the square root
 
 
 class Tensor:
@@ -120,27 +130,34 @@ class Graph:
         _active.reset(self._token)
         return False
 
-    def backward(self, root: Tensor) -> None:
-        """Seed d(root)/d(root) = 1 and accumulate gradients along the tape."""
-        if root.data.size != 1:
-            raise ShapeError(f"backward needs a scalar root, got shape {root.shape}")
-        root.grad = np.ones_like(root.data)
+    def backward(self, root: Tensor, grad=None) -> None:
+        """Seed d(root)/d(root) with ``grad`` and accumulate gradients along the tape.
+
+        ``grad`` is an array of ``root``'s shape, copied into ``root.grad``;
+        left out, it is 1 for a scalar root. Seeding with weights ``W`` gives
+        every input the gradient of ``sum(W * root)``.
+        """
+        if grad is None:
+            if root.data.size != 1:
+                raise ShapeError(f"backward needs a seed for a non-scalar root, got shape {root.shape}")
+            grad = np.ones_like(root.data)
+        seed = np.array(grad, dtype=np.float64)
+        if seed.shape != root.shape:
+            raise ShapeError(f"backward: seed shape {seed.shape} does not match root shape {root.shape}")
+        root.grad = seed
         for rec in reversed(self.records):
             if any(o.grad is not None for o in rec.outs):
                 rec.fn()
 
 
-def _accum(t: Tensor, g: np.ndarray, shared: bool = False) -> None:
-    """Add ``g`` into ``t.grad``.
-
-    The first touch adopts ``g`` as the gradient buffer (copying it only to
-    make it C-contiguous float64), or takes a private copy when ``shared``
-    says ``g`` is, or is a view of, another tensor's gradient.
-    """
+def _accum(t: Tensor, g: np.ndarray) -> None:
+    """Add ``g`` into ``t.grad``; the first touch adopts ``g`` as the buffer,
+    copying it only to make it C-contiguous float64. No op hands over its
+    output gradient or a view of it, so an adopted buffer is never shared."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.array(g, dtype=np.float64, order="C") if shared else np.asarray(g, dtype=np.float64, order="C")
+        t.grad = np.asarray(g, dtype=np.float64, order="C")
     else:
         t.grad += g
 
@@ -158,8 +175,8 @@ def _op(op: str, inputs: tuple[Tensor, ...], data: np.ndarray, *grads: Callable[
 
     On backward, ``grads[i]`` maps the output gradient to the gradient of
     ``inputs[i]``, in input order; it is skipped for inputs that do not
-    require a gradient. A result that shares memory with the output
-    gradient (an identity gradient) is copied on first touch.
+    require a gradient. No ``grads[i]`` returns the output gradient or a
+    view of it (``_accum`` adopts what it gets).
     """
     out = _wrap(np.asarray(data, dtype=np.float64), None, False)
 
@@ -167,8 +184,7 @@ def _op(op: str, inputs: tuple[Tensor, ...], data: np.ndarray, *grads: Callable[
         g = out.grad
         for t, grad in zip(inputs, grads):
             if t.requires_grad:
-                dt = grad(g)
-                _accum(t, dt, np.may_share_memory(dt, g))
+                _accum(t, grad(g))
 
     _maybe_record(op, (out,), inputs, bwd)
     return out
@@ -187,51 +203,22 @@ def as_site_mask(mask, h: int, w: int) -> np.ndarray:
 # elementwise and structural operations
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"add: shapes {a.shape} and {b.shape} differ")
-    return _op("add", (a, b), a.data + b.data, lambda g: g, lambda g: g)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"sub: shapes {a.shape} and {b.shape} differ")
-    return _op("sub", (a, b), a.data - b.data, lambda g: g, lambda g: -g)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"mul: shapes {a.shape} and {b.shape} differ")
-    return _op("mul", (a, b), a.data * b.data, lambda g: g * b.data, lambda g: g * a.data)
-
-
-def add_scalar(a: Tensor, s: float) -> Tensor:
-    return _op("add_scalar", (a,), a.data + s, lambda g: g)
-
-
 def relu(a: Tensor) -> Tensor:
     return _op("relu", (a,), np.maximum(a.data, 0.0), lambda g: g * (a.data > 0.0))
 
 
-def absolute(a: Tensor) -> Tensor:
-    """|a|, with subgradient sign(a) and sign(0) = 0."""
-    return _op("absolute", (a,), np.abs(a.data), lambda g: g * np.sign(a.data))
+def l1_loss(out: Tensor, real, offset: float, scale: float) -> Tensor:
+    """The scalar ``(sum |out - real| + offset) * scale``, summed and scaled in that order.
 
-
-def sqrt(a: Tensor) -> Tensor:
-    if np.any(a.data < 0.0):
-        raise ValueError("sqrt: negative input")
-    root = np.sqrt(a.data)
-    return _op("sqrt", (a,), root, lambda g: g / (2.0 * root))
-
-
-def clamp01(a: Tensor) -> Tensor:
-    """Clamp to [0, 1]; identity (and gradient 1) on in-range values."""
-    return _op("clamp01", (a,), np.clip(a.data, 0.0, 1.0), lambda g: g * ((a.data >= 0.0) & (a.data <= 1.0)))
-
-
-def sum_all(a: Tensor) -> Tensor:
-    return _op("sum_all", (a,), np.sum(a.data), lambda g: np.full_like(a.data, float(g)))
+    ``real`` is a constant array of ``out``'s shape. ``out``'s gradient is
+    ``g * scale`` times sign(out - real), with sign(0) = 0.
+    """
+    real = np.asarray(real, dtype=np.float64)
+    if real.shape != out.shape:
+        raise ShapeError(f"l1_loss: shapes {out.shape} and {real.shape} differ")
+    diff = out.data - real
+    total = (np.sum(np.abs(diff)) + offset) * scale
+    return _op("l1_loss", (out,), total, lambda g: np.full_like(diff, float(g * scale)) * np.sign(diff))
 
 
 def crop(a: Tensor, top: int, bottom: int, left: int, right: int) -> Tensor:
@@ -257,13 +244,20 @@ def crop(a: Tensor, top: int, bottom: int, left: int, right: int) -> Tensor:
 # masked selection and modulation (masks and index maps are constant site selectors)
 
 
-def blend(fg: Tensor, bg: Tensor, mask) -> Tensor:
-    """Select fg where mask=1 and bg where mask=0, exactly (no arithmetic mixing)."""
-    if fg.shape != bg.shape or fg.data.ndim != 3:
-        raise ShapeError(f"blend: shapes {fg.shape} and {bg.shape} must be equal [C, H, W]")
-    m = as_site_mask(mask, fg.shape[1], fg.shape[2])
-    sel = m.astype(bool)[None]
-    return _op("blend", (fg, bg), np.where(sel, fg.data, bg.data), lambda g: g * m[None], lambda g: g * (1.0 - m)[None])
+def compose_residual(delta: Tensor, comp, mask) -> Tensor:
+    """``clip(delta + comp, 0, 1)`` at mask=1 sites and exactly ``comp`` at mask=0 sites.
+
+    ``delta`` and the constant ``comp`` are [C, H, W] maps. ``delta``'s
+    gradient is ``g`` where the mask is 1 and ``delta + comp`` lies in
+    [0, 1], and 0 elsewhere.
+    """
+    comp = np.asarray(comp, dtype=np.float64)
+    if comp.shape != delta.shape or delta.data.ndim != 3:
+        raise ShapeError(f"compose_residual: shapes {delta.shape} and {comp.shape} must be equal [C, H, W]")
+    sel = as_site_mask(mask, delta.shape[1], delta.shape[2]).astype(bool)[None]
+    total = delta.data + comp
+    keep = sel & (total >= 0.0) & (total <= 1.0)
+    return _op("compose_residual", (delta,), np.where(sel, np.clip(total, 0.0, 1.0), comp), lambda g: g * keep)
 
 
 def modulate(x: Tensor, base: Tensor, scale: Tensor, shift: Tensor, index) -> Tensor:
@@ -590,6 +584,14 @@ def up_conv3x3(low: Tensor, skip: Tensor, w: Tensor, bias: Tensor, region: tuple
     ``_tap_sums_backward`` over the same taps, and ``skip`` gets a gradient
     only when it requires one.
     """
+    top, bottom, left, right = region
+    low_sites = ((bottom + 1) // 2 - top // 2) * ((right + 1) // 2 - left // 2)
+    return _up_conv3x3(low, skip, w, bias, region, low_at, skip_at, low_sites >= _FOLD_MIN_SITES)
+
+
+def _up_conv3x3(low: Tensor, skip: Tensor, w: Tensor, bias: Tensor, region: tuple[int, int, int, int],
+                low_at: tuple[int, int], skip_at: tuple[int, int], folded: bool) -> Tensor:
+    """``up_conv3x3`` in the layout that ``folded`` names."""
     if low.data.ndim != 3 or skip.data.ndim != 3 or w.data.ndim != 4 or w.shape[2:] != (3, 3):
         raise ShapeError(f"up_conv3x3: need low and skip [C, H, W] and w [C_out, C_in, 3, 3], "
                          f"got {low.shape}, {skip.shape}, {w.shape}")
@@ -604,7 +606,6 @@ def up_conv3x3(low: Tensor, skip: Tensor, w: Tensor, bias: Tensor, region: tuple
     h, wd = bottom - top, right - left
     l0, m0 = top // 2, left // 2  # the first low-res site under the region
     hl, wl = (bottom + 1) // 2 - l0, (right + 1) // 2 - m0
-    folded = hl * wl >= _FOLD_MIN_SITES
     phases = [(a, b) for a in range(2) for b in range(2)]
     if folded:
         p = wl + 2
@@ -737,9 +738,10 @@ def region_attention(query: Tensor, key: Tensor, value: Tensor, mask) -> Tensor:
 
 
 def masked_channel_stats(feat: Tensor, mask) -> tuple[Tensor, Tensor]:
-    """Per-channel mean and biased variance of a [C, H, W] map over mask=1 sites.
+    """Per-channel mean and standard deviation of a [C, H, W] map over mask=1 sites.
 
-    Returns ``(mean, var)``; a mask that selects no site is a ``ShapeError``.
+    Returns ``(mean, std)`` with ``std = sqrt(var + EPS_DEFAULT)`` and ``var``
+    the biased variance; a mask that selects no site is a ``ShapeError``.
     Differentiable in ``feat``; the mask is a constant. The selected columns
     are gathered once and reduced, and the backward scatters into a zero map.
     """
@@ -754,19 +756,20 @@ def masked_channel_stats(feat: Tensor, mask) -> tuple[Tensor, Tensor]:
     cols = feat.data.reshape(c, n)[:, sites]  # [C, count]
     mean_d = cols.sum(axis=1) / count
     centered = cols - mean_d[:, None]
-    var_d = (centered * centered).sum(axis=1) / count
+    std_d = np.sqrt((centered * centered).sum(axis=1) / count + EPS_DEFAULT)
     mean_t = _wrap(mean_d, None, False)
-    var_t = _wrap(var_d, None, False)
+    std_t = _wrap(std_d, None, False)
 
     def bwd():
         g_cols = np.zeros_like(cols)
         if mean_t.grad is not None:
             g_cols += mean_t.grad[:, None] / count
-        if var_t.grad is not None:
-            g_cols += var_t.grad[:, None] * (2.0 / count) * centered
+        if std_t.grad is not None:
+            g_var = std_t.grad / (2.0 * std_d)
+            g_cols += g_var[:, None] * (2.0 / count) * centered
         gx = np.zeros((c, n), dtype=np.float64)
         gx[:, sites] = g_cols
         _accum(feat, gx.reshape(c, h, w))
 
-    _maybe_record("masked_channel_stats", (mean_t, var_t), (feat,), bwd)
-    return mean_t, var_t
+    _maybe_record("masked_channel_stats", (mean_t, std_t), (feat,), bwd)
+    return mean_t, std_t

@@ -13,10 +13,11 @@ the output is the composite, so that part of the sum is a per-sample
 constant ``c`` that no parameter reaches (0 on synthetic data, whose
 background matches by construction). Training therefore runs the network on
 ``F`` only (``GeneratorModel.forward_box``) and takes the loss
-``(sum over F of |out - real| + c)`` times ``1 / (3 S^2)``: the full-frame
-mean up to rounding, whose gradient at every output pixel is the mean's,
-bit for bit. ``c`` and every other per-sample constant of the forward pass
-are worked out once per ``train`` call (``prepare_sample``).
+``(sum over F of |out - real| + c)`` times ``1 / (3 S^2)``, one
+``tensor.l1_loss`` record: the full-frame mean up to rounding, whose gradient
+at every output pixel is the mean's, bit for bit. ``c`` and every other
+per-sample constant of the forward pass are worked out once per ``train``
+call (``prepare_sample``).
 
 Evaluation (``unet_forward``) pastes the same ``forward_box`` into the
 composite in numpy, one sample after another, and orders the report by
@@ -48,7 +49,7 @@ class PreparedSample:
     degenerate-block flag."""
 
     windows: Windows
-    real_box: Tensor
+    real_box: np.ndarray
     outside_l1: float
     degenerate: bool
 
@@ -61,7 +62,7 @@ def prepare_sample(model: GeneratorModel, sample: Sample) -> PreparedSample:
     outside = np.abs(comp - real)
     outside[:, top:bottom, left:right] = 0.0
     return PreparedSample(
-        win, Tensor(real[:, top:bottom, left:right]), float(outside.sum()),
+        win, real[:, top:bottom, left:right], float(outside.sum()),
         win.mask_f is not None and degenerate_mask(win.mask_f),
     )
 
@@ -74,9 +75,8 @@ def sample_loss(model: GeneratorModel, prep: PreparedSample) -> Tensor:
     Every box element's gradient is the full-frame mean's, bit for bit:
     ``sign(out - real) / (3 S^2)``, with sign(0) = 0.
     """
-    out = model.forward_box(prep.windows)
-    total = tc.add_scalar(tc.sum_all(tc.absolute(tc.sub(out, prep.real_box))), prep.outside_l1)
-    return tc.mul(total, Tensor(1.0 / (3 * model.config.size ** 2)))
+    return tc.l1_loss(model.forward_box(prep.windows), prep.real_box, prep.outside_l1,
+                      1.0 / (3 * model.config.size ** 2))
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,10 @@ stride-2 encoder convolutions, applies the configured bottleneck block with
 the mask and semantic map resampled to feature resolution, then decodes:
 each decoder stage is one ``tensor.up_conv3x3``, the relu of a 3x3 conv over
 the nearest x2 upsample of the deeper map concatenated with the skip, which
-never builds either map. The 3-channel output head is residual: its
-prediction is added to the composite, clamped to [0, 1], and composed with the
-composite so background pixels pass through exactly.
+never builds either map. The 3-channel output head is residual: one op,
+``tensor.compose_residual``, adds its prediction to the composite and clamps
+the sum to [0, 1] on the foreground, and passes background pixels through
+exactly.
 
 The composite, the mask and the semantic map are constants; only the
 parameters learn. ``GeneratorModel.windows`` checks a sample and builds every
@@ -23,9 +24,9 @@ low-res input on ``need[k]``, whose nearest x2 upsample covers ``need[k - 1]``
 grown by one site, every interval clipped to its map. Each stage reads its
 low-res input (the bottleneck, for the first) and its skip in place, so it
 reads true values on the ring around its region and zeros only outside the
-map. The head's output is cropped to ``F``, where the residual add, the clamp
-and the composition run; evaluation (``forward_tensor``) pastes that box into
-a copy of the composite in numpy. A box that is the whole map decodes the
+map. The head's output is cropped to ``F``, where ``compose_residual`` runs;
+evaluation (``forward_tensor``) pastes that box into a copy of the composite
+in numpy. A box that is the whole map decodes the
 whole frame with no crop.
 
 ``need[stages]`` is the decode window: the bottleneck cells, each the 2^stages
@@ -58,7 +59,7 @@ from typing import Optional
 import numpy as np
 
 from . import tensor as tc
-from .blocks import SrinParams, rain_forward, srin_forward
+from .blocks import SrinParams, rain_forward, srin_forward, uniform_init
 from .errors import CheckpointError, ConfigError, ShapeError
 from .imaging import Image, Mask, PathLike
 from .tensor import Tensor
@@ -132,7 +133,7 @@ class Windows:
     mask_f: Optional[np.ndarray]
     sem_f: Optional[np.ndarray]
     stack: Tensor
-    comp_box: Tensor
+    comp_box: np.ndarray
 
 
 class GeneratorModel:
@@ -187,9 +188,7 @@ class GeneratorModel:
         for i in range(1, config.stages + 1):
             out += conv(f"enc{i}", chans[i - 1], chans[i])
         if config.block == "srin":
-            c = chans[-1]
-            for part, fan_in in (("query", 3), ("key", c), ("value", c), ("gamma", c), ("beta", c)):
-                out += [(f"block.w_{part}", (c, fan_in)), (f"block.b_{part}", (c,))]
+            out += [(f"block.{name}", shape) for name, shape in SrinParams.shapes(chans[-1])]
         for i in range(config.stages, 0, -1):
             # upsampled features plus the skip in; the shallowest decoder outputs base_channels
             out += conv(f"dec{i}", chans[i] + chans[i - 1], chans[max(i - 1, 1)])
@@ -199,16 +198,13 @@ class GeneratorModel:
     def build(cls, config: UNetConfig, seed: int = 0) -> "GeneratorModel":
         # Block parameters come from their own stream so the convolution init
         # is identical across block settings (ablations compare blocks, not
-        # accidental init shifts).
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0])))
-        rng_block = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 1])))
-        arrays = []
-        for name, shape in cls.param_shapes(config):
-            if len(shape) > 1:  # a weight; the bias after it shares its bound
-                bound = np.sqrt(1.0 / math.prod(shape[1:]))
-            stream = rng_block if name.startswith("block.") else rng
-            arrays.append(stream.uniform(-bound, bound, size=shape))
-        return cls.from_arrays(config, arrays)
+        # accidental init shifts). Each stream draws its parameters in order.
+        named = cls.param_shapes(config)
+        streams = [np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, part]))) for part in (0, 1)]
+        part_of = [int(name.startswith("block.")) for name, _ in named]
+        draws = [iter(uniform_init([shape for (_, shape), p in zip(named, part_of) if p == part], stream))
+                 for part, stream in enumerate(streams)]
+        return cls.from_arrays(config, [next(draws[p]) for p in part_of])
 
     @classmethod
     def from_arrays(cls, config: UNetConfig, arrays: list[np.ndarray]) -> "GeneratorModel":
@@ -263,7 +259,7 @@ class GeneratorModel:
         top, bottom, left, right = (v << stages for v in enc)
         stack = Tensor(np.concatenate([comp[:, top:bottom, left:right], m[None, top:bottom, left:right]]))
         top, bottom, left, right = box
-        return Windows(m, box, tuple(need), enc, mask_f, sem_f, stack, Tensor(comp[:, top:bottom, left:right]))
+        return Windows(m, box, tuple(need), enc, mask_f, sem_f, stack, comp[:, top:bottom, left:right])
 
     def forward_box(self, win: Windows) -> Tensor:
         """The composed output on the foreground's box ``win.box``, [3, h, w].
@@ -293,7 +289,7 @@ class GeneratorModel:
         top, bottom, left, right = win.box
         delta = tc.crop(tc.conv3x3(cur, self.head[0], self.head[1], stride=1),
                         top - low_at[0], bottom - low_at[0], left - low_at[1], right - low_at[1])
-        return tc.blend(tc.clamp01(tc.add(delta, win.comp_box)), win.comp_box, win.mask[top:bottom, left:right])
+        return tc.compose_residual(delta, win.comp_box, win.mask[top:bottom, left:right])
 
     def forward_tensor(self, composite: np.ndarray, mask: np.ndarray, semantic: np.ndarray) -> np.ndarray:
         """Run the network; returns the composed [3, S, S] output as an array.

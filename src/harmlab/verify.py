@@ -11,17 +11,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from typing import Callable, Sequence
-from unittest.mock import patch
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import tensor as tc
-from .blocks import EPS_DEFAULT, SrinParams, rain_forward, region_instance_norm, srin_forward
+from .blocks import SrinParams, rain_forward, region_instance_norm, srin_forward
 from .gradcheck import GradCheckResult, grad_check
 from .imaging import Image, Mask
 from .synthdata import Sample
-from .tensor import Tensor
+from .tensor import EPS_DEFAULT, Tensor
 from .training import prepare_sample, sample_loss
 from .unet import GeneratorModel, UNetConfig
 
@@ -128,10 +127,6 @@ def random_srin_instance(rng: np.random.Generator, c_max: int = 3, hw_max: int =
 # helpers
 
 
-def _weighted_sum(t: Tensor, w: np.ndarray) -> Tensor:
-    return tc.sum_all(tc.mul(t, Tensor(w)))
-
-
 def _value_check(name: str, violation: float, limit: float) -> GradCheckResult:
     return GradCheckResult(name=name, max_rel_err=violation, passed=violation <= limit)
 
@@ -141,90 +136,58 @@ def _value_check(name: str, violation: float, limit: float) -> GradCheckResult:
 
 
 def op_grad_checks(tol: float = DEFAULT_TOL, h: float = DEFAULT_H) -> list[GradCheckResult]:
+    """One check per tape op, each of ``sum(W * op(x))`` for random weights ``W``."""
     rng = np.random.default_rng(20240521)
     results = []
 
-    def check(name: str, fn: Callable[[Sequence[Tensor]], Tensor], arrays: Sequence[np.ndarray]):
-        results.append(grad_check(fn, [Tensor(a.copy()) for a in arrays], h=h, tol=tol, name=name))
+    def check(name: str, fn: Callable[[Sequence[Tensor]], Tensor], arrays: Sequence[np.ndarray],
+              weights: Optional[np.ndarray] = None):
+        results.append(grad_check(fn, [Tensor(a.copy()) for a in arrays], h=h, tol=tol, name=name, weights=weights))
 
-    a34 = rng.normal(size=(3, 4))
-    b34 = rng.normal(size=(3, 4))
+    # keep inputs clear of the kinks: relu's at 0, compose_residual's where
+    # delta + comp is 0 or 1, and l1_loss's where out equals real
     w34 = rng.normal(size=(3, 4))
-    check("add", lambda ts: _weighted_sum(tc.add(ts[0], ts[1]), w34), [a34, b34])
-    check("sub", lambda ts: _weighted_sum(tc.sub(ts[0], ts[1]), w34), [a34, b34])
-    check("mul", lambda ts: _weighted_sum(tc.mul(ts[0], ts[1]), w34), [a34, b34])
-    check("add_scalar", lambda ts: _weighted_sum(tc.add_scalar(ts[0], 0.37), w34), [a34])
-    check("sum_all", lambda ts: tc.sum_all(ts[0]), [a34])
-
-    # keep inputs clear of the kinks at 0 (relu, absolute) and 0/1 (clamp01)
     nudged = rng.normal(size=(3, 4))
     nudged = np.where(np.abs(nudged) < 0.05, 0.25, nudged)
-    check("relu", lambda ts: _weighted_sum(tc.relu(ts[0]), w34), [nudged])
-    check("absolute", lambda ts: _weighted_sum(tc.absolute(ts[0]), w34), [nudged])
-    interior = rng.uniform(0.1, 0.9, size=(3, 4))
-    check("clamp01", lambda ts: _weighted_sum(tc.clamp01(ts[0]), w34), [interior])
-    positive = rng.uniform(0.5, 2.0, size=(3, 4))
-    check("sqrt", lambda ts: _weighted_sum(tc.sqrt(ts[0]), w34), [positive])
-
-    x233 = rng.normal(size=(2, 3, 3))
-    y233 = rng.normal(size=(2, 3, 3))
+    check("relu", lambda ts: tc.relu(ts[0]), [nudged], w34)
+    real = rng.normal(size=(3, 4))
+    out = np.where(np.abs(nudged - real) < 0.05, real + 0.25, nudged)
+    check("l1_loss", lambda ts: tc.l1_loss(ts[0], real, 0.37, 0.25), [out])
 
     site_mask = (rng.uniform(size=(3, 3)) < 0.5).astype(np.float64)
     site_mask[0, 0] = 1.0
     site_mask[2, 2] = 0.0
     w233 = rng.normal(size=(2, 3, 3))
-    check("blend", lambda ts: _weighted_sum(tc.blend(ts[0], ts[1], site_mask), w233), [x233, y233])
+    comp = rng.uniform(0.2, 0.8, size=(2, 3, 3))
+    delta = rng.uniform(-1.0, 1.0, size=(2, 3, 3))
+    delta = np.where(np.minimum(np.abs(delta + comp), np.abs(delta + comp - 1.0)) < 0.05, 0.5 - comp, delta)
+    check("compose_residual", lambda ts: tc.compose_residual(ts[0], comp, site_mask), [delta], w233)
 
+    x233 = rng.normal(size=(2, 3, 3))
     pos2 = rng.uniform(0.5, 1.5, size=2)
-    check(
-        "normalize_channels",
-        lambda ts: _weighted_sum(tc.normalize_channels(ts[0], ts[1], ts[2]), w233),
-        [x233, rng.normal(size=2), pos2],
-    )
+    check("normalize_channels", lambda ts: tc.normalize_channels(*ts), [x233, rng.normal(size=2), pos2], w233)
 
-    w344 = rng.normal(size=(3, 4, 4))
-    check(
-        "conv1x1",
-        lambda ts: _weighted_sum(tc.conv1x1(ts[0], ts[1], ts[2]), w344),
-        [rng.normal(size=(2, 4, 4)), rng.normal(size=(3, 2)), rng.normal(size=3)],
-    )
+    check("conv1x1", lambda ts: tc.conv1x1(*ts), [rng.normal(size=(2, 4, 4)), rng.normal(size=(3, 2)),
+                                                  rng.normal(size=3)], rng.normal(size=(3, 4, 4)))
     x355 = rng.normal(size=(3, 5, 5))
     k233 = 0.4 * rng.normal(size=(2, 3, 3, 3))
     bias2 = rng.normal(size=2)
-    w255 = rng.normal(size=(2, 5, 5))
-    check(
-        "conv3x3_s1",
-        lambda ts: _weighted_sum(tc.conv3x3(ts[0], ts[1], ts[2], stride=1), w255),
-        [x355, k233, bias2],
-    )
-    w2s = rng.normal(size=(2, 3, 3))
-    check(
-        "conv3x3_s2",
-        lambda ts: _weighted_sum(tc.conv3x3(ts[0], ts[1], ts[2], stride=2), w2s),
-        [x355, k233, bias2],
-    )
+    check("conv3x3_s1", lambda ts: tc.conv3x3(*ts, stride=1), [x355, k233, bias2], rng.normal(size=(2, 5, 5)))
+    check("conv3x3_s2", lambda ts: tc.conv3x3(*ts, stride=2), [x355, k233, bias2], rng.normal(size=(2, 3, 3)))
     # the query map's first column holds the three [2]-channel queries
     query_map, key_map, value_map = (rng.normal(size=(2, 3, 3)) for _ in range(3))
-    check(
-        "region_attention",
-        lambda ts: _weighted_sum(tc.region_attention(ts[0], ts[1], ts[2], site_mask), w233[:, :, :1]),
-        [query_map[:, :, :1], key_map, value_map],
-    )
+    check("region_attention", lambda ts: tc.region_attention(*ts, site_mask),
+          [query_map[:, :, :1], key_map, value_map], w233[:, :, :1])
 
     stat_mask = (rng.uniform(size=(4, 4)) < 0.5).astype(np.float64)
     stat_mask[1, 1] = 1.0
-    wc = rng.normal(size=3)
-    wc2 = rng.normal(size=3)
-
-    def stats_fn(ts):
-        mean, var = tc.masked_channel_stats(ts[0], stat_mask)
-        return tc.add(_weighted_sum(mean, wc), _weighted_sum(var, wc2))
-
-    check("masked_channel_stats", stats_fn, [rng.normal(size=(3, 4, 4))])
+    stat_feat = rng.normal(size=(3, 4, 4))
+    for i, part in enumerate(("mean", "std")):
+        check(f"masked_channel_stats_{part}", lambda ts: tc.masked_channel_stats(ts[0], stat_mask)[i],
+              [stat_feat], rng.normal(size=3))
 
     x245 = rng.normal(size=(2, 4, 5))
-    w245 = rng.normal(size=(2, 4, 5))
-    check("crop", lambda ts: _weighted_sum(tc.crop(ts[0], 1, 3, 1, 4), w245[:, 1:3, 1:4]), [x245])
+    check("crop", lambda ts: tc.crop(ts[0], 1, 3, 1, 4), [x245], rng.normal(size=(2, 2, 3)))
 
     # The conv backward stacks the output gradient for each phase grid that
     # needs a gradient and has more channels than C_out, and makes per-tap
@@ -232,33 +195,24 @@ def op_grad_checks(tol: float = DEFAULT_TOL, h: float = DEFAULT_H) -> list[GradC
     # (C_out < C_in); these widen (C_out > C_in). up_conv3x3 runs each of its
     # layouts narrowing (every grid stacked) and widening (none), on a region
     # at the skip map's bottom and left edges with an odd top row.
-    x245w = rng.normal(size=(2, 4, 5))
     k323 = 0.4 * rng.normal(size=(3, 2, 3, 3))
     bias3 = rng.normal(size=3)
-    w345 = rng.normal(size=(3, 4, 5))
-    check(
-        "conv3x3_s1_widening",
-        lambda ts: _weighted_sum(tc.conv3x3(ts[0], ts[1], ts[2], stride=1), w345),
-        [x245w, k323, bias3],
-    )
-    w323 = rng.normal(size=(3, 2, 3))
-    check(
-        "conv3x3_s2_widening",
-        lambda ts: _weighted_sum(tc.conv3x3(ts[0], ts[1], ts[2], stride=2), w323),
-        [x245w, k323, bias3],
-    )
-    for layout, min_sites in (("concat", 1 << 30), ("folded", 0)):
+    check("conv3x3_s1_widening", lambda ts: tc.conv3x3(*ts, stride=1), [x245, k323, bias3],
+          rng.normal(size=(3, 4, 5)))
+    check("conv3x3_s2_widening", lambda ts: tc.conv3x3(*ts, stride=2), [x245, k323, bias3],
+          rng.normal(size=(3, 2, 3)))
+    for layout, folded in (("concat", False), ("folded", True)):
         for shape, (c_low, c_skip, c_out) in (("narrowing", (3, 2, 1)), ("widening", (2, 1, 3))):
-            w_out = rng.normal(size=(c_out, 5, 4))
-            with patch.object(tc, "_FOLD_MIN_SITES", min_sites):  # the layout's side of the rule
-                check(f"up_conv3x3_{layout}_{shape}", lambda ts: _weighted_sum(tc.up_conv3x3(*ts, (1, 6, 0, 4)), w_out),
-                      [rng.normal(size=(c_low, 3, 3)), rng.normal(size=(c_skip, 6, 5)),
-                       0.4 * rng.normal(size=(c_out, c_low + c_skip, 3, 3)), rng.normal(size=c_out)])
+            check(f"up_conv3x3_{layout}_{shape}",
+                  lambda ts: tc._up_conv3x3(*ts, (1, 6, 0, 4), (0, 0), (0, 0), folded),
+                  [rng.normal(size=(c_low, 3, 3)), rng.normal(size=(c_skip, 6, 5)),
+                   0.4 * rng.normal(size=(c_out, c_low + c_skip, 3, 3)), rng.normal(size=c_out)],
+                  rng.normal(size=(c_out, 5, 4)))
     # class 1 holds no site, so its scale and shift gradients are exactly 0
     classes = np.array([[0, -1, 2], [2, 0, -1], [-1, 2, 2]])
-    w_mod = rng.normal(size=(2, 3, 3))
-    check("modulate", lambda ts: _weighted_sum(tc.modulate(*ts, classes), w_mod),
-          [rng.normal(size=shape) for shape in ((2, 3, 3), (2, 3, 3), (2, 3, 1), (2, 3, 1))])
+    check("modulate", lambda ts: tc.modulate(*ts, classes),
+          [rng.normal(size=shape) for shape in ((2, 3, 3), (2, 3, 3), (2, 3, 1), (2, 3, 1))],
+          rng.normal(size=(2, 3, 3)))
     return results
 
 
@@ -272,25 +226,17 @@ def block_grad_checks(tol: float = DEFAULT_TOL, h: float = DEFAULT_H) -> list[Gr
     wmap = rng.normal(size=(3, 4, 4))
     feat = rng.normal(size=(3, 4, 4))
 
-    results.append(grad_check(lambda ts: _weighted_sum(region_instance_norm(ts[0], mask), wmap),
-                              [Tensor(feat.copy())], h=h, tol=tol, name="region_instance_norm"))
-
-    results.append(
-        grad_check(
-            lambda ts: _weighted_sum(rain_forward(ts[0], mask), wmap),
-            [Tensor(feat.copy())],
-            h=h, tol=tol, name="rain_forward",
-        )
-    )
+    results.append(grad_check(lambda ts: region_instance_norm(ts[0], mask), [Tensor(feat.copy())],
+                              h=h, tol=tol, name="region_instance_norm", weights=wmap))
+    results.append(grad_check(lambda ts: rain_forward(ts[0], mask), [Tensor(feat.copy())],
+                              h=h, tol=tol, name="rain_forward", weights=wmap))
 
     feat2, mask2, sem2, params = random_srin_instance(np.random.default_rng(424242), c_max=3, hw_max=4)
     wout = np.random.default_rng(5).normal(size=feat2.shape)
     tensors = [Tensor(feat2.copy())] + [t for _, t in params.named()]
 
-    def srin_fn(ts):
-        return _weighted_sum(srin_forward(ts[0], mask2, sem2, params).output, wout)
-
-    results.append(grad_check(srin_fn, tensors, h=h, tol=tol, name="srin_forward"))
+    results.append(grad_check(lambda ts: srin_forward(ts[0], mask2, sem2, params).output, tensors,
+                              h=h, tol=tol, name="srin_forward", weights=wout))
     return results
 
 
@@ -344,13 +290,9 @@ def invariant_checks() -> list[GradCheckResult]:
 
     # all-ones mask reproduces plain per-channel statistics
     feat = rng.normal(size=(3, 5, 5))
-    mean, var = tc.masked_channel_stats(Tensor(feat), np.ones((5, 5)))
-    ref_mean = feat.mean(axis=(1, 2))
-    ref_var = feat.var(axis=(1, 2))
-    err = max(
-        float(np.max(np.abs(mean.data - ref_mean))),
-        float(np.max(np.abs(var.data - ref_var))),
-    )
+    mean, std = tc.masked_channel_stats(Tensor(feat), np.ones((5, 5)))
+    ref_std = np.sqrt(feat.var(axis=(1, 2)) + EPS_DEFAULT)
+    err = max(float(np.max(np.abs(mean.data - feat.mean(axis=(1, 2))))), float(np.max(np.abs(std.data - ref_std))))
     results.append(_value_check("masked_stats_full_mask", err, 1e-12))
 
     # attention contracts + oracle agreement + exact pass-through, random instances

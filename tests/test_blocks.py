@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from harmlab import tensor as tc
 from harmlab.blocks import SrinParams, rain_forward, region_instance_norm, srin_forward
 from harmlab.errors import ShapeError
 from harmlab.tensor import Graph, Tensor
@@ -197,10 +196,8 @@ class TestSrinForward:
         weights = np.random.default_rng(5).normal(size=feat.shape)
         tensors = [Tensor(feat.copy())] + [t for _, t in params.named()]
 
-        def fn(ts):
-            return tc.sum_all(tc.mul(srin_forward(ts[0], mask, sem, params).output, Tensor(weights)))
-
-        result = grad_check(fn, tensors, name="srin")
+        result = grad_check(lambda ts: srin_forward(ts[0], mask, sem, params).output, tensors, name="srin",
+                            weights=weights)
         assert result.passed, result.line()
 
     def test_tape_holds_no_site_by_site_buffer(self):

@@ -6,7 +6,7 @@ import pytest
 from harmlab import tensor as tc
 from harmlab.errors import ShapeError
 from harmlab.gradcheck import grad_check
-from harmlab.tensor import Graph, Tensor
+from harmlab.tensor import EPS_DEFAULT, Graph, Tensor
 
 
 class TestTensorBasics:
@@ -24,8 +24,8 @@ class TestTensorBasics:
         t = Tensor(np.ones(3), requires_grad=True)
         assert t.grad is None
         with Graph() as g:
-            out = tc.sum_all(t)
-            g.backward(out)
+            out = tc.relu(t)
+            g.backward(out, np.ones(3))
         assert np.array_equal(t.grad, np.ones(3))
 
 
@@ -103,10 +103,8 @@ class TestConv3x3:
         inputs = [Tensor(rng.normal(size=(3, h, w))), Tensor(0.4 * rng.normal(size=(2, 3, 3, 3))),
                   Tensor(rng.normal(size=2))]
 
-        def fn(ts):
-            return tc.sum_all(tc.mul(tc.conv3x3(ts[0], ts[1], ts[2], stride=stride), Tensor(weights)))
-
-        res = grad_check(fn, inputs, name=f"conv3x3_s{stride}_{h}x{w}")
+        res = grad_check(lambda ts: tc.conv3x3(*ts, stride=stride), inputs, name=f"conv3x3_s{stride}_{h}x{w}",
+                         weights=weights)
         assert res.passed, res.line()
 
     @staticmethod
@@ -128,8 +126,8 @@ class TestConv3x3:
     def backward_of(x, k, b, g, stride, x_grad=True):
         ts = Tensor(x, requires_grad=x_grad), Tensor(k, requires_grad=True), Tensor(b, requires_grad=True)
         with Graph() as graph:
-            loss = tc.sum_all(tc.mul(tc.conv3x3(*ts, stride=stride), Tensor(g)))
-        graph.backward(loss)
+            out = tc.conv3x3(*ts, stride=stride)
+        graph.backward(out, g)
         return [t.grad for t in ts]
 
     @pytest.mark.parametrize("c_in, c_out", [(5, 2), (2, 5), (3, 3)])
@@ -157,10 +155,12 @@ class TestConv3x3:
         x1 = Tensor(rng.normal(size=(4, 5, 6)), requires_grad=True)
         x2 = Tensor(rng.normal(size=(4, 7, 3)))
         g1, g2 = rng.normal(size=(2, 5, 6)), rng.normal(size=(2, 4, 2))
-        with Graph() as graph:
-            loss = tc.add(tc.sum_all(tc.mul(tc.conv3x3(x1, k, b, stride=1), Tensor(g1))),
-                          tc.sum_all(tc.mul(tc.conv3x3(x2, k, b, stride=2), Tensor(g2))))
-        graph.backward(loss)
+        with Graph() as graph1:
+            out1 = tc.conv3x3(x1, k, b, stride=1)
+        with Graph() as graph2:
+            out2 = tc.conv3x3(x2, k, b, stride=2)
+        graph2.backward(out2, g2)
+        graph1.backward(out1, g1)
         dx1, dk1, db1 = self.dense_reference(x1.data, k.data, g1, 1)
         _, dk2, db2 = self.dense_reference(x2.data, k.data, g2, 2)
         for got, ref in ((x1.grad, dx1), (k.grad, dk1 + dk2), (b.grad, db1 + db2)):
@@ -210,9 +210,8 @@ class TestUpConv3x3:
         skip.requires_grad = skip_grad
         with Graph() as graph:
             out = tc.up_conv3x3(low, skip, w, b, *where)
-            loss = tc.sum_all(tc.mul(out, Tensor(g)))
-        graph.backward(loss)
-        assert [r.op for r in graph.records] == ["up_conv3x3", "mul", "sum_all"]
+        graph.backward(out, g)
+        assert [r.op for r in graph.records] == ["up_conv3x3"]
         return [out.data] + [t.grad for t in (low, skip, w, b)]
 
     def check(self, monkeypatch, arrays, skip_grad, where, seed):
@@ -284,9 +283,8 @@ class TestCrop:
         g = rng.normal(size=(2, 2, 3))
         with Graph() as graph:
             window = tc.crop(x, 1, 3, 2, 5)
-            loss = tc.sum_all(tc.mul(window, Tensor(g)))
         assert np.array_equal(window.data, x.data[:, 1:3, 2:5])
-        graph.backward(loss)
+        graph.backward(window, g)
         pasted = np.zeros((2, 5, 6))
         pasted[:, 1:3, 2:5] = g
         assert np.array_equal(x.grad, pasted)
@@ -350,7 +348,7 @@ class TestRegionAttention:
         weights = np.random.default_rng(12).normal(size=q.shape)
         with Graph() as g:
             out = tc.region_attention(*ts, mask)
-            g.backward(tc.sum_all(tc.mul(out, Tensor(weights))))
+            g.backward(out, weights)
         fg = mask.astype(bool)
         dq, dk, dv = (t.grad for t in ts)
         assert dq.shape == q.shape and np.all(dq != 0.0)
@@ -407,7 +405,7 @@ class TestModulate:
         ts = [Tensor(a, requires_grad=True) for a in (x, base, scale, shift)]
         with Graph() as graph:
             out = tc.modulate(*ts, index)
-            graph.backward(tc.sum_all(tc.mul(out, Tensor(g))))
+            graph.backward(out, g)
         want, grads = modulate_reference(x, base, scale.reshape(2, -1, 1), shift.reshape(2, -1, 1), index, g)
         assert np.array_equal(out.data, want)
         for t, ref in zip(ts, grads):
@@ -450,17 +448,17 @@ class TestMaskedChannelStats:
         f = Tensor(np.full((2, 3, 3), 5.0))
         mask = np.zeros((3, 3))
         mask[0, :2] = 1.0
-        mean, var = tc.masked_channel_stats(f, mask)
+        mean, std = tc.masked_channel_stats(f, mask)
         assert np.array_equal(mean.data, [5.0, 5.0])
-        assert np.array_equal(var.data, [0.0, 0.0])
+        assert np.array_equal(std.data, [np.sqrt(EPS_DEFAULT)] * 2)
 
     def test_two_site_region(self):
         f = np.zeros((1, 2, 2))
         f[0, 0, 0] = 1.0
         f[0, 0, 1] = 3.0
         mask = np.array([[1.0, 1.0], [0.0, 0.0]])
-        mean, var = tc.masked_channel_stats(Tensor(f), mask)
-        assert (mean.data[0], var.data[0]) == (2.0, 1.0)
+        mean, std = tc.masked_channel_stats(Tensor(f), mask)
+        assert (mean.data[0], std.data[0]) == (2.0, np.sqrt(1.0 + EPS_DEFAULT))
 
     def test_empty_region_rejected(self):
         with pytest.raises(ShapeError, match="no site"):
@@ -469,50 +467,61 @@ class TestMaskedChannelStats:
     def test_full_mask_equals_global_stats(self):
         rng = np.random.default_rng(3)
         f = rng.normal(size=(3, 4, 4))
-        mean, var = tc.masked_channel_stats(Tensor(f), np.ones((4, 4)))
+        mean, std = tc.masked_channel_stats(Tensor(f), np.ones((4, 4)))
         assert np.allclose(mean.data, f.mean(axis=(1, 2)), atol=1e-12)
-        assert np.allclose(var.data, f.var(axis=(1, 2)), atol=1e-12)
+        assert np.allclose(std.data, np.sqrt(f.var(axis=(1, 2)) + EPS_DEFAULT), atol=1e-12)
 
 
 class TestTape:
     def test_backward_accumulates_through_shared_input(self):
-        x = Tensor(np.array([2.0, -1.0]), requires_grad=True)
+        # x is both the key and the value: its gradient is the sum of the two
+        (q, k, _), mask = attention_instance(21)
+        weights = np.random.default_rng(22).normal(size=q.shape)
+        x = Tensor(k, requires_grad=True)
+        key, value = Tensor(k.copy(), requires_grad=True), Tensor(k.copy(), requires_grad=True)
+        for ts in ((x, x), (key, value)):
+            with Graph() as g:
+                g.backward(tc.region_attention(Tensor(q), *ts, mask), weights)
+        assert np.array_equal(x.grad, key.grad + value.grad)
+        assert np.any(key.grad != 0.0) and np.any(value.grad != 0.0)
+
+    INDEX = np.where(np.eye(3, dtype=bool), 0, -1)  # one class, on the diagonal
+    SCALE = np.array([1.5, -0.5])
+
+    def modulated(self, x, base, weights):
         with Graph() as g:
-            y = tc.add(tc.mul(x, x), x)  # y = x^2 + x, dy/dx = 2x + 1
-            g.backward(tc.sum_all(y))
-        assert np.allclose(x.grad, [5.0, -1.0], atol=1e-15)
+            y = tc.modulate(x, base, Tensor(self.SCALE), Tensor(np.zeros(2)), self.INDEX)
+            g.backward(y, weights)
+        return y
 
     def test_gradients_are_private_copies(self):
         rng = np.random.default_rng(6)
-        a, b = Tensor(rng.normal(size=(2, 3)), requires_grad=True), Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-        weights = rng.normal(size=(2, 3))
-        with Graph() as g:
-            y = tc.add(a, b)  # its backward hands y's gradient array itself to a and b
-            g.backward(tc.sum_all(tc.mul(y, Tensor(weights))))
+        a, b = (Tensor(rng.normal(size=(2, 3, 3)), requires_grad=True) for _ in range(2))
+        weights = rng.normal(size=(2, 3, 3))
+        y = self.modulated(a, b, weights)
         assert not np.shares_memory(a.grad, b.grad)
         assert not np.shares_memory(a.grad, y.grad) and not np.shares_memory(b.grad, y.grad)
-        x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-        with Graph() as g:
-            y = tc.add(x, x)
-            g.backward(tc.sum_all(tc.mul(y, Tensor(weights))))
-        assert np.array_equal(x.grad, 2.0 * weights)
+        assert not np.shares_memory(y.grad, weights)  # the seed is copied
+        x = Tensor(rng.normal(size=(2, 3, 3)), requires_grad=True)
+        y = self.modulated(x, x, weights)
+        assert np.array_equal(x.grad, np.where(self.INDEX >= 0, weights * self.SCALE[:, None, None], weights))
         assert np.array_equal(y.grad, weights)
 
-    @pytest.mark.parametrize("op", ["add", "add_scalar"])
-    def test_identity_and_view_gradients_are_copied(self, op):
-        # these backwards hand over the output gradient itself, while fresh
-        # gradients elsewhere are adopted without a copy
-        rng = np.random.default_rng(7)
-        a, b = (Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True) for _ in range(2))
+    def test_seed_must_match_the_root(self):
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
         with Graph() as g:
-            y = tc.add(a, b) if op == "add" else tc.add_scalar(a, 0.5)
-            g.backward(tc.sum_all(tc.mul(y, Tensor(rng.normal(size=y.shape)))))
-        for t in (a, b) if op == "add" else (a,):
-            assert t.grad.flags.c_contiguous and not np.shares_memory(t.grad, y.grad)
+            y = tc.relu(x)
+        with pytest.raises(ShapeError, match="seed shape"):
+            g.backward(y, np.ones((3, 2)))
+        with pytest.raises(ShapeError, match="seed shape"):
+            g.backward(y, np.ones(6))
+        assert x.grad is None
+        g.backward(y, np.full((2, 3), 2.0))
+        assert np.array_equal(x.grad, np.full((2, 3), 2.0))
 
     def test_no_recording_without_graph(self):
         x = Tensor(np.ones(3), requires_grad=True)
-        out = tc.add_scalar(x, 2.0)
+        out = tc.relu(x)
         assert not out.requires_grad
 
     def test_forward_replay_is_bit_identical(self):
@@ -526,8 +535,8 @@ class TestTape:
             def run():
                 with Graph() as g:
                     ts = Tensor(x.copy(), requires_grad=True), Tensor(w, requires_grad=True), Tensor(b)
-                    out = tc.sum_all(tc.relu(tc.conv3x3(*ts, stride=stride)))
-                    g.backward(out)
+                    out = tc.relu(tc.conv3x3(*ts, stride=stride))
+                    g.backward(out, np.ones(out.shape))
                     return out.data.copy(), ts[0].grad.copy(), ts[1].grad.copy()
 
             for first, second in zip(run(), run()):
@@ -541,10 +550,10 @@ class TestTape:
 
         def work(name):
             try:
-                x = Tensor(np.ones(3), requires_grad=True)
+                x, cols = Tensor(np.ones((1, 1, 3)), requires_grad=True), Tensor(np.ones(1))
                 with Graph() as g:
                     barrier.wait()
-                    tc.sum_all(tc.mul(x, x))
+                    tc.relu(tc.modulate(x, x, cols, cols, np.zeros((1, 3), dtype=np.intp)))
                     barrier.wait()
                 results[name] = (g, x)
             except Exception as exc:  # surfaced in the main thread below
@@ -557,28 +566,78 @@ class TestTape:
             t.join()
         assert not errors
         for g, x in results.values():
-            assert [r.op for r in g.records] == ["mul", "sum_all"]
-            assert g.records[0].inputs == (x, x)
+            assert [r.op for r in g.records] == ["modulate", "relu"]
+            assert g.records[0].inputs[:2] == (x, x)
 
     def test_backward_needs_scalar_root(self):
         x = Tensor(np.ones(3), requires_grad=True)
         with Graph() as g:
-            y = tc.add_scalar(x, 1.5)
+            y = tc.relu(x)
             with pytest.raises(ShapeError):
                 g.backward(y)
 
 
 class TestBlendAndMask:
     def test_blend_selects_exactly(self):
+        # compose_residual takes the clipped sum at mask=1 sites and the composite itself elsewhere
         rng = np.random.default_rng(8)
-        a = rng.normal(size=(3, 4, 4))
-        b = rng.normal(size=(3, 4, 4))
+        delta = rng.normal(size=(3, 4, 4))
+        comp = rng.uniform(size=(3, 4, 4))
         mask = (rng.uniform(size=(4, 4)) < 0.5).astype(np.float64)
-        out = tc.blend(Tensor(a), Tensor(b), mask).data
+        out = tc.compose_residual(Tensor(delta), comp, mask).data
         sel = mask.astype(bool)
-        assert np.array_equal(out[:, sel], a[:, sel])
-        assert np.array_equal(out[:, ~sel], b[:, ~sel])
+        assert np.array_equal(out[:, sel], np.clip(delta + comp, 0.0, 1.0)[:, sel])
+        assert np.array_equal(out[:, ~sel], comp[:, ~sel])
 
     def test_mask_must_be_binary(self):
         with pytest.raises(ValueError):
-            tc.blend(Tensor(np.ones((1, 2, 2))), Tensor(np.zeros((1, 2, 2))), np.full((2, 2), 0.5))
+            tc.compose_residual(Tensor(np.ones((1, 2, 2))), np.zeros((1, 2, 2)), np.full((2, 2), 0.5))
+
+
+class TestHeadAndLoss:
+    """``compose_residual`` and ``l1_loss`` against dense numpy, kinks included."""
+
+    def test_compose_residual_matches_dense_reference(self):
+        rng = np.random.default_rng(31)
+        comp = rng.choice([0.25, 0.5, 0.75], size=(3, 4, 5))
+        delta = rng.uniform(-1.0, 1.0, size=(3, 4, 5))
+        delta[:, 0, 0], delta[:, 0, 1] = -comp[:, 0, 0], 1.0 - comp[:, 0, 1]  # delta + comp on the kinks, 0 and 1
+        mask = (rng.uniform(size=(4, 5)) < 0.6).astype(np.float64)
+        mask[0, :2] = 1.0
+        g = rng.normal(size=(3, 4, 5))
+        total = delta + comp
+        assert np.any(total == 0.0) and np.any(total == 1.0) and np.any(total > 1.0) and np.any(total < 0.0)
+        x = Tensor(delta, requires_grad=True)
+        with Graph() as graph:
+            out = tc.compose_residual(x, comp, mask)
+        graph.backward(out, g)
+        assert [r.op for r in graph.records] == ["compose_residual"]
+        assert np.array_equal(out.data, np.where(mask == 1.0, np.minimum(np.maximum(total, 0.0), 1.0), comp))
+        assert np.array_equal(x.grad, g * mask * ((total >= 0.0) & (total <= 1.0)))
+
+    @pytest.mark.parametrize("root_grad", [None, 0.5])
+    def test_l1_loss_matches_dense_reference(self, root_grad):
+        rng = np.random.default_rng(32)
+        real = rng.uniform(size=(3, 4, 5))
+        out_data = real + rng.normal(scale=0.3, size=real.shape)
+        out_data[:, 1, :] = real[:, 1, :]  # on the kink of |.|
+        offset, scale = 0.37, 1.0 / 3072.0
+        x = Tensor(out_data, requires_grad=True)
+        with Graph() as graph:
+            loss = tc.l1_loss(x, real, offset, scale)
+        graph.backward(loss, root_grad)
+        assert [r.op for r in graph.records] == ["l1_loss"] and loss.shape == ()
+        diff = out_data - real
+        assert np.any(diff == 0.0) and np.any(diff > 0.0) and np.any(diff < 0.0)
+        assert loss.item() == (np.sum(np.abs(diff)) + offset) * scale
+        g = 1.0 if root_grad is None else root_grad
+        assert np.array_equal(x.grad, np.full(diff.shape, g * scale) * np.sign(diff))
+
+    def test_shape_errors(self):
+        x = Tensor(np.ones((1, 2, 2)))
+        with pytest.raises(ShapeError, match="compose_residual"):
+            tc.compose_residual(x, np.ones((1, 2, 3)), np.ones((2, 2)))
+        with pytest.raises(ShapeError):
+            tc.compose_residual(x, np.ones((1, 2, 2)), np.ones((2, 3)))
+        with pytest.raises(ShapeError, match="l1_loss"):
+            tc.l1_loss(x, np.ones((2, 2)), 0.0, 1.0)

@@ -2,6 +2,8 @@ import os
 import platform
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +17,7 @@ from harmlab.synthdata import GenConfig, Sample, generate_dataset
 from harmlab.training import (
     BucketStats, TrainConfig, evaluate, lr_at_step, prepare_sample, sample_loss, train,
 )
-from harmlab.unet import GeneratorModel, UNetConfig
+from harmlab.unet import BLOCK_KINDS, GeneratorModel, UNetConfig
 
 
 TINY_UNET = UNetConfig(size=32, stages=2, base_channels=8)
@@ -162,6 +164,60 @@ class TestTrainLoop:
         assert histories["none"] == histories["rain"] == histories["srin"]
 
 
+def test_concurrent_runs_match_sequential_runs():
+    # One run per block, all three in threads at once, each yielding at every
+    # step: the library is reentrant, so every run's loss history, final
+    # parameters and evaluation match its run alone, bit for bit.
+    data = generate_dataset(GenConfig(seed=3, size=32), 4)
+    val = generate_dataset(GenConfig(seed=4, size=32), 3)
+    cfgs = {block: TrainConfig(data_dir="", steps=12, seed=3, block=block, unet=UNetConfig(size=32, stages=2))
+            for block in BLOCK_KINDS}
+
+    def run(block):
+        model, history = train(cfgs[block], samples=data, on_step=lambda entry: time.sleep(0))
+        return [e.loss for e in history], model.flat.data.copy(), evaluate(model, val).csv_lines()
+
+    alone = {block: run(block) for block in BLOCK_KINDS}
+    barrier = threading.Barrier(len(BLOCK_KINDS), timeout=60)
+    together, errors = {}, []
+
+    def work(block):
+        try:
+            barrier.wait()
+            together[block] = run(block)
+        except Exception as exc:  # surfaced in the main thread below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(block,)) for block in BLOCK_KINDS]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # hand the interpreter over far more often than every 5 ms
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and not errors
+    for block in BLOCK_KINDS:
+        (losses, params, report), (t_losses, t_params, t_report) = alone[block], together[block]
+        assert t_losses == losses, block
+        assert np.array_equal(t_params, params), block
+        assert t_report == report, block
+
+
+@pytest.mark.parametrize("block", BLOCK_KINDS)
+def test_forward_and_evaluate_leave_parameters_and_gradients_alone(block):
+    model = GeneratorModel.build(UNetConfig(size=32, stages=2, block=block), seed=6)
+    model.flat.grad[:] = np.random.default_rng(7).normal(size=model.flat.size)
+    params, grads = model.flat.data.copy(), model.flat.grad.copy()
+    data = generate_dataset(GenConfig(seed=41, size=32), 3)
+    s = data[0]
+    model.forward_tensor(s.composite.planar(), s.mask.values, s.semantic.planar())
+    evaluate(model, data)
+    assert np.array_equal(model.flat.data, params) and np.array_equal(model.flat.grad, grads)
+
+
 def _oracle_samples(size: int) -> list[Sample]:
     """A synthetic sample, the same with a real image that differs from the
     composite outside the foreground too, a one-pixel corner and an empty mask."""
@@ -262,7 +318,7 @@ import hashlib, sys
 import numpy as np
 from harmlab.blocks import srin_forward
 from harmlab.synthdata import GenConfig, generate_dataset
-from harmlab.tensor import Graph, Tensor, mul, sum_all
+from harmlab.tensor import Graph, Tensor
 from harmlab.training import TrainConfig, train
 from harmlab.unet import UNetConfig, save_checkpoint
 from harmlab.verify import random_srin_instance
@@ -288,7 +344,7 @@ for seed in range(9000, 9200):
     x = Tensor(feat, requires_grad=True)
     with Graph() as g:
         out = srin_forward(x, mask, sem, params).output
-        g.backward(sum_all(mul(out, Tensor(rng.normal(size=feat.shape)))))
+        g.backward(out, rng.normal(size=feat.shape))
     for part in (out.data, x.grad, *(t.grad for _, t in params.named())):
         digest.update(part.tobytes())
 print("srin-classes", digest.hexdigest()[:16])
