@@ -507,6 +507,25 @@ class TestTape:
         assert np.array_equal(x.grad, np.where(self.INDEX >= 0, weights * self.SCALE[:, None, None], weights))
         assert np.array_equal(y.grad, weights)
 
+    @pytest.mark.parametrize("op", ["add", "add_scalar"])
+    def test_identity_and_view_gradients_are_copied(self, op):
+        # the residual add inside compose_residual and the offset added inside
+        # l1_loss pass the output gradient through unchanged here, yet the
+        # input gets a fresh buffer, since _accum adopts what it gets
+        rng = np.random.default_rng(7)
+        comp = rng.uniform(0.25, 0.75, size=(2, 3, 4))
+        a = Tensor(rng.uniform(-0.2, 0.2, size=(2, 3, 4)), requires_grad=True)
+        with Graph() as g:
+            if op == "add":
+                y = tc.compose_residual(a, comp, np.ones((3, 4)))
+                seed = rng.normal(size=y.shape)
+            else:
+                y = tc.l1_loss(a, a.data - 1.0, 0.5, 1.0)
+                seed = np.array(rng.normal())
+        g.backward(y, seed)
+        assert np.array_equal(a.grad, np.broadcast_to(seed, a.shape))
+        assert a.grad.flags.c_contiguous and not np.shares_memory(a.grad, y.grad)
+
     def test_seed_must_match_the_root(self):
         x = Tensor(np.ones((2, 3)), requires_grad=True)
         with Graph() as g:
