@@ -4,11 +4,11 @@ A ``Tensor`` wraps a flat row-major numpy buffer; operations are module-level
 functions that compute forward values eagerly and, when a ``Graph`` is active
 and an operand requires gradients, append a record to the tape. ``Graph.backward``
 seeds the root's gradient (1 for a scalar, or given weights) and walks the
-tape in exact reverse execution order, accumulating gradients into
-``Tensor.grad`` buffers.
+tape once, in exact reverse execution order, accumulating gradients into
+``Tensor.grad`` buffers and dropping each record as it runs.
 
 There are no generic arithmetic ops. Besides the layers (the convolutions,
-``relu``, ``crop``, the attention and the statistics), each step of the
+``relu``, the attention and the statistics), each step of the
 network that needs elementwise arithmetic has one op of its own:
 ``normalize_channels`` and ``modulate`` for the normalization blocks,
 ``compose_residual`` for the head's residual composition onto the composite,
@@ -121,6 +121,7 @@ class Graph:
     def __init__(self):
         self.records: list[_Record] = []
         self._token = None
+        self._spent = False
 
     def __enter__(self) -> "Graph":
         self._token = _active.set(self)
@@ -136,7 +137,12 @@ class Graph:
         ``grad`` is an array of ``root``'s shape, copied into ``root.grad``;
         left out, it is 1 for a scalar root. Seeding with weights ``W`` gives
         every input the gradient of ``sum(W * root)``.
+
+        The tape runs once, popping and dropping each record as it goes, which
+        frees the buffers the record holds; a second call raises.
         """
+        if self._spent:
+            raise RuntimeError("backward: this tape has already run")
         if grad is None:
             if root.data.size != 1:
                 raise ShapeError(f"backward needs a seed for a non-scalar root, got shape {root.shape}")
@@ -145,7 +151,9 @@ class Graph:
         if seed.shape != root.shape:
             raise ShapeError(f"backward: seed shape {seed.shape} does not match root shape {root.shape}")
         root.grad = seed
-        for rec in reversed(self.records):
+        self._spent = True
+        while self.records:
+            rec = self.records.pop()
             if any(o.grad is not None for o in rec.outs):
                 rec.fn()
 
@@ -219,25 +227,6 @@ def l1_loss(out: Tensor, real, offset: float, scale: float) -> Tensor:
     diff = out.data - real
     total = (np.sum(np.abs(diff)) + offset) * scale
     return _op("l1_loss", (out,), total, lambda g: np.full_like(diff, float(g * scale)) * np.sign(diff))
-
-
-def crop(a: Tensor, top: int, bottom: int, left: int, right: int) -> Tensor:
-    """Rows ``top:bottom`` and columns ``left:right`` of a [C, H, W] map.
-
-    The backward adds the gradient into the window of ``a``'s gradient. A
-    window that is the whole map returns ``a`` itself and records nothing.
-    """
-    if a.data.ndim != 3 or not (0 <= top < bottom <= a.shape[1] and 0 <= left < right <= a.shape[2]):
-        raise ShapeError(f"crop: window rows {top}:{bottom}, cols {left}:{right} is not inside {a.shape}")
-    if (top, bottom, left, right) == (0, a.shape[1], 0, a.shape[2]):
-        return a
-    out = _wrap(a.data[:, top:bottom, left:right], None, False)
-
-    def bwd():
-        _add_window(_grad_buffer(a), out.grad, top, left)
-
-    _maybe_record("crop", (out,), (a,), bwd)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -382,12 +371,12 @@ def _grad_buffer(t: Tensor) -> np.ndarray:
     return t.grad
 
 
-def _phase_grids(x: np.ndarray, stride: int, rows: int, pitch: int, top: int = -1, left: int = -1) -> np.ndarray:
+def _phase_grids(x: np.ndarray, stride: int, rows: int, pitch: int, top: int, left: int) -> np.ndarray:
     """Split the window of a [C, h, w] map at (top, left) into flat phase grids [stride * stride, C, rows * pitch].
 
     Grid ``py * stride + px`` holds site ``(top + stride * r + py, left + stride * c + px)``
     of ``x`` at (r, c), with its rows ``pitch`` apart, and zero where that site
-    lies outside ``x``. The default origin (-1, -1) zero-pads the map by one.
+    lies outside ``x``.
     """
     grids = np.zeros((stride * stride, x.shape[0], rows, pitch), dtype=np.float64)
     for j, grid in enumerate(grids):
@@ -396,7 +385,7 @@ def _phase_grids(x: np.ndarray, stride: int, rows: int, pitch: int, top: int = -
     return grids.reshape(stride * stride, x.shape[0], rows * pitch)
 
 
-def _from_phase_grids(grids: Sequence[np.ndarray], dst: np.ndarray, pitch: int, top: int = -1, left: int = -1) -> None:
+def _from_phase_grids(grids: Sequence[np.ndarray], dst: np.ndarray, pitch: int, top: int, left: int) -> None:
     """Adjoint of ``_phase_grids``: add the flat grids' values into the sites of ``dst`` they hold."""
     stride = math.isqrt(len(grids))
     for j, grid in enumerate(grids):
@@ -480,10 +469,16 @@ def _tap_sums_backward(g: np.ndarray, grids: Sequence[np.ndarray], taps, pitch: 
     return dgrids
 
 
-def conv3x3(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
+def conv3x3(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, region: Optional[tuple[int, int, int, int]] = None,
+            x_at: tuple[int, int] = (0, 0)) -> Tensor:
     """3x3 cross-correlation with zero padding 1 and stride 1 or 2.
 
-    The padded input is split into stride x stride flat phase grids of row
+    At stride 1, ``region`` = (top, bottom, left, right) computes only those
+    output sites, numbered as sites of ``x`` whose site (0, 0) is ``x_at``;
+    it lies in ``x``, which is read in place with zeros only outside it.
+    Left out, the region is the whole map.
+
+    The padded region is split into stride x stride flat phase grids of row
     pitch ``p = W_out + 2 // stride``. Tap (ky, kx) of every output site then
     reads one contiguous slice of one grid, so the forward is ``_tap_sums``
     over nine taps: nine [C_out, C_in] @ [C_in, H_out * p] GEMMs whose last
@@ -491,8 +486,8 @@ def conv3x3(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     backward is ``_tap_sums_backward``, which stacks the output gradient per
     phase grid when the input needs a gradient and ``C_out < C_in``.
     """
-    if stride not in (1, 2):
-        raise ShapeError(f"conv3x3: stride must be 1 or 2, got {stride}")
+    if stride not in ((1, 2) if region is None else (1,)):
+        raise ShapeError(f"conv3x3: stride must be 1 or 2, and 1 with a region, got {stride}")
     if x.data.ndim != 3 or w.data.ndim != 4 or w.shape[2:] != (3, 3):
         raise ShapeError(f"conv3x3: need x [C_in, H, W] and w [C_out, C_in, 3, 3], got {x.shape}, {w.shape}")
     c_in, h, wd = x.shape
@@ -501,12 +496,17 @@ def conv3x3(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
         raise ShapeError(f"conv3x3: weight expects {w.shape[1]} input channels, map has {c_in}")
     if bias.shape != (c_out,):
         raise ShapeError(f"conv3x3: bias shape {bias.shape}, expected ({c_out},)")
+    xt, xl = x_at
+    top, bottom, left, right = (xt, xt + h, xl, xl + wd) if region is None else region
+    if not (xt <= top < bottom <= xt + h and xl <= left < right <= xl + wd):
+        raise ShapeError(f"conv3x3: region {region} is not inside the input's sites, {x.shape} at {x_at}")
     s = stride
-    ho, wo = -(-h // s), -(-wd // s)
+    ho, wo = -(-(bottom - top) // s), -(-(right - left) // s)
     reach = 2 // s  # rows and columns a tap reaches past an output site's grid position
     p = wo + reach
+    origin = (top - 1 - xt, left - 1 - xl)  # the padded window's corner as a site of x
     # One spare grid row: the last tap's slice runs ``reach`` elements past the grid.
-    grids = _phase_grids(x.data, s, ho + reach + 1, p)
+    grids = _phase_grids(x.data, s, ho + reach + 1, p, *origin)
     wk = np.ascontiguousarray(w.data.transpose(2, 3, 0, 1)).reshape(9, c_out, c_in)
     taps = [(0, (ky % s) * s + kx % s, wk[k], (ky // s) * p + kx // s) for k, (ky, kx) in enumerate(_OFFSETS_3X3)]
     out = _wrap(_tap_sums(grids, taps, (c_out, ho, wo), p) + bias.data[:, None, None], None, False)
@@ -519,7 +519,7 @@ def conv3x3(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
             _accum(w, dwk.reshape(3, 3, c_out, c_in).transpose(2, 3, 0, 1))
         _accum(bias, g.reshape(c_out, ho * wo).sum(axis=1))
         if x.requires_grad:
-            _from_phase_grids(dgrids, _grad_buffer(x), p)
+            _from_phase_grids(dgrids, _grad_buffer(x), p, *origin)
 
     _maybe_record("conv3x3", (out,), (x, w, bias), bwd)
     return out
@@ -549,13 +549,13 @@ def _unfold_taps(d: np.ndarray) -> np.ndarray:
 
 # Regions over at least this many low-res sites run ``up_conv3x3``'s folded
 # layout, smaller ones its concat layout. Forward plus backward ms, concat /
-# folded, median of 6 alternated rounds, 2-CPU box, one BLAS thread, per
-# C_low + C_skip -> C_out (the 16 + 4 stage's skip needs no gradient):
-#   low-res sites   3x3        8x8        12x12      16x16      32x32
-#   64 + 32 -> 32   1.04/3.28  3.22/4.85  6.07/6.78  10.3/9.75
-#   32 + 16 -> 16   0.49/1.78  1.25/2.24  2.28/3.06  3.71/4.16  15.0/10.8
-#   16 + 4 -> 16    0.20/0.63  0.44/0.73  0.82/0.89  1.36/1.25  6.06/3.56
-_FOLD_MIN_SITES = 256
+# folded, median of 60 alternated rounds, 2-CPU box, one BLAS thread, per
+# C_low + C_skip -> C_out (``python demos/07_fold_crossover.py``):
+#   low-res sites   256        400        576        784        1024
+#   16 + 4 -> 16    1.69/1.95  2.41/2.47  3.46/3.11  4.90/3.83  6.47/4.71
+#   32 + 16 -> 16   2.60/3.69  3.99/4.53  6.07/6.40  8.31/7.99  10.4/8.85
+#   64 + 32 -> 32   7.35/8.13  11.0/11.0  15.6/14.2  22.2/18.8  29.0/25.9
+_FOLD_MIN_SITES = 576
 
 
 def up_conv3x3(low: Tensor, skip: Tensor, w: Tensor, bias: Tensor, region: tuple[int, int, int, int],

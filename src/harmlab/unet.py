@@ -24,10 +24,9 @@ low-res input on ``need[k]``, whose nearest x2 upsample covers ``need[k - 1]``
 grown by one site, every interval clipped to its map. Each stage reads its
 low-res input (the bottleneck, for the first) and its skip in place, so it
 reads true values on the ring around its region and zeros only outside the
-map. The head's output is cropped to ``F``, where ``compose_residual`` runs;
-evaluation (``forward_tensor``) pastes that box into a copy of the composite
-in numpy. A box that is the whole map decodes the
-whole frame with no crop.
+map. The head computes ``F`` alone from its input on ``need[0]``, and
+``compose_residual`` runs on ``F``; evaluation (``forward_tensor``) pastes
+that box into a copy of the composite in numpy.
 
 ``need[stages]`` is the decode window: the bottleneck cells, each the 2^stages
 x 2^stages pixel block under one bottleneck site, that hold any foreground
@@ -117,16 +116,15 @@ Box = tuple[int, int, int, int]
 class Windows:
     """The per-sample constants of a forward pass (``GeneratorModel.windows``).
 
-    ``mask`` is the checked [S, S] mask, ``box`` and ``need`` are
-    ``decode_regions``' foreground box and per-level regions, ``enc`` the
-    encoder window in bottleneck sites, and ``mask_f`` and ``sem_f`` the mask
-    and semantic map at the bottleneck's resolution, for the blocks that
-    read them. ``stack`` is the encoder's input, the composite and the mask
-    over the encoder window, and ``comp_box`` the composite on ``box``. All
+    ``box`` and ``need`` are ``decode_regions``' foreground box and
+    per-level regions, ``enc`` the encoder window in bottleneck sites, and
+    ``mask_f`` and ``sem_f`` the mask and semantic map at the bottleneck's
+    resolution, for the blocks that read them. ``stack`` is the encoder's
+    input, the composite and the mask over the encoder window, and
+    ``comp_box`` and ``mask_box`` the composite and the mask on ``box``. All
     are constants: no gradient reaches them.
     """
 
-    mask: np.ndarray
     box: Box
     need: tuple[Box, ...]
     enc: Box
@@ -134,6 +132,7 @@ class Windows:
     sem_f: Optional[np.ndarray]
     stack: Tensor
     comp_box: np.ndarray
+    mask_box: np.ndarray
 
 
 class GeneratorModel:
@@ -258,8 +257,8 @@ class GeneratorModel:
         sem_f = downsample_planar(sem, feat_size) if self.config.block == "srin" else None
         top, bottom, left, right = (v << stages for v in enc)
         stack = Tensor(np.concatenate([comp[:, top:bottom, left:right], m[None, top:bottom, left:right]]))
-        top, bottom, left, right = box
-        return Windows(m, box, tuple(need), enc, mask_f, sem_f, stack, comp[:, top:bottom, left:right])
+        on_box = np.s_[..., box[0] : box[1], box[2] : box[3]]
+        return Windows(box, tuple(need), enc, mask_f, sem_f, stack, comp[on_box], m[on_box])
 
     def forward_box(self, win: Windows) -> Tensor:
         """The composed output on the foreground's box ``win.box``, [3, h, w].
@@ -286,10 +285,8 @@ class GeneratorModel:
             cur = tc.up_conv3x3(cur, skips[k - 1], w, b, win.need[k - 1], low_at, (e_top * scale, e_left * scale))
             low_at = win.need[k - 1][0], win.need[k - 1][2]
 
-        top, bottom, left, right = win.box
-        delta = tc.crop(tc.conv3x3(cur, self.head[0], self.head[1], stride=1),
-                        top - low_at[0], bottom - low_at[0], left - low_at[1], right - low_at[1])
-        return tc.compose_residual(delta, win.comp_box, win.mask[top:bottom, left:right])
+        delta = tc.conv3x3(cur, self.head[0], self.head[1], region=win.box, x_at=low_at)
+        return tc.compose_residual(delta, win.comp_box, win.mask_box)
 
     def forward_tensor(self, composite: np.ndarray, mask: np.ndarray, semantic: np.ndarray) -> np.ndarray:
         """Run the network; returns the composed [3, S, S] output as an array.

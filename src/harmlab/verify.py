@@ -187,7 +187,9 @@ def op_grad_checks(tol: float = DEFAULT_TOL, h: float = DEFAULT_H) -> list[GradC
               [stat_feat], rng.normal(size=3))
 
     x245 = rng.normal(size=(2, 4, 5))
-    check("crop", lambda ts: tc.crop(ts[0], 1, 3, 1, 4), [x245], rng.normal(size=(2, 2, 3)))
+    # the head's case: a narrowing stride-1 region, rows 0:2 and columns 2:5 of x355
+    check("conv3x3_s1_region", lambda ts: tc.conv3x3(*ts, region=(2, 4, 3, 6), x_at=(2, 1)), [x355, k233, bias2],
+          rng.normal(size=(2, 2, 3)))
 
     # The conv backward stacks the output gradient for each phase grid that
     # needs a gradient and has more channels than C_out, and makes per-tap

@@ -1,6 +1,7 @@
 """The demos run end to end against the current API.
 
-Demo 04 trains for about a minute and demo 06 for about three; both are left out.
+Demo 04 trains for about a minute, demo 06 for about three, and demo 07 times
+the decoder's layouts for about 40 seconds; all three are left out.
 """
 
 import os

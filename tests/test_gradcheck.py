@@ -85,7 +85,7 @@ def test_op_checks_leave_the_fold_threshold_alone(monkeypatch):
 
     monkeypatch.setattr(tc, "_up_conv3x3", spy)
     verify.op_grad_checks()
-    assert {threshold for threshold, _ in seen} == {256}
+    assert {threshold for threshold, _ in seen} == {576}
     assert {folded for _, folded in seen} == {False, True}
 
 

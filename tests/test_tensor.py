@@ -170,6 +170,90 @@ class TestConv3x3:
         with pytest.raises(ShapeError):
             tc.conv3x3(Tensor(np.ones((1, 4, 4))), Tensor(np.ones((1, 1, 3, 3))), Tensor(np.zeros(1)), stride=3)
 
+    @staticmethod
+    def dense_forward(x, k, b):
+        """conv3x3 at stride 1 over the whole map, one einsum per tap on the zero-padded input."""
+        _, h, w = x.shape
+        padded = np.pad(x, ((0, 0), (1, 1), (1, 1)))
+        return b[:, None, None] + sum(np.einsum("oi,iyx->oyx", k[:, :, ky, kx], padded[:, ky : ky + h, kx : kx + w])
+                                      for ky in range(3) for kx in range(3))
+
+    @staticmethod
+    def region_run(x, k, b, g, region, x_at, x_grad=True):
+        ts = Tensor(x, requires_grad=x_grad), Tensor(k, requires_grad=True), Tensor(b, requires_grad=True)
+        with Graph() as graph:
+            out = tc.conv3x3(*ts, region=region, x_at=x_at)
+        assert [r.op for r in graph.records] == ["conv3x3"]
+        graph.backward(out, g)
+        return [out.data] + [t.grad for t in ts]
+
+    # x is a [C, 5, 6] window at site (3, 7): rows 3:8, columns 7:13
+    WINDOW_REGIONS = {
+        "top_left": (3, 5, 7, 9), "top_right": (3, 5, 11, 13), "bottom_left": (6, 8, 7, 9),
+        "bottom_right": (6, 8, 11, 13), "top": (3, 4, 8, 12), "bottom": (7, 8, 8, 12), "left": (4, 7, 7, 8),
+        "right": (4, 7, 12, 13), "inside": (4, 7, 8, 12), "one_pixel": (5, 6, 9, 10),
+        "one_pixel_corner": (7, 8, 12, 13), "whole": (3, 8, 7, 13),
+    }
+
+    @pytest.mark.parametrize("c_in, c_out", [(5, 2), (2, 5)])
+    @pytest.mark.parametrize("x_grad", [True, False])
+    def test_region_matches_dense_reference(self, c_in, c_out, x_grad):
+        # the head's case is C_in > C_out; the other takes the per-tap backward.
+        # The last case is the empty mask's box: one site of a 1x1 map.
+        rng = np.random.default_rng(c_in * 10 + c_out)
+        cases = [((c_in, 5, 6), region, (3, 7)) for region in self.WINDOW_REGIONS.values()]
+        for shape, region, x_at in cases + [((c_in, 1, 1), (0, 1, 0, 1), (0, 0))]:
+            x, k, b = rng.normal(size=shape), rng.normal(size=(c_out, c_in, 3, 3)), rng.normal(size=c_out)
+            top, bottom, left, right = region
+            cut = np.s_[:, top - x_at[0] : bottom - x_at[0], left - x_at[1] : right - x_at[1]]
+            g = rng.normal(size=(c_out, bottom - top, right - left))
+            g_full = np.zeros((c_out, *shape[1:]))
+            g_full[cut] = g
+            want = [self.dense_forward(x, k, b)[cut], *self.dense_reference(x, k, g_full, 1)]
+            got = self.region_run(x, k, b, g, region, x_at, x_grad)
+            if not x_grad:
+                assert got[1] is None
+                want[1] = None
+            for part, a, ref in zip(("out", "x", "w", "bias"), got, want):
+                if ref is not None:
+                    assert np.abs(a - ref).max() <= 1e-12 * np.abs(ref).max(), (part, region)
+
+    def test_whole_map_region_is_the_unregioned_conv_bit_for_bit(self):
+        rng = np.random.default_rng(12)
+        for c_in, c_out in ((5, 2), (2, 5)):
+            x, k, b = rng.normal(size=(c_in, 5, 6)), rng.normal(size=(c_out, c_in, 3, 3)), rng.normal(size=c_out)
+            g = rng.normal(size=(c_out, 5, 6))
+            plain = self.backward_of(x, k, b, g, 1)
+            for region, x_at in (((0, 5, 0, 6), (0, 0)), ((3, 8, 7, 13), (3, 7))):
+                got = self.region_run(x, k, b, g, region, x_at)
+                assert np.array_equal(got[0], tc.conv3x3(Tensor(x), Tensor(k), Tensor(b)).data)
+                assert all(np.array_equal(a, ref) for a, ref in zip(got[1:], plain)), (c_in, region)
+
+    def test_region_backward_adds_into_the_window(self):
+        # a delta kernel copies x: the output is x on the region, and the
+        # gradient lands in the region's window of x's gradient
+        rng = np.random.default_rng(3)
+        x = Tensor(rng.normal(size=(2, 5, 6)), requires_grad=True)
+        w = np.zeros((2, 2, 3, 3))
+        w[0, 0, 1, 1] = w[1, 1, 1, 1] = 1.0
+        g = rng.normal(size=(2, 2, 3))
+        with Graph() as graph:
+            window = tc.conv3x3(x, Tensor(w), Tensor(np.zeros(2)), region=(11, 13, 22, 25), x_at=(10, 20))
+        assert np.array_equal(window.data, x.data[:, 1:3, 2:5])
+        graph.backward(window, g)
+        pasted = np.zeros((2, 5, 6))
+        pasted[:, 1:3, 2:5] = g
+        assert np.array_equal(x.grad, pasted)
+
+    def test_region_errors(self):
+        x, w, b = Tensor(np.ones((1, 4, 5))), Tensor(np.ones((2, 1, 3, 3))), Tensor(np.zeros(2))
+        with pytest.raises(ShapeError, match="1 with a region"):
+            tc.conv3x3(x, w, b, stride=2, region=(0, 4, 0, 5))
+        for region, x_at in (((0, 5, 0, 5), (0, 0)), ((2, 2, 0, 5), (0, 0)), ((0, 3, -1, 2), (0, 0)),
+                             ((0, 3, 0, 3), (1, 0)), ((5, 6, 2, 3), (1, 1))):
+            with pytest.raises(ShapeError, match="region"):
+                tc.conv3x3(x, w, b, region=region, x_at=x_at)
+
 
 def stage_reference(low, skip, k, bias, region, low_at, skip_at, g):
     """The decoder stage in plain numpy: ``relu(conv3x3(concat(upsample2(low), skip)))`` on
@@ -210,8 +294,8 @@ class TestUpConv3x3:
         skip.requires_grad = skip_grad
         with Graph() as graph:
             out = tc.up_conv3x3(low, skip, w, b, *where)
-        graph.backward(out, g)
         assert [r.op for r in graph.records] == ["up_conv3x3"]
+        graph.backward(out, g)
         return [out.data] + [t.grad for t in (low, skip, w, b)]
 
     def check(self, monkeypatch, arrays, skip_grad, where, seed):
@@ -274,32 +358,6 @@ class TestUpConv3x3:
             tc.up_conv3x3(low, Tensor(np.ones((1, 6, 6))), Tensor(np.ones((4, 3, 3, 3))), b, (0, 2, 0, 2), (0, 0), (1, 0))
         with pytest.raises(ShapeError, match="input channels"):
             tc.up_conv3x3(low, Tensor(np.ones((1, 6, 6))), Tensor(np.ones((4, 2, 3, 3))), b, (0, 6, 0, 6))
-
-
-class TestCrop:
-    def test_backward_adds_into_the_window(self):
-        rng = np.random.default_rng(3)
-        x = Tensor(rng.normal(size=(2, 5, 6)), requires_grad=True)
-        g = rng.normal(size=(2, 2, 3))
-        with Graph() as graph:
-            window = tc.crop(x, 1, 3, 2, 5)
-        assert np.array_equal(window.data, x.data[:, 1:3, 2:5])
-        graph.backward(window, g)
-        pasted = np.zeros((2, 5, 6))
-        pasted[:, 1:3, 2:5] = g
-        assert np.array_equal(x.grad, pasted)
-
-    def test_whole_map_is_identity_and_records_nothing(self):
-        x = Tensor(np.ones((1, 3, 4)), requires_grad=True)
-        with Graph() as graph:
-            assert tc.crop(x, 0, 3, 0, 4) is x
-        assert graph.records == []
-
-    def test_windows_outside_the_map_rejected(self):
-        x = Tensor(np.ones((1, 3, 4)))
-        for window in ((0, 4, 0, 4), (2, 2, 0, 4), (0, 3, -1, 2)):
-            with pytest.raises(ShapeError, match="crop"):
-                tc.crop(x, *window)
 
 
 class TestSoftmaxRows:
@@ -538,6 +596,19 @@ class TestTape:
         g.backward(y, np.full((2, 3), 2.0))
         assert np.array_equal(x.grad, np.full((2, 3), 2.0))
 
+    def test_tape_runs_once(self):
+        # backward pops every record, and a second backward raises
+        x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+        with Graph() as g:
+            y = tc.l1_loss(tc.relu(x), np.zeros(3), 0.0, 1.0)
+        assert [r.op for r in g.records] == ["relu", "l1_loss"]
+        g.backward(y)
+        assert g.records == []
+        assert np.array_equal(x.grad, [1.0, 0.0, 1.0])
+        with pytest.raises(RuntimeError, match="already run"):
+            g.backward(y)
+        assert np.array_equal(x.grad, [1.0, 0.0, 1.0])
+
     def test_no_recording_without_graph(self):
         x = Tensor(np.ones(3), requires_grad=True)
         out = tc.relu(x)
@@ -629,8 +700,8 @@ class TestHeadAndLoss:
         x = Tensor(delta, requires_grad=True)
         with Graph() as graph:
             out = tc.compose_residual(x, comp, mask)
-        graph.backward(out, g)
         assert [r.op for r in graph.records] == ["compose_residual"]
+        graph.backward(out, g)
         assert np.array_equal(out.data, np.where(mask == 1.0, np.minimum(np.maximum(total, 0.0), 1.0), comp))
         assert np.array_equal(x.grad, g * mask * ((total >= 0.0) & (total <= 1.0)))
 
@@ -644,8 +715,8 @@ class TestHeadAndLoss:
         x = Tensor(out_data, requires_grad=True)
         with Graph() as graph:
             loss = tc.l1_loss(x, real, offset, scale)
-        graph.backward(loss, root_grad)
         assert [r.op for r in graph.records] == ["l1_loss"] and loss.shape == ()
+        graph.backward(loss, root_grad)
         diff = out_data - real
         assert np.any(diff == 0.0) and np.any(diff > 0.0) and np.any(diff < 0.0)
         assert loss.item() == (np.sum(np.abs(diff)) + offset) * scale

@@ -251,10 +251,10 @@ class TestSampleLoss:
             model.zero_grad()
             with tc.Graph() as g:
                 got = sample_loss(model, prep)
-                g.backward(got)
+            assert not any(out.shape == (3, size, size) for r in g.records for out in r.outs), where
+            g.backward(got)
             want = np.mean(np.abs(served - real))
             assert abs(got.item() - want) <= 1e-15 * want, where
-            assert not any(out.shape == (3, size, size) for r in g.records for out in r.outs), where
             if sample.id == "empty":  # every output is the composite
                 assert not model.flat.grad.any(), where
             if sample.id == "noisy":

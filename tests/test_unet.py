@@ -119,11 +119,13 @@ class TestForward:
         with tc.Graph() as g:
             sample_loss(model, prep)
         ops = [r.op for r in g.records]
-        enc, head = (next(i for i, r in enumerate(g.records) if r.op == "conv3x3" and r.inputs[1] is w)
-                     for w in (model.encoder[-1][0], model.head[0]))
+        head = next(i for i, r in enumerate(g.records) if r.op == "conv3x3" and r.inputs[1] is model.head[0])
         first = ops.index("up_conv3x3")
         assert ops[first:head] == ["up_conv3x3"] * 3
-        assert "crop" not in ops[enc:head]
+        # the head computes the foreground's box alone, straight into the composition
+        assert ops[head:] == ["conv3x3", "compose_residual", "l1_loss"]
+        top, bottom, left, right = prep.windows.box
+        assert g.records[head].outs[0].shape == (3, bottom - top, right - left)
         need = prep.windows.need
         assert [g.records[first + i].outs[0].shape for i in range(3)] == [
             (w.shape[0], b - t, r - l) for (w, _), (t, b, l, r) in zip(model.decoder, need[2::-1])]
@@ -202,8 +204,8 @@ class TestDecodeWindow:
     def test_one_pixel_foreground_decodes_three_cells(self):
         # the first stage reads the pixel's 3x3 bottleneck cells and each
         # stage writes only the sites the pixel reads, so the head conv, once
-        # the largest map the decoder built (3x3 cells of 4x4 pixels), runs on
-        # the pixel grown by one
+        # the largest map the decoder built (3x3 cells of 4x4 pixels), reads
+        # the pixel grown by one and computes the pixel alone
         model = GeneratorModel.build(UNetConfig(size=128, stages=2), seed=25)
         s = sample_inputs(size=128, seed=26)
         mask = np.zeros((128, 128))
@@ -214,7 +216,7 @@ class TestDecodeWindow:
         assert [r.outs[0].shape for r in stages] == [(16, 3, 3), (16, 3, 3)]  # need[1] and need[0]
         head = [r for r in g.records if r.op == "conv3x3" and r.inputs[1] is model.head[0]]
         assert len(head) == 1
-        assert head[0].inputs[0].shape == (16, 3, 3) and head[0].outs[0].shape == (3, 3, 3)
+        assert head[0].inputs[0].shape == (16, 3, 3) and head[0].outs[0].shape == (3, 1, 1)
 
     @pytest.mark.parametrize("block, shape", [("none", (4, 16, 16)), ("rain", (4, 128, 128)), ("srin", (4, 128, 128))])
     def test_one_pixel_foreground_encodes_its_window(self, block, shape):
@@ -249,16 +251,18 @@ class TestDecodeWindow:
             prep = prepare_sample(model, Sample(real, s.composite, Mask(mask), s.semantic, ""))
             model.zero_grad()
             with tc.Graph() as g:
-                g.backward(sample_loss(model, prep))
+                loss = sample_loss(model, prep)
             frame = any(o.shape == (3, size, size) for r in g.records for o in r.outs)
-            return out, model.flat.grad.copy(), {r.op for r in g.records}, frame
+            ops = {r.op for r in g.records}
+            g.backward(loss)
+            return out, model.flat.grad.copy(), ops, frame
 
         masks = window_masks(size, seed=24)
         wholes = {name for name, mask in masks.items() if regions(config, mask) == full_frame(config, mask)}
         # only the all-ones mask, and perhaps a large synthetic one, decodes the whole map
         assert "full" in wholes and wholes <= {"full", "synthetic"}
         for name, mask in masks.items():
-            out, grad, _, frame = run(mask)
+            out, grad, ops, frame = run(mask)
             monkeypatch.setattr(unet, "decode_regions", full_frame)
             ref_out, ref_grad, ref_ops, ref_frame = run(mask)
             monkeypatch.setattr(unet, "decode_regions", regions)
@@ -267,7 +271,7 @@ class TestDecodeWindow:
             bg = mask == 0.0
             assert np.array_equal(out[:, bg], ref_out[:, bg]) and np.array_equal(out[:, bg], comp[:, bg]), where
             assert _within(grad, ref_grad), where
-            assert ref_frame and "crop" not in ref_ops, where
+            assert ref_frame and ops == ref_ops, where
             assert (name in wholes) == frame, where
 
 
