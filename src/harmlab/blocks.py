@@ -168,23 +168,6 @@ def rain_forward(feat: Tensor, mask_f) -> Tensor:
     return tc.modulate(normed, feat, bg_std, bg_mean, m.astype(np.intp) - 1)
 
 
-def _colour_classes(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct columns of a [3, F] array, as ``(colours [3, K], class [F])``.
-
-    Columns are equal only when their values are bitwise equal, so two
-    colours one ulp apart stay two classes.
-    """
-    bits = np.ascontiguousarray(cols).view(np.uint64)
-    order = np.lexsort(bits)
-    ordered = bits[:, order]
-    first = np.empty(order.size, dtype=bool)
-    first[0] = True
-    np.any(ordered[:, 1:] != ordered[:, :-1], axis=0, out=first[1:])
-    classes = np.empty(order.size, dtype=np.intp)
-    classes[order] = np.cumsum(first) - 1
-    return cols[:, order[first]], classes
-
-
 def srin_forward(feat: Tensor, mask_f, sem_f: np.ndarray, params: SrinParams) -> SrinResult:
     """Semantic-guided modulation of region-normalized features.
 
@@ -214,7 +197,12 @@ def srin_forward(feat: Tensor, mask_f, sem_f: np.ndarray, params: SrinParams) ->
 
     normed = region_instance_norm(feat, m)
 
-    colours, classes = _colour_classes(sem[:, fg_sites])
+    # The K distinct foreground colours, compared by bit pattern so two one
+    # ulp apart stay two classes. With the rows reversed the last row is the
+    # primary sort key, so classes are numbered in np.lexsort's order.
+    fg_sem = sem[:, fg_sites]
+    _, first, classes = np.unique(fg_sem.view(np.uint64)[::-1], axis=1, return_index=True, return_inverse=True)
+    colours = fg_sem[:, first]
     index = np.full((h, w), -1, dtype=np.intp)
     index.flat[fg_sites] = classes
     query = tc.conv1x1(Tensor(colours[:, :, None]), params.w_query, params.b_query)  # [C, K, 1]

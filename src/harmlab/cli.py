@@ -20,10 +20,11 @@ from typing import Callable, Optional, Sequence
 
 from .btrank import bt_fit, read_pairs_csv, scores_csv
 from .errors import ConfigError, HarmlabError
+from .gradcheck import DEFAULT_TOL
 from .imaging import read_pgm, read_ppm, write_ppm
 from .synthdata import GenConfig, generate_dataset, load_dataset, write_dataset
 from .training import TrainConfig, evaluate, train
-from .unet import UNetConfig, load_checkpoint, unet_forward
+from .unet import BLOCK_KINDS, UNetConfig, load_checkpoint, unet_forward
 from .verify import run_suite
 
 
@@ -148,12 +149,12 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
         "gen.seed": args.seed, "gen.count": args.count, "gen.out": args.out, "gen.size": args.size,
     })
     cfg = GenConfig(
-        size=res.get("gen.size", 64),
-        min_objects=res.get("gen.min_objects", 2),
-        max_objects=res.get("gen.max_objects", 5),
-        gain=(res.get("gen.gain_min", 0.6), res.get("gen.gain_max", 1.4)),
-        bias=(res.get("gen.bias_min", -30.0 / 255.0), res.get("gen.bias_max", 30.0 / 255.0)),
-        gamma=(res.get("gen.gamma_min", 0.7), res.get("gen.gamma_max", 1.4)),
+        size=res.get("gen.size", GenConfig.size),
+        min_objects=res.get("gen.min_objects", GenConfig.min_objects),
+        max_objects=res.get("gen.max_objects", GenConfig.max_objects),
+        gain=(res.get("gen.gain_min", GenConfig.gain[0]), res.get("gen.gain_max", GenConfig.gain[1])),
+        bias=(res.get("gen.bias_min", GenConfig.bias[0]), res.get("gen.bias_max", GenConfig.bias[1])),
+        gamma=(res.get("gen.gamma_min", GenConfig.gamma[0]), res.get("gen.gamma_max", GenConfig.gamma[1])),
         seed=res.require("gen.seed"),
     )
     count = res.require("gen.count")
@@ -171,22 +172,23 @@ def _cmd_train(args: argparse.Namespace) -> int:
         "train.seed": args.seed, "train.out": args.out,
     })
     unet = UNetConfig(
-        size=res.get("unet.size", 64),
-        stages=res.get("unet.stages", 3),
-        base_channels=res.get("unet.base_channels", 16),
+        size=res.get("unet.size", UNetConfig.size),
+        stages=res.get("unet.stages", UNetConfig.stages),
+        base_channels=res.get("unet.base_channels", UNetConfig.base_channels),
     )
     out_path = res.require("train.out")
+    milestones = TrainConfig.milestones
     cfg = TrainConfig(
         data_dir=res.require("train.data"),
-        steps=res.get("train.steps", 2000),
-        batch_size=res.get("train.batch_size", 1),
-        lr=res.get("train.lr", 1e-3),
-        milestones=(res.get("train.milestone1", 100.0 / 120.0), res.get("train.milestone2", 110.0 / 120.0)),
-        decay=res.get("train.decay", 0.1),
-        seed=res.get("train.seed", 0),
-        block=res.get("train.block", "srin"),
+        steps=res.get("train.steps", TrainConfig.steps),
+        batch_size=res.get("train.batch_size", TrainConfig.batch_size),
+        lr=res.get("train.lr", TrainConfig.lr),
+        milestones=(res.get("train.milestone1", milestones[0]), res.get("train.milestone2", milestones[1])),
+        decay=res.get("train.decay", TrainConfig.decay),
+        seed=res.get("train.seed", TrainConfig.seed),
+        block=res.get("train.block", TrainConfig.block),
         unet=unet,
-        val_dir=res.get("train.val_data"),
+        val_dir=res.get("train.val_data", TrainConfig.val_dir),
         checkpoint_out=out_path,
     )
     log_path = res.get("train.log", f"{out_path}.log")
@@ -284,7 +286,7 @@ def build_parser() -> _Parser:
 
     p = add("train", _cmd_train, "train a generator")
     p.add_argument("--data")
-    p.add_argument("--block", choices=("none", "rain", "srin"))
+    p.add_argument("--block", choices=BLOCK_KINDS)
     p.add_argument("--steps", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--out")
@@ -303,7 +305,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
 
     p = add("gradcheck", _cmd_gradcheck, "run the gradient/invariant suite")
-    p.add_argument("--tol", type=_tolerance, default=1e-4)
+    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
 
     p = add("bt-rank", _cmd_bt_rank, "fit pairwise-preference scores")
     p.add_argument("--pairs", required=True)

@@ -17,6 +17,9 @@ import numpy as np
 
 from .tensor import Graph, Tensor
 
+DEFAULT_TOL = 1e-4
+DEFAULT_H = 1e-5
+
 
 @dataclass
 class GradCheckResult:
@@ -33,8 +36,8 @@ class GradCheckResult:
 def grad_check(
     fn: Callable[[Sequence[Tensor]], Tensor],
     inputs: Sequence[Tensor],
-    h: float = 1e-5,
-    tol: float = 1e-4,
+    h: float = DEFAULT_H,
+    tol: float = DEFAULT_TOL,
     name: str = "fn",
     weights: Optional[np.ndarray] = None,
 ) -> GradCheckResult:

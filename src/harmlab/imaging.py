@@ -174,12 +174,15 @@ def read_ppm(path: PathLike) -> Image:
     return Image(raw.astype(np.float64) / 255.0)
 
 
-def write_ppm(image: Image, path: PathLike) -> None:
-    header = f"P6\n{image.width} {image.height}\n255\n".encode("ascii")
-    raw = np.rint(image.pixels * 255.0).astype(np.uint8)
+def _write_netpbm(path: PathLike, magic: bytes, raw: np.ndarray) -> None:
+    height, width = raw.shape[:2]
     with open(path, "wb") as fh:
-        fh.write(header)
+        fh.write(magic + f"\n{width} {height}\n255\n".encode("ascii"))
         fh.write(raw.tobytes())
+
+
+def write_ppm(image: Image, path: PathLike) -> None:
+    _write_netpbm(path, b"P6", np.rint(image.pixels * 255.0).astype(np.uint8))
 
 
 def read_pgm(path: PathLike) -> Mask:
@@ -190,11 +193,7 @@ def read_pgm(path: PathLike) -> Mask:
 
 
 def write_pgm(mask: Mask, path: PathLike) -> None:
-    header = f"P5\n{mask.width} {mask.height}\n255\n".encode("ascii")
-    raw = (mask.values * np.uint8(255)).astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(raw.tobytes())
+    _write_netpbm(path, b"P5", (mask.values * np.uint8(255)).astype(np.uint8))
 
 
 # ---------------------------------------------------------------------------
@@ -214,12 +213,12 @@ def compose(generated: Image, composite: Image, mask: Mask) -> Image:
     return Image(np.where(sel, generated.pixels, composite.pixels))
 
 
-def metrics(harmonized: Image, reference: Image, mask: Mask, psnr_cap: float = PSNR_CAP_DB) -> MetricsRecord:
+def metrics(harmonized: Image, reference: Image, mask: Mask) -> MetricsRecord:
     """MSE / foreground MSE / PSNR on the 0-255 scale, plus the foreground ratio.
 
     ``fmse`` averages squared error over foreground pixels only (all channels)
     and is ``None`` when the mask is empty. PSNR is 10*log10(255^2 / mse) for
-    mse > 0 and ``psnr_cap`` for an exact match.
+    mse > 0 and ``PSNR_CAP_DB`` for an exact match.
     """
     _check_same_size(harmonized, reference, "metrics")
     _check_same_size(harmonized, mask, "metrics")
@@ -229,7 +228,7 @@ def metrics(harmonized: Image, reference: Image, mask: Mask, psnr_cap: float = P
     fg = mask.values.astype(bool)
     fg_count = int(fg.sum())
     fmse = float(sq[fg].mean()) if fg_count else None
-    psnr = psnr_cap if mse == 0.0 else 10.0 * math.log10(255.0 ** 2 / mse)
+    psnr = PSNR_CAP_DB if mse == 0.0 else 10.0 * math.log10(255.0 ** 2 / mse)
     return MetricsRecord(mse=mse, fmse=fmse, psnr=psnr, fg_ratio=fg_count / (mask.height * mask.width))
 
 

@@ -369,7 +369,7 @@ def save_checkpoint(model: GeneratorModel, path: PathLike) -> None:
             fh.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
 
 
-def load_checkpoint(path: PathLike, expected_config: Optional[UNetConfig] = None) -> GeneratorModel:
+def load_checkpoint(path: PathLike) -> GeneratorModel:
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != _MAGIC:
@@ -385,8 +385,6 @@ def load_checkpoint(path: PathLike, expected_config: Optional[UNetConfig] = None
         config = UNetConfig(size=size, stages=stages, base_channels=base_channels, block=BLOCK_KINDS[block_code])
     except ValueError as exc:
         raise CheckpointError(f"{path}: invalid configuration: {exc}") from exc
-    if expected_config is not None and config != expected_config:
-        raise CheckpointError(f"{path}: checkpoint config {config} does not match expected {expected_config}")
 
     # Validate every record against the shapes the header implies before
     # allocating anything, so a corrupt header cannot request more memory

@@ -17,15 +17,12 @@ import numpy as np
 
 from . import tensor as tc
 from .blocks import SrinParams, rain_forward, region_instance_norm, srin_forward
-from .gradcheck import GradCheckResult, grad_check
+from .gradcheck import DEFAULT_TOL, GradCheckResult, grad_check
 from .imaging import Image, Mask
 from .synthdata import Sample
 from .tensor import EPS_DEFAULT, Tensor
 from .training import prepare_sample, sample_loss
 from .unet import GeneratorModel, UNetConfig
-
-DEFAULT_TOL = 1e-4
-DEFAULT_H = 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -33,9 +30,7 @@ DEFAULT_H = 1e-5
 # naive and independent of the vectorized path it validates)
 
 
-def reference_srin(
-    feat: np.ndarray, mask: np.ndarray, sem: np.ndarray, params: SrinParams, eps: float = EPS_DEFAULT
-) -> np.ndarray:
+def reference_srin(feat: np.ndarray, mask: np.ndarray, sem: np.ndarray, params: SrinParams) -> np.ndarray:
     c_dim, h, w = feat.shape
     n = h * w
     x = feat.reshape(c_dim, n)
@@ -58,7 +53,7 @@ def reference_srin(
             v += (x[c, i] - mu) ** 2
         v /= len(fg)
         mean.append(mu)
-        std.append(math.sqrt(v + eps))
+        std.append(math.sqrt(v + EPS_DEFAULT))
     normed = [[(x[c, i] - mean[c]) / std[c] for i in range(n)] for c in range(c_dim)]
 
     def project(wmat, bvec, src, k_dim):
@@ -135,14 +130,14 @@ def _value_check(name: str, violation: float, limit: float) -> GradCheckResult:
 # gradient checks per operation
 
 
-def op_grad_checks(tol: float = DEFAULT_TOL, h: float = DEFAULT_H) -> list[GradCheckResult]:
+def op_grad_checks(tol: float = DEFAULT_TOL) -> list[GradCheckResult]:
     """One check per tape op, each of ``sum(W * op(x))`` for random weights ``W``."""
     rng = np.random.default_rng(20240521)
     results = []
 
     def check(name: str, fn: Callable[[Sequence[Tensor]], Tensor], arrays: Sequence[np.ndarray],
               weights: Optional[np.ndarray] = None):
-        results.append(grad_check(fn, [Tensor(a.copy()) for a in arrays], h=h, tol=tol, name=name, weights=weights))
+        results.append(grad_check(fn, [Tensor(a.copy()) for a in arrays], tol=tol, name=name, weights=weights))
 
     # keep inputs clear of the kinks: relu's at 0, compose_residual's where
     # delta + comp is 0 or 1, and l1_loss's where out equals real
@@ -218,7 +213,7 @@ def op_grad_checks(tol: float = DEFAULT_TOL, h: float = DEFAULT_H) -> list[GradC
     return results
 
 
-def block_grad_checks(tol: float = DEFAULT_TOL, h: float = DEFAULT_H) -> list[GradCheckResult]:
+def block_grad_checks(tol: float = DEFAULT_TOL) -> list[GradCheckResult]:
     rng = np.random.default_rng(7151)
     results = []
 
@@ -229,20 +224,20 @@ def block_grad_checks(tol: float = DEFAULT_TOL, h: float = DEFAULT_H) -> list[Gr
     feat = rng.normal(size=(3, 4, 4))
 
     results.append(grad_check(lambda ts: region_instance_norm(ts[0], mask), [Tensor(feat.copy())],
-                              h=h, tol=tol, name="region_instance_norm", weights=wmap))
+                              tol=tol, name="region_instance_norm", weights=wmap))
     results.append(grad_check(lambda ts: rain_forward(ts[0], mask), [Tensor(feat.copy())],
-                              h=h, tol=tol, name="rain_forward", weights=wmap))
+                              tol=tol, name="rain_forward", weights=wmap))
 
     feat2, mask2, sem2, params = random_srin_instance(np.random.default_rng(424242), c_max=3, hw_max=4)
     wout = np.random.default_rng(5).normal(size=feat2.shape)
     tensors = [Tensor(feat2.copy())] + [t for _, t in params.named()]
 
     results.append(grad_check(lambda ts: srin_forward(ts[0], mask2, sem2, params).output, tensors,
-                              h=h, tol=tol, name="srin_forward", weights=wout))
+                              tol=tol, name="srin_forward", weights=wout))
     return results
 
 
-def network_grad_check(tol: float = DEFAULT_TOL, h: float = DEFAULT_H) -> list[GradCheckResult]:
+def network_grad_check(tol: float = DEFAULT_TOL) -> list[GradCheckResult]:
     """End-to-end checks of the training loss over the parameters on the
     tiny configuration: one whose decode window is the whole map, one whose
     window is a strict sub-rectangle of it, and the same window without a
@@ -262,7 +257,7 @@ def network_grad_check(tol: float = DEFAULT_TOL, h: float = DEFAULT_H) -> list[G
 
     def check(name: str, net: GeneratorModel, m: np.ndarray) -> GradCheckResult:
         prep = prepare_sample(net, Sample(ref, comp, Mask(m), sem, name))
-        return grad_check(lambda _: sample_loss(net, prep), net.parameters(), h=h, tol=tol, name=name)
+        return grad_check(lambda _: sample_loss(net, prep), net.parameters(), tol=tol, name=name)
 
     return [
         check("unet_l1_end_to_end", model, mask),
@@ -340,10 +335,10 @@ def invariant_checks() -> list[GradCheckResult]:
     return results
 
 
-def run_suite(tol: float = DEFAULT_TOL, h: float = DEFAULT_H) -> list[GradCheckResult]:
+def run_suite(tol: float = DEFAULT_TOL) -> list[GradCheckResult]:
     results = []
-    results += op_grad_checks(tol, h)
-    results += block_grad_checks(tol, h)
-    results += network_grad_check(tol, h)
+    results += op_grad_checks(tol)
+    results += block_grad_checks(tol)
+    results += network_grad_check(tol)
     results += invariant_checks()
     return results

@@ -39,7 +39,7 @@ A3_SEEDS = (0, 1, 2, 3, 4)
 
 def test_a1_gradient_suite():
     start = time.time()
-    results = run_suite(tol=1e-4, h=1e-5)
+    results = run_suite(tol=1e-4)
     elapsed = time.time() - start
     failures = [r.line() for r in results if not r.passed]
     assert not failures, "gradient/invariant suite failures:\n" + "\n".join(failures)

@@ -3,6 +3,7 @@ import os
 import struct
 import subprocess
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from harmlab.cli import build_parser, dispatch, parse_config_file
 from harmlab.errors import ConfigError
 from harmlab.imaging import Image, Mask, read_ppm, write_pgm, write_ppm
 from harmlab.synthdata import GenConfig, generate_dataset, sample_paths, write_dataset
+from harmlab.training import TrainConfig
 from harmlab.unet import GeneratorModel, UNetConfig, save_checkpoint
 
 
@@ -83,6 +85,31 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert "config: gen.seed = 3" in err
         assert "config: gen.size = 32" in err
+
+    def test_unset_keys_log_their_class_defaults(self, tmp_path, capsys):
+        def defaults(cls):
+            return {f.name: f.default for f in fields(cls) if f.default is not MISSING}
+
+        gen, train, net = defaults(GenConfig), defaults(TrainConfig), defaults(UNetConfig)
+        expected = {
+            **{f"gen.{name}": gen[name] for name in ("size", "min_objects", "max_objects")},
+            **{f"gen.{name}_{end}": gen[name][i] for name in ("gain", "bias", "gamma")
+               for i, end in enumerate(("min", "max"))},
+            **{f"train.{name}": train[name] for name in ("batch_size", "lr", "decay", "seed", "block")},
+            "train.milestone1": train["milestones"][0],
+            "train.milestone2": train["milestones"][1],
+            "train.val_data": train["val_dir"],
+            **{f"unet.{name}": net[name] for name in ("size", "stages", "base_channels")},
+        }
+        data, ckpt = tmp_path / "data", tmp_path / "m.ckpt"
+        assert dispatch(["gen-data", "--seed", "3", "--count", "2", "--out", str(data)]) == 0
+        assert dispatch(["train", "--data", str(data), "--out", str(ckpt), "--steps", "1"]) == 0
+        logged = dict(line.removeprefix("config: ").split(" = ", 1)
+                      for line in capsys.readouterr().err.splitlines() if line.startswith("config: "))
+        flagged = {"gen.seed", "gen.count", "gen.out", "train.data", "train.out", "train.steps"}
+        assert logged.pop("train.log") == f"{ckpt}.log"
+        unset = {key: value for key, value in logged.items() if key not in flagged}
+        assert unset == {key: str(value) for key, value in expected.items()}
 
 
 @pytest.fixture(scope="module")
