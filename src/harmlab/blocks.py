@@ -103,12 +103,15 @@ class Modulation:
 class SrinResult:
     output: Tensor
     degenerate: bool
-    # [C, K, 1] per-class gamma and beta, [C, N] per-site query (computed off
-    # the tape) and key projections and the [H, W] class index (-1 on the
+    # [C, K, 1] per-class gamma and beta, the [3, N] semantic map, copies of
+    # the query projection's weight and bias as the forward pass read them,
+    # the [C, N] key projection and the [H, W] class index (-1 on the
     # background), kept to rebuild ``modulation`` and ``attention``; None when degenerate
     gamma: Optional[np.ndarray] = None
     beta: Optional[np.ndarray] = None
-    query: Optional[np.ndarray] = None
+    sem: Optional[np.ndarray] = None
+    w_query: Optional[np.ndarray] = None
+    b_query: Optional[np.ndarray] = None
     key: Optional[np.ndarray] = None
     index: Optional[np.ndarray] = None
 
@@ -131,8 +134,9 @@ class SrinResult:
         if self.index is None:
             return None
         bg = self.index.reshape(-1) < 0
+        query = self.w_query @ self.sem + self.b_query[:, None]  # [C, N], one column per site
         full = np.zeros((bg.size, bg.size), dtype=np.float64)
-        full[:, bg] = tc._softmax_rows(self.query.T @ self.key[:, bg])
+        full[:, bg] = tc._softmax_rows(query.T @ self.key[:, bg])
         return Tensor(full)
 
 
@@ -216,5 +220,5 @@ def srin_forward(feat: Tensor, mask_f, sem_f: np.ndarray, params: SrinParams) ->
     gamma = tc.relu(tc.conv1x1(value, params.w_gamma, params.b_gamma))  # [C, K, 1]
     beta = tc.relu(tc.conv1x1(value, params.w_beta, params.b_beta))
     out = tc.modulate(normed, feat, gamma, beta, index)
-    site_query = params.w_query.data @ sem + params.b_query.data[:, None]
-    return SrinResult(out, False, gamma.data, beta.data, site_query, key.data.reshape(c, n), index)
+    return SrinResult(out, False, gamma.data, beta.data, sem, params.w_query.data.copy(), params.b_query.data.copy(),
+                      key.data.reshape(c, n), index)

@@ -7,9 +7,12 @@ seeds the root's gradient (1 for a scalar, or given weights) and walks the
 tape once, in exact reverse execution order, accumulating gradients into
 ``Tensor.grad`` buffers and dropping each record as it runs.
 
-There are no generic arithmetic ops. Besides the layers (the convolutions,
-``relu``, the attention and the statistics), each step of the
-network that needs elementwise arithmetic has one op of its own:
+There are no generic arithmetic ops. Each U-Net layer is one op, chosen by
+its role: ``down_conv3x3`` is an encoder stage (a stride-2 3x3 conv and its
+relu), ``up_conv3x3`` a decoder stage (upsample, skip concat, 3x3 conv and
+relu) and ``conv3x3`` the head (a stride-1 3x3 conv on one region). Besides
+them, ``conv1x1``, ``relu``, the attention and the statistics, each step of
+the network that needs elementwise arithmetic has one op of its own:
 ``normalize_channels`` and ``modulate`` for the normalization blocks,
 ``compose_residual`` for the head's residual composition onto the composite,
 and ``l1_loss`` for the training loss.
@@ -321,16 +324,21 @@ def normalize_channels(x: Tensor, mean_c: Tensor, std_c: Tensor) -> Tensor:
 # contractions
 
 
+def _check_conv(op: str, w: Tensor, bias: Tensor, kernel: tuple[int, ...], *maps: Tensor) -> None:
+    """Raise unless every map is [C, H, W], ``w`` is [C_out, C_in, *kernel]
+    with C_in the maps' channel total, and ``bias`` is [C_out]."""
+    if any(m.data.ndim != 3 for m in maps):
+        raise ShapeError(f"{op}: need [C, H, W] maps, got {', '.join(str(m.shape) for m in maps)}")
+    c_in = sum(m.shape[0] for m in maps)
+    if w.shape[1:] != (c_in, *kernel) or bias.shape != w.shape[:1]:
+        raise ShapeError(f"{op}: weight {w.shape} and bias {bias.shape} do not fit {c_in} input channels")
+
+
 def conv1x1(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
     """Per-pixel linear map of a [C_in, H, W] map: out[:, h, w] = w @ x[:, h, w] + bias."""
-    if x.data.ndim != 3 or w.data.ndim != 2:
-        raise ShapeError(f"conv1x1: need x [C_in, H, W] and w [C_out, C_in], got {x.shape}, {w.shape}")
+    _check_conv("conv1x1", w, bias, (), x)
     c_in, h, wd = x.shape
     c_out = w.shape[0]
-    if w.shape[1] != c_in:
-        raise ShapeError(f"conv1x1: weight expects {w.shape[1]} input channels, map has {c_in}")
-    if bias.shape != (c_out,):
-        raise ShapeError(f"conv1x1: bias shape {bias.shape}, expected ({c_out},)")
     flat = x.data.reshape(c_in, h * wd)
     return _op(
         "conv1x1",
@@ -469,59 +477,82 @@ def _tap_sums_backward(g: np.ndarray, grids: Sequence[np.ndarray], taps, pitch: 
     return dgrids
 
 
-def conv3x3(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, region: Optional[tuple[int, int, int, int]] = None,
-            x_at: tuple[int, int] = (0, 0)) -> Tensor:
-    """3x3 cross-correlation with zero padding 1 and stride 1 or 2.
+def _tap_major(w: np.ndarray) -> np.ndarray:
+    """[C_out, C_in, 3, 3] weights as contiguous [9, C_out, C_in]: tap k is (ky, kx) = divmod(k, 3)."""
+    return np.ascontiguousarray(w.transpose(2, 3, 0, 1)).reshape(9, *w.shape[:2])
 
-    At stride 1, ``region`` = (top, bottom, left, right) computes only those
-    output sites, numbered as sites of ``x`` whose site (0, 0) is ``x_at``;
-    it lies in ``x``, which is read in place with zeros only outside it.
-    Left out, the region is the whole map.
 
-    The padded region is split into stride x stride flat phase grids of row
-    pitch ``p = W_out + 2 // stride``. Tap (ky, kx) of every output site then
-    reads one contiguous slice of one grid, so the forward is ``_tap_sums``
-    over nine taps: nine [C_out, C_in] @ [C_in, H_out * p] GEMMs whose last
+def _from_tap_major(d: np.ndarray) -> np.ndarray:
+    """Inverse of ``_tap_major``: [9, C_out, C_in] as [C_out, C_in, 3, 3]."""
+    return d.reshape(3, 3, *d.shape[1:]).transpose(2, 3, 0, 1)
+
+
+def _conv3x3_core(x: Tensor, w: Tensor, bias: Tensor, stride: int, origin: tuple[int, int],
+                  ho: int, wo: int) -> tuple[np.ndarray, Callable[[np.ndarray], None]]:
+    """The [C_out, ho, wo] output of a 3x3 conv whose padded window's corner is site ``origin`` of ``x``,
+    and the function that takes its gradient and accumulates those of ``x``, ``w`` and ``bias``.
+
+    The window is split into stride x stride flat phase grids of row pitch
+    ``p = wo + 2 // stride``. Tap (ky, kx) of every output site then reads
+    one contiguous slice of one grid, so the forward is ``_tap_sums`` over
+    nine taps: nine [C_out, C_in] @ [C_in, ho * p] GEMMs whose last
     ``2 // stride`` columns per row are cropped, with no im2col buffer. The
     backward is ``_tap_sums_backward``, which stacks the output gradient per
     phase grid when the input needs a gradient and ``C_out < C_in``.
     """
-    if stride not in ((1, 2) if region is None else (1,)):
-        raise ShapeError(f"conv3x3: stride must be 1 or 2, and 1 with a region, got {stride}")
-    if x.data.ndim != 3 or w.data.ndim != 4 or w.shape[2:] != (3, 3):
-        raise ShapeError(f"conv3x3: need x [C_in, H, W] and w [C_out, C_in, 3, 3], got {x.shape}, {w.shape}")
-    c_in, h, wd = x.shape
-    c_out = w.shape[0]
-    if w.shape[1] != c_in:
-        raise ShapeError(f"conv3x3: weight expects {w.shape[1]} input channels, map has {c_in}")
-    if bias.shape != (c_out,):
-        raise ShapeError(f"conv3x3: bias shape {bias.shape}, expected ({c_out},)")
+    s = stride
+    reach = 2 // s  # rows and columns a tap reaches past an output site's grid position
+    p = wo + reach
+    # One spare grid row: the last tap's slice runs ``reach`` elements past the grid.
+    grids = _phase_grids(x.data, s, ho + reach + 1, p, *origin)
+    wk = _tap_major(w.data)
+    taps = [(0, (ky % s) * s + kx % s, wk[k], (ky // s) * p + kx // s) for k, (ky, kx) in enumerate(_OFFSETS_3X3)]
+
+    def backward(g: np.ndarray) -> None:
+        dwk = np.empty(wk.shape, dtype=np.float64) if w.requires_grad else None
+        dgrids = _tap_sums_backward(g, grids, taps, p, [x.requires_grad] * (s * s), dwk)
+        if dwk is not None:
+            _accum(w, _from_tap_major(dwk))
+        _accum(bias, g.reshape(g.shape[0], -1).sum(axis=1))
+        if x.requires_grad:
+            _from_phase_grids(dgrids, _grad_buffer(x), p, *origin)
+
+    return _tap_sums(grids, taps, (w.shape[0], ho, wo), p) + bias.data[:, None, None], backward
+
+
+def conv3x3(x: Tensor, w: Tensor, bias: Tensor, region: Optional[tuple[int, int, int, int]] = None,
+            x_at: tuple[int, int] = (0, 0)) -> Tensor:
+    """3x3 cross-correlation with zero padding 1 and stride 1: the output head.
+
+    ``region`` = (top, bottom, left, right) computes only those output
+    sites, numbered as sites of ``x`` whose site (0, 0) is ``x_at``; it lies
+    in ``x``, which is read in place with zeros only outside it. Left out,
+    the region is the whole map. ``_conv3x3_core`` says how it is computed.
+    """
+    _check_conv("conv3x3", w, bias, (3, 3), x)
+    _, h, wd = x.shape
     xt, xl = x_at
     top, bottom, left, right = (xt, xt + h, xl, xl + wd) if region is None else region
     if not (xt <= top < bottom <= xt + h and xl <= left < right <= xl + wd):
         raise ShapeError(f"conv3x3: region {region} is not inside the input's sites, {x.shape} at {x_at}")
-    s = stride
-    ho, wo = -(-(bottom - top) // s), -(-(right - left) // s)
-    reach = 2 // s  # rows and columns a tap reaches past an output site's grid position
-    p = wo + reach
-    origin = (top - 1 - xt, left - 1 - xl)  # the padded window's corner as a site of x
-    # One spare grid row: the last tap's slice runs ``reach`` elements past the grid.
-    grids = _phase_grids(x.data, s, ho + reach + 1, p, *origin)
-    wk = np.ascontiguousarray(w.data.transpose(2, 3, 0, 1)).reshape(9, c_out, c_in)
-    taps = [(0, (ky % s) * s + kx % s, wk[k], (ky // s) * p + kx // s) for k, (ky, kx) in enumerate(_OFFSETS_3X3)]
-    out = _wrap(_tap_sums(grids, taps, (c_out, ho, wo), p) + bias.data[:, None, None], None, False)
+    pre, backward = _conv3x3_core(x, w, bias, 1, (top - 1 - xt, left - 1 - xl), bottom - top, right - left)
+    out = _wrap(pre, None, False)
+    _maybe_record("conv3x3", (out,), (x, w, bias), lambda: backward(out.grad))
+    return out
 
-    def bwd():
-        g = out.grad
-        dwk = np.empty((9, c_out, c_in), dtype=np.float64) if w.requires_grad else None
-        dgrids = _tap_sums_backward(g, grids, taps, p, [x.requires_grad] * (s * s), dwk)
-        if dwk is not None:
-            _accum(w, dwk.reshape(3, 3, c_out, c_in).transpose(2, 3, 0, 1))
-        _accum(bias, g.reshape(c_out, ho * wo).sum(axis=1))
-        if x.requires_grad:
-            _from_phase_grids(dgrids, _grad_buffer(x), p, *origin)
 
-    _maybe_record("conv3x3", (out,), (x, w, bias), bwd)
+def down_conv3x3(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
+    """One U-Net encoder stage: ``relu`` of the 3x3 cross-correlation of the
+    whole of ``x`` with zero padding 1 and stride 2, [C_out, ceil(H / 2), ceil(W / 2)].
+
+    ``_conv3x3_core`` computes the conv; the backward masks the output
+    gradient with ``out > 0`` before it.
+    """
+    _check_conv("down_conv3x3", w, bias, (3, 3), x)
+    _, h, wd = x.shape
+    pre, backward = _conv3x3_core(x, w, bias, 2, (-1, -1), -(-h // 2), -(-wd // 2))
+    out = _wrap(np.maximum(pre, 0.0), None, False)
+    _maybe_record("down_conv3x3", (out,), (x, w, bias), lambda: backward(out.grad * (out.data > 0.0)))
     return out
 
 
@@ -592,13 +623,9 @@ def up_conv3x3(low: Tensor, skip: Tensor, w: Tensor, bias: Tensor, region: tuple
 def _up_conv3x3(low: Tensor, skip: Tensor, w: Tensor, bias: Tensor, region: tuple[int, int, int, int],
                 low_at: tuple[int, int], skip_at: tuple[int, int], folded: bool) -> Tensor:
     """``up_conv3x3`` in the layout that ``folded`` names."""
-    if low.data.ndim != 3 or skip.data.ndim != 3 or w.data.ndim != 4 or w.shape[2:] != (3, 3):
-        raise ShapeError(f"up_conv3x3: need low and skip [C, H, W] and w [C_out, C_in, 3, 3], "
-                         f"got {low.shape}, {skip.shape}, {w.shape}")
+    _check_conv("up_conv3x3", w, bias, (3, 3), low, skip)
     c_low, c_skip, c_out = low.shape[0], skip.shape[0], w.shape[0]
     c_in = c_low + c_skip
-    if w.shape[1] != c_in or bias.shape != (c_out,):
-        raise ShapeError(f"up_conv3x3: weight {w.shape} and bias {bias.shape} do not fit {c_in} input channels")
     top, bottom, left, right = region
     (lt, ll), (st, sl) = low_at, skip_at
     if not (st <= top < bottom <= st + skip.shape[1] and sl <= left < right <= sl + skip.shape[2]):
@@ -614,7 +641,7 @@ def _up_conv3x3(low: Tensor, skip: Tensor, w: Tensor, bias: Tensor, region: tupl
         grids = [*_phase_grids(low.data, 1, hl + 3, p, l0 - 1 - lt, m0 - 1 - ll),
                  *_phase_grids(skip.data, 2, hl + 2, p, 2 * l0 - 1 - st, 2 * m0 - 1 - sl)]
         w_low = _fold_taps(w.data[:, :c_low])
-        w_skip = np.ascontiguousarray(w.data[:, c_low:].transpose(2, 3, 0, 1)).reshape(9, c_out, c_skip)
+        w_skip = _tap_major(w.data[:, c_low:])
         # Phase (a, b) is block 2a + b. Its low taps (t, u) come before its
         # skip taps (ky, kx), and skip tap (ky, kx) reads skip grid site
         # (2i + a + ky, 2j + b + kx).
@@ -633,7 +660,7 @@ def _up_conv3x3(low: Tensor, skip: Tensor, w: Tensor, bias: Tensor, region: tupl
             _fill_window(grid[:c_low, a::2, b::2], low.data, (ut + a) // 2, (ul + b) // 2)
         _fill_window(grid[c_low:], skip.data, top - 1 - st, left - 1 - sl)
         grids = [grid.reshape(c_in, -1)]
-        wk = np.ascontiguousarray(w.data.transpose(2, 3, 0, 1)).reshape(9, c_out, c_in)
+        wk = _tap_major(w.data)
         taps = [(0, 0, wk[k], ky * p + kx) for k, (ky, kx) in enumerate(_OFFSETS_3X3)]
         acc = _tap_sums(grids, taps, (c_out, h, wd), p)
     out = _wrap(np.maximum(acc + bias.data[:, None, None], 0.0), None, False)
@@ -650,8 +677,7 @@ def _up_conv3x3(low: Tensor, skip: Tensor, w: Tensor, bias: Tensor, region: tupl
             dgrids = _tap_sums_backward(full.transpose(2, 4, 0, 1, 3), grids, taps, p,
                                         [low.requires_grad] + [skip.requires_grad] * 4, dws)
             if w.requires_grad:
-                dw_s = dw_skip.sum(axis=0).reshape(3, 3, c_out, c_skip).transpose(2, 3, 0, 1)
-                _accum(w, np.concatenate([_unfold_taps(dw_low), dw_s], axis=1))
+                _accum(w, np.concatenate([_unfold_taps(dw_low), _from_tap_major(dw_skip.sum(axis=0))], axis=1))
             if low.requires_grad:
                 _from_phase_grids(dgrids[:1], _grad_buffer(low), p, l0 - 1 - lt, m0 - 1 - ll)
             if skip.requires_grad:
@@ -660,7 +686,7 @@ def _up_conv3x3(low: Tensor, skip: Tensor, w: Tensor, bias: Tensor, region: tupl
             dwk = np.empty((9, c_out, c_in), dtype=np.float64) if w.requires_grad else None
             (dgrid,) = _tap_sums_backward(g, grids, taps, p, [low.requires_grad or skip.requires_grad], dwk)
             if dwk is not None:
-                _accum(w, dwk.reshape(3, 3, c_out, c_in).transpose(2, 3, 0, 1))
+                _accum(w, _from_tap_major(dwk))
             for a, b in phases if low.requires_grad else ():
                 d_up = dgrid.reshape(c_in, -1, p)[:c_low, a::2, b::2]
                 _add_window(_grad_buffer(low), d_up, (ut + a) // 2, (ul + b) // 2)

@@ -33,7 +33,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import tensor as tc
-from .errors import ConfigError, TrainingError
+from .errors import ConfigError, ShapeError, TrainingError
 from .blocks import degenerate_mask
 from .imaging import BUCKET_LABELS, MetricsRecord, metrics, ratio_bucket
 from .optim import AdamState, adam_step
@@ -108,9 +108,9 @@ class TrainConfig:
             if not (prev < m < 1.0):
                 raise ConfigError(f"milestones must be strictly increasing within (0, 1), got {self.milestones}")
             prev = m
-
-    def effective_unet(self) -> UNetConfig:
-        return replace(self.unet, block=self.block)
+        if self.unet.block not in (UNetConfig.block, self.block):
+            raise ConfigError(f"unet.block {self.unet.block!r} conflicts with block {self.block!r}; set block")
+        object.__setattr__(self, "unet", replace(self.unet, block=self.block))  # what trains
 
 
 @dataclass
@@ -142,14 +142,21 @@ def train(
 
     ``samples`` overrides loading from ``cfg.data_dir`` (used by tests and
     callers that already hold the data in memory). When a validation set is
-    configured, ``on_validate`` fires every 10% of the run and once at the end.
+    configured and ``on_validate`` given, every validation sample is checked
+    against the model before the first step, and ``on_validate`` fires every
+    10% of the run and once at the end.
     """
     data = list(samples) if samples is not None else load_dataset(cfg.data_dir)
     if not data:
         raise TrainingError(f"no samples to train on in {cfg.data_dir!r}")
-    val_data = load_dataset(cfg.val_dir) if cfg.val_dir else None
+    val_data = load_dataset(cfg.val_dir) if cfg.val_dir and on_validate is not None else None
 
-    model = GeneratorModel.build(cfg.effective_unet(), seed=cfg.seed)
+    model = GeneratorModel.build(cfg.unet, seed=cfg.seed)
+    for s in val_data or ():  # a sample the model cannot take fails here, not at the first validation
+        try:
+            model.windows(s.composite.planar(), s.mask.values, s.semantic.planar())
+        except ShapeError as exc:
+            raise ShapeError(f"validation set {cfg.val_dir!r}: sample {s.id}: {exc}") from exc
     state = AdamState(lr=cfg.lr)
 
     order_rng = np.random.Generator(np.random.PCG64(cfg.seed))
@@ -191,7 +198,7 @@ def train(
         history.append(entry)
         if on_step is not None:
             on_step(entry)
-        if val_data is not None and (step % val_every == 0 or step == cfg.steps) and on_validate is not None:
+        if val_data is not None and (step % val_every == 0 or step == cfg.steps):
             on_validate(step, evaluate(model, val_data))
 
     model.zero_grad()

@@ -1,11 +1,13 @@
 """Harmonization generator: a small U-Net with a normalization block at the bottleneck.
 
 The network maps a 4-channel stack (composite RGB + foreground mask) through
-stride-2 encoder convolutions, applies the configured bottleneck block with
-the mask and semantic map resampled to feature resolution, then decodes:
-each decoder stage is one ``tensor.up_conv3x3``, the relu of a 3x3 conv over
-the nearest x2 upsample of the deeper map concatenated with the skip, which
-never builds either map. The 3-channel output head is residual: one op,
+the encoder, applies the configured bottleneck block with the mask and
+semantic map resampled to feature resolution, then decodes. Each layer is one
+tape op: each encoder stage is one ``tensor.down_conv3x3``, the relu of a
+stride-2 3x3 conv; each decoder stage is one ``tensor.up_conv3x3``, the relu of
+a 3x3 conv over the nearest x2 upsample of the deeper map concatenated with
+the skip, which never builds either map; and the 3-channel output head is one
+stride-1 ``tensor.conv3x3``. The head is residual: one op,
 ``tensor.compose_residual``, adds its prediction to the composite and clamps
 the sum to [0, 1] on the foreground, and passes background pixels through
 exactly.
@@ -271,7 +273,7 @@ class GeneratorModel:
         skips = [win.stack]
         cur = win.stack
         for w, b in self.encoder:
-            cur = tc.relu(tc.conv3x3(cur, w, b, stride=2))
+            cur = tc.down_conv3x3(cur, w, b)
             skips.append(cur)
 
         if self.config.block == "rain":

@@ -167,8 +167,8 @@ def op_grad_checks(tol: float = DEFAULT_TOL) -> list[GradCheckResult]:
     x355 = rng.normal(size=(3, 5, 5))
     k233 = 0.4 * rng.normal(size=(2, 3, 3, 3))
     bias2 = rng.normal(size=2)
-    check("conv3x3_s1", lambda ts: tc.conv3x3(*ts, stride=1), [x355, k233, bias2], rng.normal(size=(2, 5, 5)))
-    check("conv3x3_s2", lambda ts: tc.conv3x3(*ts, stride=2), [x355, k233, bias2], rng.normal(size=(2, 3, 3)))
+    check("conv3x3_s1", lambda ts: tc.conv3x3(*ts), [x355, k233, bias2], rng.normal(size=(2, 5, 5)))
+    check("down_conv3x3_narrowing", lambda ts: tc.down_conv3x3(*ts), [x355, k233, bias2], rng.normal(size=(2, 3, 3)))
     # the query map's first column holds the three [2]-channel queries
     query_map, key_map, value_map = (rng.normal(size=(2, 3, 3)) for _ in range(3))
     check("region_attention", lambda ts: tc.region_attention(*ts, site_mask),
@@ -188,16 +188,14 @@ def op_grad_checks(tol: float = DEFAULT_TOL) -> list[GradCheckResult]:
 
     # The conv backward stacks the output gradient for each phase grid that
     # needs a gradient and has more channels than C_out, and makes per-tap
-    # products for every other grid. The conv3x3 checks above stack
+    # products for every other grid. The conv checks above stack
     # (C_out < C_in); these widen (C_out > C_in). up_conv3x3 runs each of its
     # layouts narrowing (every grid stacked) and widening (none), on a region
     # at the skip map's bottom and left edges with an odd top row.
     k323 = 0.4 * rng.normal(size=(3, 2, 3, 3))
     bias3 = rng.normal(size=3)
-    check("conv3x3_s1_widening", lambda ts: tc.conv3x3(*ts, stride=1), [x245, k323, bias3],
-          rng.normal(size=(3, 4, 5)))
-    check("conv3x3_s2_widening", lambda ts: tc.conv3x3(*ts, stride=2), [x245, k323, bias3],
-          rng.normal(size=(3, 2, 3)))
+    check("conv3x3_s1_widening", lambda ts: tc.conv3x3(*ts), [x245, k323, bias3], rng.normal(size=(3, 4, 5)))
+    check("down_conv3x3_widening", lambda ts: tc.down_conv3x3(*ts), [x245, k323, bias3], rng.normal(size=(3, 2, 3)))
     for layout, folded in (("concat", False), ("folded", True)):
         for shape, (c_low, c_skip, c_out) in (("narrowing", (3, 2, 1)), ("widening", (2, 1, 3))):
             check(f"up_conv3x3_{layout}_{shape}",

@@ -132,6 +132,15 @@ class TestSrinForward:
             fg_cols = mask.reshape(-1).astype(bool)
             assert np.all(attn[:, fg_cols] == 0.0)
 
+    def test_attention_reads_the_query_weights_of_its_forward_pass(self):
+        # the per-site query is computed on read, from copies of w_query and b_query
+        feat, mask, sem, params = random_srin_instance(np.random.default_rng(201))
+        res = srin_forward(Tensor(feat), mask, sem, params)
+        before = res.attention.data
+        params.w_query.data += 1.0
+        params.b_query.data -= 1.0
+        assert np.array_equal(res.attention.data, before)
+
     def test_modulation_nonnegative_and_masked(self):
         feat, mask, sem, params = random_srin_instance(np.random.default_rng(7))
         res = srin_forward(Tensor(feat), mask, sem, params)

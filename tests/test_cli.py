@@ -293,6 +293,20 @@ class TestExitCodes:
         err = [l for l in capsys.readouterr().err.splitlines() if not l.startswith("config: ")]
         assert err == ["error: mask is 32x32, model expects 64x64"]
 
+    def test_wrong_size_validation_set_is_one_error_line_before_any_step(self, tmp_path, capsys):
+        data, val = tmp_path / "data", tmp_path / "val"
+        write_dataset(generate_dataset(GenConfig(seed=51, size=32), 1), data)
+        write_dataset(generate_dataset(GenConfig(seed=52, size=16), 1), val)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"unet.size = 32\nunet.stages = 2\ntrain.val_data = {val}\n")
+        ckpt = tmp_path / "m.ckpt"
+        argv = ["train", "--config", str(cfg), "--data", str(data), "--steps", "40", "--out", str(ckpt)]
+        assert dispatch(argv) == 2
+        (err,) = [l for l in capsys.readouterr().err.splitlines() if not l.startswith("config: ")]
+        assert err.startswith(f"error: validation set {str(val)!r}: sample ")
+        assert err.endswith(": mask is 16x16, model expects 32x32")
+        assert (tmp_path / "m.ckpt.log").read_text() == ""  # no step ran
+
     @pytest.mark.parametrize("command, seed", [
         ("train", "-3"), ("gen-data", "-5"), ("gen-data", "99999999999999999999999"),
     ])

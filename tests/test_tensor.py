@@ -53,6 +53,11 @@ class TestConv1x1:
             tc.conv1x1(Tensor(np.ones((3, 2, 2))), Tensor(np.zeros((2, 4))), Tensor(np.zeros(2)))
 
 
+# The conv op of each stride: the head's stride-1 conv3x3 and an encoder
+# stage's down_conv3x3, whose output is the relu of a stride-2 conv.
+CONV = {1: tc.conv3x3, 2: tc.down_conv3x3}
+
+
 class TestConv3x3:
     def test_delta_kernel_is_identity(self):
         rng = np.random.default_rng(1)
@@ -60,7 +65,7 @@ class TestConv3x3:
         w = np.zeros((2, 2, 3, 3))
         w[0, 0, 1, 1] = 1.0
         w[1, 1, 1, 1] = 1.0
-        out = tc.conv3x3(Tensor(x), Tensor(w), Tensor(np.zeros(2)), stride=1)
+        out = tc.conv3x3(Tensor(x), Tensor(w), Tensor(np.zeros(2)))
         assert np.array_equal(out.data, x)
 
     def test_box_sums_on_ones(self):
@@ -68,7 +73,7 @@ class TestConv3x3:
         assert np.array_equal(out.data[0], [[4.0, 6.0, 4.0], [6.0, 9.0, 6.0], [4.0, 6.0, 4.0]])
 
     def test_stride_two_output_size(self):
-        out = tc.conv3x3(Tensor(np.ones((1, 4, 4))), Tensor(np.ones((1, 1, 3, 3))), Tensor(np.zeros(1)), stride=2)
+        out = tc.down_conv3x3(Tensor(np.ones((1, 4, 4))), Tensor(np.ones((1, 1, 3, 3))), Tensor(np.zeros(1)))
         assert out.shape == (1, 2, 2)
 
     def test_matches_sliding_window_oracle(self):
@@ -77,8 +82,8 @@ class TestConv3x3:
             x = rng.normal(size=(2, h, w))
             k = rng.normal(size=(3, 2, 3, 3))
             b = rng.normal(size=3)
-            for stride in (1, 2):
-                got = tc.conv3x3(Tensor(x), Tensor(k), Tensor(b), stride=stride).data
+            for stride, op in CONV.items():
+                got = op(Tensor(x), Tensor(k), Tensor(b)).data
                 ho, wo = -(-h // stride), -(-w // stride)
                 ref = np.zeros((3, ho, wo))
                 for co in range(3):
@@ -92,6 +97,8 @@ class TestConv3x3:
                                         if 0 <= iy < h and 0 <= ix < w:
                                             s += k[co, ci, ky, kx] * x[ci, iy, ix]
                             ref[co, oy, ox] = s + b[co]
+                if stride == 2:
+                    ref = np.maximum(ref, 0.0)
                 assert np.allclose(got, ref, atol=1e-12, rtol=0), (h, w, stride)
 
     @pytest.mark.parametrize("h, w", [(5, 7), (6, 3)])
@@ -100,10 +107,10 @@ class TestConv3x3:
         rng = np.random.default_rng(3)
         ho, wo = -(-h // stride), -(-w // stride)
         weights = rng.normal(size=(2, ho, wo))
-        inputs = [Tensor(rng.normal(size=(3, h, w))), Tensor(0.4 * rng.normal(size=(2, 3, 3, 3))),
-                  Tensor(rng.normal(size=2))]
-
-        res = grad_check(lambda ts: tc.conv3x3(*ts, stride=stride), inputs, name=f"conv3x3_s{stride}_{h}x{w}",
+        arrays = rng.normal(size=(3, h, w)), 0.4 * rng.normal(size=(2, 3, 3, 3)), rng.normal(size=2)
+        # a central difference of step 1e-5 crosses down_conv3x3's relu kink only at pre-activations near 0
+        assert np.abs(self.dense_forward(*arrays, stride)).min() > 0.01
+        res = grad_check(lambda ts: CONV[stride](*ts), [Tensor(a) for a in arrays], name=f"conv_s{stride}_{h}x{w}",
                          weights=weights)
         assert res.passed, res.line()
 
@@ -124,11 +131,12 @@ class TestConv3x3:
 
     @staticmethod
     def backward_of(x, k, b, g, stride, x_grad=True):
+        """The op's output and its gradients at x, k and b, and the output gradient through the op's relu."""
         ts = Tensor(x, requires_grad=x_grad), Tensor(k, requires_grad=True), Tensor(b, requires_grad=True)
         with Graph() as graph:
-            out = tc.conv3x3(*ts, stride=stride)
+            out = CONV[stride](*ts)
         graph.backward(out, g)
-        return [t.grad for t in ts]
+        return [t.grad for t in ts], g * (out.data > 0.0) if stride == 2 else g
 
     @pytest.mark.parametrize("c_in, c_out", [(5, 2), (2, 5), (3, 3)])
     @pytest.mark.parametrize("stride", [1, 2])
@@ -138,8 +146,8 @@ class TestConv3x3:
         rng = np.random.default_rng(c_in * 100 + c_out * 10 + h)
         x, k, b = rng.normal(size=(c_in, h, w)), rng.normal(size=(c_out, c_in, 3, 3)), rng.normal(size=c_out)
         g = rng.normal(size=(c_out, -(-h // stride), -(-w // stride)))
-        got = self.backward_of(x, k, b, g, stride, x_grad)
-        expected = self.dense_reference(x, k, g, stride)
+        got, g_pre = self.backward_of(x, k, b, g, stride, x_grad)
+        expected = self.dense_reference(x, k, g_pre, stride)
         if not x_grad:
             assert got[0] is None
         for part, ref in zip(got, expected):
@@ -156,26 +164,23 @@ class TestConv3x3:
         x2 = Tensor(rng.normal(size=(4, 7, 3)))
         g1, g2 = rng.normal(size=(2, 5, 6)), rng.normal(size=(2, 4, 2))
         with Graph() as graph1:
-            out1 = tc.conv3x3(x1, k, b, stride=1)
+            out1 = tc.conv3x3(x1, k, b)
         with Graph() as graph2:
-            out2 = tc.conv3x3(x2, k, b, stride=2)
+            out2 = tc.down_conv3x3(x2, k, b)
         graph2.backward(out2, g2)
         graph1.backward(out1, g1)
         dx1, dk1, db1 = self.dense_reference(x1.data, k.data, g1, 1)
-        _, dk2, db2 = self.dense_reference(x2.data, k.data, g2, 2)
+        _, dk2, db2 = self.dense_reference(x2.data, k.data, g2 * (out2.data > 0.0), 2)
         for got, ref in ((x1.grad, dx1), (k.grad, dk1 + dk2), (b.grad, db1 + db2)):
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
-    def test_bad_stride(self):
-        with pytest.raises(ShapeError):
-            tc.conv3x3(Tensor(np.ones((1, 4, 4))), Tensor(np.ones((1, 1, 3, 3))), Tensor(np.zeros(1)), stride=3)
-
     @staticmethod
-    def dense_forward(x, k, b):
-        """conv3x3 at stride 1 over the whole map, one einsum per tap on the zero-padded input."""
+    def dense_forward(x, k, b, stride=1):
+        """The 3x3 conv over the whole map, before any relu, one einsum per tap on the zero-padded input."""
         _, h, w = x.shape
         padded = np.pad(x, ((0, 0), (1, 1), (1, 1)))
-        return b[:, None, None] + sum(np.einsum("oi,iyx->oyx", k[:, :, ky, kx], padded[:, ky : ky + h, kx : kx + w])
+        return b[:, None, None] + sum(np.einsum("oi,iyx->oyx", k[:, :, ky, kx], padded[:, ky : ky + h : stride,
+                                                                                        kx : kx + w : stride])
                                       for ky in range(3) for kx in range(3))
 
     @staticmethod
@@ -223,7 +228,7 @@ class TestConv3x3:
         for c_in, c_out in ((5, 2), (2, 5)):
             x, k, b = rng.normal(size=(c_in, 5, 6)), rng.normal(size=(c_out, c_in, 3, 3)), rng.normal(size=c_out)
             g = rng.normal(size=(c_out, 5, 6))
-            plain = self.backward_of(x, k, b, g, 1)
+            plain, _ = self.backward_of(x, k, b, g, 1)
             for region, x_at in (((0, 5, 0, 6), (0, 0)), ((3, 8, 7, 13), (3, 7))):
                 got = self.region_run(x, k, b, g, region, x_at)
                 assert np.array_equal(got[0], tc.conv3x3(Tensor(x), Tensor(k), Tensor(b)).data)
@@ -245,10 +250,17 @@ class TestConv3x3:
         pasted[:, 1:3, 2:5] = g
         assert np.array_equal(x.grad, pasted)
 
+    def test_weight_errors(self):
+        x = Tensor(np.ones((2, 4, 5)))
+        for op in CONV.values():
+            for w, b in (((3, 1, 3, 3), 3), ((3, 2, 2, 2), 3), ((3, 2, 3, 3), 2), ((2, 3, 3), 2)):
+                with pytest.raises(ShapeError, match="input channels"):
+                    op(x, Tensor(np.ones(w)), Tensor(np.zeros(b)))
+            with pytest.raises(ShapeError, match=r"need \[C, H, W\] maps"):
+                op(Tensor(np.ones((4, 5))), Tensor(np.ones((3, 2, 3, 3))), Tensor(np.zeros(3)))
+
     def test_region_errors(self):
         x, w, b = Tensor(np.ones((1, 4, 5))), Tensor(np.ones((2, 1, 3, 3))), Tensor(np.zeros(2))
-        with pytest.raises(ShapeError, match="1 with a region"):
-            tc.conv3x3(x, w, b, stride=2, region=(0, 4, 0, 5))
         for region, x_at in (((0, 5, 0, 5), (0, 0)), ((2, 2, 0, 5), (0, 0)), ((0, 3, -1, 2), (0, 0)),
                              ((0, 3, 0, 3), (1, 0)), ((5, 6, 2, 3), (1, 1))):
             with pytest.raises(ShapeError, match="region"):
@@ -625,7 +637,7 @@ class TestTape:
             def run():
                 with Graph() as g:
                     ts = Tensor(x.copy(), requires_grad=True), Tensor(w, requires_grad=True), Tensor(b)
-                    out = tc.relu(tc.conv3x3(*ts, stride=stride))
+                    out = CONV[stride](*ts)
                     g.backward(out, np.ones(out.shape))
                     return out.data.copy(), ts[0].grad.copy(), ts[1].grad.copy()
 

@@ -1,5 +1,6 @@
 import os
 import platform
+import re
 import subprocess
 import sys
 import threading
@@ -11,9 +12,9 @@ import pytest
 
 import harmlab
 from harmlab import tensor as tc
-from harmlab.errors import TrainingError
+from harmlab.errors import ConfigError, ShapeError, TrainingError
 from harmlab.imaging import Image, Mask, MetricsRecord
-from harmlab.synthdata import GenConfig, Sample, generate_dataset
+from harmlab.synthdata import GenConfig, Sample, generate_dataset, write_dataset
 from harmlab.training import (
     BucketStats, TrainConfig, evaluate, lr_at_step, prepare_sample, sample_loss, train,
 )
@@ -142,6 +143,19 @@ class TestTrainLoop:
     def test_empty_dataset_rejected(self):
         with pytest.raises(TrainingError):
             train(tiny_config(), samples=[])
+
+    def test_unet_block_is_the_block_that_trains(self):
+        # a unet.block other than UNetConfig's default must agree with block,
+        # and cfg.unet is what trains
+        with pytest.raises(ConfigError, match="'rain' conflicts with block 'srin'"):
+            TrainConfig(data_dir="", unet=UNetConfig(block="rain"))
+        with pytest.raises(ConfigError, match="'srin' conflicts with block 'none'"):
+            TrainConfig(data_dir="", block="none", unet=UNetConfig(block="srin"))
+        assert TrainConfig(data_dir="", block="rain", unet=UNetConfig(block="rain")).unet.block == "rain"
+        cfg = tiny_config(block="rain", steps=1)
+        assert cfg.unet == UNetConfig(size=32, stages=2, base_channels=8, block="rain")
+        model, _ = train(cfg, samples=generate_dataset(GenConfig(seed=34, size=32), 1))
+        assert model.config == cfg.unet
 
     def test_block_plumbing_identical_when_bottleneck_forced_identity(self, monkeypatch):
         # with the bottleneck forced to pass-through, all three block settings
@@ -292,8 +306,6 @@ class TestBatchingAndValidation:
         assert [e.loss for e in h1] == [e.loss for e in h2]
 
     def test_validation_fires_every_tenth_of_run(self, tmp_path):
-        from harmlab.synthdata import write_dataset
-
         data = generate_dataset(GenConfig(seed=42, size=32), 3)
         val_dir = tmp_path / "val"
         write_dataset(generate_dataset(GenConfig(seed=43, size=32), 2), val_dir)
@@ -301,6 +313,19 @@ class TestBatchingAndValidation:
         train(tiny_config(steps=20, val_dir=str(val_dir)), samples=data,
               on_validate=lambda step, rep: seen.append(step))
         assert seen == [2, 4, 6, 8, 10, 12, 14, 16, 18, 20]
+
+    def test_wrong_size_validation_set_fails_before_the_first_step(self, tmp_path):
+        val_dir = tmp_path / "val"
+        write_dataset(generate_dataset(GenConfig(seed=43, size=16), 2), val_dir)
+        data = generate_dataset(GenConfig(seed=42, size=32), 3)
+        steps = []
+        message = f"validation set {re.escape(repr(str(val_dir)))}: sample .*: mask is 16x16, model expects 32x32"
+        with pytest.raises(ShapeError, match=message):
+            train(tiny_config(steps=40, val_dir=str(val_dir)), samples=data, on_step=steps.append,
+                  on_validate=lambda step, rep: None)
+        assert steps == []
+        # nothing reads the validation set without on_validate, so it is not loaded
+        train(tiny_config(steps=1, val_dir=str(tmp_path / "absent")), samples=data)
 
     def test_degenerate_block_flag_recorded(self):
         # a mask too small to survive nearest-downsampling to 8x8 marks the step

@@ -111,14 +111,18 @@ class TestForward:
 
     @pytest.mark.parametrize("block", ["none", "rain", "srin"])
     def test_one_record_per_decoder_stage(self, block):
-        # a training step: one up_conv3x3 per stage, writing need[k - 1], and
-        # no other record between the bottleneck block and the head
+        # a training step: one down_conv3x3 per encoder stage, one up_conv3x3
+        # per decoder stage, writing need[k - 1], and no other record between
+        # the bottleneck block and the head; relu runs only in srin's heads
         model = GeneratorModel.build(UNetConfig(size=64, stages=3, block=block), seed=19)
         sample = generate_sample(GenConfig(seed=20, size=64), 0)
         prep = prepare_sample(model, sample)
         with tc.Graph() as g:
             sample_loss(model, prep)
         ops = [r.op for r in g.records]
+        assert ops[:3] == ["down_conv3x3"] * 3
+        assert [r.inputs[1] for r in g.records[:3]] == [w for w, _ in model.encoder]
+        assert ops.count("relu") == (2 if block == "srin" else 0)
         head = next(i for i, r in enumerate(g.records) if r.op == "conv3x3" and r.inputs[1] is model.head[0])
         first = ops.index("up_conv3x3")
         assert ops[first:head] == ["up_conv3x3"] * 3
@@ -229,7 +233,7 @@ class TestDecodeWindow:
         mask[61, 66] = 1.0  # cell (15, 16): decode window 14:17 x 15:18, encoder window 13:17 x 14:18
         with tc.Graph() as g:
             model.forward_box(model.windows(s.composite.planar(), mask, s.semantic.planar()))
-        enc1 = [r for r in g.records if r.op == "conv3x3" and r.inputs[1] is model.encoder[0][0]]
+        enc1 = [r for r in g.records if r.op == "down_conv3x3" and r.inputs[1] is model.encoder[0][0]]
         assert len(enc1) == 1
         assert enc1[0].inputs[0].shape == shape
 
