@@ -27,9 +27,16 @@ method_c,method_b,620
 data = read_pairs_csv(io.StringIO(csv_text))
 result = bt_fit(data)
 
-print("iterations:", result.iterations)
+print("Newton iterations:", result.iterations)
 print(scores_csv(result))
 
 # The two-player case has a closed form: score ratio equals the win ratio.
 two = read_pairs_csv(io.StringIO("a,b,3\nb,a,1\n"))
 print("closed form [0.75 0.25]:", bt_fit(two).scores)
+
+# A 121-method chain, each method beating its successor twice and losing to it
+# once: Newton's method fits it in a few iterations.
+rows = "".join(f"m{i:03d},m{i + 1:03d},2\nm{i + 1:03d},m{i:03d},1\n" for i in range(120))
+long_chain = bt_fit(read_pairs_csv(io.StringIO(rows)))
+print("121-method chain, Newton iterations:", long_chain.iterations)
+print("first and last:", long_chain.ranking()[0], long_chain.ranking()[-1])

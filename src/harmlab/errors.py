@@ -39,7 +39,7 @@ class TrainingError(HarmlabError, RuntimeError):
 
 
 class RankingError(HarmlabError, ValueError):
-    """Pairwise-comparison data cannot be fit (disconnected or non-convergent)."""
+    """Pairwise-comparison data cannot be fit (disconnected comparisons, or no maximum-likelihood fit)."""
 
 
 class ConfigError(HarmlabError, ValueError):

@@ -1,4 +1,5 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,22 @@ def wins_matrix(labels, entries):
     for i, j, c in entries:
         w[i, j] = c
     return PairwiseWins(labels=list(labels), wins=w)
+
+
+def chain(n):
+    """Each method beats its successor twice and loses to it once."""
+    return wins_matrix([f"m{i:03d}" for i in range(n)],
+                       [e for i in range(n - 1) for e in ((i, i + 1, 2), (i + 1, i, 1))])
+
+
+def assert_at_optimum(data, result):
+    """Every |g_i| <= 1e-12 * (comparisons of i), the gradient taken over the methods with wins."""
+    live = ~result.zero_win
+    wins = data.wins[np.ix_(live, live)].astype(np.float64)
+    p = result.scores[live]
+    n_ij = wins + wins.T
+    grad = wins.sum(axis=1) - np.sum(n_ij * p[:, None] / (p[:, None] + p[None, :]), axis=1)
+    assert np.all(np.abs(grad) <= 1e-12 * n_ij.sum(axis=1))
 
 
 class TestFitBasics:
@@ -73,7 +90,58 @@ class TestFitBasics:
         assert dict(base.ranking()) == pytest.approx(dict(permuted.ranking()), abs=1e-9)
 
 
+class TestNewton:
+    @pytest.mark.parametrize("n", [25, 100, 400])
+    def test_long_chain_fits_at_the_optimum(self, n):
+        data = chain(n)
+        result = bt_fit(data)
+        assert result.iterations <= 10
+        assert np.all(np.diff(result.scores) < 0.0)
+        assert_at_optimum(data, result)
+
+    def test_huge_counts_give_the_same_scores(self):
+        w = np.array([[0, 3, 2], [1, 0, 5], [4, 1, 0]], dtype=np.int64)
+        base = bt_fit(PairwiseWins(labels=list("ABC"), wins=w))
+        data = PairwiseWins(labels=list("ABC"), wins=w * 10**9)
+        scaled = bt_fit(data)
+        assert np.max(np.abs(scaled.scores - base.scores)) <= 1e-9
+        assert_at_optimum(data, scaled)
+
+    @pytest.mark.parametrize("w", [
+        [[0, 2, 0, 4370], [2, 0, 81065, 0], [0, 0, 0, 5366], [1, 0, 0, 0]],
+        [[0, 1, 0, 0], [1, 0, 1, 646401], [5, 552332, 0, 43], [1, 0, 4224712, 0]],
+        [[0, 95510, 0, 0, 3432637, 0], [388, 0, 1, 1124, 0, 211], [94, 0, 0, 42, 74213, 34],
+         [5193, 31, 1217, 0, 1036, 0], [103742, 0, 1127903114120, 16815, 0, 318], [42965, 221, 781, 0, 0, 0]],
+    ], ids=["full-step-overshoots", "light-method-beside-heavy-ones", "count-of-1e12"])
+    def test_lopsided_counts_fit_at_the_optimum(self, w):
+        data = PairwiseWins(labels=list("ABCDEF")[:len(w)], wins=np.array(w))
+        assert_at_optimum(data, bt_fit(data))
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_strongly_connected_fit_property(self, draw):
+        m = draw.draw(st.integers(2, 6))
+        w = np.array(draw.draw(st.lists(st.integers(0, 29), min_size=m * m, max_size=m * m))).reshape(m, m)
+        for i in range(m):  # a cycle of wins makes the win graph strongly connected
+            w[i, (i + 1) % m] = max(w[i, (i + 1) % m], 1)
+        np.fill_diagonal(w, 0)
+        data = PairwiseWins(labels=list("ABCDEF")[:m], wins=w)
+        result = bt_fit(data)
+        assert abs(result.scores.sum() - 1.0) <= 1e-12
+        assert_at_optimum(data, result)
+
+
 class TestEdgeCases:
+    @pytest.mark.parametrize("text, unbeaten", [
+        ("A,B,3\nA,C,2\nB,C,1\nC,B,1\n", r"\{A\}"),
+        ("A,B,1\nB,C,1\n", r"\{A\}"),
+        # D has no wins and C beat only D, so C never beat A or B
+        ("A,B,2\nB,A,1\nA,C,1\nC,D,1\n", r"\{A, B\}"),
+    ], ids=["beats-both", "chain-of-three", "pair-over-c"])
+    def test_undefeated_set_is_named(self, text, unbeaten):
+        with pytest.raises(RankingError, match=r"no maximum-likelihood fit: " + unbeaten + " never lost"):
+            bt_fit(read_pairs_csv(io.StringIO(text)))
+
     def test_disconnected_graph_lists_components(self):
         data = wins_matrix("ABCD", [(0, 1, 3), (1, 0, 2), (2, 3, 4), (3, 2, 1)])
         with pytest.raises(RankingError, match=r"\{A, B\}.*\{C, D\}"):
@@ -93,6 +161,13 @@ class TestEdgeCases:
     def test_negative_counts_rejected(self):
         with pytest.raises(RankingError):
             PairwiseWins(labels=list("AB"), wins=np.array([[0, -1], [2, 0]]))
+
+    @pytest.mark.parametrize("count", [np.inf, 1e30, 2.0**63])
+    def test_float_count_beyond_int64_rejected(self, count):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RankingError, match="exceeds 9223372036854775807"):
+                PairwiseWins(labels=list("AB"), wins=np.array([[0.0, count], [2.0, 0.0]]))
 
     def test_nonzero_diagonal_rejected(self):
         with pytest.raises(RankingError):

@@ -258,6 +258,22 @@ class TestBtRank:
     def test_missing_file_is_data_error(self, tmp_path):
         assert dispatch(["bt-rank", "--pairs", str(tmp_path / "absent.csv")]) == 2
 
+    def test_undefeated_method_is_named(self, tmp_path, capsys):
+        pairs = tmp_path / "p.csv"
+        pairs.write_text("A,B,3\nA,C,2\nB,C,1\nC,B,1\n")
+        assert dispatch(["bt-rank", "--pairs", str(pairs)]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and "{A}" in errors[0]
+
+    def test_long_chain_is_ranked(self, tmp_path, capsys):
+        rows = [f"m{i:03d},m{i + 1:03d},2\nm{i + 1:03d},m{i:03d},1\n" for i in range(120)]
+        pairs = tmp_path / "p.csv"
+        pairs.write_text("".join(rows))
+        assert dispatch(["bt-rank", "--pairs", str(pairs)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "method,score"
+        assert [line.split(",")[0] for line in lines[1:]] == [f"m{i:03d}" for i in range(121)]
+
 
 class TestExitCodes:
     def test_unknown_command_is_usage_error(self):
