@@ -80,9 +80,19 @@ class BtResult:
     scores: np.ndarray
     zero_win: np.ndarray  # bool; True where the MLE is pinned at exactly 0
     iterations: int
+    log_strengths: np.ndarray  # theta - max theta; -inf where zero_win
 
     def ranking(self) -> list[tuple[str, float]]:
-        order = sorted(range(len(self.labels)), key=lambda i: (-self.scores[i], self.labels[i]))
+        """Methods by descending score, ties in label order.
+
+        Scores below the smallest normal float, 0 included, have lost precision, so their ties are
+        ordered by log-strength first. Equal larger scores have log-strengths that differ only by rounding.
+        """
+        def key(i):
+            underflowed = self.scores[i] < np.finfo(np.float64).tiny
+            return -self.scores[i], (-self.log_strengths[i] if underflowed else 0.0), self.labels[i]
+
+        order = sorted(range(len(self.labels)), key=key)
         return [(self.labels[i], float(self.scores[i])) for i in order]
 
 
@@ -126,9 +136,11 @@ def bt_fit(data: PairwiseWins) -> BtResult:
         p_win = np.exp(-np.logaddexp(0.0, theta[None, :] - theta[:, None]))  # p_win[i, j] = P(i beats j)
         grad = np.sum(wins - n_ij * p_win, axis=1)  # wins minus expected wins
         if np.all(np.abs(grad) <= _TOL * n_ij.sum(axis=1)):
-            scores = np.zeros(n)
-            scores[live] = np.exp(theta - theta.max())
-            return BtResult(list(data.labels), scores / scores.sum(), zero_win=~live, iterations=iteration)
+            log_strengths = np.full(n, -np.inf)
+            log_strengths[live] = theta - theta.max()
+            scores = np.exp(log_strengths)
+            return BtResult(list(data.labels), scores / scores.sum(), zero_win=~live, iterations=iteration,
+                            log_strengths=log_strengths)
         weights = n_ij * p_win * p_win.T
         laplacian = np.diag(weights.sum(axis=1)) - weights
         step = np.zeros_like(theta)

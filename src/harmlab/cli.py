@@ -1,11 +1,12 @@
 """Command-line entry point.
 
 Subcommands: ``gen-data``, ``train``, ``eval``, ``harmonize``, ``gradcheck``,
-``bt-rank``. Every subcommand accepts ``--config <path>`` pointing at a flat
-``key = value`` file (``#`` comments); command-line flags override file values,
-unknown keys are rejected, and the fully resolved configuration is logged to
-stderr. Machine-readable artifacts go to stdout or the named output file;
-human summaries go to stderr (or ``--summary``).
+``bt-rank``. Each accepts ``--config <path>``, a flat ``key = value`` file
+(``#`` comments) whose every key has a row in ``SETTINGS``. A row gives a key's
+parser, default and flag, if any; ``gen-data`` and ``train`` resolve their rows
+in order (flag, else file, else default) and log them to stderr once their
+config objects are built. The other subcommands only check the file. Artifacts
+go to stdout or the named file; human summaries go to stderr (or ``--summary``).
 
 Exit codes: 0 success, 1 usage error, 2 runtime or data error.
 """
@@ -16,7 +17,7 @@ import argparse
 import functools
 import math
 import sys
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .btrank import bt_fit, read_pairs_csv, scores_csv
 from .errors import ConfigError, HarmlabError
@@ -48,36 +49,50 @@ def _tolerance(text: str) -> float:
     return value
 
 
-# dotted key -> value parser; this is the set of addressable configuration fields
-CONFIG_KEYS: dict[str, Callable[[str], object]] = {
-    "gen.seed": int,
-    "gen.count": int,
-    "gen.out": str,
-    "gen.size": int,
-    "gen.min_objects": int,
-    "gen.max_objects": int,
-    "gen.gain_min": float,
-    "gen.gain_max": float,
-    "gen.bias_min": float,
-    "gen.bias_max": float,
-    "gen.gamma_min": float,
-    "gen.gamma_max": float,
-    "train.data": str,
-    "train.steps": int,
-    "train.batch_size": int,
-    "train.lr": float,
-    "train.milestone1": float,
-    "train.milestone2": float,
-    "train.decay": float,
-    "train.seed": int,
-    "train.block": str,
-    "train.out": str,
-    "train.log": str,
-    "train.val_data": str,
-    "unet.size": int,
-    "unet.stages": int,
-    "unet.base_channels": int,
+class Setting(NamedTuple):
+    key: str
+    parse: Callable[[str], object]
+    default: object = None  # a value, or a function of the settings resolved before it
+    flag: Optional[str] = None
+    choices: Optional[tuple[str, ...]] = None  # the flag's; a file value is checked by the config class
+    required: bool = False  # the flag or the config file must give it
+
+
+# subcommand -> its settings, resolved in row order: of two unparsable or missing settings the first is reported
+SETTINGS: dict[str, tuple[Setting, ...]] = {
+    "gen-data": (
+        Setting("gen.min_objects", int, GenConfig.min_objects),
+        Setting("gen.max_objects", int, GenConfig.max_objects),
+        Setting("gen.gain_min", float, GenConfig.gain[0]),
+        Setting("gen.gain_max", float, GenConfig.gain[1]),
+        Setting("gen.bias_min", float, GenConfig.bias[0]),
+        Setting("gen.bias_max", float, GenConfig.bias[1]),
+        Setting("gen.gamma_min", float, GenConfig.gamma[0]),
+        Setting("gen.gamma_max", float, GenConfig.gamma[1]),
+        Setting("gen.seed", int, flag="--seed", required=True),
+        Setting("gen.count", int, flag="--count", required=True),
+        Setting("gen.out", str, flag="--out", required=True),
+        Setting("gen.size", int, GenConfig.size, "--size"),  # after --seed: argparse lists flags in row order
+    ),
+    "train": (
+        Setting("unet.size", int, UNetConfig.size),
+        Setting("unet.stages", int, UNetConfig.stages),
+        Setting("unet.base_channels", int, UNetConfig.base_channels),
+        Setting("train.out", str, flag="--out", required=True),
+        Setting("train.data", str, flag="--data", required=True),
+        Setting("train.steps", int, TrainConfig.steps, "--steps"),
+        Setting("train.batch_size", int, TrainConfig.batch_size),
+        Setting("train.lr", float, TrainConfig.lr),
+        Setting("train.milestone1", float, TrainConfig.milestones[0]),
+        Setting("train.milestone2", float, TrainConfig.milestones[1]),
+        Setting("train.decay", float, TrainConfig.decay),
+        Setting("train.seed", int, TrainConfig.seed, "--seed"),
+        Setting("train.block", str, TrainConfig.block, "--block", BLOCK_KINDS),
+        Setting("train.val_data", str, TrainConfig.val_dir),
+        Setting("train.log", str, lambda settings: f"{settings['train.out']}.log"),
+    ),
 }
+_KEYS = {row.key for rows in SETTINGS.values() for row in rows}
 
 
 def parse_config_file(path: str) -> dict[str, str]:
@@ -91,7 +106,7 @@ def parse_config_file(path: str) -> dict[str, str]:
                 if "=" not in line:
                     raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
                 key, value = (part.strip() for part in line.split("=", 1))
-                if key not in CONFIG_KEYS:
+                if key not in _KEYS:
                     raise ConfigError(f"{path}:{lineno}: unknown configuration key {key!r}")
                 values[key] = value
     except (OSError, UnicodeDecodeError) as exc:
@@ -99,119 +114,87 @@ def parse_config_file(path: str) -> dict[str, str]:
     return values
 
 
-class Resolved:
-    """Config-file values overlaid with command-line flags; logs what was used."""
-
-    def __init__(self, file_values: dict[str, str], overrides: dict[str, object]):
-        self.file_values = file_values
-        self.overrides = {k: v for k, v in overrides.items() if v is not None}
-        for key in self.overrides:
-            if key not in CONFIG_KEYS:
-                raise ConfigError(f"internal: unregistered key {key}")
-        self.used: dict[str, object] = {}
-
-    def get(self, key: str, default=None):
-        if key in self.overrides:
-            value = self.overrides[key]
-        elif key in self.file_values:
-            try:
-                value = CONFIG_KEYS[key](self.file_values[key])
-            except ValueError as exc:
-                raise ConfigError(f"bad value for {key}: {exc}") from exc
-        else:
-            value = default
-        self.used[key] = value
-        return value
-
-    def require(self, key: str):
-        value = self.get(key)
-        if value is None:
-            raise ConfigError(f"missing required setting {key} (flag or config file)")
-        return value
-
-    def log(self, stream=None) -> None:
-        out = stream if stream is not None else sys.stderr
-        for key in sorted(self.used):
-            print(f"config: {key} = {self.used[key]}", file=out)
-
-
-def _resolved(args: argparse.Namespace, overrides: dict[str, object]) -> Resolved:
+def _settings(args: argparse.Namespace) -> dict[str, object]:
+    """The subcommand's settings in row order: the flag if given, else the config file, else the default."""
     file_values = parse_config_file(args.config) if args.config else {}
-    return Resolved(file_values, overrides)
+    settings: dict[str, object] = {}
+    for row in SETTINGS.get(args.command, ()):
+        if row.flag and getattr(args, row.flag[2:]) is not None:
+            settings[row.key] = getattr(args, row.flag[2:])
+        elif row.key in file_values:
+            try:
+                settings[row.key] = row.parse(file_values[row.key])
+            except ValueError as exc:
+                raise ConfigError(f"bad value for {row.key}: {exc}") from exc
+        elif row.required:
+            raise ConfigError(f"missing required setting {row.key} (flag or config file)")
+        else:
+            settings[row.key] = row.default(settings) if callable(row.default) else row.default
+    return settings
+
+
+def _log(settings: dict[str, object]) -> None:
+    for key in sorted(settings):
+        print(f"config: {key} = {settings[key]}", file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _cmd_gen_data(args: argparse.Namespace) -> int:
-    res = _resolved(args, {
-        "gen.seed": args.seed, "gen.count": args.count, "gen.out": args.out, "gen.size": args.size,
-    })
+def _cmd_gen_data(args: argparse.Namespace, settings: dict[str, object]) -> int:
     cfg = GenConfig(
-        size=res.get("gen.size", GenConfig.size),
-        min_objects=res.get("gen.min_objects", GenConfig.min_objects),
-        max_objects=res.get("gen.max_objects", GenConfig.max_objects),
-        gain=(res.get("gen.gain_min", GenConfig.gain[0]), res.get("gen.gain_max", GenConfig.gain[1])),
-        bias=(res.get("gen.bias_min", GenConfig.bias[0]), res.get("gen.bias_max", GenConfig.bias[1])),
-        gamma=(res.get("gen.gamma_min", GenConfig.gamma[0]), res.get("gen.gamma_max", GenConfig.gamma[1])),
-        seed=res.require("gen.seed"),
+        size=settings["gen.size"],
+        min_objects=settings["gen.min_objects"],
+        max_objects=settings["gen.max_objects"],
+        gain=(settings["gen.gain_min"], settings["gen.gain_max"]),
+        bias=(settings["gen.bias_min"], settings["gen.bias_max"]),
+        gamma=(settings["gen.gamma_min"], settings["gen.gamma_max"]),
+        seed=settings["gen.seed"],
     )
-    count = res.require("gen.count")
-    out_dir = res.require("gen.out")
-    res.log()
-    samples = generate_dataset(cfg, count)
-    write_dataset(samples, out_dir)
-    print(f"wrote {count} samples to {out_dir}", file=sys.stderr)
+    _log(settings)
+    samples = generate_dataset(cfg, settings["gen.count"])
+    write_dataset(samples, settings["gen.out"])
+    print(f"wrote {settings['gen.count']} samples to {settings['gen.out']}", file=sys.stderr)
     return 0
 
 
-def _cmd_train(args: argparse.Namespace) -> int:
-    res = _resolved(args, {
-        "train.data": args.data, "train.block": args.block, "train.steps": args.steps,
-        "train.seed": args.seed, "train.out": args.out,
-    })
-    unet = UNetConfig(
-        size=res.get("unet.size", UNetConfig.size),
-        stages=res.get("unet.stages", UNetConfig.stages),
-        base_channels=res.get("unet.base_channels", UNetConfig.base_channels),
-    )
-    out_path = res.require("train.out")
-    milestones = TrainConfig.milestones
+def _cmd_train(args: argparse.Namespace, settings: dict[str, object]) -> int:
     cfg = TrainConfig(
-        data_dir=res.require("train.data"),
-        steps=res.get("train.steps", TrainConfig.steps),
-        batch_size=res.get("train.batch_size", TrainConfig.batch_size),
-        lr=res.get("train.lr", TrainConfig.lr),
-        milestones=(res.get("train.milestone1", milestones[0]), res.get("train.milestone2", milestones[1])),
-        decay=res.get("train.decay", TrainConfig.decay),
-        seed=res.get("train.seed", TrainConfig.seed),
-        block=res.get("train.block", TrainConfig.block),
-        unet=unet,
-        val_dir=res.get("train.val_data", TrainConfig.val_dir),
-        checkpoint_out=out_path,
+        data_dir=settings["train.data"],
+        steps=settings["train.steps"],
+        batch_size=settings["train.batch_size"],
+        lr=settings["train.lr"],
+        milestones=(settings["train.milestone1"], settings["train.milestone2"]),
+        decay=settings["train.decay"],
+        seed=settings["train.seed"],
+        block=settings["train.block"],
+        unet=UNetConfig(
+            size=settings["unet.size"],
+            stages=settings["unet.stages"],
+            base_channels=settings["unet.base_channels"],
+        ),
+        val_dir=settings["train.val_data"],
+        checkpoint_out=settings["train.out"],
     )
-    log_path = res.get("train.log", f"{out_path}.log")
-    res.log()
+    _log(settings)
 
     def report_val(step: int, rep) -> None:
         print(f"validation step {step}: MSE {rep.overall.mean_mse():.4f} "
               f"PSNR {rep.overall.mean_psnr():.4f}", file=sys.stderr)
 
-    with open(log_path, "w", encoding="ascii") as log:
+    with open(settings["train.log"], "w", encoding="ascii") as log:
         _, history = train(cfg, on_step=lambda e: log.write(e.line() + "\n"), on_validate=report_val)
     degenerate = sum(e.block_degenerate for e in history)
     if degenerate:
         print(f"note: bottleneck block degenerate (empty region at feature "
               f"resolution) on {degenerate} of {len(history)} steps", file=sys.stderr)
     print(f"trained {cfg.steps} steps; final loss {history[-1].loss:.6g}; "
-          f"checkpoint {out_path}; log {log_path}", file=sys.stderr)
+          f"checkpoint {cfg.checkpoint_out}; log {settings['train.log']}", file=sys.stderr)
     return 0
 
 
-def _cmd_eval(args: argparse.Namespace) -> int:
-    res = _resolved(args, {})
-    res.log()
+def _cmd_eval(args: argparse.Namespace, settings: dict[str, object]) -> int:
     model = load_checkpoint(args.ckpt)
     samples = load_dataset(args.data)
     report = evaluate(model, samples)
@@ -230,9 +213,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_harmonize(args: argparse.Namespace) -> int:
-    res = _resolved(args, {})
-    res.log()
+def _cmd_harmonize(args: argparse.Namespace, settings: dict[str, object]) -> int:
     model = load_checkpoint(args.ckpt)
     composite = read_ppm(args.comp)
     mask = read_pgm(args.mask)
@@ -243,9 +224,7 @@ def _cmd_harmonize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_gradcheck(args: argparse.Namespace) -> int:
-    res = _resolved(args, {})
-    res.log()
+def _cmd_gradcheck(args: argparse.Namespace, settings: dict[str, object]) -> int:
     results = run_suite(tol=args.tol)
     for r in results:
         print(r.line())
@@ -257,9 +236,7 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bt_rank(args: argparse.Namespace) -> int:
-    res = _resolved(args, {})
-    res.log()
+def _cmd_bt_rank(args: argparse.Namespace, settings: dict[str, object]) -> int:
     data = read_pairs_csv(args.pairs)
     result = bt_fit(data)
     sys.stdout.write(scores_csv(result))
@@ -276,20 +253,13 @@ def build_parser() -> _Parser:
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(fn=fn)
         p.add_argument("--config", help="flat key = value configuration file")
+        for row in SETTINGS.get(name, ()):
+            if row.flag:
+                p.add_argument(row.flag, type=row.parse, choices=row.choices)
         return p
 
-    p = add("gen-data", _cmd_gen_data, "generate a synthetic dataset")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--count", type=int)
-    p.add_argument("--out")
-    p.add_argument("--size", type=int)
-
-    p = add("train", _cmd_train, "train a generator")
-    p.add_argument("--data")
-    p.add_argument("--block", choices=BLOCK_KINDS)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
+    add("gen-data", _cmd_gen_data, "generate a synthetic dataset")
+    add("train", _cmd_train, "train a generator")
 
     p = add("eval", _cmd_eval, "evaluate a checkpoint on a dataset")
     p.add_argument("--data", required=True)
@@ -321,7 +291,7 @@ def dispatch(argv: Optional[Sequence[str]] = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     try:
-        return args.fn(args)
+        return args.fn(args, _settings(args))
     except (HarmlabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -99,6 +99,16 @@ class TestNewton:
         assert np.all(np.diff(result.scores) < 0.0)
         assert_at_optimum(data, result)
 
+    def test_underflowed_scores_keep_chain_order(self):
+        # theta falls by ln 2 a method, so exp underflows to 0 past about the 1074th;
+        # labels sort in reverse chain order, so a label tie-break would show
+        n = 1200
+        data = wins_matrix([f"m{n - 1 - i:04d}" for i in range(n)],
+                           [e for i in range(n - 1) for e in ((i, i + 1, 2), (i + 1, i, 1))])
+        result = bt_fit(data)
+        assert np.sum(result.scores == 0.0) > 100 and not result.zero_win.any()
+        assert [name for name, _ in result.ranking()] == data.labels
+
     def test_huge_counts_give_the_same_scores(self):
         w = np.array([[0, 3, 2], [1, 0, 5], [4, 1, 0]], dtype=np.int64)
         base = bt_fit(PairwiseWins(labels=list("ABC"), wins=w))

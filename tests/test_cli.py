@@ -1,3 +1,4 @@
+import argparse
 import filecmp
 import os
 import struct
@@ -15,7 +16,7 @@ from harmlab.cli import build_parser, dispatch, parse_config_file
 from harmlab.errors import ConfigError
 from harmlab.imaging import Image, Mask, read_ppm, write_pgm, write_ppm
 from harmlab.synthdata import GenConfig, generate_dataset, sample_paths, write_dataset
-from harmlab.training import TrainConfig
+from harmlab.training import LossEntry, TrainConfig
 from harmlab.unet import GeneratorModel, UNetConfig, save_checkpoint
 
 
@@ -110,6 +111,81 @@ class TestConfigFile:
         assert logged.pop("train.log") == f"{ckpt}.log"
         unset = {key: value for key, value in logged.items() if key not in flagged}
         assert unset == {key: str(value) for key, value in expected.items()}
+
+
+FLAGGED = [(command, row) for command, rows in cli.SETTINGS.items() for row in rows if row.flag]
+# key -> (config-file value, flag value) for every key that has a flag
+OVERRIDES = {
+    "gen.seed": ("1", "2"),
+    "gen.count": ("3", "4"),
+    "gen.out": ("file-data", "flag-data"),
+    "gen.size": ("32", "16"),
+    "train.out": ("file.ckpt", "flag.ckpt"),
+    "train.data": ("file-data", "flag-data"),
+    "train.steps": ("3", "4"),
+    "train.seed": ("5", "6"),
+    "train.block": ("none", "rain"),
+}
+
+
+def subcommand_actions(command):
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return {s: a for a in sub.choices[command]._actions for s in a.option_strings if s not in ("-h", "--help")}
+
+
+class TestSettingsTable:
+    @pytest.mark.parametrize("command, row", FLAGGED, ids=[row.key for _, row in FLAGGED])
+    def test_flag_overrides_file_and_is_logged(self, tmp_path, capsys, monkeypatch, command, row):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "generate_dataset", lambda cfg, count: [])
+        monkeypatch.setattr(cli, "write_dataset", lambda samples, out: None)
+        monkeypatch.setattr(cli, "train", lambda cfg, on_step, on_validate: (None, [LossEntry(1, 1e-3, 0.5)]))
+        keys = [r.key for r in cli.SETTINGS[command] if r.flag]
+        (tmp_path / "run.cfg").write_text("".join(f"{key} = {OVERRIDES[key][0]}\n" for key in keys))
+        assert dispatch([command, "--config", "run.cfg", row.flag, OVERRIDES[row.key][1]]) == 0
+        logged = dict(line.removeprefix("config: ").split(" = ", 1)
+                      for line in capsys.readouterr().err.splitlines() if line.startswith("config: "))
+        file_values = {key: OVERRIDES[key][0] for key in keys}
+        assert {key: logged[key] for key in keys} == file_values | {row.key: OVERRIDES[row.key][1]}
+
+    @pytest.mark.parametrize("command, flags", [
+        ("gen-data", ["--config", "--seed", "--count", "--out", "--size"]),
+        ("train", ["--config", "--data", "--block", "--steps", "--seed", "--out"]),
+    ])
+    def test_flag_sets_are_pinned(self, command, flags):
+        assert sorted(subcommand_actions(command)) == sorted(flags)
+
+    def test_block_flag_keeps_its_choices(self):
+        assert subcommand_actions("train")["--block"].choices == ("none", "rain", "srin")
+
+    @pytest.mark.parametrize("command, config, message", [
+        ("gen-data", "gen.gamma_max = high\ngen.min_objects = few\n",
+         "bad value for gen.min_objects: invalid literal for int() with base 10: 'few'"),
+        ("train", "train.out = m.ckpt\ntrain.data = d\ntrain.decay = slow\ntrain.lr = fast\n",
+         "bad value for train.lr: could not convert string to float: 'fast'"),
+        ("train", "train.lr = fast\nunet.stages = two\n",
+         "bad value for unet.stages: invalid literal for int() with base 10: 'two'"),
+        ("train", "train.data = d\ntrain.steps = many\n", "missing required setting train.out (flag or config file)"),
+    ], ids=["gen-data", "train", "unet-before-train", "missing-before-bad"])
+    def test_first_bad_setting_in_row_order_is_reported(self, tmp_path, capsys, command, config, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        assert dispatch([command, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+    def test_readme_table_matches_settings(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8").splitlines()
+        start = readme.index("| key | default | flag |") + 2
+        end = readme.index("", start)
+        documented = [tuple(cell.strip().strip("`") for cell in line.strip("|").split("|")) for line in readme[start:end]]
+
+        def default(row, rows):
+            if row.required:
+                return "required"
+            return str(row.default({r.key: f"<{r.key}>" for r in rows}) if callable(row.default) else row.default)
+
+        expected = [(row.key, default(row, rows), row.flag or "") for rows in cli.SETTINGS.values() for row in rows]
+        assert documented == expected
 
 
 @pytest.fixture(scope="module")
