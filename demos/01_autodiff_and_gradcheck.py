@@ -10,32 +10,29 @@ from harmlab import tensor as tc
 
 # Every operation is a plain function over Tensors. Recording happens only
 # inside a Graph context, and only for tensors that ask for gradients.
-x = Tensor(np.array([[[1.0, -2.0], [0.5, 3.0]],
-                    [[-0.5, 1.0], [-0.25, -1.5]]]), requires_grad=True)  # [C_in, H, W] = [2, 2, 2]
-w = Tensor(np.array([[2.0, 0.0], [1.0, 1.0]]), requires_grad=True)  # [C_out, C_in]
-b = Tensor(np.array([0.1, -0.2]), requires_grad=True)
-weights = np.array([[[1.0, -1.0], [0.5, 2.0]],
-                    [[0.0, 1.0], [-2.0, 1.0]]])  # one weight per output element
+# down_conv3x3 is one U-Net encoder stage: relu of a stride-2 3x3 conv.
+rng = np.random.default_rng(0)
+x = Tensor(rng.normal(size=(2, 4, 4)), requires_grad=True)  # [C_in, H, W]
+w = Tensor(0.5 * rng.normal(size=(3, 2, 3, 3)), requires_grad=True)  # [C_out, C_in, 3, 3]
+b = Tensor(np.array([0.1, -0.2, 0.3]), requires_grad=True)
+weights = rng.normal(size=(3, 2, 2))  # one weight per output element
 
 with Graph() as graph:
-    y = tc.conv1x1(x, w, b)      # per-pixel w @ x[:, h, w] + b
-    z = tc.relu(y)               # kink at 0, subgradient 0 there
-    # Seeding the backward with weights gives every input the gradient of
-    # sum(weights * z), a vector-Jacobian product; a scalar root needs no seed.
-    graph.backward(z, weights)
+    z = tc.down_conv3x3(x, w, b)  # [C_out, 2, 2]; the relu's kink is at 0, subgradient 0 there
+print("tape         :", [rec.op for rec in graph.records])
+# Seeding the backward with weights gives every input the gradient of
+# sum(weights * z), a vector-Jacobian product; a scalar root needs no seed.
+graph.backward(z, weights)
 
 print("sum(weights * z):", float(np.sum(weights * z.data)))
-print("d/dx         :\n", x.grad)
-print("d/dw         :\n", w.grad)
+print("d/dx[0]      :\n", x.grad[0].round(4))
 print("d/db         :", b.grad)
 
 # The same expression, verified against central differences. grad_check
 # seeds the backward with the same weights and re-evaluates the function with
 # nudged coordinates, so it must be pure.
-def fn(ts):
-    return tc.relu(tc.conv1x1(ts[0], ts[1], ts[2]))
-
-report = grad_check(fn, [Tensor(t.data.copy()) for t in (x, w, b)], name="relu_conv1x1", weights=weights)
+report = grad_check(lambda ts: tc.down_conv3x3(*ts), [Tensor(t.data.copy()) for t in (x, w, b)],
+                    name="down_conv3x3", weights=weights)
 print(report.line())
 
 # The adaptive-moment optimizer drives every training loop in the package.

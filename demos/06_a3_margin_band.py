@@ -9,7 +9,8 @@ constants three times: with the initial weights as built, with every one of
 them moved one ulp up, and with every one moved one ulp down
 (``GeneratorModel.build`` wrapped from outside). It prints each seed's
 srin - rain test MSE per run and the band they span, then each run's
-srin <= rain count.
+srin <= rain count. The runs share A3's pool (``a3_map``), so each as-built
+MSE is A3's own.
 
 It trains 30 models and takes about 3 minutes on two processes, so the test
 suite does not run it. Run from the repository root:
@@ -17,18 +18,16 @@ suite does not run it. Run from the repository root:
     python demos/06_a3_margin_band.py
 """
 
-import multiprocessing
 import sys
 from pathlib import Path
 
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
-from test_acceptance import A3_GEN_TEST, A3_GEN_TRAIN, A3_LR, A3_SEEDS, A3_STEPS, A3_UNET  # noqa: E402
+from test_acceptance import A3_SEEDS, a3_map, a3_mse  # noqa: E402
 
-from harmlab import GeneratorModel, TrainConfig, evaluate, generate_dataset, train  # noqa: E402
+from harmlab import GeneratorModel  # noqa: E402
 
-PROCESSES = 2
 RUNS = {"as built": None, "+1 ulp": np.inf, "-1 ulp": -np.inf}  # the direction each initial weight moves
 BUILD = GeneratorModel.__dict__["build"]
 
@@ -42,24 +41,15 @@ def nudged_build(toward: float) -> classmethod:
     return classmethod(build)
 
 
-def load_corpora() -> None:
-    global TRAIN_SET, TEST_SET
-    TRAIN_SET = generate_dataset(A3_GEN_TRAIN, 256)  # the corpus sizes of test_a3_ablation_direction
-    TEST_SET = generate_dataset(A3_GEN_TEST, 64)
-
-
 def arm_mse(job: tuple[str, str, int]) -> float:
     run, block, seed = job
     GeneratorModel.build = BUILD if RUNS[run] is None else nudged_build(RUNS[run])
-    cfg = TrainConfig(data_dir="", steps=A3_STEPS, lr=A3_LR, block=block, seed=seed, unet=A3_UNET)
-    model, _ = train(cfg, samples=TRAIN_SET)
-    return evaluate(model, TEST_SET).overall.mean_mse()
+    return a3_mse((block, seed))
 
 
 def main() -> None:
-    jobs = [(run, block, seed) for run in RUNS for block in ("rain", "srin") for seed in A3_SEEDS]
-    with multiprocessing.Pool(PROCESSES, initializer=load_corpora) as pool:
-        mse = dict(zip(jobs, pool.map(arm_mse, jobs, chunksize=1)))
+    jobs = [(run, block, seed) for run in RUNS for block in ("srin", "rain") for seed in A3_SEEDS]
+    mse = dict(zip(jobs, a3_map(arm_mse, jobs)))
 
     for run in RUNS:
         for block in ("rain", "srin"):

@@ -18,7 +18,6 @@ from .blocks import (
     SrinParams,
     SrinResult,
     rain_forward,
-    region_instance_norm,
     srin_forward,
 )
 from .btrank import BtResult, PairwiseWins, bt_fit, read_pairs_csv, scores_csv
@@ -157,7 +156,6 @@ __all__ = [
     "read_pgm",
     "read_ppm",
     "reference_srin",
-    "region_instance_norm",
     "run_suite",
     "save_checkpoint",
     "scores_csv",

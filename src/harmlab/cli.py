@@ -97,6 +97,7 @@ _KEYS = {row.key for rows in SETTINGS.values() for row in rows}
 
 def parse_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
+    set_on: dict[str, int] = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
@@ -108,7 +109,9 @@ def parse_config_file(path: str) -> dict[str, str]:
                 key, value = (part.strip() for part in line.split("=", 1))
                 if key not in _KEYS:
                     raise ConfigError(f"{path}:{lineno}: unknown configuration key {key!r}")
-                values[key] = value
+                if key in set_on:
+                    raise ConfigError(f"{path}:{lineno}: {key} is already set on line {set_on[key]}")
+                values[key], set_on[key] = value, lineno
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return values

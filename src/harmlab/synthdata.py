@@ -273,8 +273,11 @@ def load_dataset(directory: PathLike) -> list[Sample]:
     manifest = d / "manifest.txt"
     if not manifest.exists():
         raise DatasetError(f"missing manifest: {manifest}")
-    with open(manifest, "r", encoding="ascii") as fh:
-        ids = [line.strip() for line in fh if line.strip()]
+    try:
+        with open(manifest, "r", encoding="ascii") as fh:
+            ids = [line.strip() for line in fh if line.strip()]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DatasetError(f"cannot read manifest {manifest}: {exc}") from exc
     samples = []
     for sid in ids:
         paths = sample_paths(d, sid)

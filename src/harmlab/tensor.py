@@ -10,12 +10,11 @@ tape once, in exact reverse execution order, accumulating gradients into
 There are no generic arithmetic ops. Each U-Net layer is one op, chosen by
 its role: ``down_conv3x3`` is an encoder stage (a stride-2 3x3 conv and its
 relu), ``up_conv3x3`` a decoder stage (upsample, skip concat, 3x3 conv and
-relu) and ``conv3x3`` the head (a stride-1 3x3 conv on one region). Besides
-them, ``conv1x1``, ``relu``, the attention and the statistics, each step of
-the network that needs elementwise arithmetic has one op of its own:
-``normalize_channels`` and ``modulate`` for the normalization blocks,
-``compose_residual`` for the head's residual composition onto the composite,
-and ``l1_loss`` for the training loss.
+relu) and ``conv3x3`` the head (a stride-1 3x3 conv on one region).
+``compose_residual`` is the head's residual composition onto the composite
+and ``l1_loss`` the training loss. The bottleneck blocks, ``rain_block`` and
+``srin_block``, are one op each too and record onto the same tape from
+``blocks``, which holds their arithmetic.
 
 Everything is float64 and single-threaded: importing ``harmlab`` pins the
 BLAS pool to one thread, so identical inputs produce bit-identical outputs
@@ -211,11 +210,7 @@ def as_site_mask(mask, h: int, w: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# elementwise and structural operations
-
-
-def relu(a: Tensor) -> Tensor:
-    return _op("relu", (a,), np.maximum(a.data, 0.0), lambda g: g * (a.data > 0.0))
+# the training loss and the head's composition (the mask is a constant site selector)
 
 
 def l1_loss(out: Tensor, real, offset: float, scale: float) -> Tensor:
@@ -230,10 +225,6 @@ def l1_loss(out: Tensor, real, offset: float, scale: float) -> Tensor:
     diff = out.data - real
     total = (np.sum(np.abs(diff)) + offset) * scale
     return _op("l1_loss", (out,), total, lambda g: np.full_like(diff, float(g * scale)) * np.sign(diff))
-
-
-# ---------------------------------------------------------------------------
-# masked selection and modulation (masks and index maps are constant site selectors)
 
 
 def compose_residual(delta: Tensor, comp, mask) -> Tensor:
@@ -252,74 +243,6 @@ def compose_residual(delta: Tensor, comp, mask) -> Tensor:
     return _op("compose_residual", (delta,), np.where(sel, np.clip(total, 0.0, 1.0), comp), lambda g: g * keep)
 
 
-def modulate(x: Tensor, base: Tensor, scale: Tensor, shift: Tensor, index) -> Tensor:
-    """``scale[:, k] * x + shift[:, k]`` at every class-k site of a map, and exactly ``base`` elsewhere.
-
-    ``x`` and ``base`` are [C, H, W] maps, ``scale`` and ``shift`` [C, K, 1] class
-    columns or [C] vectors (K = 1), and ``index`` a constant [H, W] integer map
-    of classes in [0, K) and -1. The backward sums the scale and shift
-    gradients over each class's sites.
-    """
-    k = scale.shape[1] if scale.data.ndim == 3 else 1
-    if not (x.data.ndim == 3 and base.shape == x.shape and shift.shape == scale.shape
-            and scale.shape in (x.shape[:1], (x.shape[0], k, 1))):
-        raise ShapeError(f"modulate: need x and base [C, H, W], scale and shift [C, K, 1] or [C], "
-                         f"got {x.shape}, {base.shape}, {scale.shape} and {shift.shape}")
-    c, h, w = x.shape
-    idx = np.asarray(index)
-    if idx.shape != (h, w) or idx.dtype.kind not in "iu":
-        raise ShapeError(f"modulate: index must be an ({h}, {w}) integer map, got {idx.dtype} {idx.shape}")
-    if idx.min() < -1 or idx.max() >= k:
-        raise ShapeError(f"modulate: index values must lie in [-1, {k}), got {idx.min()}..{idx.max()}")
-    order = np.argsort(idx, axis=None, kind="stable")[np.count_nonzero(idx < 0):]  # class by class, ascending sites
-    cls = idx.reshape(-1)[order]
-    counts = np.bincount(cls, minlength=k)
-    site_scale = scale.data.reshape(c, k)[:, cls]
-    x_cols = x.data.reshape(c, -1)[:, order]
-    out = base.data.copy()
-    out.reshape(c, -1)[:, order] = site_scale * x_cols + shift.data.reshape(c, k)[:, cls]
-
-    def dx(g):
-        d = np.zeros((c, h * w), dtype=np.float64)
-        d[:, order] = g.reshape(c, -1)[:, order] * site_scale
-        return d.reshape(c, h, w)
-
-    def per_class(cols):
-        d = np.zeros((c, k), dtype=np.float64)
-        d[:, counts > 0] = np.add.reduceat(cols, (np.cumsum(counts) - counts)[counts > 0], axis=1)
-        return d.reshape(scale.shape)
-
-    return _op("modulate", (x, base, scale, shift), out, dx, lambda g: g * (idx < 0),
-               lambda g: per_class(g.reshape(c, -1)[:, order] * x_cols),
-               lambda g: per_class(g.reshape(c, -1)[:, order]))
-
-
-# ---------------------------------------------------------------------------
-# per-channel standardization
-
-
-def normalize_channels(x: Tensor, mean_c: Tensor, std_c: Tensor) -> Tensor:
-    """out[c] = (x[c] - mean_c[c]) / std_c[c] over a [C, H, W] map."""
-    if x.data.ndim != 3:
-        raise ShapeError(f"normalize_channels: need [C, H, W], got {x.shape}")
-    c = x.shape[0]
-    if mean_c.shape != (c,) or std_c.shape != (c,):
-        raise ShapeError(
-            f"normalize_channels: per-channel vectors must have shape ({c},), "
-            f"got {mean_c.shape} and {std_c.shape}"
-        )
-    y = (x.data - mean_c.data[:, None, None]) / std_c.data[:, None, None]
-    inv = 1.0 / std_c.data
-    return _op(
-        "normalize_channels",
-        (x, mean_c, std_c),
-        y,
-        lambda g: g * inv[:, None, None],
-        lambda g: -g.sum(axis=(1, 2)) * inv,
-        lambda g: -(g * y).sum(axis=(1, 2)) * inv,
-    )
-
-
 # ---------------------------------------------------------------------------
 # contractions
 
@@ -332,22 +255,6 @@ def _check_conv(op: str, w: Tensor, bias: Tensor, kernel: tuple[int, ...], *maps
     c_in = sum(m.shape[0] for m in maps)
     if w.shape[1:] != (c_in, *kernel) or bias.shape != w.shape[:1]:
         raise ShapeError(f"{op}: weight {w.shape} and bias {bias.shape} do not fit {c_in} input channels")
-
-
-def conv1x1(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
-    """Per-pixel linear map of a [C_in, H, W] map: out[:, h, w] = w @ x[:, h, w] + bias."""
-    _check_conv("conv1x1", w, bias, (), x)
-    c_in, h, wd = x.shape
-    c_out = w.shape[0]
-    flat = x.data.reshape(c_in, h * wd)
-    return _op(
-        "conv1x1",
-        (x, w, bias),
-        (w.data @ flat + bias.data[:, None]).reshape(c_out, h, wd),
-        lambda g: (w.data.T @ g.reshape(c_out, h * wd)).reshape(c_in, h, wd),
-        lambda g: g.reshape(c_out, h * wd) @ flat.T,
-        lambda g: g.reshape(c_out, h * wd).sum(axis=1),
-    )
 
 
 _OFFSETS_3X3 = [(ky, kx) for ky in range(3) for kx in range(3)]
@@ -699,7 +606,7 @@ def _up_conv3x3(low: Tensor, skip: Tensor, w: Tensor, bias: Tensor, region: tupl
 
 
 # ---------------------------------------------------------------------------
-# softmax, region attention and masked statistics
+# softmax, for the ``srin`` block's attention (``blocks._attention``)
 
 
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
@@ -711,91 +618,3 @@ def _softmax_rows(z: np.ndarray) -> np.ndarray:
 def _softmax_rows_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Gradient at the logits of ``y = _softmax_rows(z)`` given ``g`` at ``y``."""
     return y * (g - (g * y).sum(axis=1, keepdims=True))
-
-
-def region_attention(query: Tensor, key: Tensor, value: Tensor, mask) -> Tensor:
-    """Cross-attention from K queries to the background sites of a map.
-
-    ``query`` is [C, K, 1], one query per column; ``key`` and ``value`` are
-    [C, H, W] maps, and ``mask`` is the constant binary site mask
-    (1 = foreground) with a non-empty background. Query i's weights are a
-    softmax over its products with the B background keys, and its output
-    column is the background values summed with those weights; the output is
-    [C, K, 1]. The [K, B] weights are held in a [K, N] matrix whose
-    foreground columns are exactly 0, so every product runs over whole
-    [C, N] maps, O(K * N * C), with no row per foreground site and no
-    gather or scatter of [C, B] columns. The key and value gradients are
-    exactly 0 at foreground sites.
-    """
-    if not (query.data.ndim == 3 and query.shape[2] == 1 and key.data.ndim == 3
-            and value.shape == key.shape and key.shape[0] == query.shape[0]):
-        raise ShapeError(
-            f"region_attention: need query [C, K, 1] and equal key and value [C, H, W] maps, "
-            f"got {query.shape}, {key.shape} and {value.shape}"
-        )
-    c, h, w = key.shape
-    kq = query.shape[1]
-    n = h * w
-    bg = np.flatnonzero(as_site_mask(mask, h, w).reshape(n) == 0.0)
-    if bg.size == 0:
-        raise ShapeError(f"region_attention: needs a non-empty background, got {n} foreground of {n} sites")
-    q = query.data.reshape(c, kq)
-    k = key.data.reshape(c, n)
-    v = value.data.reshape(c, n)
-    attn = np.zeros((kq, n), dtype=np.float64)
-    attn[:, bg] = _softmax_rows((q.T @ k)[:, bg])
-    out = _wrap((v @ attn.T).reshape(c, kq, 1), None, False)
-
-    # np.dot for the products whose inner dimension is K: at K = 1 numpy's
-    # matmul takes a loop about 4x slower than BLAS (120 vs 28 us at 32 x 1024)
-    def bwd():
-        g = out.grad.reshape(c, kq)
-        if value.requires_grad:
-            _accum(value, np.dot(g, attn).reshape(c, h, w))
-        if query.requires_grad or key.requires_grad:
-            d_logits = _softmax_rows_grad(attn, g.T @ v)  # [K, N], 0 at foreground columns
-            if query.requires_grad:
-                _accum(query, (k @ d_logits.T).reshape(c, kq, 1))
-            if key.requires_grad:
-                _accum(key, np.dot(q, d_logits).reshape(c, h, w))
-
-    _maybe_record("region_attention", (out,), (query, key, value), bwd)
-    return out
-
-
-def masked_channel_stats(feat: Tensor, mask) -> tuple[Tensor, Tensor]:
-    """Per-channel mean and standard deviation of a [C, H, W] map over mask=1 sites.
-
-    Returns ``(mean, std)`` with ``std = sqrt(var + EPS_DEFAULT)`` and ``var``
-    the biased variance; a mask that selects no site is a ``ShapeError``.
-    Differentiable in ``feat``; the mask is a constant. The selected columns
-    are gathered once and reduced, and the backward scatters into a zero map.
-    """
-    if feat.data.ndim != 3:
-        raise ShapeError(f"masked_channel_stats: need [C, H, W], got {feat.shape}")
-    c, h, w = feat.shape
-    n = h * w
-    sites = np.flatnonzero(as_site_mask(mask, h, w).reshape(n))
-    count = sites.size
-    if count == 0:
-        raise ShapeError("masked_channel_stats: the mask selects no site")
-    cols = feat.data.reshape(c, n)[:, sites]  # [C, count]
-    mean_d = cols.sum(axis=1) / count
-    centered = cols - mean_d[:, None]
-    std_d = np.sqrt((centered * centered).sum(axis=1) / count + EPS_DEFAULT)
-    mean_t = _wrap(mean_d, None, False)
-    std_t = _wrap(std_d, None, False)
-
-    def bwd():
-        g_cols = np.zeros_like(cols)
-        if mean_t.grad is not None:
-            g_cols += mean_t.grad[:, None] / count
-        if std_t.grad is not None:
-            g_var = std_t.grad / (2.0 * std_d)
-            g_cols += g_var[:, None] * (2.0 / count) * centered
-        gx = np.zeros((c, n), dtype=np.float64)
-        gx[:, sites] = g_cols
-        _accum(feat, gx.reshape(c, h, w))
-
-    _maybe_record("masked_channel_stats", (mean_t, std_t), (feat,), bwd)
-    return mean_t, std_t

@@ -34,7 +34,6 @@ import numpy as np
 
 from . import tensor as tc
 from .errors import ConfigError, ShapeError, TrainingError
-from .blocks import degenerate_mask
 from .imaging import BUCKET_LABELS, MetricsRecord, metrics, ratio_bucket
 from .optim import AdamState, adam_step
 from .synthdata import Sample, check_seed, load_dataset
@@ -63,7 +62,7 @@ def prepare_sample(model: GeneratorModel, sample: Sample) -> PreparedSample:
     outside[:, top:bottom, left:right] = 0.0
     return PreparedSample(
         win, real[:, top:bottom, left:right], float(outside.sum()),
-        win.mask_f is not None and degenerate_mask(win.mask_f),
+        win.block is not None and win.block.degenerate,
     )
 
 

@@ -60,7 +60,7 @@ from typing import Optional
 import numpy as np
 
 from . import tensor as tc
-from .blocks import SrinParams, rain_forward, srin_forward, uniform_init
+from .blocks import BlockPlan, SrinParams, block_plan, rain_forward, srin_forward, uniform_init
 from .errors import CheckpointError, ConfigError, ShapeError
 from .imaging import Image, Mask, PathLike
 from .tensor import Tensor
@@ -120,18 +120,18 @@ class Windows:
 
     ``box`` and ``need`` are ``decode_regions``' foreground box and
     per-level regions, ``enc`` the encoder window in bottleneck sites, and
-    ``mask_f`` and ``sem_f`` the mask and semantic map at the bottleneck's
-    resolution, for the blocks that read them. ``stack`` is the encoder's
-    input, the composite and the mask over the encoder window, and
-    ``comp_box`` and ``mask_box`` the composite and the mask on ``box``. All
-    are constants: no gradient reaches them.
+    ``block`` the ``rain`` or ``srin`` block's plan (``blocks.block_plan``)
+    of the mask and semantic map at the bottleneck's resolution, None
+    without a block. ``stack`` is the encoder's input, the composite and the
+    mask over the encoder window, and ``comp_box`` and ``mask_box`` the
+    composite and the mask on ``box``. All are constants: no gradient
+    reaches them.
     """
 
     box: Box
     need: tuple[Box, ...]
     enc: Box
-    mask_f: Optional[np.ndarray]
-    sem_f: Optional[np.ndarray]
+    block: Optional[BlockPlan]
     stack: Tensor
     comp_box: np.ndarray
     mask_box: np.ndarray
@@ -255,12 +255,14 @@ class GeneratorModel:
             enc = (max(top - 1, 0), bottom, max(left - 1, 0), right)
         else:  # the block reads every region
             enc = (0, feat_size, 0, feat_size)
-        mask_f = downsample_mask(m, feat_size) if self.config.block != "none" else None
-        sem_f = downsample_planar(sem, feat_size) if self.config.block == "srin" else None
+        plan = None
+        if self.config.block != "none":
+            sem_f = downsample_planar(sem, feat_size) if self.config.block == "srin" else None
+            plan = block_plan(downsample_mask(m, feat_size), sem_f)
         top, bottom, left, right = (v << stages for v in enc)
         stack = Tensor(np.concatenate([comp[:, top:bottom, left:right], m[None, top:bottom, left:right]]))
         on_box = np.s_[..., box[0] : box[1], box[2] : box[3]]
-        return Windows(box, tuple(need), enc, mask_f, sem_f, stack, comp[on_box], m[on_box])
+        return Windows(box, tuple(need), enc, plan, stack, comp[on_box], m[on_box])
 
     def forward_box(self, win: Windows) -> Tensor:
         """The composed output on the foreground's box ``win.box``, [3, h, w].
@@ -277,9 +279,9 @@ class GeneratorModel:
             skips.append(cur)
 
         if self.config.block == "rain":
-            cur = rain_forward(cur, win.mask_f)
+            cur = rain_forward(cur, win.block)
         elif self.config.block == "srin":
-            cur = srin_forward(cur, win.mask_f, win.sem_f, self.block_params).output
+            cur = srin_forward(cur, win.block, None, self.block_params).output
 
         low_at = e_top, e_left  # level k's site (0, 0) of the stage's low-res input
         for k, (w, b) in zip(range(stages, 0, -1), self.decoder):

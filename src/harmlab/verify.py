@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import tensor as tc
-from .blocks import SrinParams, rain_forward, region_instance_norm, srin_forward
+from .blocks import SrinParams, _channel_stats, block_plan, rain_block, rain_forward, srin_block, srin_forward
 from .gradcheck import DEFAULT_TOL, GradCheckResult, grad_check
 from .imaging import Image, Mask
 from .synthdata import Sample
@@ -131,7 +131,7 @@ def _value_check(name: str, violation: float, limit: float) -> GradCheckResult:
 
 
 def op_grad_checks(tol: float = DEFAULT_TOL) -> list[GradCheckResult]:
-    """One check per tape op, each of ``sum(W * op(x))`` for random weights ``W``."""
+    """Checks of every tape op a training step records, each of ``sum(W * op(x))`` for random weights ``W``."""
     rng = np.random.default_rng(20240521)
     results = []
 
@@ -139,14 +139,10 @@ def op_grad_checks(tol: float = DEFAULT_TOL) -> list[GradCheckResult]:
               weights: Optional[np.ndarray] = None):
         results.append(grad_check(fn, [Tensor(a.copy()) for a in arrays], tol=tol, name=name, weights=weights))
 
-    # keep inputs clear of the kinks: relu's at 0, compose_residual's where
-    # delta + comp is 0 or 1, and l1_loss's where out equals real
-    w34 = rng.normal(size=(3, 4))
-    nudged = rng.normal(size=(3, 4))
-    nudged = np.where(np.abs(nudged) < 0.05, 0.25, nudged)
-    check("relu", lambda ts: tc.relu(ts[0]), [nudged], w34)
-    real = rng.normal(size=(3, 4))
-    out = np.where(np.abs(nudged - real) < 0.05, real + 0.25, nudged)
+    # keep inputs clear of the kinks: l1_loss's where out equals real, and
+    # compose_residual's where delta + comp is 0 or 1
+    out, real = rng.normal(size=(2, 3, 4))
+    out = np.where(np.abs(out - real) < 0.05, real + 0.25, out)
     check("l1_loss", lambda ts: tc.l1_loss(ts[0], real, 0.37, 0.25), [out])
 
     site_mask = (rng.uniform(size=(3, 3)) < 0.5).astype(np.float64)
@@ -158,28 +154,11 @@ def op_grad_checks(tol: float = DEFAULT_TOL) -> list[GradCheckResult]:
     delta = np.where(np.minimum(np.abs(delta + comp), np.abs(delta + comp - 1.0)) < 0.05, 0.5 - comp, delta)
     check("compose_residual", lambda ts: tc.compose_residual(ts[0], comp, site_mask), [delta], w233)
 
-    x233 = rng.normal(size=(2, 3, 3))
-    pos2 = rng.uniform(0.5, 1.5, size=2)
-    check("normalize_channels", lambda ts: tc.normalize_channels(*ts), [x233, rng.normal(size=2), pos2], w233)
-
-    check("conv1x1", lambda ts: tc.conv1x1(*ts), [rng.normal(size=(2, 4, 4)), rng.normal(size=(3, 2)),
-                                                  rng.normal(size=3)], rng.normal(size=(3, 4, 4)))
     x355 = rng.normal(size=(3, 5, 5))
     k233 = 0.4 * rng.normal(size=(2, 3, 3, 3))
     bias2 = rng.normal(size=2)
     check("conv3x3_s1", lambda ts: tc.conv3x3(*ts), [x355, k233, bias2], rng.normal(size=(2, 5, 5)))
     check("down_conv3x3_narrowing", lambda ts: tc.down_conv3x3(*ts), [x355, k233, bias2], rng.normal(size=(2, 3, 3)))
-    # the query map's first column holds the three [2]-channel queries
-    query_map, key_map, value_map = (rng.normal(size=(2, 3, 3)) for _ in range(3))
-    check("region_attention", lambda ts: tc.region_attention(*ts, site_mask),
-          [query_map[:, :, :1], key_map, value_map], w233[:, :, :1])
-
-    stat_mask = (rng.uniform(size=(4, 4)) < 0.5).astype(np.float64)
-    stat_mask[1, 1] = 1.0
-    stat_feat = rng.normal(size=(3, 4, 4))
-    for i, part in enumerate(("mean", "std")):
-        check(f"masked_channel_stats_{part}", lambda ts: tc.masked_channel_stats(ts[0], stat_mask)[i],
-              [stat_feat], rng.normal(size=3))
 
     x245 = rng.normal(size=(2, 4, 5))
     # the head's case: a narrowing stride-1 region, rows 0:2 and columns 2:5 of x355
@@ -203,11 +182,25 @@ def op_grad_checks(tol: float = DEFAULT_TOL) -> list[GradCheckResult]:
                   [rng.normal(size=(c_low, 3, 3)), rng.normal(size=(c_skip, 6, 5)),
                    0.4 * rng.normal(size=(c_out, c_low + c_skip, 3, 3)), rng.normal(size=c_out)],
                   rng.normal(size=(c_out, 5, 4)))
-    # class 1 holds no site, so its scale and shift gradients are exactly 0
-    classes = np.array([[0, -1, 2], [2, 0, -1], [-1, 2, 2]])
-    check("modulate", lambda ts: tc.modulate(*ts, classes),
-          [rng.normal(size=shape) for shape in ((2, 3, 3), (2, 3, 3), (2, 3, 1), (2, 3, 1))],
-          rng.normal(size=(2, 3, 3)))
+
+    # The blocks against their input and every parameter: srin with K > 1
+    # and K = 1 classes (rain always has one) on a mask with both regions,
+    # on a background of one site, and on an all-foreground mask, which
+    # passes the input through.
+    block_mask = (rng.uniform(size=(4, 4)) < 0.5).astype(np.float64)
+    block_mask[0, :2], block_mask[3, 3] = 1.0, 0.0
+    one_bg = np.ones((4, 4))
+    one_bg[3, 3] = 0.0
+    palette = rng.uniform(size=(3, 3))[:, np.arange(16).reshape(4, 4) % 3]  # sites 0 and 1 differ
+    feat, wmap = rng.normal(size=(2, 3, 4, 4))
+    params = [t.data for _, t in SrinParams.create(3, rng).named()]
+    for case, mask, sem in (("", block_mask, palette), ("_one_class", block_mask, np.full((3, 4, 4), 0.5)),
+                            ("_one_site_background", one_bg, palette), ("_degenerate", np.ones((4, 4)), palette)):
+        plan, rain_plan = block_plan(mask, sem), block_plan(mask)
+        check(f"srin_block{case}", lambda ts: srin_block(ts[0], plan, SrinParams(*ts[1:])).output,
+              [feat, *params], wmap)
+        if case != "_one_class":
+            check(f"rain_block{case}", lambda ts: rain_block(ts[0], rain_plan), [feat], wmap)
     return results
 
 
@@ -221,8 +214,6 @@ def block_grad_checks(tol: float = DEFAULT_TOL) -> list[GradCheckResult]:
     wmap = rng.normal(size=(3, 4, 4))
     feat = rng.normal(size=(3, 4, 4))
 
-    results.append(grad_check(lambda ts: region_instance_norm(ts[0], mask), [Tensor(feat.copy())],
-                              tol=tol, name="region_instance_norm", weights=wmap))
     results.append(grad_check(lambda ts: rain_forward(ts[0], mask), [Tensor(feat.copy())],
                               tol=tol, name="rain_forward", weights=wmap))
 
@@ -285,9 +276,9 @@ def invariant_checks() -> list[GradCheckResult]:
 
     # all-ones mask reproduces plain per-channel statistics
     feat = rng.normal(size=(3, 5, 5))
-    mean, std = tc.masked_channel_stats(Tensor(feat), np.ones((5, 5)))
+    mean, std, _ = _channel_stats(feat, np.arange(25))
     ref_std = np.sqrt(feat.var(axis=(1, 2)) + EPS_DEFAULT)
-    err = max(float(np.max(np.abs(mean.data - feat.mean(axis=(1, 2))))), float(np.max(np.abs(std.data - ref_std))))
+    err = max(float(np.max(np.abs(mean - feat.mean(axis=(1, 2))))), float(np.max(np.abs(std - ref_std))))
     results.append(_value_check("masked_stats_full_mask", err, 1e-12))
 
     # attention contracts + oracle agreement + exact pass-through, random instances

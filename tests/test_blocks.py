@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from harmlab.blocks import SrinParams, rain_forward, region_instance_norm, srin_forward
+from harmlab.blocks import SrinParams, _channel_stats, _normalize, rain_forward, srin_forward
 from harmlab.errors import ShapeError
 from harmlab.tensor import Graph, Tensor
 from harmlab.verify import random_srin_instance, reference_srin
@@ -14,14 +14,19 @@ def split_mask(rng, h, w, p=0.4):
             return m
 
 
+def region_instance_norm(feat, mask):
+    """The blocks' first part: every site of ``feat`` standardized by the masked region's per-channel statistics."""
+    mean, std, _ = _channel_stats(feat, np.flatnonzero(mask))
+    return _normalize(feat, mean, std)[0]
+
+
 class TestRegionInstanceNorm:
     def test_constant_region_normalizes_to_zero(self):
         mask = np.zeros((3, 3))
         mask[0] = 1.0
-        feat = Tensor(np.full((2, 3, 3), 5.0))
-        normed = region_instance_norm(feat, mask)
+        normed = region_instance_norm(np.full((2, 3, 3), 5.0), mask)
         fg = mask.astype(bool)
-        assert np.max(np.abs(normed.data[:, fg])) <= 5.0 * np.sqrt(1e-5) / 1e-5
+        assert np.max(np.abs(normed[:, fg])) <= 5.0 * np.sqrt(1e-5) / 1e-5
 
     def test_two_value_region(self):
         # mean 2, biased variance 1: every site becomes (x - 2) / sqrt(1 + 1e-5)
@@ -29,13 +34,13 @@ class TestRegionInstanceNorm:
         feat[0, 0, 0] = 1.0
         feat[0, 0, 1] = 3.0
         mask = np.array([[1.0, 1.0], [0.0, 0.0]])
-        normed = region_instance_norm(Tensor(feat), mask)
-        assert np.array_equal(normed.data, (feat - 2.0) / np.sqrt(1.0 + 1e-5))
-        assert abs(normed.data[0, 0, 0] + 1.0) < 1e-5
-        assert abs(normed.data[0, 0, 1] - 1.0) < 1e-5
+        normed = region_instance_norm(feat, mask)
+        assert np.array_equal(normed, (feat - 2.0) / np.sqrt(1.0 + 1e-5))
+        assert abs(normed[0, 0, 0] + 1.0) < 1e-5
+        assert abs(normed[0, 0, 1] - 1.0) < 1e-5
 
     def test_empty_region_rejected(self):
-        feat = Tensor(np.random.default_rng(0).normal(size=(2, 3, 3)))
+        feat = np.random.default_rng(0).normal(size=(2, 3, 3))
         with pytest.raises(ShapeError, match="no site"):
             region_instance_norm(feat, np.zeros((3, 3)))
 
@@ -44,11 +49,11 @@ class TestRegionInstanceNorm:
         rng = np.random.default_rng(1)
         feat = rng.normal(size=(1, 4, 4))
         mask = split_mask(rng, 4, 4)
-        normed = region_instance_norm(Tensor(feat), mask)
+        normed = region_instance_norm(feat, mask)
         region = feat[:, mask.astype(bool)]
         mean, std = region.mean(axis=1), np.sqrt(region.var(axis=1) + 1e-5)
         expected = (feat - mean[:, None, None]) / std[:, None, None]
-        assert np.allclose(normed.data, expected, atol=1e-12)
+        assert np.allclose(normed, expected, atol=1e-12)
 
 
 class TestRainForward:
@@ -97,12 +102,13 @@ class TestRainForward:
         assert rain_forward(feat, np.ones((3, 3))) is feat
 
     def test_tail_is_one_modulate_record(self):
+        # statistics, normalization and modulation are one rain_block record
         rng = np.random.default_rng(6)
         mask = split_mask(rng, 4, 4)
         with Graph() as g:
-            rain_forward(Tensor(rng.normal(size=(2, 4, 4)), requires_grad=True), mask)
-        ops = [r.op for r in g.records]
-        assert ops.count("modulate") == 1 and "blend" not in ops
+            out = rain_forward(Tensor(rng.normal(size=(2, 4, 4)), requires_grad=True), mask)
+        assert [r.op for r in g.records] == ["rain_block"]
+        assert g.records[0].outs == (out,)
 
 
 class TestSrinForward:
@@ -230,26 +236,28 @@ class TestSrinForward:
         assert np.all(attn[:, mask.reshape(-1).astype(bool)] == 0.0)
 
     def test_tail_writes_one_site_map(self):
-        # after the attention everything runs per class, [C, K, 1], until the
-        # one op that writes the modulation onto the foreground's sites
+        # after the attention everything runs per class, [C, K], and the one
+        # srin_block record's output is the only site map it writes
         feat, mask, sem, params = random_srin_instance(np.random.default_rng(16), c_max=4, hw_max=6)
         with Graph() as g:
             res = srin_forward(Tensor(feat, requires_grad=True), mask, sem, params)
-        ops = [r.op for r in g.records]
-        tail = g.records[ops.index("region_attention") + 1:]
-        assert [r.op for r in tail if r.outs[0].shape == feat.shape] == ["modulate"]
-        assert tail[-1].outs[0] is res.output
+        assert [r.op for r in g.records] == ["srin_block"]
+        assert g.records[0].outs == (res.output,) and res.output.shape == feat.shape
+        k = np.unique(sem[:, mask == 1.0], axis=1).shape[1]
+        assert res.gamma.shape == res.beta.shape == (feat.shape[0], k)
 
 
 def attention_query_shape(sem, mask, c=4, seed=12):
-    """Shape of the query input of the one ``region_attention`` record of a taped srin forward."""
+    """Shape [C, K] of the per-class queries, one per foreground colour, of
+    the one ``srin_block`` record of a taped srin forward: the shape of the
+    per-class gamma that the K attention rows give."""
     rng = np.random.default_rng(seed)
     params = SrinParams.create(c, rng)
     feat = Tensor(rng.normal(size=(c, *mask.shape)), requires_grad=True)
     with Graph() as g:
-        srin_forward(feat, mask, sem, params)
-    (rec,) = [r for r in g.records if r.op == "region_attention"]
-    return rec.inputs[0].shape
+        res = srin_forward(feat, mask, sem, params)
+    assert [r.op for r in g.records] == ["srin_block"]
+    return res.gamma.shape
 
 
 class TestSrinPerClass:
@@ -259,9 +267,9 @@ class TestSrinPerClass:
         mask[10:16, 12:20] = 1.0
         sem = np.random.default_rng(13).uniform(size=(3, hw, hw))
         sem[:, 10:16, 12:20] = np.array([0.2, 0.5, 0.7])[:, None, None]
-        assert attention_query_shape(sem, mask) == (4, 1, 1)
+        assert attention_query_shape(sem, mask) == (4, 1)
         sem[:, 10:13, 12:20] = np.array([0.9, 0.1, 0.4])[:, None, None]
-        assert attention_query_shape(sem, mask) == (4, 2, 1)
+        assert attention_query_shape(sem, mask) == (4, 2)
 
     def test_colours_one_ulp_apart_stay_two_classes(self):
         feat, mask, sem, params = random_srin_instance(np.random.default_rng(14), c_max=3, hw_max=4)
@@ -271,6 +279,6 @@ class TestSrinPerClass:
         flat = sem.reshape(3, -1)
         flat[:, fg] = colour[:, None]
         flat[1, fg[0]] = np.nextafter(colour[1], 1.0)
-        assert attention_query_shape(sem, mask, c=params.channels) == (params.channels, 2, 1)
+        assert attention_query_shape(sem, mask, c=params.channels) == (params.channels, 2)
         got = srin_forward(Tensor(feat), mask, sem, params).output.data
         assert np.max(np.abs(got - reference_srin(feat, mask, sem, params))) <= 1e-10

@@ -74,6 +74,12 @@ class TestConfigFile:
         assert dispatch(["gradcheck", "--config", str(cfg)]) == 2
         assert "unknown configuration key" in capsys.readouterr().err
 
+    def test_key_set_twice_rejected(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("gen.seed = 1\n# comment\ngen.count = 2\ngen.seed = 3\n")
+        with pytest.raises(ConfigError, match=r"run\.cfg:4: gen\.seed is already set on line 1$"):
+            parse_config_file(str(cfg))
+
     def test_malformed_line_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("gen.seed 1\n")
@@ -362,6 +368,19 @@ class TestExitCodes:
         ckpt = tmp_path / "m.ckpt"
         save_checkpoint(GeneratorModel.build(UNetConfig(size=32, stages=2), seed=0), ckpt)
         assert dispatch(["eval", "--data", str(tmp_path / "absent"), "--ckpt", str(ckpt)]) == 2
+
+    @pytest.mark.parametrize("command", ["eval", "train"])
+    def test_undecodable_manifest_is_one_error_line(self, tmp_path, capsys, command):
+        data = tmp_path / "d"
+        data.mkdir()
+        manifest = data / "manifest.txt"
+        manifest.write_bytes(b"000000\n\xff\n")
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(GeneratorModel.build(UNetConfig(size=32, stages=2), seed=0), ckpt)
+        flag = "--ckpt" if command == "eval" else "--out"
+        assert dispatch([command, "--data", str(data), flag, str(ckpt)]) == 2
+        (err,) = [l for l in capsys.readouterr().err.splitlines() if not l.startswith("config: ")]
+        assert err.startswith(f"error: cannot read manifest {manifest}: ") and "decode" in err
 
     @pytest.mark.parametrize("flags, config, message", [
         (["--steps", "0"], "", "steps and batch_size must be positive"),

@@ -1,5 +1,8 @@
 """Random bytes fed to the parsers of outside input: only HarmlabError may escape."""
 
+import shutil
+from pathlib import Path
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -8,6 +11,7 @@ from harmlab.btrank import read_pairs_csv
 from harmlab.cli import parse_config_file
 from harmlab.errors import HarmlabError
 from harmlab.imaging import read_pgm, read_ppm
+from harmlab.synthdata import load_dataset
 from harmlab.unet import GeneratorModel, UNetConfig, load_checkpoint, save_checkpoint
 
 FUZZ = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -33,11 +37,20 @@ def parse(reader, path, blob: bytes) -> None:
         pass
 
 
+def read_manifest(path: str) -> None:
+    """``load_dataset`` on a directory whose manifest holds the bytes at ``path``."""
+    data = Path(path).with_name("dataset")
+    data.mkdir(exist_ok=True)
+    shutil.copyfile(path, data / "manifest.txt")
+    load_dataset(data)
+
+
 @pytest.mark.parametrize("reader, prefix", [
     (read_ppm, b"P6\n"),
     (read_pgm, b"P5\n"),
     (read_pairs_csv, b"a,b,1\n"),
     (parse_config_file, b"train.steps = "),
+    (read_manifest, b"000000\n"),
 ])
 @FUZZ
 @given(tail=st.binary(max_size=64))

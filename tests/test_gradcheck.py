@@ -17,11 +17,16 @@ def test_sum_gradient_is_exact():
 
 
 def test_relu_away_from_kink():
-    # weights seed the backward, a vector-Jacobian product; the numeric side sums weights * relu in numpy
+    # weights seed the backward, a vector-Jacobian product; the numeric side
+    # sums weights * down_conv3x3 in numpy. The centre tap alone makes each
+    # output the relu of one input site, kept clear of the kink at 0.
     rng = np.random.default_rng(1)
-    x = rng.normal(size=(4, 4))
-    x = np.where(np.abs(x) < 0.01, 0.5, x)  # keep coordinates clear of the kink
-    result = grad_check(lambda ts: tc.relu(ts[0]), [Tensor(x)], name="relu", weights=rng.normal(size=(4, 4)))
+    x = rng.normal(size=(1, 4, 4))
+    x = np.where(np.abs(x) < 0.01, 0.5, x)
+    k = np.zeros((1, 1, 3, 3))
+    k[0, 0, 1, 1] = 1.0
+    result = grad_check(lambda ts: tc.down_conv3x3(*ts), [Tensor(x), Tensor(k), Tensor(np.zeros(1))], name="relu",
+                        weights=rng.normal(size=(1, 2, 2)))
     assert result.passed
 
 

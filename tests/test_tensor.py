@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 
 from harmlab import tensor as tc
+from harmlab.blocks import (
+    BlockPlan, SrinParams, _attention, _channel_stats, _modulate, _normalize, rain_forward, srin_forward,
+)
 from harmlab.errors import ShapeError
 from harmlab.gradcheck import grad_check
 from harmlab.tensor import EPS_DEFAULT, Graph, Tensor
+from harmlab.verify import random_srin_instance
 
 
 class TestTensorBasics:
@@ -24,33 +28,47 @@ class TestTensorBasics:
         t = Tensor(np.ones(3), requires_grad=True)
         assert t.grad is None
         with Graph() as g:
-            out = tc.relu(t)
-            g.backward(out, np.ones(3))
+            out = tc.l1_loss(t, np.zeros(3), 0.0, 1.0)
+            g.backward(out)
         assert np.array_equal(t.grad, np.ones(3))
 
 
 class TestConv1x1:
+    """The srin block's 1x1 projections, seen through the [C, N] key it keeps:
+    ``w_key @ normed + b_key`` at every site of the normalized map."""
+
+    @staticmethod
+    def key_and_normed(feat, w, bias):
+        c, h, wd = feat.shape
+        mask = np.zeros((h, wd))
+        mask[0, 0] = 1.0
+        params = SrinParams.create(c, np.random.default_rng(0))
+        params.w_key.data, params.b_key.data = np.asarray(w, dtype=np.float64), np.asarray(bias, dtype=np.float64)
+        res = srin_forward(Tensor(feat), mask, np.zeros((3, h, wd)), params)
+        normed = _normalize(feat, *_channel_stats(feat, np.array([0]))[:2])[0]
+        return res.key, normed.reshape(c, -1)
+
     def test_identity_weights(self):
-        rng = np.random.default_rng(0)
-        x = rng.normal(size=(3, 4, 5))
-        out = tc.conv1x1(Tensor(x), Tensor(np.eye(3)), Tensor(np.zeros(3)))
-        assert np.allclose(out.data, x, atol=0, rtol=0)
+        x = np.random.default_rng(0).normal(size=(3, 4, 5))
+        key, normed = self.key_and_normed(x, np.eye(3), np.zeros(3))
+        assert np.array_equal(key, normed)
 
     def test_per_pixel_linear_map(self):
-        x = Tensor(np.array([1.0, 2.0]).reshape(2, 1, 1))
-        w = Tensor(np.array([[1.0, 1.0], [2.0, 0.0]]))
-        bias = Tensor(np.array([0.0, 1.0]))
-        out = tc.conv1x1(x, w, bias)
-        assert np.array_equal(out.data.reshape(-1), [3.0, 3.0])
+        x = np.random.default_rng(1).normal(size=(2, 1, 2))
+        w, bias = np.array([[1.0, 1.0], [2.0, 0.0]]), np.array([0.0, 1.0])
+        key, normed = self.key_and_normed(x, w, bias)
+        assert np.array_equal(key, [normed[0] + normed[1], 2.0 * normed[0] + 1.0])
 
     def test_zero_weights_give_bias(self):
         bias = np.array([0.25, -0.5])
-        out = tc.conv1x1(Tensor(np.ones((3, 2, 2))), Tensor(np.zeros((2, 3))), Tensor(bias))
-        assert np.array_equal(out.data, np.broadcast_to(bias[:, None, None], (2, 2, 2)))
+        key, _ = self.key_and_normed(np.random.default_rng(2).normal(size=(2, 2, 2)), np.zeros((2, 2)), bias)
+        assert np.array_equal(key, np.broadcast_to(bias[:, None], (2, 4)))
 
     def test_channel_mismatch(self):
-        with pytest.raises(ShapeError):
-            tc.conv1x1(Tensor(np.ones((3, 2, 2))), Tensor(np.zeros((2, 4))), Tensor(np.zeros(2)))
+        mask = np.array([[1.0, 0.0], [0.0, 0.0]])
+        params = SrinParams.create(2, np.random.default_rng(3))
+        with pytest.raises(ShapeError, match="for 2 channels, the map has 3"):
+            srin_forward(Tensor(np.ones((3, 2, 2))), mask, np.zeros((3, 2, 2)), params)
 
 
 # The conv op of each stride: the head's stride-1 conv3x3 and an encoder
@@ -390,74 +408,72 @@ class TestSoftmaxRows:
             assert np.max(np.abs(y.sum(axis=1) - 1.0)) <= 1e-9
 
 
-def attention_instance(seed, c=3, hw=4, k=3):
+def attention_instance(seed, c=3, n=16, k=3):
+    """[C, K] queries, [C, N] keys and values, and the background sites of a mask holding both regions."""
     rng = np.random.default_rng(seed)
-    q = rng.normal(size=(c, k, 1))
-    key, value = (rng.normal(size=(c, hw, hw)) for _ in range(2))
-    mask = (rng.uniform(size=(hw, hw)) < 0.4).astype(np.float64)
-    mask[0, 0], mask[-1, -1] = 1.0, 0.0
+    q, key, value = rng.normal(size=(c, k)), rng.normal(size=(c, n)), rng.normal(size=(c, n))
+    mask = rng.uniform(size=n) < 0.4
+    mask[0], mask[-1] = True, False
     return (q, key, value), mask
 
 
 class TestRegionAttention:
+    """``blocks._attention``: the ``srin`` block's attention from K queries to the background."""
+
     def test_matches_per_query_loop(self):
         for seed in range(5):
             (q, k, v), mask = attention_instance(seed)
-            out = tc.region_attention(Tensor(q), Tensor(k), Tensor(v), mask).data
+            bg = np.flatnonzero(~mask)
+            out, _ = _attention(q, k, v, bg)
             assert out.shape == q.shape
-            bg_sites = list(zip(*np.nonzero(mask == 0.0)))
             for i in range(q.shape[1]):
-                logits = np.array([q[:, i, 0] @ k[:, y, x] for y, x in bg_sites])
+                logits = np.array([q[:, i] @ k[:, j] for j in bg])
                 e = np.exp(logits - logits.max())
-                want = sum(a * v[:, y, x] for a, (y, x) in zip(e / e.sum(), bg_sites))
-                assert np.max(np.abs(out[:, i, 0] - want)) <= 1e-12
+                want = sum(a * v[:, j] for a, j in zip(e / e.sum(), bg))
+                assert np.max(np.abs(out[:, i] - want)) <= 1e-12
 
     def test_gradients_vanish_outside_their_region(self):
-        (q, k, v), mask = attention_instance(11)
-        ts = [Tensor(a, requires_grad=True) for a in (q, k, v)]
-        weights = np.random.default_rng(12).normal(size=q.shape)
-        with Graph() as g:
-            out = tc.region_attention(*ts, mask)
-            g.backward(out, weights)
-        fg = mask.astype(bool)
-        dq, dk, dv = (t.grad for t in ts)
+        (q, k, v), fg = attention_instance(11)
+        _, vjp = _attention(q, k, v, np.flatnonzero(~fg))
+        dq, dk, dv = vjp(np.random.default_rng(12).normal(size=q.shape))
         assert dq.shape == q.shape and np.all(dq != 0.0)
         assert np.all(dk[:, fg] == 0.0) and np.all(dk[:, ~fg] != 0.0)
         assert np.all(dv[:, fg] == 0.0) and np.all(dv[:, ~fg] != 0.0)
 
     def test_one_tape_record(self):
-        (q, k, v), mask = attention_instance(13)
+        # the attention runs inside the srin block's one record
+        feat, mask, sem, params = random_srin_instance(np.random.default_rng(13))
         with Graph() as g:
-            tc.region_attention(Tensor(q, requires_grad=True), Tensor(k), Tensor(v), mask)
-        assert [r.op for r in g.records] == ["region_attention"]
+            res = srin_forward(Tensor(feat), mask, sem, params)
+        assert [r.op for r in g.records] == ["srin_block"]
+        assert g.records[0].outs == (res.output,)
 
     def test_shape_errors(self):
-        (q, k, v), mask = attention_instance(14)
-        with pytest.raises(ShapeError, match=r"\(3, 4, 4\).*\(2, 4, 4\)"):
-            tc.region_attention(Tensor(q), Tensor(k), Tensor(v[:2]), mask)
-        with pytest.raises(ShapeError):
-            tc.region_attention(Tensor(q[:2]), Tensor(k), Tensor(v), mask)
-        with pytest.raises(ShapeError):  # a per-site query map is not [C, K, 1]
-            tc.region_attention(Tensor(k), Tensor(k), Tensor(v), mask)
-        with pytest.raises(ShapeError):
-            tc.region_attention(Tensor(q), Tensor(k), Tensor(v), mask[:3])
-        with pytest.raises(ShapeError, match="non-empty background"):
-            tc.region_attention(Tensor(q), Tensor(k), Tensor(v), np.ones((4, 4)))
+        # srin_forward checks its mask and semantic map against the feature map's sites
+        feat, mask, sem, params = random_srin_instance(np.random.default_rng(14))
+        with pytest.raises(ShapeError, match="mask shape"):
+            srin_forward(Tensor(feat), mask[:1], sem, params)
+        with pytest.raises(ShapeError, match="semantic map must be"):
+            srin_forward(Tensor(feat), mask, sem[:2], params)
+        with pytest.raises(ValueError, match="binary"):
+            srin_forward(Tensor(feat), 0.5 * mask, sem, params)
 
 
 def modulate_reference(x, base, scale, shift, index, g):
-    """Dense numpy forward and VJPs of ``modulate`` through per-site scale and shift maps."""
+    """Dense numpy forward and VJPs of ``_modulate`` through per-site scale and shift maps."""
     fg = index >= 0
-    site_scale = np.where(fg, scale[:, index, 0], 0.0)
-    site_shift = np.where(fg, shift[:, index, 0], 0.0)
+    site_scale = np.where(fg, scale[:, index], 0.0)
+    site_shift = np.where(fg, shift[:, index], 0.0)
     out = np.where(fg, site_scale * x + site_shift, base)
     per_class = [index == k for k in range(scale.shape[1])]
-    d_scale = np.stack([(g * x)[:, sel].sum(axis=1) for sel in per_class], axis=1)[:, :, None]
-    d_shift = np.stack([g[:, sel].sum(axis=1) for sel in per_class], axis=1)[:, :, None]
+    d_scale = np.stack([(g * x)[:, sel].sum(axis=1) for sel in per_class], axis=1)
+    d_shift = np.stack([g[:, sel].sum(axis=1) for sel in per_class], axis=1)
     return out, (np.where(fg, g * site_scale, 0.0), np.where(fg, 0.0, g), d_scale, d_shift)
 
 
 class TestModulate:
+    """``blocks._modulate``: the blocks' per-class scale and shift over a plan's class map."""
+
     index = np.array([[0, -1, 1], [1, 1, -1], [-1, 0, 1]])
 
     @pytest.mark.parametrize("index, k", [
@@ -471,96 +487,85 @@ class TestModulate:
     def test_matches_dense_reference(self, index, k):
         rng = np.random.default_rng(9)
         x, base, g = rng.normal(size=(3, 2, 3, 3))
-        scale, shift = rng.normal(size=(2, 2) if k is None else (2, 2, k, 1))
-        ts = [Tensor(a, requires_grad=True) for a in (x, base, scale, shift)]
-        with Graph() as graph:
-            out = tc.modulate(*ts, index)
-            graph.backward(out, g)
-        want, grads = modulate_reference(x, base, scale.reshape(2, -1, 1), shift.reshape(2, -1, 1), index, g)
-        assert np.array_equal(out.data, want)
-        for t, ref in zip(ts, grads):
-            assert t.grad.shape == t.shape
-            assert np.max(np.abs(t.grad - ref.reshape(t.shape))) <= 1e-12
+        scale, shift = rng.normal(size=(2, 2) if k is None else (2, 2, k))
+        out, vjp = _modulate(x, base, scale, shift, BlockPlan(index))
+        want, grads = modulate_reference(x, base, scale.reshape(2, -1), shift.reshape(2, -1), index, g)
+        assert np.array_equal(out, want)
+        got = vjp(g)
+        for d, ref, a in zip(got, grads, (x, base, scale, shift)):
+            assert d.shape == a.shape
+            assert np.max(np.abs(d - ref.reshape(a.shape))) <= 1e-12
         for cls in set(range(k or 1)) - set(index.reshape(-1)):
-            assert np.all(ts[2].grad[:, cls] == 0.0) and np.all(ts[3].grad[:, cls] == 0.0)
+            assert np.all(got[2][:, cls] == 0.0) and np.all(got[3][:, cls] == 0.0)
 
     def test_one_tape_record(self):
-        x = Tensor(np.ones((1, 3, 3)), requires_grad=True)
-        cols = Tensor(np.ones((1, 2, 1)))
+        # the modulation runs inside the rain block's one record
+        x = Tensor(np.arange(9.0).reshape(1, 3, 3), requires_grad=True)
         with Graph() as g:
-            tc.modulate(x, Tensor(np.zeros((1, 3, 3))), cols, cols, self.index)
-        assert [r.op for r in g.records] == ["modulate"]
+            out = rain_forward(x, self.index >= 0)
+        assert [r.op for r in g.records] == ["rain_block"]
+        assert g.records[0].outs == (out,)
 
     def test_index_errors(self):
+        # the blocks take their classes from a binary mask of the map's sites
         x = Tensor(np.ones((2, 3, 3)))
-        cols = Tensor(np.ones((2, 2, 1)))
-        with pytest.raises(ShapeError):
-            tc.modulate(x, x, cols, cols, self.index + 1)  # class 2 of 2
-        with pytest.raises(ShapeError):
-            tc.modulate(x, x, cols, cols, self.index - 1)  # -2
-        with pytest.raises(ShapeError):
-            tc.modulate(x, x, cols, cols, self.index.astype(np.float64))
-        with pytest.raises(ShapeError):
-            tc.modulate(x, x, Tensor(np.ones((2, 2, 2))), Tensor(np.ones((2, 2, 2))), self.index)
-        with pytest.raises(ShapeError):
-            tc.modulate(x, x, cols, cols, self.index[:2])
-        one_class, vec = np.minimum(self.index, 0), Tensor(np.ones(2))
-        with pytest.raises(ShapeError):
-            tc.modulate(x, x, Tensor(np.ones(3)), Tensor(np.ones(3)), one_class)  # [C + 1]
-        with pytest.raises(ShapeError):
-            tc.modulate(x, x, vec, Tensor(np.ones((2, 1, 1))), one_class)  # scale [C], shift [C, 1, 1]
-        with pytest.raises(ShapeError):
-            tc.modulate(x, x, vec, vec, self.index)  # class 1 of 1
+        with pytest.raises(ShapeError, match="mask shape"):
+            rain_forward(x, self.index[:2] >= 0)
+        with pytest.raises(ValueError, match="binary"):
+            rain_forward(x, self.index)  # -1 .. 1
+        with pytest.raises(ValueError, match="binary"):
+            rain_forward(x, 0.5 * (self.index >= 0))
 
 
 class TestMaskedChannelStats:
+    """``blocks._channel_stats``: the blocks' per-channel statistics over a region's sites."""
+
     def test_constant_region(self):
-        f = Tensor(np.full((2, 3, 3), 5.0))
-        mask = np.zeros((3, 3))
-        mask[0, :2] = 1.0
-        mean, std = tc.masked_channel_stats(f, mask)
-        assert np.array_equal(mean.data, [5.0, 5.0])
-        assert np.array_equal(std.data, [np.sqrt(EPS_DEFAULT)] * 2)
+        mean, std, _ = _channel_stats(np.full((2, 3, 3), 5.0), np.array([0, 1]))
+        assert np.array_equal(mean, [5.0, 5.0])
+        assert np.array_equal(std, [np.sqrt(EPS_DEFAULT)] * 2)
 
     def test_two_site_region(self):
         f = np.zeros((1, 2, 2))
         f[0, 0, 0] = 1.0
         f[0, 0, 1] = 3.0
-        mask = np.array([[1.0, 1.0], [0.0, 0.0]])
-        mean, std = tc.masked_channel_stats(Tensor(f), mask)
-        assert (mean.data[0], std.data[0]) == (2.0, np.sqrt(1.0 + EPS_DEFAULT))
+        mean, std, _ = _channel_stats(f, np.array([0, 1]))
+        assert (mean[0], std[0]) == (2.0, np.sqrt(1.0 + EPS_DEFAULT))
 
     def test_empty_region_rejected(self):
         with pytest.raises(ShapeError, match="no site"):
-            tc.masked_channel_stats(Tensor(np.ones((2, 2, 2))), np.zeros((2, 2)))
+            _channel_stats(np.ones((2, 2, 2)), np.array([], dtype=np.intp))
 
     def test_full_mask_equals_global_stats(self):
         rng = np.random.default_rng(3)
         f = rng.normal(size=(3, 4, 4))
-        mean, std = tc.masked_channel_stats(Tensor(f), np.ones((4, 4)))
-        assert np.allclose(mean.data, f.mean(axis=(1, 2)), atol=1e-12)
-        assert np.allclose(std.data, np.sqrt(f.var(axis=(1, 2)) + EPS_DEFAULT), atol=1e-12)
+        mean, std, _ = _channel_stats(f, np.arange(16))
+        assert np.allclose(mean, f.mean(axis=(1, 2)), atol=1e-12)
+        assert np.allclose(std, np.sqrt(f.var(axis=(1, 2)) + EPS_DEFAULT), atol=1e-12)
 
 
 class TestTape:
     def test_backward_accumulates_through_shared_input(self):
-        # x is both the key and the value: its gradient is the sum of the two
-        (q, k, _), mask = attention_instance(21)
-        weights = np.random.default_rng(22).normal(size=q.shape)
-        x = Tensor(k, requires_grad=True)
-        key, value = Tensor(k.copy(), requires_grad=True), Tensor(k.copy(), requires_grad=True)
-        for ts in ((x, x), (key, value)):
+        # x is both an encoder stage's input and the decoder stage's skip:
+        # its gradient is the sum of the two
+        rng = np.random.default_rng(22)
+        x_data, weights = rng.normal(size=(2, 2, 4, 4))
+        w_down, b_down = Tensor(rng.normal(size=(3, 2, 3, 3))), Tensor(rng.normal(size=3))
+        w_up, b_up = Tensor(rng.normal(size=(2, 5, 3, 3))), Tensor(rng.normal(size=2))
+        x, enc, skip = (Tensor(x_data.copy(), requires_grad=True) for _ in range(3))
+        for a, b in ((x, x), (enc, skip)):
             with Graph() as g:
-                g.backward(tc.region_attention(Tensor(q), *ts, mask), weights)
-        assert np.array_equal(x.grad, key.grad + value.grad)
-        assert np.any(key.grad != 0.0) and np.any(value.grad != 0.0)
+                low = tc.down_conv3x3(a, w_down, b_down)
+                g.backward(tc.up_conv3x3(low, b, w_up, b_up, (0, 4, 0, 4)), weights)
+        assert np.array_equal(x.grad, enc.grad + skip.grad)
+        assert np.any(enc.grad != 0.0) and np.any(skip.grad != 0.0)
 
-    INDEX = np.where(np.eye(3, dtype=bool), 0, -1)  # one class, on the diagonal
-    SCALE = np.array([1.5, -0.5])
-
-    def modulated(self, x, base, weights):
+    def decoded(self, low, skip, weights):
+        """``up_conv3x3`` of ``low`` and ``skip`` on a 3x3 region, backward seeded with ``weights``."""
+        rng = np.random.default_rng(5)
+        w, bias = Tensor(rng.normal(size=(2, 4, 3, 3))), Tensor(np.full(2, 10.0))  # no output below relu's kink
         with Graph() as g:
-            y = tc.modulate(x, base, Tensor(self.SCALE), Tensor(np.zeros(2)), self.INDEX)
+            y = tc.up_conv3x3(low, skip, w, bias, (0, 3, 0, 3))
             g.backward(y, weights)
         return y
 
@@ -568,13 +573,15 @@ class TestTape:
         rng = np.random.default_rng(6)
         a, b = (Tensor(rng.normal(size=(2, 3, 3)), requires_grad=True) for _ in range(2))
         weights = rng.normal(size=(2, 3, 3))
-        y = self.modulated(a, b, weights)
+        y = self.decoded(a, b, weights)
         assert not np.shares_memory(a.grad, b.grad)
         assert not np.shares_memory(a.grad, y.grad) and not np.shares_memory(b.grad, y.grad)
         assert not np.shares_memory(y.grad, weights)  # the seed is copied
         x = Tensor(rng.normal(size=(2, 3, 3)), requires_grad=True)
-        y = self.modulated(x, x, weights)
-        assert np.array_equal(x.grad, np.where(self.INDEX >= 0, weights * self.SCALE[:, None, None], weights))
+        low, skip = (Tensor(x.data.copy(), requires_grad=True) for _ in range(2))
+        self.decoded(low, skip, weights)
+        y = self.decoded(x, x, weights)
+        assert np.array_equal(x.grad, low.grad + skip.grad)
         assert np.array_equal(y.grad, weights)
 
     @pytest.mark.parametrize("op", ["add", "add_scalar"])
@@ -597,33 +604,34 @@ class TestTape:
         assert a.grad.flags.c_contiguous and not np.shares_memory(a.grad, y.grad)
 
     def test_seed_must_match_the_root(self):
-        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        x = Tensor(np.zeros((1, 2, 3)), requires_grad=True)
         with Graph() as g:
-            y = tc.relu(x)
+            y = tc.compose_residual(x, np.full((1, 2, 3), 0.5), np.ones((2, 3)))
         with pytest.raises(ShapeError, match="seed shape"):
-            g.backward(y, np.ones((3, 2)))
+            g.backward(y, np.ones((1, 3, 2)))
         with pytest.raises(ShapeError, match="seed shape"):
             g.backward(y, np.ones(6))
         assert x.grad is None
-        g.backward(y, np.full((2, 3), 2.0))
-        assert np.array_equal(x.grad, np.full((2, 3), 2.0))
+        g.backward(y, np.full((1, 2, 3), 2.0))
+        assert np.array_equal(x.grad, np.full((1, 2, 3), 2.0))
 
     def test_tape_runs_once(self):
         # backward pops every record, and a second backward raises
-        x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+        x = Tensor(np.array([[[0.25, -0.75, 0.25]]]), requires_grad=True)
         with Graph() as g:
-            y = tc.l1_loss(tc.relu(x), np.zeros(3), 0.0, 1.0)
-        assert [r.op for r in g.records] == ["relu", "l1_loss"]
+            y = tc.l1_loss(tc.compose_residual(x, np.full((1, 1, 3), 0.5), np.ones((1, 3))), np.zeros((1, 1, 3)),
+                           0.0, 1.0)
+        assert [r.op for r in g.records] == ["compose_residual", "l1_loss"]
         g.backward(y)
         assert g.records == []
-        assert np.array_equal(x.grad, [1.0, 0.0, 1.0])
+        assert np.array_equal(x.grad, [[[1.0, 0.0, 1.0]]])
         with pytest.raises(RuntimeError, match="already run"):
             g.backward(y)
-        assert np.array_equal(x.grad, [1.0, 0.0, 1.0])
+        assert np.array_equal(x.grad, [[[1.0, 0.0, 1.0]]])
 
     def test_no_recording_without_graph(self):
         x = Tensor(np.ones(3), requires_grad=True)
-        out = tc.relu(x)
+        out = tc.l1_loss(x, np.zeros(3), 0.0, 1.0)
         assert not out.requires_grad
 
     def test_forward_replay_is_bit_identical(self):
@@ -652,10 +660,11 @@ class TestTape:
 
         def work(name):
             try:
-                x, cols = Tensor(np.ones((1, 1, 3)), requires_grad=True), Tensor(np.ones(1))
+                x = Tensor(np.ones((1, 2, 2)), requires_grad=True)
+                w, bias = Tensor(np.ones((1, 2, 3, 3))), Tensor(np.ones(1))
                 with Graph() as g:
                     barrier.wait()
-                    tc.relu(tc.modulate(x, x, cols, cols, np.zeros((1, 3), dtype=np.intp)))
+                    tc.l1_loss(tc.up_conv3x3(x, x, w, bias, (0, 2, 0, 2)), np.zeros((1, 2, 2)), 0.0, 1.0)
                     barrier.wait()
                 results[name] = (g, x)
             except Exception as exc:  # surfaced in the main thread below
@@ -668,13 +677,13 @@ class TestTape:
             t.join()
         assert not errors
         for g, x in results.values():
-            assert [r.op for r in g.records] == ["modulate", "relu"]
+            assert [r.op for r in g.records] == ["up_conv3x3", "l1_loss"]
             assert g.records[0].inputs[:2] == (x, x)
 
     def test_backward_needs_scalar_root(self):
-        x = Tensor(np.ones(3), requires_grad=True)
+        x = Tensor(np.zeros((1, 1, 3)), requires_grad=True)
         with Graph() as g:
-            y = tc.relu(x)
+            y = tc.compose_residual(x, np.full((1, 1, 3), 0.5), np.ones((1, 3)))
             with pytest.raises(ShapeError):
                 g.backward(y)
 

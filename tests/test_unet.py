@@ -111,9 +111,9 @@ class TestForward:
 
     @pytest.mark.parametrize("block", ["none", "rain", "srin"])
     def test_one_record_per_decoder_stage(self, block):
-        # a training step: one down_conv3x3 per encoder stage, one up_conv3x3
-        # per decoder stage, writing need[k - 1], and no other record between
-        # the bottleneck block and the head; relu runs only in srin's heads
+        # a training step: one down_conv3x3 per encoder stage, the block's one
+        # record, one up_conv3x3 per decoder stage, writing need[k - 1], and
+        # no other record before the head
         model = GeneratorModel.build(UNetConfig(size=64, stages=3, block=block), seed=19)
         sample = generate_sample(GenConfig(seed=20, size=64), 0)
         prep = prepare_sample(model, sample)
@@ -122,9 +122,9 @@ class TestForward:
         ops = [r.op for r in g.records]
         assert ops[:3] == ["down_conv3x3"] * 3
         assert [r.inputs[1] for r in g.records[:3]] == [w for w, _ in model.encoder]
-        assert ops.count("relu") == (2 if block == "srin" else 0)
         head = next(i for i, r in enumerate(g.records) if r.op == "conv3x3" and r.inputs[1] is model.head[0])
         first = ops.index("up_conv3x3")
+        assert ops[3:first] == ([] if block == "none" else [f"{block}_block"])
         assert ops[first:head] == ["up_conv3x3"] * 3
         # the head computes the foreground's box alone, straight into the composition
         assert ops[head:] == ["conv3x3", "compose_residual", "l1_loss"]
@@ -133,6 +133,19 @@ class TestForward:
         need = prep.windows.need
         assert [g.records[first + i].outs[0].shape for i in range(3)] == [
             (w.shape[0], b - t, r - l) for (w, _), (t, b, l, r) in zip(model.decoder, need[2::-1])]
+
+    @pytest.mark.parametrize("block, records", [("none", 7), ("rain", 8), ("srin", 8)])
+    def test_one_record_per_block(self, block, records):
+        # at A3's configuration a step records one op per layer, the block's
+        # one op, the composition and the loss: seven op kinds in all
+        model = GeneratorModel.build(UNetConfig(size=32, stages=2, base_channels=16, block=block), seed=0)
+        prep = prepare_sample(model, generate_sample(GenConfig(seed=11, size=32), 0))
+        assert not prep.degenerate
+        with tc.Graph() as g:
+            sample_loss(model, prep)
+        assert len(g.records) == records
+        assert {r.op for r in g.records} <= {"down_conv3x3", "up_conv3x3", "conv3x3", "rain_block", "srin_block",
+                                             "compose_residual", "l1_loss"}
 
     def test_forward_writes_no_model_state(self):
         model = GeneratorModel.build(UNetConfig(size=32, stages=2, block="srin"), seed=17)
