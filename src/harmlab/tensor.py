@@ -9,8 +9,10 @@ tape once, in exact reverse execution order, accumulating gradients into
 
 There are no generic arithmetic ops. Each U-Net layer is one op, chosen by
 its role: ``down_conv3x3`` is an encoder stage (a stride-2 3x3 conv and its
-relu), ``up_conv3x3`` a decoder stage (upsample, skip concat, 3x3 conv and
-relu) and ``conv3x3`` the head (a stride-1 3x3 conv on one region).
+relu, one GEMM over a column stack of the whole map), ``up_conv3x3`` a
+decoder stage (upsample, skip concat, 3x3 conv and relu) and ``conv3x3`` the
+head (a stride-1 3x3 conv on one region); the last two sum nine per-tap
+GEMMs over flat grids (``_tap_sums``).
 ``compose_residual`` is the head's residual composition onto the composite
 and ``l1_loss`` the training loss. The bottleneck blocks, ``rain_block`` and
 ``srin_block``, are one op each too and record onto the same tape from
@@ -224,7 +226,7 @@ def l1_loss(out: Tensor, real, offset: float, scale: float) -> Tensor:
         raise ShapeError(f"l1_loss: shapes {out.shape} and {real.shape} differ")
     diff = out.data - real
     total = (np.sum(np.abs(diff)) + offset) * scale
-    return _op("l1_loss", (out,), total, lambda g: np.full_like(diff, float(g * scale)) * np.sign(diff))
+    return _op("l1_loss", (out,), total, lambda g: np.sign(diff) * float(g * scale))
 
 
 def compose_residual(delta: Tensor, comp, mask) -> Tensor:
@@ -394,30 +396,27 @@ def _from_tap_major(d: np.ndarray) -> np.ndarray:
     return d.reshape(3, 3, *d.shape[1:]).transpose(2, 3, 0, 1)
 
 
-def _conv3x3_core(x: Tensor, w: Tensor, bias: Tensor, stride: int, origin: tuple[int, int],
+def _conv3x3_core(x: Tensor, w: Tensor, bias: Tensor, origin: tuple[int, int],
                   ho: int, wo: int) -> tuple[np.ndarray, Callable[[np.ndarray], None]]:
-    """The [C_out, ho, wo] output of a 3x3 conv whose padded window's corner is site ``origin`` of ``x``,
+    """The [C_out, ho, wo] output of a stride-1 3x3 conv whose padded window's corner is site ``origin`` of ``x``,
     and the function that takes its gradient and accumulates those of ``x``, ``w`` and ``bias``.
 
-    The window is split into stride x stride flat phase grids of row pitch
-    ``p = wo + 2 // stride``. Tap (ky, kx) of every output site then reads
-    one contiguous slice of one grid, so the forward is ``_tap_sums`` over
-    nine taps: nine [C_out, C_in] @ [C_in, ho * p] GEMMs whose last
-    ``2 // stride`` columns per row are cropped, with no im2col buffer. The
-    backward is ``_tap_sums_backward``, which stacks the output gradient per
-    phase grid when the input needs a gradient and ``C_out < C_in``.
+    The window is one flat grid of row pitch ``p = wo + 2``. Tap (ky, kx)
+    of every output site then reads one contiguous slice of it, so the
+    forward is ``_tap_sums`` over nine taps: nine [C_out, C_in] @
+    [C_in, ho * p] GEMMs whose last two columns per row are cropped, with
+    no im2col buffer. The backward is ``_tap_sums_backward``, which stacks
+    the output gradient when the input needs a gradient and ``C_out < C_in``.
     """
-    s = stride
-    reach = 2 // s  # rows and columns a tap reaches past an output site's grid position
-    p = wo + reach
-    # One spare grid row: the last tap's slice runs ``reach`` elements past the grid.
-    grids = _phase_grids(x.data, s, ho + reach + 1, p, *origin)
+    p = wo + 2
+    # One spare grid row: the last tap's slice runs two elements past the window.
+    grids = _phase_grids(x.data, 1, ho + 3, p, *origin)
     wk = _tap_major(w.data)
-    taps = [(0, (ky % s) * s + kx % s, wk[k], (ky // s) * p + kx // s) for k, (ky, kx) in enumerate(_OFFSETS_3X3)]
+    taps = [(0, 0, wk[k], ky * p + kx) for k, (ky, kx) in enumerate(_OFFSETS_3X3)]
 
     def backward(g: np.ndarray) -> None:
         dwk = np.empty(wk.shape, dtype=np.float64) if w.requires_grad else None
-        dgrids = _tap_sums_backward(g, grids, taps, p, [x.requires_grad] * (s * s), dwk)
+        dgrids = _tap_sums_backward(g, grids, taps, p, [x.requires_grad], dwk)
         if dwk is not None:
             _accum(w, _from_tap_major(dwk))
         _accum(bias, g.reshape(g.shape[0], -1).sum(axis=1))
@@ -442,7 +441,7 @@ def conv3x3(x: Tensor, w: Tensor, bias: Tensor, region: Optional[tuple[int, int,
     top, bottom, left, right = (xt, xt + h, xl, xl + wd) if region is None else region
     if not (xt <= top < bottom <= xt + h and xl <= left < right <= xl + wd):
         raise ShapeError(f"conv3x3: region {region} is not inside the input's sites, {x.shape} at {x_at}")
-    pre, backward = _conv3x3_core(x, w, bias, 1, (top - 1 - xt, left - 1 - xl), bottom - top, right - left)
+    pre, backward = _conv3x3_core(x, w, bias, (top - 1 - xt, left - 1 - xl), bottom - top, right - left)
     out = _wrap(pre, None, False)
     _maybe_record("conv3x3", (out,), (x, w, bias), lambda: backward(out.grad))
     return out
@@ -452,14 +451,42 @@ def down_conv3x3(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
     """One U-Net encoder stage: ``relu`` of the 3x3 cross-correlation of the
     whole of ``x`` with zero padding 1 and stride 2, [C_out, ceil(H / 2), ceil(W / 2)].
 
-    ``_conv3x3_core`` computes the conv; the backward masks the output
-    gradient with ``out > 0`` before it.
+    The zero-padded input is copied once into a tap-major column stack
+    [9 * C_in, ho * wo]: row ``k * C_in + c`` holds channel ``c`` at tap
+    (ky, kx) = divmod(k, 3) of every output site, the order ``_tap_major``
+    uses. The conv is then one GEMM with the weights as [C_out, 9 * C_in].
+    The backward masks the output gradient with ``out > 0``; the weight
+    gradient is one GEMM against the stack and, when ``x`` needs a gradient,
+    the input's is one GEMM whose nine tap blocks are added into a padded
+    buffer and cropped. The tape keeps the stack and nothing per sample.
     """
     _check_conv("down_conv3x3", w, bias, (3, 3), x)
-    _, h, wd = x.shape
-    pre, backward = _conv3x3_core(x, w, bias, 2, (-1, -1), -(-h // 2), -(-wd // 2))
-    out = _wrap(np.maximum(pre, 0.0), None, False)
-    _maybe_record("down_conv3x3", (out,), (x, w, bias), lambda: backward(out.grad * (out.data > 0.0)))
+    c_in, h, wd = x.shape
+    c_out = w.shape[0]
+    ho, wo = -(-h // 2), -(-wd // 2)
+    padded = np.zeros((c_in, 2 * ho + 1, 2 * wo + 1), dtype=np.float64)
+    padded[:, 1 : h + 1, 1 : wd + 1] = x.data
+    sc, sy, sx = padded.strides
+    windows = np.lib.stride_tricks.as_strided(padded, (3, 3, c_in, ho, wo), (sy, sx, sc, 2 * sy, 2 * sx),
+                                              writeable=False)  # [ky, kx, c, i, j] is padded[c, 2i + ky, 2j + kx]
+    cols = np.ascontiguousarray(windows).reshape(9 * c_in, ho * wo)
+    pre = w.data.transpose(0, 2, 3, 1).reshape(c_out, 9 * c_in) @ cols
+    pre += bias.data[:, None]
+    out = _wrap(np.maximum(pre, 0.0, out=pre).reshape(c_out, ho, wo), None, False)
+
+    def bwd():
+        g = (out.grad * (out.data > 0.0)).reshape(c_out, ho * wo)
+        if w.requires_grad:
+            _accum(w, (g @ cols.T).reshape(c_out, 3, 3, c_in).transpose(0, 3, 1, 2))
+        _accum(bias, g.sum(axis=1))
+        if x.requires_grad:
+            dcols = (w.data.transpose(0, 2, 3, 1).reshape(c_out, 9 * c_in).T @ g).reshape(3, 3, c_in, ho, wo)
+            dpadded = np.zeros((c_in, 2 * ho + 1, 2 * wo + 1), dtype=np.float64)
+            for ky, kx in _OFFSETS_3X3:
+                dpadded[:, ky : ky + 2 * ho : 2, kx : kx + 2 * wo : 2] += dcols[ky, kx]
+            _accum(x, dpadded[:, 1 : h + 1, 1 : wd + 1])
+
+    _maybe_record("down_conv3x3", (out,), (x, w, bias), bwd)
     return out
 
 

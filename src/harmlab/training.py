@@ -188,7 +188,8 @@ def train(
                 batch_loss += loss_value
                 degenerate = degenerate or prep.degenerate
             inv_b = 1.0 / cfg.batch_size
-            model.flat.grad *= inv_b
+            if cfg.batch_size > 1:  # at batch 1 the mean is the gradient itself
+                model.flat.grad *= inv_b
             adam_step(model.flat, state)
 
         entry = LossEntry(

@@ -165,10 +165,11 @@ def op_grad_checks(tol: float = DEFAULT_TOL) -> list[GradCheckResult]:
     check("conv3x3_s1_region", lambda ts: tc.conv3x3(*ts, region=(2, 4, 3, 6), x_at=(2, 1)), [x355, k233, bias2],
           rng.normal(size=(2, 2, 3)))
 
-    # The conv backward stacks the output gradient for each phase grid that
-    # needs a gradient and has more channels than C_out, and makes per-tap
-    # products for every other grid. The conv checks above stack
-    # (C_out < C_in); these widen (C_out > C_in). up_conv3x3 runs each of its
+    # The conv3x3 and up_conv3x3 backward stacks the output gradient for each
+    # phase grid that needs a gradient and has more channels than C_out, and
+    # makes per-tap products for every other grid. The conv checks above stack
+    # (C_out < C_in); these widen (C_out > C_in). down_conv3x3 has one path,
+    # its column stack, checked at both shapes. up_conv3x3 runs each of its
     # layouts narrowing (every grid stacked) and widening (none), on a region
     # at the skip map's bottom and left edges with an odd top row.
     k323 = 0.4 * rng.normal(size=(3, 2, 3, 3))

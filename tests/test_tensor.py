@@ -173,8 +173,8 @@ class TestConv3x3:
                 assert np.abs(part - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_shared_weight_gradient_is_the_sum(self):
-        # one conv takes the stacked backward (C_out < C_in, input needs a
-        # gradient), the other the per-tap one (its input needs none)
+        # the head conv takes the stacked backward (C_out < C_in, input needs
+        # a gradient), the encoder stage its column stack (its input needs none)
         rng = np.random.default_rng(11)
         k = Tensor(rng.normal(size=(2, 4, 3, 3)), requires_grad=True)
         b = Tensor(rng.normal(size=2), requires_grad=True)
@@ -283,6 +283,73 @@ class TestConv3x3:
                              ((0, 3, 0, 3), (1, 0)), ((5, 6, 2, 3), (1, 1))):
             with pytest.raises(ShapeError, match="region"):
                 tc.conv3x3(x, w, b, region=region, x_at=x_at)
+
+
+def kept_arrays(fn):
+    """The arrays that a backward closure keeps alive, each counted once by its owning buffer."""
+    found, stack, seen = {}, [fn], set()
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            found[id(obj)] = obj
+        elif isinstance(obj, Tensor):
+            stack += [obj.data, obj.grad]
+        elif callable(obj) and getattr(obj, "__closure__", None):
+            stack += [cell.cell_contents for cell in obj.__closure__]
+    return list(found.values())
+
+
+class TestDownConv3x3:
+    # the U-Net encoder's stages (base 16 channels, RGB + mask in) on odd and even maps
+    STAGES = [(4, 16), (16, 32), (32, 64)]
+    MAPS = [(8, 8), (7, 5), (1, 1)]
+
+    @staticmethod
+    def arrays(c_in, c_out, h, w, seed):
+        rng = np.random.default_rng(seed)
+        x, k, b = rng.normal(size=(c_in, h, w)), rng.normal(size=(c_out, c_in, 3, 3)) / c_in, rng.normal(size=c_out)
+        return x, k, b, rng.normal(size=(c_out, -(-h // 2), -(-w // 2)))
+
+    @pytest.mark.parametrize("c_in, c_out", STAGES)
+    @pytest.mark.parametrize("h, w", MAPS)
+    @pytest.mark.parametrize("x_grad", [True, False])
+    def test_stage_matches_dense_reference(self, c_in, c_out, h, w, x_grad):
+        x, k, b, g = self.arrays(c_in, c_out, h, w, c_in + h * 7 + w)
+        pre = TestConv3x3.dense_forward(x, k, b, 2)
+        want = [np.maximum(pre, 0.0), *TestConv3x3.dense_reference(x, k, g * (pre > 0.0), 2)]
+        ts = Tensor(x, requires_grad=x_grad), Tensor(k, requires_grad=True), Tensor(b, requires_grad=True)
+        with Graph() as graph:
+            out = tc.down_conv3x3(*ts)
+        assert [r.op for r in graph.records] == ["down_conv3x3"]
+        graph.backward(out, g)
+        got = [out.data] + [t.grad for t in ts]
+        if not x_grad:
+            assert got[1] is None
+            want[1] = None
+        for part, a, ref in zip(("out", "x", "w", "bias"), got, want):
+            if ref is not None:
+                assert np.abs(a - ref).max() <= 1e-12 * np.abs(ref).max(), part
+
+    @pytest.mark.parametrize("c_in, c_out", STAGES)
+    @pytest.mark.parametrize("h, w", MAPS)
+    def test_tape_keeps_only_the_column_stack(self, c_in, c_out, h, w):
+        # beyond its operands and output, a record holds the [9 * C_in, H_out * W_out]
+        # column stack and nothing larger: no padded input and no per-sample cache
+        x, k, b, _ = self.arrays(c_in, c_out, h, w, 1)
+        ts = Tensor(x, requires_grad=True), Tensor(k, requires_grad=True), Tensor(b)
+        with Graph() as graph:
+            tc.down_conv3x3(*ts)
+        (rec,) = graph.records
+        operands = {id(t.data) for t in (*rec.inputs, *rec.outs)} | {id(t.data.base) for t in rec.outs}
+        kept = [a for a in kept_arrays(rec.fn) if id(a) not in operands]
+        stack_bytes = 9 * c_in * -(-h // 2) * -(-w // 2) * 8
+        assert max(a.nbytes for a in kept) == stack_bytes
+        assert sum(a.nbytes for a in kept) == stack_bytes
 
 
 def stage_reference(low, skip, k, bias, region, low_at, skip_at, g):
@@ -636,8 +703,9 @@ class TestTape:
 
     def test_forward_replay_is_bit_identical(self):
         rng = np.random.default_rng(5)
-        # C_out > C_in takes the per-tap conv backward, C_out < C_in the stacked one
-        for c_in, c_out, stride in ((2, 3, 2), (5, 2, 1), (5, 2, 2)):
+        # the encoder stage's column stack, widening and narrowing and at the
+        # U-Net's own stages, and the head conv's stacked backward (C_out < C_in)
+        for c_in, c_out, stride in ((2, 3, 2), (5, 2, 1), (5, 2, 2), (4, 16, 2), (16, 32, 2), (32, 64, 2)):
             x = rng.normal(size=(c_in, 6, 5))
             w = rng.normal(size=(c_out, c_in, 3, 3))
             b = rng.normal(size=c_out)
