@@ -10,13 +10,13 @@ tape once, in exact reverse execution order, accumulating gradients into
 There are no generic arithmetic ops. Each U-Net layer is one op, chosen by
 its role: ``down_conv3x3`` is an encoder stage (a stride-2 3x3 conv and its
 relu, one GEMM over a column stack of the whole map), ``up_conv3x3`` a
-decoder stage (upsample, skip concat, 3x3 conv and relu) and ``conv3x3`` the
-head (a stride-1 3x3 conv on one region); the last two sum nine per-tap
-GEMMs over flat grids (``_tap_sums``).
-``compose_residual`` is the head's residual composition onto the composite
-and ``l1_loss`` the training loss. The bottleneck blocks, ``rain_block`` and
-``srin_block``, are one op each too and record onto the same tape from
-``blocks``, which holds their arithmetic.
+decoder stage (upsample, skip concat, 3x3 conv and relu) and
+``head_conv3x3`` the head (a stride-1 3x3 conv on the foreground's box,
+composed onto the composite). The head and the decoder's concat layout share
+one stride-1 core, ``_conv3x3_taps``: nine per-tap GEMMs over one flat grid
+(``_tap_sums``). ``l1_loss`` is the training loss. The bottleneck blocks,
+``rain_block`` and ``srin_block``, are one op each too and record onto the
+same tape from ``blocks``, which holds their arithmetic.
 
 Everything is float64 and single-threaded: importing ``harmlab`` pins the
 BLAS pool to one thread, so identical inputs produce bit-identical outputs
@@ -182,26 +182,6 @@ def _maybe_record(op: str, outs: tuple[Tensor, ...], inputs: Sequence[Tensor], f
         graph.records.append(_Record(op, tuple(inputs), outs, fn))
 
 
-def _op(op: str, inputs: tuple[Tensor, ...], data: np.ndarray, *grads: Callable[[np.ndarray], np.ndarray]) -> Tensor:
-    """Wrap ``data`` as the output of a single-output op and record it on the active tape.
-
-    On backward, ``grads[i]`` maps the output gradient to the gradient of
-    ``inputs[i]``, in input order; it is skipped for inputs that do not
-    require a gradient. No ``grads[i]`` returns the output gradient or a
-    view of it (``_accum`` adopts what it gets).
-    """
-    out = _wrap(np.asarray(data, dtype=np.float64), None, False)
-
-    def bwd():
-        g = out.grad
-        for t, grad in zip(inputs, grads):
-            if t.requires_grad:
-                _accum(t, grad(g))
-
-    _maybe_record(op, (out,), inputs, bwd)
-    return out
-
-
 def as_site_mask(mask, h: int, w: int) -> np.ndarray:
     m = np.asarray(mask, dtype=np.float64)
     if m.shape != (h, w):
@@ -212,7 +192,7 @@ def as_site_mask(mask, h: int, w: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the training loss and the head's composition (the mask is a constant site selector)
+# the training loss
 
 
 def l1_loss(out: Tensor, real, offset: float, scale: float) -> Tensor:
@@ -225,24 +205,9 @@ def l1_loss(out: Tensor, real, offset: float, scale: float) -> Tensor:
     if real.shape != out.shape:
         raise ShapeError(f"l1_loss: shapes {out.shape} and {real.shape} differ")
     diff = out.data - real
-    total = (np.sum(np.abs(diff)) + offset) * scale
-    return _op("l1_loss", (out,), total, lambda g: np.sign(diff) * float(g * scale))
-
-
-def compose_residual(delta: Tensor, comp, mask) -> Tensor:
-    """``clip(delta + comp, 0, 1)`` at mask=1 sites and exactly ``comp`` at mask=0 sites.
-
-    ``delta`` and the constant ``comp`` are [C, H, W] maps. ``delta``'s
-    gradient is ``g`` where the mask is 1 and ``delta + comp`` lies in
-    [0, 1], and 0 elsewhere.
-    """
-    comp = np.asarray(comp, dtype=np.float64)
-    if comp.shape != delta.shape or delta.data.ndim != 3:
-        raise ShapeError(f"compose_residual: shapes {delta.shape} and {comp.shape} must be equal [C, H, W]")
-    sel = as_site_mask(mask, delta.shape[1], delta.shape[2]).astype(bool)[None]
-    total = delta.data + comp
-    keep = sel & (total >= 0.0) & (total <= 1.0)
-    return _op("compose_residual", (delta,), np.where(sel, np.clip(total, 0.0, 1.0), comp), lambda g: g * keep)
+    loss = _wrap(np.asarray((np.sum(np.abs(diff)) + offset) * scale), None, False)
+    _maybe_record("l1_loss", (loss,), (out,), lambda: _accum(out, np.sign(diff) * float(loss.grad * scale)))
+    return loss
 
 
 # ---------------------------------------------------------------------------
@@ -288,27 +253,25 @@ def _grad_buffer(t: Tensor) -> np.ndarray:
     return t.grad
 
 
-def _phase_grids(x: np.ndarray, stride: int, rows: int, pitch: int, top: int, left: int) -> np.ndarray:
-    """Split the window of a [C, h, w] map at (top, left) into flat phase grids [stride * stride, C, rows * pitch].
+def _phase_grids(x: np.ndarray, rows: int, pitch: int, top: int, left: int) -> np.ndarray:
+    """Split the window of a [C, h, w] map at (top, left) into its four flat 2x2 phase grids [4, C, rows * pitch].
 
-    Grid ``py * stride + px`` holds site ``(top + stride * r + py, left + stride * c + px)``
+    Grid ``2 * py + px`` holds site ``(top + 2 * r + py, left + 2 * c + px)``
     of ``x`` at (r, c), with its rows ``pitch`` apart, and zero where that site
     lies outside ``x``.
     """
-    grids = np.zeros((stride * stride, x.shape[0], rows, pitch), dtype=np.float64)
+    grids = np.zeros((4, x.shape[0], rows, pitch), dtype=np.float64)
     for j, grid in enumerate(grids):
-        q, s = top + j // stride, left + j % stride
-        _fill_window(grid, x[:, q % stride :: stride, s % stride :: stride], q // stride, s // stride)
-    return grids.reshape(stride * stride, x.shape[0], rows * pitch)
+        q, s = top + j // 2, left + j % 2
+        _fill_window(grid, x[:, q % 2 :: 2, s % 2 :: 2], q // 2, s // 2)
+    return grids.reshape(4, x.shape[0], rows * pitch)
 
 
 def _from_phase_grids(grids: Sequence[np.ndarray], dst: np.ndarray, pitch: int, top: int, left: int) -> None:
     """Adjoint of ``_phase_grids``: add the flat grids' values into the sites of ``dst`` they hold."""
-    stride = math.isqrt(len(grids))
     for j, grid in enumerate(grids):
-        q, s = top + j // stride, left + j % stride
-        _add_window(dst[:, q % stride :: stride, s % stride :: stride], grid.reshape(dst.shape[0], -1, pitch),
-                    q // stride, s // stride)
+        q, s = top + j // 2, left + j % 2
+        _add_window(dst[:, q % 2 :: 2, s % 2 :: 2], grid.reshape(dst.shape[0], -1, pitch), q // 2, s // 2)
 
 
 def _tap_sums(grids: Sequence[np.ndarray], taps, shape: tuple[int, ...], pitch: int) -> np.ndarray:
@@ -396,54 +359,83 @@ def _from_tap_major(d: np.ndarray) -> np.ndarray:
     return d.reshape(3, 3, *d.shape[1:]).transpose(2, 3, 0, 1)
 
 
-def _conv3x3_core(x: Tensor, w: Tensor, bias: Tensor, origin: tuple[int, int],
-                  ho: int, wo: int) -> tuple[np.ndarray, Callable[[np.ndarray], None]]:
-    """The [C_out, ho, wo] output of a stride-1 3x3 conv whose padded window's corner is site ``origin`` of ``x``,
-    and the function that takes its gradient and accumulates those of ``x``, ``w`` and ``bias``.
+def _conv3x3_taps(grid: np.ndarray, w: Tensor, h: int, wd: int) -> tuple[np.ndarray, Callable]:
+    """The pre-bias [C_out, h, wd] output of a stride-1 3x3 conv of the padded window ``grid``, and its backward.
 
-    The window is one flat grid of row pitch ``p = wo + 2``. Tap (ky, kx)
-    of every output site then reads one contiguous slice of it, so the
-    forward is ``_tap_sums`` over nine taps: nine [C_out, C_in] @
-    [C_in, ho * p] GEMMs whose last two columns per row are cropped, with
-    no im2col buffer. The backward is ``_tap_sums_backward``, which stacks
-    the output gradient when the input needs a gradient and ``C_out < C_in``.
+    ``grid`` is [C_in, h + 3, wd + 2]: the window's row and column 0 are the
+    row above and the column left of output site (0, 0), and its last row is
+    spare, since the last tap's slice runs two elements past the window. As
+    one flat grid of row pitch ``p = wd + 2``, tap (ky, kx) of every output
+    site reads one contiguous slice, so the forward is ``_tap_sums`` over
+    nine taps: nine [C_out, C_in] @ [C_in, h * p] GEMMs whose last two
+    columns per row are cropped, with no im2col buffer.
+
+    The backward takes the output gradient and whether the window needs a
+    gradient. It accumulates ``w``'s gradient and returns the window's, of
+    ``grid``'s shape, or None. It is ``_tap_sums_backward``, which stacks
+    the output gradient when the window needs a gradient and ``C_out <
+    C_in``. The tap-major weights are rebuilt in the backward rather than
+    kept, so a tape record holds no more than the window.
     """
-    p = wo + 2
-    # One spare grid row: the last tap's slice runs two elements past the window.
-    grids = _phase_grids(x.data, 1, ho + 3, p, *origin)
-    wk = _tap_major(w.data)
-    taps = [(0, 0, wk[k], ky * p + kx) for k, (ky, kx) in enumerate(_OFFSETS_3X3)]
+    c_in, p = grid.shape[0], wd + 2
+    grids = [grid.reshape(c_in, -1)]
 
-    def backward(g: np.ndarray) -> None:
-        dwk = np.empty(wk.shape, dtype=np.float64) if w.requires_grad else None
-        dgrids = _tap_sums_backward(g, grids, taps, p, [x.requires_grad], dwk)
+    def taps() -> list:
+        wk = _tap_major(w.data)
+        return [(0, 0, wk[k], ky * p + kx) for k, (ky, kx) in enumerate(_OFFSETS_3X3)]
+
+    def backward(g: np.ndarray, grid_grad: bool) -> Optional[np.ndarray]:
+        dwk = np.empty((9, *w.shape[:2]), dtype=np.float64) if w.requires_grad else None
+        (dgrid,) = _tap_sums_backward(g, grids, taps(), p, [grid_grad], dwk)
         if dwk is not None:
             _accum(w, _from_tap_major(dwk))
-        _accum(bias, g.reshape(g.shape[0], -1).sum(axis=1))
-        if x.requires_grad:
-            _from_phase_grids(dgrids, _grad_buffer(x), p, *origin)
+        return None if dgrid is None else dgrid.reshape(grid.shape)
 
-    return _tap_sums(grids, taps, (w.shape[0], ho, wo), p) + bias.data[:, None, None], backward
+    return _tap_sums(grids, taps(), (w.shape[0], h, wd), p), backward
 
 
-def conv3x3(x: Tensor, w: Tensor, bias: Tensor, region: Optional[tuple[int, int, int, int]] = None,
-            x_at: tuple[int, int] = (0, 0)) -> Tensor:
-    """3x3 cross-correlation with zero padding 1 and stride 1: the output head.
+def head_conv3x3(x: Tensor, w: Tensor, bias: Tensor, comp, mask: np.ndarray, region: tuple[int, int, int, int],
+                 x_at: tuple[int, int] = (0, 0)) -> Tensor:
+    """The output head: a stride-1 3x3 conv of ``x`` with zero padding 1 on
+    ``region``, composed onto the composite ``comp``.
 
-    ``region`` = (top, bottom, left, right) computes only those output
-    sites, numbered as sites of ``x`` whose site (0, 0) is ``x_at``; it lies
-    in ``x``, which is read in place with zeros only outside it. Left out,
-    the region is the whole map. ``_conv3x3_core`` says how it is computed.
+    ``region`` = (top, bottom, left, right) names the output sites as sites
+    of ``x`` whose site (0, 0) is ``x_at``; it lies in ``x``, which is read
+    in place with zeros only outside it. ``comp`` is the constant [C_out, h,
+    w] composite on the region and ``mask`` a bool [h, w] array. At mask
+    sites the output is ``clip(conv + comp, 0, 1)``, summed as ``(taps +
+    bias) + comp``; elsewhere it is exactly ``comp``. The backward
+    multiplies the output gradient by ``keep``, the mask sites whose sum lies
+    in [0, 1], and runs the conv's backward (``_conv3x3_taps``).
     """
-    _check_conv("conv3x3", w, bias, (3, 3), x)
-    _, h, wd = x.shape
+    _check_conv("head_conv3x3", w, bias, (3, 3), x)
+    c_in, h, wd = x.shape
     xt, xl = x_at
-    top, bottom, left, right = (xt, xt + h, xl, xl + wd) if region is None else region
+    top, bottom, left, right = region
     if not (xt <= top < bottom <= xt + h and xl <= left < right <= xl + wd):
-        raise ShapeError(f"conv3x3: region {region} is not inside the input's sites, {x.shape} at {x_at}")
-    pre, backward = _conv3x3_core(x, w, bias, (top - 1 - xt, left - 1 - xl), bottom - top, right - left)
-    out = _wrap(pre, None, False)
-    _maybe_record("conv3x3", (out,), (x, w, bias), lambda: backward(out.grad))
+        raise ShapeError(f"head_conv3x3: region {region} is not inside the input's sites, {x.shape} at {x_at}")
+    ho, wo = bottom - top, right - left
+    comp = np.asarray(comp, dtype=np.float64)
+    if comp.shape != (w.shape[0], ho, wo):
+        raise ShapeError(f"head_conv3x3: composite {comp.shape} does not fit the region's {(w.shape[0], ho, wo)}")
+    if not isinstance(mask, np.ndarray) or mask.dtype != np.bool_ or mask.shape != (ho, wo):
+        raise ShapeError(f"head_conv3x3: need a bool mask of the region's sites {(ho, wo)}, got "
+                         f"{getattr(mask, 'dtype', type(mask).__name__)} {np.shape(mask)}")
+    grid = np.zeros((c_in, ho + 3, wo + 2), dtype=np.float64)
+    _fill_window(grid, x.data, top - 1 - xt, left - 1 - xl)
+    pre, backward = _conv3x3_taps(grid, w, ho, wo)
+    total = pre + bias.data[:, None, None] + comp
+    keep = mask & (total >= 0.0) & (total <= 1.0)
+    out = _wrap(np.where(mask, np.clip(total, 0.0, 1.0), comp), None, False)
+
+    def bwd():
+        g = out.grad * keep
+        dgrid = backward(g, x.requires_grad)
+        _accum(bias, g.reshape(g.shape[0], -1).sum(axis=1))
+        if dgrid is not None:
+            _add_window(_grad_buffer(x), dgrid, top - 1 - xt, left - 1 - xl)
+
+    _maybe_record("head_conv3x3", (out,), (x, w, bias), bwd)
     return out
 
 
@@ -525,7 +517,7 @@ _FOLD_MIN_SITES = 576
 
 def up_conv3x3(low: Tensor, skip: Tensor, w: Tensor, bias: Tensor, region: tuple[int, int, int, int],
                low_at: tuple[int, int] = (0, 0), skip_at: tuple[int, int] = (0, 0)) -> Tensor:
-    """One U-Net decoder stage, ``relu(conv3x3(concat(up, skip), w, bias))``, on ``region`` only.
+    """One U-Net decoder stage, the relu of a stride-1 3x3 conv of ``concat(up, skip)``, on ``region`` only.
 
     ``up`` is the nearest x2 upsample of ``low`` and ``concat`` stacks
     channels, ``up``'s first. Sites are numbered on the
@@ -539,15 +531,15 @@ def up_conv3x3(low: Tensor, skip: Tensor, w: Tensor, bias: Tensor, region: tuple
 
     Both layouts are ``_tap_sums`` over flat grids; the count of low-res sites
     under ``region`` picks one. Concat: ``up`` and ``skip`` over ``region``
-    grown by one are stacked into one grid for ``conv3x3``'s nine stride-1
-    taps. Folded: at output phase (a, b), ``up`` then a 3x3 conv is a 2x2
-    conv of ``low`` whose taps are the 3x3 taps folded per axis (phase 0:
-    taps {0} and {1, 2}; phase 1: taps {0, 1} and {2}), 16 GEMMs with 16/36
-    of the upsampled channels' multiply-adds, and the skip channels read the
-    skip's 2x2 phase grids, nine GEMMs per phase; the phases cover whole 2x2
-    blocks and are interleaved and cut to ``region``. The backward is
-    ``_tap_sums_backward`` over the same taps, and ``skip`` gets a gradient
-    only when it requires one.
+    grown by one are stacked into one window for the head's stride-1 core,
+    ``_conv3x3_taps``. Folded: at output phase (a, b), ``up`` then a 3x3
+    conv is a 2x2 conv of ``low`` whose taps are the 3x3 taps folded per
+    axis (phase 0: taps {0} and {1, 2}; phase 1: taps {0, 1} and {2}), 16
+    GEMMs with 16/36 of the upsampled channels' multiply-adds, and the skip
+    channels read the skip's 2x2 phase grids, nine GEMMs per phase; the
+    phases cover whole 2x2 blocks and are interleaved and cut to ``region``.
+    The backward is ``_tap_sums_backward`` over the same taps, and ``skip``
+    gets a gradient only when it requires one.
     """
     top, bottom, left, right = region
     low_sites = ((bottom + 1) // 2 - top // 2) * ((right + 1) // 2 - left // 2)
@@ -572,8 +564,9 @@ def _up_conv3x3(low: Tensor, skip: Tensor, w: Tensor, bias: Tensor, region: tupl
         p = wl + 2
         # Grid 0 is low's window, grids 1-4 the skip's phase grids. Each has
         # one spare row: the last tap's slice runs past the window.
-        grids = [*_phase_grids(low.data, 1, hl + 3, p, l0 - 1 - lt, m0 - 1 - ll),
-                 *_phase_grids(skip.data, 2, hl + 2, p, 2 * l0 - 1 - st, 2 * m0 - 1 - sl)]
+        low_grid = np.zeros((c_low, hl + 3, p), dtype=np.float64)
+        _fill_window(low_grid, low.data, l0 - 1 - lt, m0 - 1 - ll)
+        grids = [low_grid.reshape(c_low, -1), *_phase_grids(skip.data, hl + 2, p, 2 * l0 - 1 - st, 2 * m0 - 1 - sl)]
         w_low = _fold_taps(w.data[:, :c_low])
         w_skip = _tap_major(w.data[:, c_low:])
         # Phase (a, b) is block 2a + b. Its low taps (t, u) come before its
@@ -587,16 +580,12 @@ def _up_conv3x3(low: Tensor, skip: Tensor, w: Tensor, bias: Tensor, region: tupl
         acc = _tap_sums(grids, taps, (2, 2, c_out, hl, wl), p)
         acc = acc.transpose(2, 3, 0, 4, 1).reshape(c_out, 2 * hl, 2 * wl)[cut]
     else:
-        p = wd + 2
         ut, ul = top - 1 - 2 * lt, left - 1 - 2 * ll  # the window's corner as a site of up(low)
-        grid = np.zeros((c_in, h + 3, p), dtype=np.float64)  # the window, then a spare row
+        grid = np.zeros((c_in, h + 3, wd + 2), dtype=np.float64)  # the window, then a spare row
         for a, b in phases:  # the window's sites of row and column parity (a, b) hold low's sites in order
             _fill_window(grid[:c_low, a::2, b::2], low.data, (ut + a) // 2, (ul + b) // 2)
         _fill_window(grid[c_low:], skip.data, top - 1 - st, left - 1 - sl)
-        grids = [grid.reshape(c_in, -1)]
-        wk = _tap_major(w.data)
-        taps = [(0, 0, wk[k], ky * p + kx) for k, (ky, kx) in enumerate(_OFFSETS_3X3)]
-        acc = _tap_sums(grids, taps, (c_out, h, wd), p)
+        acc, concat_backward = _conv3x3_taps(grid, w, h, wd)
     out = _wrap(np.maximum(acc + bias.data[:, None, None], 0.0), None, False)
 
     def bwd():
@@ -613,19 +602,15 @@ def _up_conv3x3(low: Tensor, skip: Tensor, w: Tensor, bias: Tensor, region: tupl
             if w.requires_grad:
                 _accum(w, np.concatenate([_unfold_taps(dw_low), _from_tap_major(dw_skip.sum(axis=0))], axis=1))
             if low.requires_grad:
-                _from_phase_grids(dgrids[:1], _grad_buffer(low), p, l0 - 1 - lt, m0 - 1 - ll)
+                _add_window(_grad_buffer(low), dgrids[0].reshape(c_low, -1, p), l0 - 1 - lt, m0 - 1 - ll)
             if skip.requires_grad:
                 _from_phase_grids(dgrids[1:], _grad_buffer(skip), p, 2 * l0 - 1 - st, 2 * m0 - 1 - sl)
         else:
-            dwk = np.empty((9, c_out, c_in), dtype=np.float64) if w.requires_grad else None
-            (dgrid,) = _tap_sums_backward(g, grids, taps, p, [low.requires_grad or skip.requires_grad], dwk)
-            if dwk is not None:
-                _accum(w, _from_tap_major(dwk))
+            dgrid = concat_backward(g, low.requires_grad or skip.requires_grad)
             for a, b in phases if low.requires_grad else ():
-                d_up = dgrid.reshape(c_in, -1, p)[:c_low, a::2, b::2]
-                _add_window(_grad_buffer(low), d_up, (ut + a) // 2, (ul + b) // 2)
+                _add_window(_grad_buffer(low), dgrid[:c_low, a::2, b::2], (ut + a) // 2, (ul + b) // 2)
             if skip.requires_grad:
-                _add_window(_grad_buffer(skip), dgrid.reshape(c_in, -1, p)[c_low:], top - 1 - st, left - 1 - sl)
+                _add_window(_grad_buffer(skip), dgrid[c_low:], top - 1 - st, left - 1 - sl)
         _accum(bias, g.reshape(c_out, -1).sum(axis=1))
 
     _maybe_record("up_conv3x3", (out,), (low, skip, w, bias), bwd)

@@ -7,10 +7,9 @@ tape op: each encoder stage is one ``tensor.down_conv3x3``, the relu of a
 stride-2 3x3 conv; each decoder stage is one ``tensor.up_conv3x3``, the relu of
 a 3x3 conv over the nearest x2 upsample of the deeper map concatenated with
 the skip, which never builds either map; and the 3-channel output head is one
-stride-1 ``tensor.conv3x3``. The head is residual: one op,
-``tensor.compose_residual``, adds its prediction to the composite and clamps
-the sum to [0, 1] on the foreground, and passes background pixels through
-exactly.
+``tensor.head_conv3x3``. The head is residual: that op adds its stride-1 3x3
+conv to the composite and clamps the sum to [0, 1] on the foreground, and
+passes background pixels through exactly.
 
 The composite, the mask and the semantic map are constants; only the
 parameters learn. ``GeneratorModel.windows`` checks a sample and builds every
@@ -26,9 +25,9 @@ low-res input on ``need[k]``, whose nearest x2 upsample covers ``need[k - 1]``
 grown by one site, every interval clipped to its map. Each stage reads its
 low-res input (the bottleneck, for the first) and its skip in place, so it
 reads true values on the ring around its region and zeros only outside the
-map. The head computes ``F`` alone from its input on ``need[0]``, and
-``compose_residual`` runs on ``F``; evaluation (``forward_tensor``) pastes
-that box into a copy of the composite in numpy.
+map. The head computes and composes ``F`` alone from its input on
+``need[0]``; evaluation (``forward_tensor``) pastes that box into a copy of
+the composite in numpy.
 
 ``need[stages]`` is the decode window: the bottleneck cells, each the 2^stages
 x 2^stages pixel block under one bottleneck site, that hold any foreground
@@ -124,8 +123,9 @@ class Windows:
     of the mask and semantic map at the bottleneck's resolution, None
     without a block. ``stack`` is the encoder's input, the composite and the
     mask over the encoder window, and ``comp_box`` and ``mask_box`` the
-    composite and the mask on ``box``. All are constants: no gradient
-    reaches them.
+    composite and the mask on ``box``, the mask as a bool array, the form
+    ``tensor.head_conv3x3`` takes. All are constants: no gradient reaches
+    them.
     """
 
     box: Box
@@ -262,7 +262,7 @@ class GeneratorModel:
         top, bottom, left, right = (v << stages for v in enc)
         stack = Tensor(np.concatenate([comp[:, top:bottom, left:right], m[None, top:bottom, left:right]]))
         on_box = np.s_[..., box[0] : box[1], box[2] : box[3]]
-        return Windows(box, tuple(need), enc, plan, stack, comp[on_box], m[on_box])
+        return Windows(box, tuple(need), enc, plan, stack, comp[on_box], m[on_box] == 1.0)
 
     def forward_box(self, win: Windows) -> Tensor:
         """The composed output on the foreground's box ``win.box``, [3, h, w].
@@ -289,8 +289,7 @@ class GeneratorModel:
             cur = tc.up_conv3x3(cur, skips[k - 1], w, b, win.need[k - 1], low_at, (e_top * scale, e_left * scale))
             low_at = win.need[k - 1][0], win.need[k - 1][2]
 
-        delta = tc.conv3x3(cur, self.head[0], self.head[1], region=win.box, x_at=low_at)
-        return tc.compose_residual(delta, win.comp_box, win.mask_box)
+        return tc.head_conv3x3(cur, *self.head, win.comp_box, win.mask_box, win.box, low_at)
 
     def forward_tensor(self, composite: np.ndarray, mask: np.ndarray, semantic: np.ndarray) -> np.ndarray:
         """Run the network; returns the composed [3, S, S] output as an array.

@@ -139,42 +139,48 @@ def op_grad_checks(tol: float = DEFAULT_TOL) -> list[GradCheckResult]:
               weights: Optional[np.ndarray] = None):
         results.append(grad_check(fn, [Tensor(a.copy()) for a in arrays], tol=tol, name=name, weights=weights))
 
-    # keep inputs clear of the kinks: l1_loss's where out equals real, and
-    # compose_residual's where delta + comp is 0 or 1
+    # keep l1_loss's inputs clear of its kink, where out equals real
     out, real = rng.normal(size=(2, 3, 4))
     out = np.where(np.abs(out - real) < 0.05, real + 0.25, out)
     check("l1_loss", lambda ts: tc.l1_loss(ts[0], real, 0.37, 0.25), [out])
 
-    site_mask = (rng.uniform(size=(3, 3)) < 0.5).astype(np.float64)
-    site_mask[0, 0] = 1.0
-    site_mask[2, 2] = 0.0
-    w233 = rng.normal(size=(2, 3, 3))
-    comp = rng.uniform(0.2, 0.8, size=(2, 3, 3))
-    delta = rng.uniform(-1.0, 1.0, size=(2, 3, 3))
-    delta = np.where(np.minimum(np.abs(delta + comp), np.abs(delta + comp - 1.0)) < 0.05, 0.5 - comp, delta)
-    check("compose_residual", lambda ts: tc.compose_residual(ts[0], comp, site_mask), [delta], w233)
+    def check_head(name: str, x: np.ndarray, k: np.ndarray, bias: np.ndarray, region, x_at=(0, 0)):
+        # A composite that puts every sum conv + comp in [-0.5, 1.5] and at
+        # least 0.1 from the clip's kinks, 0 and 1, with sums clipped on both
+        # sides at mask site (0, 0), and a mask with sites of both kinds.
+        top, bottom, left, right = region
+        h, w = bottom - top, right - left
+        padded = np.pad(x, ((0, 0), (1, 1), (1, 1)))[:, top - x_at[0] :, left - x_at[1] :]
+        conv = bias[:, None, None] + sum(np.einsum("oi,iyx->oyx", k[:, :, ky, kx], padded[:, ky : ky + h, kx : kx + w])
+                                         for ky in range(3) for kx in range(3))
+        total = rng.uniform(-0.5, 1.5, size=conv.shape)
+        total = np.where(np.minimum(np.abs(total), np.abs(total - 1.0)) < 0.1, 0.5, total)
+        total[0, 0, 0], total[-1, 0, 0] = -0.3, 1.3
+        mask = rng.uniform(size=(h, w)) < 0.7
+        mask[0, 0], mask[-1, -1] = True, False
+        check(name, lambda ts: tc.head_conv3x3(*ts, total - conv, mask, region, x_at), [x, k, bias],
+              rng.normal(size=conv.shape))
 
     x355 = rng.normal(size=(3, 5, 5))
     k233 = 0.4 * rng.normal(size=(2, 3, 3, 3))
     bias2 = rng.normal(size=2)
-    check("conv3x3_s1", lambda ts: tc.conv3x3(*ts), [x355, k233, bias2], rng.normal(size=(2, 5, 5)))
+    check_head("head_conv3x3", x355, k233, bias2, (0, 5, 0, 5))
     check("down_conv3x3_narrowing", lambda ts: tc.down_conv3x3(*ts), [x355, k233, bias2], rng.normal(size=(2, 3, 3)))
 
-    x245 = rng.normal(size=(2, 4, 5))
-    # the head's case: a narrowing stride-1 region, rows 0:2 and columns 2:5 of x355
-    check("conv3x3_s1_region", lambda ts: tc.conv3x3(*ts, region=(2, 4, 3, 6), x_at=(2, 1)), [x355, k233, bias2],
-          rng.normal(size=(2, 2, 3)))
+    # the network's case: a region of the input, a window at x_at; rows 0:2 and columns 2:5 of x355
+    check_head("head_conv3x3_region", x355, k233, bias2, (2, 4, 3, 6), (2, 1))
 
-    # The conv3x3 and up_conv3x3 backward stacks the output gradient for each
-    # phase grid that needs a gradient and has more channels than C_out, and
-    # makes per-tap products for every other grid. The conv checks above stack
-    # (C_out < C_in); these widen (C_out > C_in). down_conv3x3 has one path,
-    # its column stack, checked at both shapes. up_conv3x3 runs each of its
-    # layouts narrowing (every grid stacked) and widening (none), on a region
-    # at the skip map's bottom and left edges with an odd top row.
+    # The head_conv3x3 and up_conv3x3 backward stacks the output gradient for
+    # each grid that needs a gradient and has more channels than C_out, and
+    # makes per-tap products for every other grid. The head checks above
+    # stack (C_out < C_in); these widen (C_out > C_in). down_conv3x3 has one
+    # path, its column stack, checked at both shapes. up_conv3x3 runs each of
+    # its layouts narrowing (every grid stacked) and widening (none), on a
+    # region at the skip map's bottom and left edges with an odd top row.
+    x245 = rng.normal(size=(2, 4, 5))
     k323 = 0.4 * rng.normal(size=(3, 2, 3, 3))
     bias3 = rng.normal(size=3)
-    check("conv3x3_s1_widening", lambda ts: tc.conv3x3(*ts), [x245, k323, bias3], rng.normal(size=(3, 4, 5)))
+    check_head("head_conv3x3_widening", x245, k323, bias3, (0, 4, 0, 5))
     check("down_conv3x3_widening", lambda ts: tc.down_conv3x3(*ts), [x245, k323, bias3], rng.normal(size=(3, 2, 3)))
     for layout, folded in (("concat", False), ("folded", True)):
         for shape, (c_low, c_skip, c_out) in (("narrowing", (3, 2, 1)), ("widening", (2, 1, 3))):

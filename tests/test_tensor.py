@@ -71,24 +71,84 @@ class TestConv1x1:
             srin_forward(Tensor(np.ones((3, 2, 2))), mask, np.zeros((3, 2, 2)), params)
 
 
-# The conv op of each stride: the head's stride-1 conv3x3 and an encoder
-# stage's down_conv3x3, whose output is the relu of a stride-2 conv.
-CONV = {1: tc.conv3x3, 2: tc.down_conv3x3}
+def conv_sums(x, k, b, stride=1):
+    """The 3x3 conv plus bias over the whole map, before any relu or composition,
+    one einsum per tap on the zero-padded input."""
+    _, h, w = x.shape
+    padded = np.pad(x, ((0, 0), (1, 1), (1, 1)))
+    return b[:, None, None] + sum(np.einsum("oi,iyx->oyx", k[:, :, ky, kx], padded[:, ky : ky + h : stride,
+                                                                                    kx : kx + w : stride])
+                                  for ky in range(3) for kx in range(3))
+
+
+def head_inputs(x, k, b, region, x_at=(0, 0)):
+    """A composite and a bool mask for ``head_conv3x3`` on ``region``.
+
+    The composite puts every sum conv + comp in [-0.5, 1.5] and at least
+    0.05 from the clip's kinks, 0 and 1. At mask site (0, 0), channel 0
+    sums inside [0, 1] and channels 1 and 2, where there are, above and
+    below it. About a quarter of the other sites are outside the mask.
+    Both depend only on the arguments.
+    """
+    top, bottom, left, right = region
+    conv = conv_sums(x, k, b)[:, top - x_at[0] : bottom - x_at[0], left - x_at[1] : right - x_at[1]]
+    rng = np.random.default_rng(conv.size)
+    total = rng.uniform(-0.5, 1.5, size=conv.shape)
+    total = np.where(np.minimum(np.abs(total), np.abs(total - 1.0)) < 0.05, 0.5, total)
+    total[:, 0, 0] = np.resize([0.5, 1.3, -0.3], conv.shape[0])
+    mask = rng.uniform(size=conv.shape[1:]) < 0.75
+    mask.flat[0] = True
+    return total - conv, mask
+
+
+def composed(pre, comp, mask):
+    """The head's dense reference: its output for the conv sums ``pre``, and the sites its gradient passes."""
+    total = pre + comp
+    return np.where(mask, np.clip(total, 0.0, 1.0), comp), mask & (total >= 0.0) & (total <= 1.0)
+
+
+def head_whole(x, k, b):
+    """``head_conv3x3`` over the whole of ``x``, onto ``head_inputs``' composite and mask."""
+    region = (0, x.shape[1], 0, x.shape[2])
+    return tc.head_conv3x3(x, k, b, *head_inputs(x.data, k.data, b.data, region), region)
+
+
+def delta_head(x, comp, mask=None):
+    """``head_conv3x3`` of the whole of ``x`` with a delta kernel and zero bias: its sum is ``x + comp`` exactly."""
+    c, h, w = x.shape
+    k = np.zeros((c, c, 3, 3))
+    k[range(c), range(c), 1, 1] = 1.0
+    mask = np.ones((h, w), dtype=bool) if mask is None else mask
+    return tc.head_conv3x3(x, Tensor(k), Tensor(np.zeros(c)), comp, mask, (0, h, 0, w))
+
+
+# The conv op of each stride: the head's stride-1 head_conv3x3, composed onto
+# head_inputs' composite, and an encoder stage's down_conv3x3, whose output is
+# the relu of a stride-2 conv.
+CONV = {1: head_whole, 2: tc.down_conv3x3}
+
+
+def finish(x, k, b, stride, pre):
+    """The op's output from its conv sums ``pre`` over the whole map, and the sites its gradient passes."""
+    if stride == 2:
+        return np.maximum(pre, 0.0), pre > 0.0
+    return composed(pre, *head_inputs(x, k, b, (0, x.shape[1], 0, x.shape[2])))
 
 
 class TestConv3x3:
     def test_delta_kernel_is_identity(self):
+        # the head's sum is x + comp, bit for bit, at the mask's sites
         rng = np.random.default_rng(1)
-        x = rng.normal(size=(2, 5, 5))
-        w = np.zeros((2, 2, 3, 3))
-        w[0, 0, 1, 1] = 1.0
-        w[1, 1, 1, 1] = 1.0
-        out = tc.conv3x3(Tensor(x), Tensor(w), Tensor(np.zeros(2)))
-        assert np.array_equal(out.data, x)
+        x = rng.uniform(0.1, 0.4, size=(2, 5, 5))
+        comp = rng.uniform(0.1, 0.5, size=(2, 5, 5))
+        mask = rng.uniform(size=(5, 5)) < 0.5
+        out = delta_head(Tensor(x), comp, mask)
+        assert np.array_equal(out.data, np.where(mask, x + comp, comp))
 
     def test_box_sums_on_ones(self):
-        out = tc.conv3x3(Tensor(np.ones((1, 3, 3))), Tensor(np.ones((1, 1, 3, 3))), Tensor(np.zeros(1)))
-        assert np.array_equal(out.data[0], [[4.0, 6.0, 4.0], [6.0, 9.0, 6.0], [4.0, 6.0, 4.0]])
+        out = tc.head_conv3x3(Tensor(np.ones((1, 3, 3))), Tensor(np.full((1, 1, 3, 3), 1.0 / 16.0)),
+                              Tensor(np.zeros(1)), np.zeros((1, 3, 3)), np.ones((3, 3), dtype=bool), (0, 3, 0, 3))
+        assert np.array_equal(out.data[0], np.array([[4.0, 6.0, 4.0], [6.0, 9.0, 6.0], [4.0, 6.0, 4.0]]) / 16.0)
 
     def test_stride_two_output_size(self):
         out = tc.down_conv3x3(Tensor(np.ones((1, 4, 4))), Tensor(np.ones((1, 1, 3, 3))), Tensor(np.zeros(1)))
@@ -115,8 +175,7 @@ class TestConv3x3:
                                         if 0 <= iy < h and 0 <= ix < w:
                                             s += k[co, ci, ky, kx] * x[ci, iy, ix]
                             ref[co, oy, ox] = s + b[co]
-                if stride == 2:
-                    ref = np.maximum(ref, 0.0)
+                ref = finish(x, k, b, stride, ref)[0]
                 assert np.allclose(got, ref, atol=1e-12, rtol=0), (h, w, stride)
 
     @pytest.mark.parametrize("h, w", [(5, 7), (6, 3)])
@@ -127,14 +186,18 @@ class TestConv3x3:
         weights = rng.normal(size=(2, ho, wo))
         arrays = rng.normal(size=(3, h, w)), 0.4 * rng.normal(size=(2, 3, 3, 3)), rng.normal(size=2)
         # a central difference of step 1e-5 crosses down_conv3x3's relu kink only at pre-activations near 0
-        assert np.abs(self.dense_forward(*arrays, stride)).min() > 0.01
-        res = grad_check(lambda ts: CONV[stride](*ts), [Tensor(a) for a in arrays], name=f"conv_s{stride}_{h}x{w}",
+        # (head_inputs keeps the head's sums 0.05 from its kinks)
+        if stride == 2:
+            assert np.abs(conv_sums(*arrays, stride)).min() > 0.01
+        comp, mask = head_inputs(*arrays, (0, h, 0, w))
+        op = CONV[2] if stride == 2 else lambda x, k, b: tc.head_conv3x3(x, k, b, comp, mask, (0, h, 0, w))
+        res = grad_check(lambda ts: op(*ts), [Tensor(a) for a in arrays], name=f"conv_s{stride}_{h}x{w}",
                          weights=weights)
         assert res.passed, res.line()
 
     @staticmethod
     def dense_reference(x, k, g, stride):
-        """Loop over the nine taps: (dX, dW, dbias) of sum(conv3x3(x, k, b) * g)."""
+        """Loop over the nine taps: (dX, dW, dbias) of sum(conv_sums(x, k, b, stride) * g)."""
         _, h, w = x.shape
         ho, wo = g.shape[1:]
         padded = np.pad(x, ((0, 0), (1, 1), (1, 1)))
@@ -149,12 +212,12 @@ class TestConv3x3:
 
     @staticmethod
     def backward_of(x, k, b, g, stride, x_grad=True):
-        """The op's output and its gradients at x, k and b, and the output gradient through the op's relu."""
+        """The op's gradients at x, k and b, and the output gradient through the op's relu or composition."""
         ts = Tensor(x, requires_grad=x_grad), Tensor(k, requires_grad=True), Tensor(b, requires_grad=True)
         with Graph() as graph:
             out = CONV[stride](*ts)
         graph.backward(out, g)
-        return [t.grad for t in ts], g * (out.data > 0.0) if stride == 2 else g
+        return [t.grad for t in ts], g * finish(x, k, b, stride, conv_sums(x, k, b, stride))[1]
 
     @pytest.mark.parametrize("c_in, c_out", [(5, 2), (2, 5), (3, 3)])
     @pytest.mark.parametrize("stride", [1, 2])
@@ -173,8 +236,8 @@ class TestConv3x3:
                 assert np.abs(part - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_shared_weight_gradient_is_the_sum(self):
-        # the head conv takes the stacked backward (C_out < C_in, input needs
-        # a gradient), the encoder stage its column stack (its input needs none)
+        # the head takes the stacked backward (C_out < C_in, input needs a
+        # gradient), the encoder stage its column stack (its input needs none)
         rng = np.random.default_rng(11)
         k = Tensor(rng.normal(size=(2, 4, 3, 3)), requires_grad=True)
         b = Tensor(rng.normal(size=2), requires_grad=True)
@@ -182,31 +245,23 @@ class TestConv3x3:
         x2 = Tensor(rng.normal(size=(4, 7, 3)))
         g1, g2 = rng.normal(size=(2, 5, 6)), rng.normal(size=(2, 4, 2))
         with Graph() as graph1:
-            out1 = tc.conv3x3(x1, k, b)
+            out1 = head_whole(x1, k, b)
         with Graph() as graph2:
             out2 = tc.down_conv3x3(x2, k, b)
         graph2.backward(out2, g2)
         graph1.backward(out1, g1)
-        dx1, dk1, db1 = self.dense_reference(x1.data, k.data, g1, 1)
+        keep1 = finish(x1.data, k.data, b.data, 1, conv_sums(x1.data, k.data, b.data))[1]
+        dx1, dk1, db1 = self.dense_reference(x1.data, k.data, g1 * keep1, 1)
         _, dk2, db2 = self.dense_reference(x2.data, k.data, g2 * (out2.data > 0.0), 2)
         for got, ref in ((x1.grad, dx1), (k.grad, dk1 + dk2), (b.grad, db1 + db2)):
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
     @staticmethod
-    def dense_forward(x, k, b, stride=1):
-        """The 3x3 conv over the whole map, before any relu, one einsum per tap on the zero-padded input."""
-        _, h, w = x.shape
-        padded = np.pad(x, ((0, 0), (1, 1), (1, 1)))
-        return b[:, None, None] + sum(np.einsum("oi,iyx->oyx", k[:, :, ky, kx], padded[:, ky : ky + h : stride,
-                                                                                        kx : kx + w : stride])
-                                      for ky in range(3) for kx in range(3))
-
-    @staticmethod
     def region_run(x, k, b, g, region, x_at, x_grad=True):
         ts = Tensor(x, requires_grad=x_grad), Tensor(k, requires_grad=True), Tensor(b, requires_grad=True)
         with Graph() as graph:
-            out = tc.conv3x3(*ts, region=region, x_at=x_at)
-        assert [r.op for r in graph.records] == ["conv3x3"]
+            out = tc.head_conv3x3(*ts, *head_inputs(x, k, b, region, x_at), region, x_at)
+        assert [r.op for r in graph.records] == ["head_conv3x3"]
         graph.backward(out, g)
         return [out.data] + [t.grad for t in ts]
 
@@ -230,9 +285,10 @@ class TestConv3x3:
             top, bottom, left, right = region
             cut = np.s_[:, top - x_at[0] : bottom - x_at[0], left - x_at[1] : right - x_at[1]]
             g = rng.normal(size=(c_out, bottom - top, right - left))
+            out, keep = composed(conv_sums(x, k, b)[cut], *head_inputs(x, k, b, region, x_at))
             g_full = np.zeros((c_out, *shape[1:]))
-            g_full[cut] = g
-            want = [self.dense_forward(x, k, b)[cut], *self.dense_reference(x, k, g_full, 1)]
+            g_full[cut] = g * keep
+            want = [out, *self.dense_reference(x, k, g_full, 1)]
             got = self.region_run(x, k, b, g, region, x_at, x_grad)
             if not x_grad:
                 assert got[1] is None
@@ -242,35 +298,58 @@ class TestConv3x3:
                     assert np.abs(a - ref).max() <= 1e-12 * np.abs(ref).max(), (part, region)
 
     def test_whole_map_region_is_the_unregioned_conv_bit_for_bit(self):
+        # the whole map as a window at (3, 7) is the whole map at the origin,
+        # bit for bit, and a second run repeats the first
         rng = np.random.default_rng(12)
         for c_in, c_out in ((5, 2), (2, 5)):
             x, k, b = rng.normal(size=(c_in, 5, 6)), rng.normal(size=(c_out, c_in, 3, 3)), rng.normal(size=c_out)
             g = rng.normal(size=(c_out, 5, 6))
-            plain, _ = self.backward_of(x, k, b, g, 1)
+            plain = self.region_run(x, k, b, g, (0, 5, 0, 6), (0, 0))
             for region, x_at in (((0, 5, 0, 6), (0, 0)), ((3, 8, 7, 13), (3, 7))):
                 got = self.region_run(x, k, b, g, region, x_at)
-                assert np.array_equal(got[0], tc.conv3x3(Tensor(x), Tensor(k), Tensor(b)).data)
-                assert all(np.array_equal(a, ref) for a, ref in zip(got[1:], plain)), (c_in, region)
+                assert all(np.array_equal(a, ref) for a, ref in zip(got, plain)), (c_in, region)
 
     def test_region_backward_adds_into_the_window(self):
         # a delta kernel copies x: the output is x on the region, and the
         # gradient lands in the region's window of x's gradient
         rng = np.random.default_rng(3)
-        x = Tensor(rng.normal(size=(2, 5, 6)), requires_grad=True)
+        x = Tensor(rng.uniform(0.1, 0.9, size=(2, 5, 6)), requires_grad=True)
         w = np.zeros((2, 2, 3, 3))
         w[0, 0, 1, 1] = w[1, 1, 1, 1] = 1.0
         g = rng.normal(size=(2, 2, 3))
         with Graph() as graph:
-            window = tc.conv3x3(x, Tensor(w), Tensor(np.zeros(2)), region=(11, 13, 22, 25), x_at=(10, 20))
+            window = tc.head_conv3x3(x, Tensor(w), Tensor(np.zeros(2)), np.zeros((2, 2, 3)),
+                                     np.ones((2, 3), dtype=bool), (11, 13, 22, 25), (10, 20))
         assert np.array_equal(window.data, x.data[:, 1:3, 2:5])
         graph.backward(window, g)
         pasted = np.zeros((2, 5, 6))
         pasted[:, 1:3, 2:5] = g
         assert np.array_equal(x.grad, pasted)
 
+    @pytest.mark.parametrize("region", [(5, 6, 9, 10), (4, 7, 8, 12), (3, 8, 7, 13)])
+    def test_head_tape_keeps_no_more_than_its_window(self, region):
+        # at the network's head shape (16 channels in, 3 out), a record keeps,
+        # beyond its operands and output, nothing larger than its padded
+        # window [C_in, h + 3, w + 2], even for a one-pixel box, where the
+        # tap-major weights [9, C_out, C_in] are larger than the window
+        rng = np.random.default_rng(4)
+        x, k, b = rng.normal(size=(16, 5, 6)), rng.normal(size=(3, 16, 3, 3)) / 16.0, rng.normal(size=3)
+        ts = Tensor(x, requires_grad=True), Tensor(k, requires_grad=True), Tensor(b, requires_grad=True)
+        with Graph() as graph:
+            tc.head_conv3x3(*ts, *head_inputs(x, k, b, region, (3, 7)), region, (3, 7))
+        (rec,) = graph.records
+        operands = {id(t.data) for t in (*rec.inputs, *rec.outs)}
+        kept = [a for a in kept_arrays(rec.fn) if id(a) not in operands]
+        top, bottom, left, right = region
+        assert max(a.nbytes for a in kept) == 16 * (bottom - top + 3) * (right - left + 2) * 8
+
     def test_weight_errors(self):
         x = Tensor(np.ones((2, 4, 5)))
-        for op in CONV.values():
+
+        def head(x, w, b):
+            return tc.head_conv3x3(x, w, b, np.zeros((3, 4, 5)), np.ones((4, 5), dtype=bool), (0, 4, 0, 5))
+
+        for op in (head, tc.down_conv3x3):
             for w, b in (((3, 1, 3, 3), 3), ((3, 2, 2, 2), 3), ((3, 2, 3, 3), 2), ((2, 3, 3), 2)):
                 with pytest.raises(ShapeError, match="input channels"):
                     op(x, Tensor(np.ones(w)), Tensor(np.zeros(b)))
@@ -282,7 +361,7 @@ class TestConv3x3:
         for region, x_at in (((0, 5, 0, 5), (0, 0)), ((2, 2, 0, 5), (0, 0)), ((0, 3, -1, 2), (0, 0)),
                              ((0, 3, 0, 3), (1, 0)), ((5, 6, 2, 3), (1, 1))):
             with pytest.raises(ShapeError, match="region"):
-                tc.conv3x3(x, w, b, region=region, x_at=x_at)
+                tc.head_conv3x3(x, w, b, np.zeros((2, 1, 1)), np.ones((1, 1), dtype=bool), region, x_at)
 
 
 def kept_arrays(fn):
@@ -320,7 +399,7 @@ class TestDownConv3x3:
     @pytest.mark.parametrize("x_grad", [True, False])
     def test_stage_matches_dense_reference(self, c_in, c_out, h, w, x_grad):
         x, k, b, g = self.arrays(c_in, c_out, h, w, c_in + h * 7 + w)
-        pre = TestConv3x3.dense_forward(x, k, b, 2)
+        pre = conv_sums(x, k, b, 2)
         want = [np.maximum(pre, 0.0), *TestConv3x3.dense_reference(x, k, g * (pre > 0.0), 2)]
         ts = Tensor(x, requires_grad=x_grad), Tensor(k, requires_grad=True), Tensor(b, requires_grad=True)
         with Graph() as graph:
@@ -653,15 +732,15 @@ class TestTape:
 
     @pytest.mark.parametrize("op", ["add", "add_scalar"])
     def test_identity_and_view_gradients_are_copied(self, op):
-        # the residual add inside compose_residual and the offset added inside
-        # l1_loss pass the output gradient through unchanged here, yet the
-        # input gets a fresh buffer, since _accum adopts what it gets
+        # the head's residual add, through a delta kernel, and the offset
+        # added inside l1_loss pass the output gradient through unchanged
+        # here, yet the input gets a fresh buffer, since _accum adopts what it gets
         rng = np.random.default_rng(7)
         comp = rng.uniform(0.25, 0.75, size=(2, 3, 4))
         a = Tensor(rng.uniform(-0.2, 0.2, size=(2, 3, 4)), requires_grad=True)
         with Graph() as g:
             if op == "add":
-                y = tc.compose_residual(a, comp, np.ones((3, 4)))
+                y = delta_head(a, comp)
                 seed = rng.normal(size=y.shape)
             else:
                 y = tc.l1_loss(a, a.data - 1.0, 0.5, 1.0)
@@ -673,7 +752,7 @@ class TestTape:
     def test_seed_must_match_the_root(self):
         x = Tensor(np.zeros((1, 2, 3)), requires_grad=True)
         with Graph() as g:
-            y = tc.compose_residual(x, np.full((1, 2, 3), 0.5), np.ones((2, 3)))
+            y = delta_head(x, np.full((1, 2, 3), 0.5))
         with pytest.raises(ShapeError, match="seed shape"):
             g.backward(y, np.ones((1, 3, 2)))
         with pytest.raises(ShapeError, match="seed shape"):
@@ -686,9 +765,8 @@ class TestTape:
         # backward pops every record, and a second backward raises
         x = Tensor(np.array([[[0.25, -0.75, 0.25]]]), requires_grad=True)
         with Graph() as g:
-            y = tc.l1_loss(tc.compose_residual(x, np.full((1, 1, 3), 0.5), np.ones((1, 3))), np.zeros((1, 1, 3)),
-                           0.0, 1.0)
-        assert [r.op for r in g.records] == ["compose_residual", "l1_loss"]
+            y = tc.l1_loss(delta_head(x, np.full((1, 1, 3), 0.5)), np.zeros((1, 1, 3)), 0.0, 1.0)
+        assert [r.op for r in g.records] == ["head_conv3x3", "l1_loss"]
         g.backward(y)
         assert g.records == []
         assert np.array_equal(x.grad, [[[1.0, 0.0, 1.0]]])
@@ -704,7 +782,7 @@ class TestTape:
     def test_forward_replay_is_bit_identical(self):
         rng = np.random.default_rng(5)
         # the encoder stage's column stack, widening and narrowing and at the
-        # U-Net's own stages, and the head conv's stacked backward (C_out < C_in)
+        # U-Net's own stages, and the head's stacked backward (C_out < C_in)
         for c_in, c_out, stride in ((2, 3, 2), (5, 2, 1), (5, 2, 2), (4, 16, 2), (16, 32, 2), (32, 64, 2)):
             x = rng.normal(size=(c_in, 6, 5))
             w = rng.normal(size=(c_out, c_in, 3, 3))
@@ -751,48 +829,55 @@ class TestTape:
     def test_backward_needs_scalar_root(self):
         x = Tensor(np.zeros((1, 1, 3)), requires_grad=True)
         with Graph() as g:
-            y = tc.compose_residual(x, np.full((1, 1, 3), 0.5), np.ones((1, 3)))
+            y = delta_head(x, np.full((1, 1, 3), 0.5))
             with pytest.raises(ShapeError):
                 g.backward(y)
 
 
 class TestBlendAndMask:
     def test_blend_selects_exactly(self):
-        # compose_residual takes the clipped sum at mask=1 sites and the composite itself elsewhere
+        # the head takes the clipped sum at the mask's sites and the composite itself elsewhere
         rng = np.random.default_rng(8)
         delta = rng.normal(size=(3, 4, 4))
         comp = rng.uniform(size=(3, 4, 4))
-        mask = (rng.uniform(size=(4, 4)) < 0.5).astype(np.float64)
-        out = tc.compose_residual(Tensor(delta), comp, mask).data
-        sel = mask.astype(bool)
+        sel = rng.uniform(size=(4, 4)) < 0.5
+        out = delta_head(Tensor(delta), comp, sel).data
         assert np.array_equal(out[:, sel], np.clip(delta + comp, 0.0, 1.0)[:, sel])
         assert np.array_equal(out[:, ~sel], comp[:, ~sel])
 
     def test_mask_must_be_binary(self):
-        with pytest.raises(ValueError):
-            tc.compose_residual(Tensor(np.ones((1, 2, 2))), np.zeros((1, 2, 2)), np.full((2, 2), 0.5))
+        # binary by type: a bool array of the region's sites, nothing else
+        x = Tensor(np.ones((1, 2, 2)))
+        for mask in (np.full((2, 2), 0.5), np.ones((2, 2)), np.ones((2, 2), dtype=np.uint8), [[True] * 2] * 2,
+                     np.ones((2, 3), dtype=bool), np.ones(4, dtype=bool)):
+            with pytest.raises(ValueError, match="bool mask"):
+                delta_head(x, np.zeros((1, 2, 2)), mask)
 
 
 class TestHeadAndLoss:
-    """``compose_residual`` and ``l1_loss`` against dense numpy, kinks included."""
+    """``head_conv3x3``'s composition and ``l1_loss`` against dense numpy, kinks included."""
 
-    def test_compose_residual_matches_dense_reference(self):
+    def test_head_conv3x3_matches_dense_reference(self):
+        # a delta kernel makes the head's sum x + comp exactly, so sums land
+        # on the kinks, 0 and 1, where the gradient still passes; it is 0 at
+        # clipped sites and outside the mask, where the output is comp itself
         rng = np.random.default_rng(31)
         comp = rng.choice([0.25, 0.5, 0.75], size=(3, 4, 5))
         delta = rng.uniform(-1.0, 1.0, size=(3, 4, 5))
         delta[:, 0, 0], delta[:, 0, 1] = -comp[:, 0, 0], 1.0 - comp[:, 0, 1]  # delta + comp on the kinks, 0 and 1
-        mask = (rng.uniform(size=(4, 5)) < 0.6).astype(np.float64)
-        mask[0, :2] = 1.0
+        mask = rng.uniform(size=(4, 5)) < 0.6
+        mask[0, :2] = True
         g = rng.normal(size=(3, 4, 5))
         total = delta + comp
         assert np.any(total == 0.0) and np.any(total == 1.0) and np.any(total > 1.0) and np.any(total < 0.0)
         x = Tensor(delta, requires_grad=True)
         with Graph() as graph:
-            out = tc.compose_residual(x, comp, mask)
-        assert [r.op for r in graph.records] == ["compose_residual"]
+            out = delta_head(x, comp, mask)
+        assert [r.op for r in graph.records] == ["head_conv3x3"]
         graph.backward(out, g)
-        assert np.array_equal(out.data, np.where(mask == 1.0, np.minimum(np.maximum(total, 0.0), 1.0), comp))
+        assert np.array_equal(out.data, np.where(mask, np.minimum(np.maximum(total, 0.0), 1.0), comp))
         assert np.array_equal(x.grad, g * mask * ((total >= 0.0) & (total <= 1.0)))
+        assert np.all(x.grad[:, ~mask] == 0.0) and np.all(x.grad[(total < 0.0) | (total > 1.0)] == 0.0)
 
     @pytest.mark.parametrize("root_grad", [None, 0.5])
     def test_l1_loss_matches_dense_reference(self, root_grad):
@@ -814,9 +899,9 @@ class TestHeadAndLoss:
 
     def test_shape_errors(self):
         x = Tensor(np.ones((1, 2, 2)))
-        with pytest.raises(ShapeError, match="compose_residual"):
-            tc.compose_residual(x, np.ones((1, 2, 3)), np.ones((2, 2)))
-        with pytest.raises(ShapeError):
-            tc.compose_residual(x, np.ones((1, 2, 2)), np.ones((2, 3)))
+        with pytest.raises(ShapeError, match="head_conv3x3: composite"):
+            delta_head(x, np.ones((1, 2, 3)))
+        with pytest.raises(ShapeError, match="head_conv3x3: composite"):
+            delta_head(x, np.ones((2, 2)))
         with pytest.raises(ShapeError, match="l1_loss"):
             tc.l1_loss(x, np.ones((2, 2)), 0.0, 1.0)

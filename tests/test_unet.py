@@ -122,30 +122,30 @@ class TestForward:
         ops = [r.op for r in g.records]
         assert ops[:3] == ["down_conv3x3"] * 3
         assert [r.inputs[1] for r in g.records[:3]] == [w for w, _ in model.encoder]
-        head = next(i for i, r in enumerate(g.records) if r.op == "conv3x3" and r.inputs[1] is model.head[0])
+        head = next(i for i, r in enumerate(g.records) if r.op == "head_conv3x3" and r.inputs[1] is model.head[0])
         first = ops.index("up_conv3x3")
         assert ops[3:first] == ([] if block == "none" else [f"{block}_block"])
         assert ops[first:head] == ["up_conv3x3"] * 3
-        # the head computes the foreground's box alone, straight into the composition
-        assert ops[head:] == ["conv3x3", "compose_residual", "l1_loss"]
+        # the head computes and composes the foreground's box alone, in one record
+        assert ops[head:] == ["head_conv3x3", "l1_loss"]
         top, bottom, left, right = prep.windows.box
         assert g.records[head].outs[0].shape == (3, bottom - top, right - left)
         need = prep.windows.need
         assert [g.records[first + i].outs[0].shape for i in range(3)] == [
             (w.shape[0], b - t, r - l) for (w, _), (t, b, l, r) in zip(model.decoder, need[2::-1])]
 
-    @pytest.mark.parametrize("block, records", [("none", 7), ("rain", 8), ("srin", 8)])
+    @pytest.mark.parametrize("block, records", [("none", 6), ("rain", 7), ("srin", 7)])
     def test_one_record_per_block(self, block, records):
         # at A3's configuration a step records one op per layer, the block's
-        # one op, the composition and the loss: seven op kinds in all
+        # one op and the loss: six op kinds in all
         model = GeneratorModel.build(UNetConfig(size=32, stages=2, base_channels=16, block=block), seed=0)
         prep = prepare_sample(model, generate_sample(GenConfig(seed=11, size=32), 0))
         assert not prep.degenerate
         with tc.Graph() as g:
             sample_loss(model, prep)
         assert len(g.records) == records
-        assert {r.op for r in g.records} <= {"down_conv3x3", "up_conv3x3", "conv3x3", "rain_block", "srin_block",
-                                             "compose_residual", "l1_loss"}
+        assert {r.op for r in g.records} <= {"down_conv3x3", "up_conv3x3", "head_conv3x3", "rain_block", "srin_block",
+                                             "l1_loss"}
 
     def test_forward_writes_no_model_state(self):
         model = GeneratorModel.build(UNetConfig(size=32, stages=2, block="srin"), seed=17)
@@ -231,7 +231,7 @@ class TestDecodeWindow:
             model.forward_box(model.windows(s.composite.planar(), mask, s.semantic.planar()))
         stages = [r for r in g.records if r.op == "up_conv3x3"]
         assert [r.outs[0].shape for r in stages] == [(16, 3, 3), (16, 3, 3)]  # need[1] and need[0]
-        head = [r for r in g.records if r.op == "conv3x3" and r.inputs[1] is model.head[0]]
+        head = [r for r in g.records if r.op == "head_conv3x3" and r.inputs[1] is model.head[0]]
         assert len(head) == 1
         assert head[0].inputs[0].shape == (16, 3, 3) and head[0].outs[0].shape == (3, 1, 1)
 
