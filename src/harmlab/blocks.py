@@ -1,29 +1,30 @@
 """Region-restricted normalization blocks for the generator bottleneck.
 
 Two blocks over a [C, H, W] feature map with a binary foreground mask at
-feature resolution, each one tape op:
+feature resolution, each one entry point that records one tape op:
 
-* ``rain_block`` (``rain_forward``) standardizes the map by the foreground's
-  per-channel statistics, re-dresses the foreground with the background's,
-  ``std_bg * normed + mean_bg``, and passes background sites through exactly.
-* ``srin_block`` (``srin_forward``) derives spatially varying scale/shift
+* ``rain_forward`` (op ``rain_block``) standardizes the map by the
+  foreground's per-channel statistics, re-dresses the foreground with the
+  background's, ``std_bg * normed + mean_bg``, and passes background sites
+  through exactly.
+* ``srin_forward`` (op ``srin_block``) derives spatially varying scale/shift
   modulation from cross-attention: queries come from a color-coded semantic
   map, keys from the normalized features, and each foreground query attends
   over background key sites only, so it aggregates background features from
   semantically related regions. A query depends only on its site's semantic
   colour, so the foreground sites are grouped into their K distinct colours
   and the query, the attention over the background and the gamma/beta heads
-  run once per class, [K, background] cells in all; the modulation is
-  written onto each class's sites, and the per-site maps and [N, N] matrix
-  are built on read.
+  run once per class, [K, background] cells in all.
 
 A block's constants depend only on the mask and the semantic map, so
-``block_plan`` builds them once per sample (``BlockPlan``). Each op's forward
-is numpy over the plan, and its backward applies the VJPs of its parts
-(``_channel_stats``, ``_normalize``, ``_attention``, ``_modulate``) in reverse
-order. Every standard deviation is ``sqrt(var + EPS_DEFAULT)``. Both blocks
-pass their input through unchanged when either region is empty; they are
-pure, reentrant, and differentiable end to end.
+``block_plan`` builds them once per sample (``BlockPlan``), and an entry
+takes a plan in the mask's place; it checks the plan against the map once
+(``_checked_plan``). Each op's forward is numpy over the plan, and its
+backward applies the VJPs of its parts (``_channel_stats``, ``_normalize``,
+``_attention``, ``_modulate``) in reverse order. Every standard deviation is
+``sqrt(var + EPS_DEFAULT)``. Both blocks pass their input through unchanged
+when the plan is ``degenerate`` (either region empty); they are pure,
+reentrant, and differentiable end to end.
 """
 
 from __future__ import annotations
@@ -104,25 +105,27 @@ class Modulation:
 @dataclass
 class SrinResult:
     output: Tensor
-    degenerate: bool
-    # [C, K] per-class gamma and beta, the [3, N] semantic map, copies of
-    # the query projection's weight and bias as the forward pass read them,
-    # the [C, N] key projection and the [H, W] class index (-1 on the
-    # background), kept to rebuild ``modulation`` and ``attention``; None when degenerate
+    plan: BlockPlan
+    # [C, K] per-class gamma and beta, copies of the query projection's weight
+    # and bias as the forward pass read them, and the [C, N] key projection,
+    # kept to rebuild ``modulation`` and ``attention``; None when degenerate
     gamma: Optional[np.ndarray] = None
     beta: Optional[np.ndarray] = None
-    sem: Optional[np.ndarray] = None
     w_query: Optional[np.ndarray] = None
     b_query: Optional[np.ndarray] = None
     key: Optional[np.ndarray] = None
-    index: Optional[np.ndarray] = None
+
+    @property
+    def degenerate(self) -> bool:
+        return self.plan.degenerate
 
     @property
     def modulation(self) -> Optional[Modulation]:
         """Each site's gamma and beta, its class's columns and exactly 0 on the background; None when degenerate."""
-        if self.index is None:
+        if self.degenerate:
             return None
-        return Modulation(*(Tensor(v[:, self.index] * (self.index >= 0)) for v in (self.gamma, self.beta)))
+        index = self.plan.index
+        return Modulation(*(Tensor(v[:, index] * (index >= 0)) for v in (self.gamma, self.beta)))
 
     @property
     def attention(self) -> Optional[Tensor]:
@@ -133,21 +136,13 @@ class SrinResult:
         of sites with the same semantic colour are equal; the forward pass
         computes one row per foreground colour. None when degenerate.
         """
-        if self.index is None:
+        if self.degenerate:
             return None
-        bg = self.index.reshape(-1) < 0
-        query = self.w_query @ self.sem + self.b_query[:, None]  # [C, N], one column per site
-        full = np.zeros((bg.size, bg.size), dtype=np.float64)
-        full[:, bg] = tc._softmax_rows(query.T @ self.key[:, bg])
+        plan = self.plan
+        query = self.w_query @ plan.sem + self.b_query[:, None]  # [C, N], one column per site
+        full = np.zeros((plan.size, plan.size), dtype=np.float64)
+        full[:, plan.bg] = _softmax_rows(query.T @ self.key[:, plan.bg])
         return Tensor(full)
-
-
-def degenerate_mask(mask_f: np.ndarray) -> bool:
-    """True when the binary site mask ``mask_f`` has an empty foreground or an
-    empty background; the ``rain`` and ``srin`` blocks then pass their input
-    through unchanged."""
-    fg = np.count_nonzero(mask_f)
-    return fg == 0 or fg == mask_f.size
 
 
 class BlockPlan:
@@ -190,19 +185,39 @@ class BlockPlan:
 def block_plan(mask_f: np.ndarray, sem_f: Optional[np.ndarray] = None) -> BlockPlan:
     """The plan of the binary [H, W] site mask ``mask_f``: ``rain``'s, whose
     foreground is class 0, or given a [3, H, W] semantic map ``sem_f``,
-    ``srin``'s, with one class per distinct foreground colour."""
+    ``srin``'s, with one class per distinct foreground colour (none when the
+    foreground is empty). A semantic map of another shape is a ``ShapeError``."""
     index = mask_f.astype(np.intp) - 1
-    if sem_f is None or degenerate_mask(mask_f):
+    if sem_f is None:
         return BlockPlan(index)
+    sem = np.array(sem_f, dtype=np.float64)  # a copy: ``SrinResult.attention`` reads it after the call
+    if sem.shape != (3, *mask_f.shape):
+        raise ShapeError(f"semantic map must be {(3, *mask_f.shape)}, got {sem.shape}")
     # The K distinct foreground colours, compared by bit pattern so two one
     # ulp apart stay two classes. With the rows reversed the last row is the
     # primary sort key, so classes are numbered in np.lexsort's order.
-    sem = np.asarray(sem_f, dtype=np.float64).reshape(3, -1)
+    sem = sem.reshape(3, -1)
     fg = np.flatnonzero(mask_f)
     fg_sem = sem[:, fg]
     _, first, classes = np.unique(fg_sem.view(np.uint64)[::-1], axis=1, return_index=True, return_inverse=True)
     index.flat[fg] = classes
     return BlockPlan(index, fg_sem[:, first], sem)
+
+
+def _checked_plan(feat: Tensor, mask_f, sem_f: Optional[np.ndarray], params: Optional[SrinParams]) -> BlockPlan:
+    """``mask_f`` when it is a ``BlockPlan``, else ``block_plan`` of the site
+    mask ``mask_f`` and ``sem_f``; ``params`` is None for ``rain``. A
+    ``ShapeError`` unless the plan covers ``feat``'s [H, W] sites, has colour
+    classes exactly for ``srin``, and ``params`` fit ``feat``'s channels."""
+    block = "rain" if params is None else "srin"
+    plan = mask_f if isinstance(mask_f, BlockPlan) else block_plan(tc.as_site_mask(mask_f, *feat.shape[1:]), sem_f)
+    if plan.index.shape != feat.shape[1:]:
+        raise ShapeError(f"{block}: the plan covers {plan.index.shape} sites, the map {feat.shape[1:]}")
+    if (plan.colours is None) != (params is None):
+        raise ShapeError(f"{block}: the plan must {'not ' if params is None else ''}hold colour classes")
+    if params is not None and params.channels != feat.shape[0]:
+        raise ShapeError(f"srin parameters are for {params.channels} channels, the map has {feat.shape[0]}")
+    return plan
 
 
 def _channel_stats(x: np.ndarray, sites: np.ndarray):
@@ -235,6 +250,17 @@ def _normalize(x: np.ndarray, mean: np.ndarray, std: np.ndarray):
     return y, lambda g: (g * inv[:, None, None], -g.sum(axis=(1, 2)) * inv, -(g * y).sum(axis=(1, 2)) * inv)
 
 
+def _softmax_rows(z: np.ndarray) -> np.ndarray:
+    """Row-wise softmax with per-row max subtraction."""
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _softmax_rows_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient at the logits of ``y = _softmax_rows(z)`` given ``g`` at ``y``."""
+    return y * (g - (g * y).sum(axis=1, keepdims=True))
+
+
 def _attention(query: np.ndarray, key: np.ndarray, value: np.ndarray, bg: np.ndarray):
     """Cross-attention from the K columns of ``query`` [C, K] to the
     background sites ``bg`` of the [C, N] maps ``key`` and ``value``.
@@ -248,12 +274,12 @@ def _attention(query: np.ndarray, key: np.ndarray, value: np.ndarray, bg: np.nda
     whose key and value parts are exactly 0 at foreground sites.
     """
     attn = np.zeros((query.shape[1], key.shape[1]), dtype=np.float64)
-    attn[:, bg] = tc._softmax_rows((query.T @ key)[:, bg])
+    attn[:, bg] = _softmax_rows((query.T @ key)[:, bg])
 
     # np.dot for the products whose inner dimension is K: at K = 1 numpy's
     # matmul takes a loop about 4x slower than BLAS (120 vs 28 us at 32 x 1024)
     def vjp(g: np.ndarray):
-        d_logits = tc._softmax_rows_grad(attn, g.T @ value)  # [K, N], 0 at foreground columns
+        d_logits = _softmax_rows_grad(attn, g.T @ value)  # [K, N], 0 at foreground columns
         return key @ d_logits.T, np.dot(query, d_logits), np.dot(g, attn)
 
     return value @ attn.T, vjp
@@ -287,11 +313,16 @@ def _modulate(x: np.ndarray, base: np.ndarray, scale: np.ndarray, shift: np.ndar
     return out, vjp
 
 
-def rain_block(feat: Tensor, plan: BlockPlan) -> Tensor:
-    """One tape op: ``feat``'s foreground standardized by its own
-    per-channel statistics and re-dressed with the background's,
-    ``std_bg * normed + mean_bg``; background sites pass through exactly.
-    ``feat`` itself when ``plan`` is degenerate."""
+def rain_forward(feat: Tensor, mask_f) -> Tensor:
+    """Re-dress foreground-normalized features with global background statistics.
+
+    One tape op, ``rain_block``, on the plan of the binary site mask ``mask_f``
+    or on ``mask_f`` when it is ``rain``'s ``BlockPlan``: the foreground,
+    standardized by its own per-channel statistics, becomes ``std_bg * normed
+    + mean_bg``, and background sites pass through exactly. ``feat`` itself
+    when the plan is degenerate.
+    """
+    plan = _checked_plan(feat, mask_f, None, None)
     if plan.degenerate:
         return feat
     mean, std, fg_vjp = _channel_stats(feat.data, plan.fg)
@@ -312,24 +343,23 @@ def rain_block(feat: Tensor, plan: BlockPlan) -> Tensor:
     return out
 
 
-def rain_forward(feat: Tensor, mask_f) -> Tensor:
-    """Re-dress foreground-normalized features with global background statistics.
+def srin_forward(feat: Tensor, mask_f, sem_f: Optional[np.ndarray], params: SrinParams) -> SrinResult:
+    """Semantic-guided modulation of region-normalized features.
 
-    ``rain_block`` on the plan of the binary site mask ``mask_f``, or on
-    ``mask_f`` when it is a ``BlockPlan``: foreground sites become
-    ``std_bg * normed + mean_bg``, and background sites pass through exactly.
-    Identity when either region is empty.
+    One tape op, ``srin_block``, on ``block_plan``'s plan of the binary site
+    mask ``mask_f`` and the constant [3, H, W] semantic map ``sem_f``, or on
+    ``mask_f`` when it is ``srin``'s ``BlockPlan`` (``sem_f`` is then not
+    read). Normalize by foreground stats; project the normalized map to keys
+    and each of the plan's K foreground colours to a query; per query, take
+    the softmax-weighted sum of the background features over its products
+    with the background keys, and project the K sums to values; gated 1x1
+    heads give nonnegative per-class gamma/beta; write ``gamma * normed +
+    beta`` onto each class's sites and pass the background through exactly.
+    A degenerate plan returns the input unchanged.
     """
-    if not isinstance(mask_f, BlockPlan):
-        mask_f = block_plan(tc.as_site_mask(mask_f, feat.shape[1], feat.shape[2]))
-    return rain_block(feat, mask_f)
-
-
-def srin_block(feat: Tensor, plan: BlockPlan, params: SrinParams) -> SrinResult:
-    """One tape op: ``srin_forward``'s modulation of ``feat`` on a plan with
-    colours; ``SrinResult(feat, True)`` when ``plan`` is degenerate."""
+    plan = _checked_plan(feat, mask_f, sem_f, params)
     if plan.degenerate:
-        return SrinResult(feat, True)
+        return SrinResult(feat, plan)
     p = params
     c = feat.shape[0]
     mean, std, stats_vjp = _channel_stats(feat.data, plan.fg)
@@ -368,35 +398,4 @@ def srin_block(feat: Tensor, plan: BlockPlan, params: SrinParams) -> SrinResult:
         tc._accum(feat, stats_vjp(d_mean, d_std))
 
     tc._maybe_record("srin_block", (out,), (feat, *(t for _, t in p.named())), bwd)
-    return SrinResult(out, False, gamma, beta, plan.sem, p.w_query.data.copy(), p.b_query.data.copy(), key,
-                      plan.index)
-
-
-def srin_forward(feat: Tensor, mask_f, sem_f: np.ndarray, params: SrinParams) -> SrinResult:
-    """Semantic-guided modulation of region-normalized features.
-
-    Pipeline over sites: normalize by foreground stats; project the
-    normalized map to keys; group the foreground sites by semantic colour
-    and project each of the K colours to a query; for each query, softmax
-    its products with the background keys and take the weighted sum of the
-    background features, without an [N, N] or per-site matrix, then project
-    the K sums to values; pass each value through gated 1x1 heads to get
-    nonnegative per-class gamma/beta; write ``gamma * normed + beta`` onto
-    each class's foreground sites and pass the background through exactly.
-    Degenerate (empty) regions return the input unchanged. The semantic map
-    ``sem_f`` is a constant [3, H, W] array. ``srin_block`` computes it all
-    on ``block_plan``'s plan of ``mask_f`` and ``sem_f``; when ``mask_f`` is
-    that ``BlockPlan`` already, ``sem_f`` is not read.
-    """
-    if isinstance(mask_f, BlockPlan):
-        return srin_block(feat, mask_f, params)
-    c, h, w = feat.shape
-    m = tc.as_site_mask(mask_f, h, w)
-    if degenerate_mask(m):
-        return SrinResult(feat, True)
-    sem = np.asarray(sem_f, dtype=np.float64)
-    if sem.shape != (3, h, w):
-        raise ShapeError(f"semantic map must be (3, {h}, {w}), got {sem.shape}")
-    if params.channels != c:
-        raise ShapeError(f"srin parameters are for {params.channels} channels, the map has {c}")
-    return srin_block(feat, block_plan(m, sem), params)
+    return SrinResult(out, plan, gamma, beta, p.w_query.data.copy(), p.b_query.data.copy(), key)

@@ -68,6 +68,8 @@ class GenConfig:
         check_seed(self.seed)
         if self.size < 16:
             raise ConfigError(f"image size must be >= 16, got {self.size}")
+        if 3 * 8 * int(self.size) ** 2 > np.iinfo(np.intp).max:  # the bytes of a [size, size, 3] float64 image
+            raise ConfigError(f"image size {self.size} is beyond numpy's largest [size, size, 3] float64 array")
         if not (1 <= self.min_objects <= self.max_objects):
             raise ConfigError("object count range must satisfy 1 <= min <= max")
         for name, (lo, hi) in (("gain", self.gain), ("bias", self.bias), ("gamma", self.gamma)):

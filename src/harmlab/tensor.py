@@ -14,9 +14,10 @@ decoder stage (upsample, skip concat, 3x3 conv and relu) and
 ``head_conv3x3`` the head (a stride-1 3x3 conv on the foreground's box,
 composed onto the composite). The head and the decoder's concat layout share
 one stride-1 core, ``_conv3x3_taps``: nine per-tap GEMMs over one flat grid
-(``_tap_sums``). ``l1_loss`` is the training loss. The bottleneck blocks,
-``rain_block`` and ``srin_block``, are one op each too and record onto the
-same tape from ``blocks``, which holds their arithmetic.
+(``_tap_sums``). ``l1_loss`` is the training loss. This module holds only the
+tape and those ops: the bottleneck blocks, ``blocks.rain_forward`` and
+``blocks.srin_forward``, record one op each (``rain_block``, ``srin_block``)
+onto the same tape, and ``blocks`` holds their arithmetic, softmax included.
 
 Everything is float64 and single-threaded: importing ``harmlab`` pins the
 BLAS pool to one thread, so identical inputs produce bit-identical outputs
@@ -615,18 +616,3 @@ def _up_conv3x3(low: Tensor, skip: Tensor, w: Tensor, bias: Tensor, region: tupl
 
     _maybe_record("up_conv3x3", (out,), (low, skip, w, bias), bwd)
     return out
-
-
-# ---------------------------------------------------------------------------
-# softmax, for the ``srin`` block's attention (``blocks._attention``)
-
-
-def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with per-row max subtraction."""
-    e = np.exp(z - z.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def _softmax_rows_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Gradient at the logits of ``y = _softmax_rows(z)`` given ``g`` at ``y``."""
-    return y * (g - (g * y).sum(axis=1, keepdims=True))

@@ -142,13 +142,16 @@ def train(
     ``samples`` overrides loading from ``cfg.data_dir`` (used by tests and
     callers that already hold the data in memory). When a validation set is
     configured and ``on_validate`` given, every validation sample is checked
-    against the model before the first step, and ``on_validate`` fires every
-    10% of the run and once at the end.
+    against the model before the first step (an empty set is a
+    ``TrainingError``), and ``on_validate`` fires every 10% of the run and
+    once at the end.
     """
     data = list(samples) if samples is not None else load_dataset(cfg.data_dir)
     if not data:
         raise TrainingError(f"no samples to train on in {cfg.data_dir!r}")
     val_data = load_dataset(cfg.val_dir) if cfg.val_dir and on_validate is not None else None
+    if val_data == []:
+        raise TrainingError(f"validation set {cfg.val_dir!r} holds no sample")
 
     model = GeneratorModel.build(cfg.unet, seed=cfg.seed)
     for s in val_data or ():  # a sample the model cannot take fails here, not at the first validation

@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import tensor as tc
-from .blocks import SrinParams, _channel_stats, block_plan, rain_block, rain_forward, srin_block, srin_forward
+from .blocks import SrinParams, _channel_stats, _softmax_rows, block_plan, rain_forward, srin_forward
 from .gradcheck import DEFAULT_TOL, GradCheckResult, grad_check
 from .imaging import Image, Mask
 from .synthdata import Sample
@@ -204,10 +204,10 @@ def op_grad_checks(tol: float = DEFAULT_TOL) -> list[GradCheckResult]:
     for case, mask, sem in (("", block_mask, palette), ("_one_class", block_mask, np.full((3, 4, 4), 0.5)),
                             ("_one_site_background", one_bg, palette), ("_degenerate", np.ones((4, 4)), palette)):
         plan, rain_plan = block_plan(mask, sem), block_plan(mask)
-        check(f"srin_block{case}", lambda ts: srin_block(ts[0], plan, SrinParams(*ts[1:])).output,
+        check(f"srin_block{case}", lambda ts: srin_forward(ts[0], plan, None, SrinParams(*ts[1:])).output,
               [feat, *params], wmap)
         if case != "_one_class":
-            check(f"rain_block{case}", lambda ts: rain_block(ts[0], rain_plan), [feat], wmap)
+            check(f"rain_block{case}", lambda ts: rain_forward(ts[0], rain_plan), [feat], wmap)
     return results
 
 
@@ -275,7 +275,7 @@ def invariant_checks() -> list[GradCheckResult]:
     neg = 0.0
     for _ in range(20):
         z = rng.uniform(-50.0, 50.0, size=(6, 7))
-        y = tc._softmax_rows(z)
+        y = _softmax_rows(z)
         worst = max(worst, float(np.max(np.abs(y.sum(axis=1) - 1.0))))
         neg = max(neg, float(max(0.0, -y.min())))
     results.append(_value_check("softmax_row_sums", worst, 1e-9))

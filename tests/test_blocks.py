@@ -3,7 +3,7 @@ import pytest
 
 from harmlab.blocks import SrinParams, _channel_stats, _normalize, rain_forward, srin_forward
 from harmlab.errors import ShapeError
-from harmlab.tensor import Graph, Tensor
+from harmlab.tensor import EPS_DEFAULT, Graph, Tensor
 from harmlab.verify import random_srin_instance, reference_srin
 
 
@@ -21,12 +21,15 @@ def region_instance_norm(feat, mask):
 
 
 class TestRegionInstanceNorm:
+    """``_channel_stats`` and ``_normalize``: the blocks' per-channel statistics over a region's sites."""
+
     def test_constant_region_normalizes_to_zero(self):
         mask = np.zeros((3, 3))
         mask[0] = 1.0
-        normed = region_instance_norm(np.full((2, 3, 3), 5.0), mask)
-        fg = mask.astype(bool)
-        assert np.max(np.abs(normed[:, fg])) <= 5.0 * np.sqrt(1e-5) / 1e-5
+        feat = np.full((2, 3, 3), 5.0)
+        mean, std, _ = _channel_stats(feat, np.flatnonzero(mask))
+        assert np.array_equal(mean, [5.0, 5.0]) and np.array_equal(std, [np.sqrt(EPS_DEFAULT)] * 2)
+        assert np.array_equal(region_instance_norm(feat, mask), np.zeros_like(feat))
 
     def test_two_value_region(self):
         # mean 2, biased variance 1: every site becomes (x - 2) / sqrt(1 + 1e-5)
@@ -34,6 +37,8 @@ class TestRegionInstanceNorm:
         feat[0, 0, 0] = 1.0
         feat[0, 0, 1] = 3.0
         mask = np.array([[1.0, 1.0], [0.0, 0.0]])
+        mean, std, _ = _channel_stats(feat, np.flatnonzero(mask))
+        assert (mean[0], std[0]) == (2.0, np.sqrt(1.0 + EPS_DEFAULT))
         normed = region_instance_norm(feat, mask)
         assert np.array_equal(normed, (feat - 2.0) / np.sqrt(1.0 + 1e-5))
         assert abs(normed[0, 0, 0] + 1.0) < 1e-5
@@ -45,15 +50,16 @@ class TestRegionInstanceNorm:
             region_instance_norm(feat, np.zeros((3, 3)))
 
     def test_whole_map_is_normalized(self):
-        # statistics come from the masked region but apply at every site
+        # statistics come from the masked region, the whole map's for a full
+        # mask, but apply at every site
         rng = np.random.default_rng(1)
         feat = rng.normal(size=(1, 4, 4))
-        mask = split_mask(rng, 4, 4)
-        normed = region_instance_norm(feat, mask)
-        region = feat[:, mask.astype(bool)]
-        mean, std = region.mean(axis=1), np.sqrt(region.var(axis=1) + 1e-5)
-        expected = (feat - mean[:, None, None]) / std[:, None, None]
-        assert np.allclose(normed, expected, atol=1e-12)
+        for mask in (split_mask(rng, 4, 4), np.ones((4, 4))):
+            normed = region_instance_norm(feat, mask)
+            region = feat[:, mask.astype(bool)]
+            mean, std = region.mean(axis=1), np.sqrt(region.var(axis=1) + 1e-5)
+            expected = (feat - mean[:, None, None]) / std[:, None, None]
+            assert np.allclose(normed, expected, atol=1e-12)
 
 
 class TestRainForward:
@@ -139,12 +145,14 @@ class TestSrinForward:
             assert np.all(attn[:, fg_cols] == 0.0)
 
     def test_attention_reads_the_query_weights_of_its_forward_pass(self):
-        # the per-site query is computed on read, from copies of w_query and b_query
+        # the per-site query is computed on read, from copies of w_query,
+        # b_query and the semantic map
         feat, mask, sem, params = random_srin_instance(np.random.default_rng(201))
         res = srin_forward(Tensor(feat), mask, sem, params)
         before = res.attention.data
         params.w_query.data += 1.0
         params.b_query.data -= 1.0
+        sem += 0.5
         assert np.array_equal(res.attention.data, before)
 
     def test_modulation_nonnegative_and_masked(self):

@@ -418,6 +418,28 @@ class TestExitCodes:
         assert err.endswith(": mask is 16x16, model expects 32x32")
         assert (tmp_path / "m.ckpt.log").read_text() == ""  # no step ran
 
+    def test_empty_validation_set_is_one_error_line_before_any_step(self, tmp_path, capsys):
+        data, val = tmp_path / "data", tmp_path / "val"
+        write_dataset(generate_dataset(GenConfig(seed=51, size=32), 1), data)
+        write_dataset([], val)  # a manifest that lists no sample
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"unet.size = 32\nunet.stages = 2\ntrain.val_data = {val}\n")
+        ckpt = tmp_path / "m.ckpt"
+        argv = ["train", "--config", str(cfg), "--data", str(data), "--steps", "40", "--out", str(ckpt)]
+        assert dispatch(argv) == 2
+        err = [l for l in capsys.readouterr().err.splitlines() if not l.startswith("config: ")]
+        assert err == [f"error: validation set {str(val)!r} holds no sample"]
+        assert (tmp_path / "m.ckpt.log").read_text() == ""  # no step ran
+
+    @pytest.mark.parametrize("size", ["4294967296", "3037000500"])
+    def test_unrepresentable_size_is_one_error_line(self, tmp_path, capsys, size):
+        # rejected before any image is allocated: numpy cannot hold a [size, size, 3] float64 array
+        out = tmp_path / "data"
+        assert dispatch(["gen-data", "--seed", "1", "--count", "1", "--size", size, "--out", str(out)]) == 2
+        err = [l for l in capsys.readouterr().err.splitlines() if not l.startswith("config: ")]
+        assert err == [f"error: image size {size} is beyond numpy's largest [size, size, 3] float64 array"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, seed", [
         ("train", "-3"), ("gen-data", "-5"), ("gen-data", "99999999999999999999999"),
     ])

@@ -5,11 +5,12 @@ import pytest
 
 from harmlab import tensor as tc
 from harmlab.blocks import (
-    BlockPlan, SrinParams, _attention, _channel_stats, _modulate, _normalize, rain_forward, srin_forward,
+    BlockPlan, SrinParams, _attention, _channel_stats, _modulate, _normalize, _softmax_rows, block_plan, rain_forward,
+    srin_forward,
 )
 from harmlab.errors import ShapeError
 from harmlab.gradcheck import grad_check
-from harmlab.tensor import EPS_DEFAULT, Graph, Tensor
+from harmlab.tensor import Graph, Tensor
 from harmlab.verify import random_srin_instance
 
 
@@ -65,10 +66,13 @@ class TestConv1x1:
         assert np.array_equal(key, np.broadcast_to(bias[:, None], (2, 4)))
 
     def test_channel_mismatch(self):
+        # checked on a mask or a plan, degenerate ones included
         mask = np.array([[1.0, 0.0], [0.0, 0.0]])
         params = SrinParams.create(2, np.random.default_rng(3))
-        with pytest.raises(ShapeError, match="for 2 channels, the map has 3"):
-            srin_forward(Tensor(np.ones((3, 2, 2))), mask, np.zeros((3, 2, 2)), params)
+        sem = np.zeros((3, 2, 2))
+        for m in (mask, block_plan(mask, sem), np.ones((2, 2)), block_plan(np.zeros((2, 2)), sem)):
+            with pytest.raises(ShapeError, match="for 2 channels, the map has 3"):
+                srin_forward(Tensor(np.ones((3, 2, 2))), m, sem, params)
 
 
 def conv_sums(x, k, b, stride=1):
@@ -537,19 +541,21 @@ class TestUpConv3x3:
 
 
 class TestSoftmaxRows:
+    """``blocks._softmax_rows``: the row softmax of the ``srin`` block's attention."""
+
     def test_symmetric_row(self):
-        out = tc._softmax_rows(np.array([[0.0, 0.0]]))
+        out = _softmax_rows(np.array([[0.0, 0.0]]))
         assert np.allclose(out, [[0.5, 0.5]], atol=1e-15)
 
     def test_log_two_row(self):
-        out = tc._softmax_rows(np.array([[np.log(2.0), 0.0]]))
+        out = _softmax_rows(np.array([[np.log(2.0), 0.0]]))
         assert np.allclose(out, [[2.0 / 3.0, 1.0 / 3.0]], atol=1e-12)
 
     def test_rows_sum_to_one_for_extreme_logits(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
             z = rng.uniform(-50.0, 50.0, size=(5, 8))
-            y = tc._softmax_rows(z)
+            y = _softmax_rows(z)
             assert np.all(y >= 0.0)
             assert np.max(np.abs(y.sum(axis=1) - 1.0)) <= 1e-9
 
@@ -595,14 +601,21 @@ class TestRegionAttention:
         assert g.records[0].outs == (res.output,)
 
     def test_shape_errors(self):
-        # srin_forward checks its mask and semantic map against the feature map's sites
+        # srin_forward checks its mask, semantic map or plan against the
+        # feature map's sites, degenerate masks included
         feat, mask, sem, params = random_srin_instance(np.random.default_rng(14))
+        h, w = mask.shape
         with pytest.raises(ShapeError, match="mask shape"):
             srin_forward(Tensor(feat), mask[:1], sem, params)
-        with pytest.raises(ShapeError, match="semantic map must be"):
-            srin_forward(Tensor(feat), mask, sem[:2], params)
+        for m in (mask, np.zeros((h, w)), np.ones((h, w))):
+            with pytest.raises(ShapeError, match="semantic map must be"):
+                srin_forward(Tensor(feat), m, sem[:2], params)
         with pytest.raises(ValueError, match="binary"):
             srin_forward(Tensor(feat), 0.5 * mask, sem, params)
+        with pytest.raises(ShapeError, match=r"srin: the plan covers \(\d+, \d+\) sites"):
+            srin_forward(Tensor(feat), block_plan(mask[:, :-1], sem[:, :, :-1]), None, params)
+        with pytest.raises(ShapeError, match="srin: the plan must hold colour classes"):
+            srin_forward(Tensor(feat), block_plan(mask), None, params)
 
 
 def modulate_reference(x, base, scale, shift, index, g):
@@ -653,7 +666,7 @@ class TestModulate:
         assert g.records[0].outs == (out,)
 
     def test_index_errors(self):
-        # the blocks take their classes from a binary mask of the map's sites
+        # the blocks take their classes from a binary mask or a plan of the map's sites
         x = Tensor(np.ones((2, 3, 3)))
         with pytest.raises(ShapeError, match="mask shape"):
             rain_forward(x, self.index[:2] >= 0)
@@ -661,33 +674,11 @@ class TestModulate:
             rain_forward(x, self.index)  # -1 .. 1
         with pytest.raises(ValueError, match="binary"):
             rain_forward(x, 0.5 * (self.index >= 0))
-
-
-class TestMaskedChannelStats:
-    """``blocks._channel_stats``: the blocks' per-channel statistics over a region's sites."""
-
-    def test_constant_region(self):
-        mean, std, _ = _channel_stats(np.full((2, 3, 3), 5.0), np.array([0, 1]))
-        assert np.array_equal(mean, [5.0, 5.0])
-        assert np.array_equal(std, [np.sqrt(EPS_DEFAULT)] * 2)
-
-    def test_two_site_region(self):
-        f = np.zeros((1, 2, 2))
-        f[0, 0, 0] = 1.0
-        f[0, 0, 1] = 3.0
-        mean, std, _ = _channel_stats(f, np.array([0, 1]))
-        assert (mean[0], std[0]) == (2.0, np.sqrt(1.0 + EPS_DEFAULT))
-
-    def test_empty_region_rejected(self):
-        with pytest.raises(ShapeError, match="no site"):
-            _channel_stats(np.ones((2, 2, 2)), np.array([], dtype=np.intp))
-
-    def test_full_mask_equals_global_stats(self):
-        rng = np.random.default_rng(3)
-        f = rng.normal(size=(3, 4, 4))
-        mean, std, _ = _channel_stats(f, np.arange(16))
-        assert np.allclose(mean, f.mean(axis=(1, 2)), atol=1e-12)
-        assert np.allclose(std, np.sqrt(f.var(axis=(1, 2)) + EPS_DEFAULT), atol=1e-12)
+        # a plan of a 2x2 mask, whose sites index into the 3x3 map
+        with pytest.raises(ShapeError, match=r"rain: the plan covers \(2, 2\) sites, the map \(3, 3\)"):
+            rain_forward(x, block_plan(np.array([[1.0, 0.0], [0.0, 1.0]])))
+        with pytest.raises(ShapeError, match="rain: the plan must not hold colour classes"):
+            rain_forward(x, block_plan(self.index >= 0, np.zeros((3, 3, 3))))
 
 
 class TestTape:
@@ -730,7 +721,7 @@ class TestTape:
         assert np.array_equal(x.grad, low.grad + skip.grad)
         assert np.array_equal(y.grad, weights)
 
-    @pytest.mark.parametrize("op", ["add", "add_scalar"])
+    @pytest.mark.parametrize("op", ["head", "l1_loss"])
     def test_identity_and_view_gradients_are_copied(self, op):
         # the head's residual add, through a delta kernel, and the offset
         # added inside l1_loss pass the output gradient through unchanged
@@ -739,7 +730,7 @@ class TestTape:
         comp = rng.uniform(0.25, 0.75, size=(2, 3, 4))
         a = Tensor(rng.uniform(-0.2, 0.2, size=(2, 3, 4)), requires_grad=True)
         with Graph() as g:
-            if op == "add":
+            if op == "head":
                 y = delta_head(a, comp)
                 seed = rng.normal(size=y.shape)
             else:
@@ -834,26 +825,6 @@ class TestTape:
                 g.backward(y)
 
 
-class TestBlendAndMask:
-    def test_blend_selects_exactly(self):
-        # the head takes the clipped sum at the mask's sites and the composite itself elsewhere
-        rng = np.random.default_rng(8)
-        delta = rng.normal(size=(3, 4, 4))
-        comp = rng.uniform(size=(3, 4, 4))
-        sel = rng.uniform(size=(4, 4)) < 0.5
-        out = delta_head(Tensor(delta), comp, sel).data
-        assert np.array_equal(out[:, sel], np.clip(delta + comp, 0.0, 1.0)[:, sel])
-        assert np.array_equal(out[:, ~sel], comp[:, ~sel])
-
-    def test_mask_must_be_binary(self):
-        # binary by type: a bool array of the region's sites, nothing else
-        x = Tensor(np.ones((1, 2, 2)))
-        for mask in (np.full((2, 2), 0.5), np.ones((2, 2)), np.ones((2, 2), dtype=np.uint8), [[True] * 2] * 2,
-                     np.ones((2, 3), dtype=bool), np.ones(4, dtype=bool)):
-            with pytest.raises(ValueError, match="bool mask"):
-                delta_head(x, np.zeros((1, 2, 2)), mask)
-
-
 class TestHeadAndLoss:
     """``head_conv3x3``'s composition and ``l1_loss`` against dense numpy, kinks included."""
 
@@ -878,6 +849,24 @@ class TestHeadAndLoss:
         assert np.array_equal(out.data, np.where(mask, np.minimum(np.maximum(total, 0.0), 1.0), comp))
         assert np.array_equal(x.grad, g * mask * ((total >= 0.0) & (total <= 1.0)))
         assert np.all(x.grad[:, ~mask] == 0.0) and np.all(x.grad[(total < 0.0) | (total > 1.0)] == 0.0)
+
+    def test_head_selects_exactly(self):
+        # the head takes the clipped sum at the mask's sites and the composite itself elsewhere
+        rng = np.random.default_rng(8)
+        delta = rng.normal(size=(3, 4, 4))
+        comp = rng.uniform(size=(3, 4, 4))
+        sel = rng.uniform(size=(4, 4)) < 0.5
+        out = delta_head(Tensor(delta), comp, sel).data
+        assert np.array_equal(out[:, sel], np.clip(delta + comp, 0.0, 1.0)[:, sel])
+        assert np.array_equal(out[:, ~sel], comp[:, ~sel])
+
+    def test_head_mask_must_be_binary(self):
+        # binary by type: a bool array of the region's sites, nothing else
+        x = Tensor(np.ones((1, 2, 2)))
+        for mask in (np.full((2, 2), 0.5), np.ones((2, 2)), np.ones((2, 2), dtype=np.uint8), [[True] * 2] * 2,
+                     np.ones((2, 3), dtype=bool), np.ones(4, dtype=bool)):
+            with pytest.raises(ValueError, match="bool mask"):
+                delta_head(x, np.zeros((1, 2, 2)), mask)
 
     @pytest.mark.parametrize("root_grad", [None, 0.5])
     def test_l1_loss_matches_dense_reference(self, root_grad):

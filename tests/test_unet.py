@@ -5,7 +5,7 @@ import pytest
 
 from harmlab import tensor as tc
 from harmlab import unet
-from harmlab.blocks import degenerate_mask
+from harmlab.blocks import block_plan
 from harmlab.errors import CheckpointError, ShapeError
 from harmlab.gradcheck import grad_check
 from harmlab.imaging import Image, Mask
@@ -152,7 +152,7 @@ class TestForward:
         s = sample_inputs()
         vanishing = np.zeros((32, 32))
         vanishing[0, 0] = 1.0  # no 8x8 feature site samples pixel (0, 0)
-        assert degenerate_mask(downsample_mask(vanishing, 8))
+        assert block_plan(downsample_mask(vanishing, 8)).degenerate
         state = dict(vars(model))
         values = model.flat.data.copy()
         with tc.Graph():
