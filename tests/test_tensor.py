@@ -10,7 +10,7 @@ from harmlab.blocks import (
 )
 from harmlab.errors import ShapeError
 from harmlab.gradcheck import grad_check
-from harmlab.tensor import Graph, Tensor
+from harmlab.tensor import EPS_DEFAULT, Graph, Tensor
 from harmlab.verify import random_srin_instance
 
 
@@ -679,6 +679,33 @@ class TestModulate:
             rain_forward(x, block_plan(np.array([[1.0, 0.0], [0.0, 1.0]])))
         with pytest.raises(ShapeError, match="rain: the plan must not hold colour classes"):
             rain_forward(x, block_plan(self.index >= 0, np.zeros((3, 3, 3))))
+
+
+class TestMaskedChannelStats:
+    """``blocks._channel_stats``: the blocks' per-channel statistics over a region's sites."""
+
+    def test_constant_region(self):
+        mean, std, _ = _channel_stats(np.full((2, 3, 3), 5.0), np.array([0, 1]))
+        assert np.array_equal(mean, [5.0, 5.0])
+        assert np.array_equal(std, [np.sqrt(EPS_DEFAULT)] * 2)
+
+    def test_two_site_region(self):
+        f = np.zeros((1, 2, 2))
+        f[0, 0, 0] = 1.0
+        f[0, 0, 1] = 3.0
+        mean, std, _ = _channel_stats(f, np.array([0, 1]))
+        assert (mean[0], std[0]) == (2.0, np.sqrt(1.0 + EPS_DEFAULT))
+
+    def test_empty_region_rejected(self):
+        with pytest.raises(ShapeError, match="no site"):
+            _channel_stats(np.ones((2, 2, 2)), np.array([], dtype=np.intp))
+
+    def test_full_mask_equals_global_stats(self):
+        rng = np.random.default_rng(3)
+        f = rng.normal(size=(3, 4, 4))
+        mean, std, _ = _channel_stats(f, np.arange(16))
+        assert np.allclose(mean, f.mean(axis=(1, 2)), atol=1e-12)
+        assert np.allclose(std, np.sqrt(f.var(axis=(1, 2)) + EPS_DEFAULT), atol=1e-12)
 
 
 class TestTape:
